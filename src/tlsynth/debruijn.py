@@ -7,7 +7,9 @@ two costs: w (paid by the adversary's outputs) and q (paid by the
 policy). Closed walks then correspond to repeatable input patterns, and
 the worst cycle cost ratio q/w is the policy's competitive ratio.
 
-Two constructions are used:
+Everything policy-independent lives in one `Skeleton` per (problem, T),
+built once and kept on the problem object. It has two constructions,
+picked by whether the problem's cost splits into serve + switch parts:
 
 - For r=1 problems whose cost splits into a serving part (new input vs
   new output) plus a switching part (old output vs new output), vertices
@@ -17,24 +19,31 @@ Two constructions are used:
   outputs across a whole cost window, and every edge charges its true
   step cost.
 
-Randomized (behavioral) policies reuse the first construction with
-expected serving and switching costs; the adversary still plays concrete
-outputs, so the graph structure is unchanged.
+Both emit the same format. Every edge belongs to a transition, a (window,
+next input) pair; the policy's q on an edge never depends on the
+adversary's outputs, so q is computed once per transition from a cost
+row and the table entries of the windows the transition reads. There is
+one q function for deterministic tables (`Skeleton.q_det`) and one for
+behavioral tables (`Skeleton.q_rand`, the expectation over independent
+per-step draws). All costs are integers scaled by `Skeleton.scale`; the
+`DualGraph` built by `build_graph_det` / `build_graph_rand` is an exact
+`Cost` view of the same edges for witnesses, dumps and the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import (
     GraphTooLarge,
     NotAWalk,
     UnsupportedAggregation,
-    UnsupportedProblem,
     ValidationError,
 )
-from .exact import Cost
+from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy, decode_window, window_index
 from .problems import LocalProblem
 
@@ -140,138 +149,150 @@ def serve_switch_split(problem: LocalProblem):
     return serve, switch
 
 
-@dataclass(frozen=True)
-class GraphSkeleton:
-    """Policy-independent part of a dual graph for an r=1 serve/switch problem.
+@dataclass(frozen=True, eq=False)
+class Skeleton:
+    """Policy-independent dual graph of a problem at horizon T.
 
-    Per edge: source vertex, target vertex, source window code, target
-    window code, consumed input, appended adversary output, and w. The
-    policy only contributes q = serve(x at A(src window)) +
-    switch(A(src window) -> A(target window)).
+    edges[k] = (src, dst, x, b, w, t): w is the adversary's exact Cost and
+    t the edge's transition. transitions[t] = (row, codes): the policy's q
+    on every edge of t is rows[row][y], where y encodes (oldest first,
+    base |Y|) the table outputs at the window codes `codes`. Row entries
+    are ints scaled by `scale`, or None for +inf. arcs lists the edges an
+    adversary can play (w < +inf) as (k, src, dst, w * scale, t).
     """
 
     problem: LocalProblem
     horizon: int
+    win_len: int  # input symbols per vertex
     n_vertices: int
-    edge_struct: tuple  # (src, dst, src_win, dst_win, x, b) per edge
-    w_costs: tuple  # Fraction per edge
-    serve: dict
-    switch: dict
+    edges: tuple
+    out_edges: tuple
+    transitions: tuple
+    rows: tuple
+    scale: int
+    arcs: tuple
+
+    def q_det(self, table):
+        """Per-transition q of a deterministic table (output indices)."""
+        ny = len(self.problem.output_alphabet)
+        rows = self.rows
+        q = []
+        for row, codes in self.transitions:
+            y = 0
+            for c in codes:
+                y = y * ny + table[c]
+            q.append(rows[row][y])
+        return q
+
+    def q_rand(self, probs):
+        """Per-transition expected q of a behavioral table (P(second output)
+        per window), with an independent draw at every step.
+
+        Returns (q, unit): ints (None for +inf) in units of 1/(scale*unit).
+        """
+        den = lcm(*(p.denominator for p in probs))
+        ones = [int(p * den) for p in probs]
+        rows = self.rows
+        q = []
+        for row, codes in self.transitions:
+            terms = [(0, 1)]  # (output code so far, its probability * den^depth)
+            for c in codes:
+                p1 = ones[c]
+                p0 = den - p1
+                terms = [
+                    (y * 2 + bit, m * pb)
+                    for y, m in terms
+                    for bit, pb in ((0, p0), (1, p1))
+                    if pb
+                ]
+            total = 0
+            for y, m in terms:
+                cost = rows[row][y]
+                if cost is None:
+                    total = None
+                    break
+                total += m * cost
+            q.append(total)
+        return q, den ** len(self.transitions[0][1])
+
+    def int_arcs(self, q, unit=1):
+        """(id, src, dst, w, q) integer arcs for `ratiocycle.core_max_ratio`."""
+        return [(k, s, d, w * unit, q[t]) for k, s, d, w, t in self.arcs]
+
+    def graph(self, q, unit=1) -> DualGraph:
+        """Exact DualGraph view with per-transition q from q_det / q_rand."""
+        denom = self.scale * unit
+        q_costs = [POS_INF if v is None else Cost(Fraction(v, denom)) for v in q]
+        return DualGraph(
+            problem=self.problem,
+            horizon=self.horizon,
+            win_len=self.win_len,
+            n_vertices=self.n_vertices,
+            edges=tuple(
+                DualEdge(s, d, x, b, w, q_costs[t]) for s, d, x, b, w, t in self.edges
+            ),
+            out_edges=self.out_edges,
+        )
 
 
-def build_skeleton(problem: LocalProblem, horizon: int) -> GraphSkeleton:
+def build_skeleton(problem: LocalProblem, horizon: int) -> Skeleton:
+    """The serve/switch construction when the cost splits, else the general one."""
     _check_sum(problem)
     split = serve_switch_split(problem)
-    if split is None:
-        raise UnsupportedProblem(
-            f"problem {problem.name!r} does not split into serve + switch costs"
-        )
-    serve, switch = split
+    if split is not None:
+        return _split_skeleton(problem, horizon, *split)
+    return _general_skeleton(problem, horizon)
+
+
+def cached_skeleton(problem: LocalProblem, horizon: int) -> Skeleton:
+    """build_skeleton, memoized on the problem object (and freed with it)."""
+    memo = problem._skeleton_memo
+    skel = memo.get(horizon)
+    if skel is None:
+        skel = build_skeleton(problem, horizon)
+        memo[horizon] = skel
+    return skel
+
+
+def _guard_vertices(n_vertices):
+    if n_vertices > VERTEX_GUARD:
+        raise GraphTooLarge(f"{n_vertices} vertices exceed guard {VERTEX_GUARD}")
+
+
+def _split_skeleton(problem, horizon, serve, switch):
+    """Vertices are (T-window, adversary output); transition (window, x)
+    reads the outputs at the window and at its successor."""
     xs = problem.input_alphabet.symbols
     ys = problem.output_alphabet.symbols
     nx, ny = len(xs), len(ys)
     n_windows = nx**horizon
-    if n_windows * ny > VERTEX_GUARD:
-        raise GraphTooLarge(f"{n_windows * ny} vertices exceed guard {VERTEX_GUARD}")
-    edge_struct = []
-    w_costs = []
+    _guard_vertices(n_windows * ny)
     base_drop = nx ** (horizon - 1)
+    edges = []
+    transitions = []
     for win in range(n_windows):
-        newest = _newest_symbol(win, nx)
+        newest = win % nx
         succ_base = (win % base_drop) * nx
+        for x in range(nx):
+            transitions.append((newest * nx + x, (win, succ_base + x)))
         for b in range(ny):
             src = win * ny + b
             for x in range(nx):
                 dst_win = succ_base + x
                 for b2 in range(ny):
                     w = problem.lookup_cost((xs[newest], xs[x]), (ys[b], ys[b2]))
-                    edge_struct.append((src, dst_win * ny + b2, win, dst_win, x, b2))
-                    w_costs.append(w.as_fraction())
-    return GraphSkeleton(
-        problem=problem,
-        horizon=horizon,
-        n_vertices=n_windows * ny,
-        edge_struct=tuple(edge_struct),
-        w_costs=tuple(w_costs),
-        serve=serve,
-        switch=switch,
-    )
+                    edges.append((src, dst_win * ny + b2, x, b2, w, win * nx + x))
+    rows = [
+        [Cost(serve[a, x, y0] + switch[y0, y1]) for y0 in range(ny) for y1 in range(ny)]
+        for a in range(nx)
+        for x in range(nx)
+    ]
+    return _finish(problem, horizon, horizon, n_windows * ny, edges, transitions, rows)
 
 
-def _newest_symbol(win_code, base):
-    return win_code % base
-
-
-_skeleton_cache = {}
-
-
-def cached_skeleton(problem, horizon):
-    key = (id(problem), horizon)
-    skel = _skeleton_cache.get(key)
-    if skel is None or skel.problem is not problem:
-        skel = build_skeleton(problem, horizon)
-        _skeleton_cache[key] = skel
-    return skel
-
-
-def _check_policy_alphabets(problem, policy):
-    if (
-        policy.input_alphabet.symbols != problem.input_alphabet.symbols
-        or policy.output_alphabet.symbols != problem.output_alphabet.symbols
-    ):
-        raise ValidationError("policy and problem alphabets differ")
-
-
-def build_graph_det(problem: LocalProblem, policy: DeterministicPolicy, horizon=None):
-    """Dual graph of a deterministic table policy."""
-    _check_sum(problem)
-    if horizon is None:
-        horizon = policy.horizon
-    if horizon != policy.horizon:
-        raise ValidationError("horizon argument disagrees with the policy table")
-    _check_policy_alphabets(problem, policy)
-    if problem.horizon_r == 1 and serve_switch_split(problem) is not None:
-        skel = cached_skeleton(problem, horizon)
-        table = policy.table
-        edges = []
-        for k, (src, dst, src_win, dst_win, x, b2) in enumerate(skel.edge_struct):
-            ya = table[src_win]
-            yb = table[dst_win]
-            q = skel.serve[_newest_symbol(src_win, len(problem.input_alphabet)), x, ya] + skel.switch[ya, yb]
-            edges.append(DualEdge(src, dst, x, b2, Cost(skel.w_costs[k]), Cost(q)))
-        return _finish_graph(problem, horizon, horizon, skel.n_vertices, edges)
-    return _build_graph_general(problem, policy, horizon)
-
-
-def build_graph_rand(problem: LocalProblem, policy: RandomizedPolicy, horizon=None):
-    """Dual graph of a behavioral randomized policy (expected algorithm costs)."""
-    _check_sum(problem)
-    if horizon is None:
-        horizon = policy.horizon
-    if horizon != policy.horizon:
-        raise ValidationError("horizon argument disagrees with the policy table")
-    _check_policy_alphabets(problem, policy)
-    if problem.horizon_r != 1:
-        raise UnsupportedProblem("randomized graphs require r = 1")
-    if len(problem.output_alphabet) != 2:
-        raise UnsupportedProblem("randomized graphs require a binary output alphabet")
-    skel = cached_skeleton(problem, horizon)  # raises UnsupportedProblem if no split
-    table = policy.table
-    nx = len(problem.input_alphabet)
-    edges = []
-    for k, (src, dst, src_win, dst_win, x, b2) in enumerate(skel.edge_struct):
-        p = table[src_win]  # P(output "1") on the source window
-        p2 = table[dst_win]
-        a = _newest_symbol(src_win, nx)
-        q_serve = (1 - p) * skel.serve[a, x, 0] + p * skel.serve[a, x, 1]
-        q_switch = p * (1 - p2) * skel.switch[1, 0] + (1 - p) * p2 * skel.switch[0, 1]
-        edges.append(DualEdge(src, dst, x, b2, Cost(skel.w_costs[k]), Cost(q_serve + q_switch)))
-    return _finish_graph(problem, horizon, horizon, skel.n_vertices, edges)
-
-
-def _build_graph_general(problem, policy, horizon):
-    """Conservative construction: vertices carry T+r inputs and r adversary
-    outputs, so every edge charges the true step cost of both parties."""
+def _general_skeleton(problem, horizon):
+    """Vertices are ((T+r)-window, last r adversary outputs); transition
+    (window, x) reads the outputs at the r+1 windows ending at x's step."""
     r = problem.horizon_r
     xs = problem.input_alphabet.symbols
     ys = problem.output_alphabet.symbols
@@ -279,46 +300,89 @@ def _build_graph_general(problem, policy, horizon):
     win_len = horizon + r
     n_windows = nx**win_len
     adv_size = ny**r
-    if n_windows * adv_size > VERTEX_GUARD:
-        raise GraphTooLarge(
-            f"{n_windows * adv_size} vertices exceed guard {VERTEX_GUARD}"
-        )
+    _guard_vertices(n_windows * adv_size)
     edges = []
+    transitions = []
     for win in range(n_windows):
         win_syms = decode_window(win, nx, win_len)
+        exts = [win_syms + (x,) for x in range(nx)]  # x_{i-T-r+1} .. x_{i+1}
+        for ext in exts:
+            reads = tuple(window_index(ext[j : j + horizon], nx) for j in range(r + 1))
+            transitions.append((window_index(ext[-(r + 1) :], nx), reads))
         for adv in range(adv_size):
-            adv_syms = decode_window(adv, ny, r)
+            adv_syms = tuple(ys[i] for i in decode_window(adv, ny, r))
             src = win * adv_size + adv
-            for x in range(nx):
-                ext = win_syms + (x,)  # inputs x_{i-T-r+1} .. x_{i+1}
+            for x, ext in enumerate(exts):
                 x_window = tuple(xs[i] for i in ext[-(r + 1) :])
-                # policy outputs at steps i+1-r .. i+1
-                y_alg = tuple(
-                    ys[policy.table[window_index(ext[j : j + horizon], nx)]]
-                    for j in range(r + 1)
-                )
-                q = problem.lookup_cost(x_window, y_alg)
                 dst_win = window_index(ext[1:], nx)
                 for b2 in range(ny):
-                    y_adv = tuple(ys[i] for i in adv_syms) + (ys[b2],)
-                    w = problem.lookup_cost(x_window, y_adv)
+                    w = problem.lookup_cost(x_window, adv_syms + (ys[b2],))
                     dst = dst_win * adv_size + ((adv * ny + b2) % adv_size if r else 0)
-                    edges.append(DualEdge(src, dst, x, b2, w, q))
-    return _finish_graph(problem, horizon, win_len, n_windows * adv_size, edges)
+                    edges.append((src, dst, x, b2, w, win * nx + x))
+    rows = [
+        [
+            problem.lookup_cost(tuple(xs[i] for i in x_window), tuple(ys[i] for i in y))
+            for y in product(range(ny), repeat=r + 1)
+        ]
+        for x_window in product(range(nx), repeat=r + 1)
+    ]
+    return _finish(problem, horizon, win_len, n_windows * adv_size, edges, transitions, rows)
 
 
-def _finish_graph(problem, horizon, win_len, n_vertices, edges):
+def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
+    """Scale every finite cost to an integer and index the edges."""
     out = [[] for _ in range(n_vertices)]
-    for k, e in enumerate(edges):
-        out[e.src].append(k)
-    return DualGraph(
+    played = []
+    for k, (src, dst, _x, _b, w, t) in enumerate(edges):
+        out[src].append(k)
+        if w == POS_INF:
+            continue  # the adversary never pays +inf
+        if not w.is_finite or w.as_fraction() < 0:
+            raise ValueError(f"edge {k}: adversary cost {w} must be >= 0")
+        played.append((k, src, dst, w.as_fraction(), t))
+    finite = [c.as_fraction() for row in rows for c in row if c != POS_INF]
+    scale = lcm(*(f.denominator for f in finite + [arc[3] for arc in played]))
+    arcs = [(k, src, dst, int(w * scale), t) for k, src, dst, w, t in played]
+    int_rows = tuple(
+        tuple(None if c == POS_INF else int(c.as_fraction() * scale) for c in row)
+        for row in rows
+    )
+    return Skeleton(
         problem=problem,
         horizon=horizon,
         win_len=win_len,
         n_vertices=n_vertices,
         edges=tuple(edges),
         out_edges=tuple(tuple(ids) for ids in out),
+        transitions=tuple(transitions),
+        rows=int_rows,
+        scale=scale,
+        arcs=tuple(arcs),
     )
+
+
+def _policy_skeleton(problem, policy, horizon):
+    """The skeleton a policy's dual graph is a view of, after validation."""
+    if horizon is not None and horizon != policy.horizon:
+        raise ValidationError("horizon argument disagrees with the policy table")
+    if (
+        policy.input_alphabet.symbols != problem.input_alphabet.symbols
+        or policy.output_alphabet.symbols != problem.output_alphabet.symbols
+    ):
+        raise ValidationError("policy and problem alphabets differ")
+    return cached_skeleton(problem, policy.horizon)
+
+
+def build_graph_det(problem: LocalProblem, policy: DeterministicPolicy, horizon=None):
+    """Dual graph of a deterministic table policy."""
+    skel = _policy_skeleton(problem, policy, horizon)
+    return skel.graph(skel.q_det(policy.table))
+
+
+def build_graph_rand(problem: LocalProblem, policy: RandomizedPolicy, horizon=None):
+    """Dual graph of a behavioral randomized policy (expected algorithm costs)."""
+    skel = _policy_skeleton(problem, policy, horizon)
+    return skel.graph(*skel.q_rand(policy.table))
 
 
 def induced_input(graph: DualGraph, cycle_edges):

@@ -44,10 +44,6 @@ class UnsupportedAggregation(ValidationFailure):
     """Operation requires sum aggregation."""
 
 
-class UnsupportedProblem(ValidationFailure):
-    """Problem shape not supported by the requested construction."""
-
-
 class NotAWalk(TlsynthError):
     """Edge sequence does not respect window successorship."""
 
@@ -67,6 +63,11 @@ class SearchSpaceTooLarge(GuardExceeded):
         self.count = count
         self.guard = guard
         super().__init__(f"search space has {count} candidates (guard {guard})")
+
+
+class VerificationFailed(TlsynthError):
+    """A synthesized table did not reproduce the search's ratio on exact
+    re-evaluation; the search result must not be trusted."""
 
 
 class TableTooLarge(GuardExceeded):

@@ -130,7 +130,3 @@ class GeneratorSpec:
         if self.kind == "fixed":
             return tuple(p["seq"])
         raise ValidationError(f"unknown generator kind {self.kind!r}")
-
-    @property
-    def per_trial_sequences(self) -> bool:
-        return self.kind == "uniform"

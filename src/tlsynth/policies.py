@@ -296,10 +296,6 @@ def sample_mixed_resetting(horizon, seed) -> MixedResettingStrategy:
     return MixedResettingStrategy(k, horizon)
 
 
-def mixed_resetting_output(window, i, horizon, k):
-    return MixedResettingStrategy(k, horizon).output_at(window, i)
-
-
 # -- behavioral coin flip (SKIP answer set; simulation only) ----------------
 
 MOVE = "MOVE"
@@ -362,15 +358,6 @@ def run_randomized(policy: RandomizedPolicy, x_seq, seed, problem=None) -> Execu
         breakdown = problem.evaluate(x_seq, outputs)
         per_step, total = breakdown.per_step, breakdown.total
     return ExecutionTrace(tuple(x_seq), outputs, per_step, total, seed)
-
-
-def trace_policy(problem, policy, x_seq, seed=None) -> ExecutionTrace:
-    """Run any supported policy and cost its outputs against the problem."""
-    if isinstance(policy, RandomizedPolicy):
-        return run_randomized(policy, x_seq, seed, problem)
-    outputs = run_policy(policy, x_seq)
-    breakdown = problem.evaluate(x_seq, outputs)
-    return ExecutionTrace(tuple(x_seq), outputs, breakdown.per_step, breakdown.total, None)
 
 
 def compile_to_table(rule_policy, horizon, input_alphabet, output_alphabet):

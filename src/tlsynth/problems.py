@@ -195,6 +195,8 @@ class LocalProblem:
             if len(rule.y_pattern) != self.horizon_r + 1:
                 raise ValidationError(f"rules[{k}].y: length must be r+1")
         object.__setattr__(self, "_lookup_memo", {})
+        # horizon -> debruijn.Skeleton; lives and dies with this problem
+        object.__setattr__(self, "_skeleton_memo", {})
 
     # -- core cost access ------------------------------------------------
 

@@ -12,8 +12,11 @@ A brute-force enumeration of all simple cycles serves as the independent
 oracle on small graphs.
 
 Edge costs must be non-negative; edges with w = +inf are ignored (an
-adversary never plays them) and a cycle through a q = +inf edge makes
-the verdict infinite.
+adversary never plays them) and a cycle through one q = +inf edge and
+otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
+works on integer arcs and is shared by analysis and synthesis;
+`max_ratio_cycle` wraps it for a `DualGraph` and picks the canonical
+witness.
 """
 
 from __future__ import annotations
@@ -202,12 +205,25 @@ def _out_arcs(n, arcs):
 def core_max_ratio(n, edges, abort_above=None, abort_on_tie=False):
     """Parametric search over integer-scaled arcs (id, src, dst, w, q).
 
-    Returns (kind, ratio, witness_edge_ids, iterations) with kind one of
-    "infinite", "finite", or "aborted". When abort_above is given the
-    search stops as soon as the running lower bound lam exceeds it
-    (or ties it, with abort_on_tie), reporting kind "aborted": the true
-    ratio is then >= lam and the candidate cannot beat the incumbent.
+    q is None for an infinite algorithm cost. Returns (kind, ratio,
+    witness_edge_ids, iterations) with kind one of "infinite", "finite",
+    or "aborted". When abort_above is given the search stops as soon as
+    the running lower bound lam exceeds it (or ties it, with
+    abort_on_tie), reporting kind "aborted": the true ratio is then >= lam
+    and the candidate cannot beat the incumbent.
     """
+    # stage 0: an infinite-q edge closed into a cycle by finite-q edges
+    # settles the verdict; a cycle through two or more infinite-q edges is
+    # not detected here, and the table is rated on its remaining cycles
+    finite = [e for e in edges if e[4] is not None]
+    if len(finite) < len(edges):
+        for k, src, dst, _w, q in edges:
+            if q is None:
+                path = _bfs_path(n, finite, dst, src)
+                if path is not None:
+                    return "infinite", None, path + [k], 0
+        edges = finite
+
     # stage 1: a zero-w cycle with positive q means an unbounded ratio
     zero_w = [(k, s, d, -q) for k, s, d, w, q in edges if w == 0]
     cycle = _negative_cycle(n, zero_w)
@@ -254,19 +270,10 @@ def max_ratio_cycle(graph: DualGraph) -> RatioVerdict:
     """Exact maximum-ratio cycle via parametric search; see module docstring."""
     edges, _scale = _prepare(graph)
     n = graph.n_vertices
-
-    # infinite algorithm cost on any cycle settles the verdict immediately
-    finite_edges = [e for e in edges if e[4] is not None]
-    for k, src, dst, _w, q in edges:
-        if q is None:
-            path = _bfs_path(n, finite_edges, dst, src)
-            if path is not None:
-                return RatioVerdict(_make_report(graph, path + [k]), "infinite", 0)
-    edges = finite_edges
-
     kind, lam, witness, iterations = core_max_ratio(n, edges)
     if kind == "infinite":
         return RatioVerdict(_make_report(graph, witness), "infinite", 0)
+    edges = [e for e in edges if e[4] is not None]
     if lam > 0 and any(w > 0 for _k, _s, _d, w, _q in edges):
         # prefer the canonical first witness among all max-ratio cycles
         tight = _canonical_tight_cycle(n, edges, lam)

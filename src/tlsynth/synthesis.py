@@ -1,15 +1,24 @@
 """Exhaustive synthesis of optimal time-local policies.
 
-Deterministic search walks every table X^T -> Y (modulo forced entries),
-computes each candidate's exact competitive ratio through the dual-graph
-pipeline, and keeps the minimum. Two prunings keep this tractable:
+Every search runs on the problem's `debruijn.Skeleton`: a candidate table
+becomes a per-transition q vector (`Skeleton.q_det` or `Skeleton.q_rand`)
+and then integer arcs for `ratiocycle.core_max_ratio`. Deterministic
+search has one candidate loop, `_search_range`, which `synthesize_det`,
+its parallel workers and `verify_lower_bound` all run, whatever the
+problem. It walks every table X^T -> Y (modulo forced entries) in
+lexicographic order and keeps the minimum exact ratio. Two prunings keep
+this tractable:
 
 - self-loop forcing: on a constant window whose adversary can sit still
   for free, the policy must answer with a free self-loop of its own,
   which pins the table entry (for file migration A(0..0)=0, A(1..1)=1);
-- short-cycle screening: candidates whose dual graph already contains a
-  cycle of length <= L with ratio at least the incumbent cannot win and
-  are dropped before the full cycle search.
+- short-cycle screening: candidates whose skeleton already has a cycle
+  of at most PRUNE_CYCLE_LENGTH adversary-playable edges with ratio at
+  least the incumbent cannot win and are dropped before the full cycle
+  search.
+
+`verify_lower_bound` is the same loop with the bound as the incumbent,
+stopping at the first table below it.
 
 Randomized search sweeps a probability grid over the free windows and
 then refines coordinate-wise with a shrinking step; the result is the
@@ -21,25 +30,25 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .debruijn import build_graph_det, cached_skeleton, serve_switch_split
-from .errors import SearchSpaceTooLarge, UnsupportedAggregation
+from .debruijn import cached_skeleton
+from .errors import SearchSpaceTooLarge, UnsupportedAggregation, VerificationFailed
 from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy
 from .problems import LocalProblem
-from .ratiocycle import core_max_ratio, evaluate_policy, max_ratio_cycle
+from .ratiocycle import core_max_ratio, evaluate_policy
 
 DEFAULT_CANDIDATE_GUARD = 2**26
+PRUNE_CYCLE_LENGTH = 2
 
 
 @dataclass(frozen=True)
 class SynthesisConfig:
     horizon: int
     collect_all_optimal: bool = False
-    prune_cycle_length: int = 2
     jobs: int = 1
     grid_step: Fraction = Fraction(1, 20)
     refinement_rounds: int = 8
@@ -50,8 +59,6 @@ class SynthesisConfig:
     def __post_init__(self):
         if not 0 < self.grid_step <= 1:
             raise ValueError("grid step must lie in (0, 1]")
-        if self.prune_cycle_length < 1:
-            raise ValueError("prune cycle length must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,16 +79,15 @@ class SynthesisResult:
 @dataclass(frozen=True)
 class SelfLoopConstraints:
     forced: dict  # window code -> output index
-    unsatisfiable: tuple  # window codes with no zero-cost answer
 
 
 def self_loop_constraints(problem: LocalProblem, horizon: int) -> SelfLoopConstraints:
     """Forced table entries from zero-cost adversary self-loops.
 
-    On the constant window c^T the adversary can loop forever; if some
-    output lets it do so for free, any finitely-competitive policy must
-    answer c^T with an output whose own self-loop costs zero. Entries are
-    forced only when that output is unique.
+    On the constant window c^T the adversary can loop forever for free by
+    repeating any output whose constant self-loop costs zero; a
+    finitely-competitive policy must then answer c^T with such an output
+    itself. Entries are forced only when exactly one output qualifies.
     """
     if problem.aggregation != "sum":
         raise UnsupportedAggregation("self-loop analysis needs sum aggregation")
@@ -90,25 +96,15 @@ def self_loop_constraints(problem: LocalProblem, horizon: int) -> SelfLoopConstr
     ys = problem.output_alphabet.symbols
     nx = len(xs)
     forced = {}
-    unsat = []
     for c in range(nx):
-        free_for_adversary = any(
-            problem.lookup_cost((xs[c],) * (r + 1), (y,) * (r + 1)) == Cost(0)
-            for y in ys
-        )
-        if not free_for_adversary:
-            continue
         zero_cost_answers = [
             o
             for o in range(len(ys))
             if problem.lookup_cost((xs[c],) * (r + 1), (ys[o],) * (r + 1)) == Cost(0)
         ]
-        window = _constant_window_code(c, nx, horizon)
-        if not zero_cost_answers:
-            unsat.append(window)
-        elif len(zero_cost_answers) == 1:
-            forced[window] = zero_cost_answers[0]
-    return SelfLoopConstraints(forced, tuple(unsat))
+        if len(zero_cost_answers) == 1:
+            forced[_constant_window_code(c, nx, horizon)] = zero_cost_answers[0]
+    return SelfLoopConstraints(forced)
 
 
 def _constant_window_code(symbol_idx, base, horizon):
@@ -125,24 +121,9 @@ def candidate_count(n_windows, n_outputs, forced):
     return n_outputs ** (n_windows - len(forced))
 
 
-def enumerate_candidates(horizon, n_inputs, n_outputs, forced, guard):
-    """All tables consistent with the forced entries, exactly once, in
-    lexicographic order of the free-entry vector."""
-    n_windows = n_inputs**horizon
-    count = candidate_count(n_windows, n_outputs, forced)
-    if count > guard:
-        raise SearchSpaceTooLarge(count, guard)
-    free = [w for w in range(n_windows) if w not in forced]
-    base = [forced.get(w, 0) for w in range(n_windows)]
-    for assignment in product(range(n_outputs), repeat=len(free)):
-        table = list(base)
-        for w, out in zip(free, assignment):
-            table[w] = out
-        yield tuple(table)
-
-
 def candidate_by_index(index, horizon, n_inputs, n_outputs, forced):
-    """Random access into the lexicographic candidate enumeration."""
+    """The index-th table consistent with the forced entries, in
+    lexicographic order of the free-entry vector."""
     n_windows = n_inputs**horizon
     free = [w for w in range(n_windows) if w not in forced]
     table = [forced.get(w, 0) for w in range(n_windows)]
@@ -152,233 +133,136 @@ def candidate_by_index(index, horizon, n_inputs, n_outputs, forced):
     return tuple(table)
 
 
+def _forced_entries(problem, config):
+    if not config.use_self_loop_constraints:
+        return {}
+    return self_loop_constraints(problem, config.horizon).forced
+
+
+def _guarded_count(problem, config, forced):
+    n_windows = len(problem.input_alphabet) ** config.horizon
+    total = candidate_count(n_windows, len(problem.output_alphabet), forced)
+    if total > config.candidate_guard:
+        raise SearchSpaceTooLarge(total, config.candidate_guard)
+    return total
+
+
 # -- short-cycle screening ----------------------------------------------------
 
 
-def _short_cycles(n_vertices, arcs, max_len):
-    """Simple cycles of length <= max_len as edge-id lists (canonical order)."""
-    out = [[] for _ in range(n_vertices)]
-    for k, (src, dst) in enumerate(arcs):
-        out[src].append((k, dst))
+def short_cycles(skel, max_len=PRUNE_CYCLE_LENGTH):
+    """Simple cycles of at most max_len skeleton arcs (edges with w < +inf),
+    as (transition ids, scaled w sum), rooted at their smallest vertex."""
+    out = [[] for _ in range(skel.n_vertices)]
+    for _k, src, dst, w, t in skel.arcs:
+        out[src].append((dst, w, t))
     cycles = []
 
-    def extend(root, v, path, on_path):
-        for k, dst in out[v]:
+    def extend(root, v, ts, w_sum, on_path):
+        for dst, w, t in out[v]:
             if dst == root:
-                cycles.append(tuple(path + [k]))
-            elif len(path) + 1 < max_len and dst > root and dst not in on_path:
-                extend(root, dst, path + [k], on_path | {dst})
+                cycles.append((ts + (t,), w_sum + w))
+            elif len(ts) + 1 < max_len and dst > root and dst not in on_path:
+                extend(root, dst, ts + (t,), w_sum + w, on_path | {dst})
 
-    for root in range(n_vertices):
-        extend(root, root, [], {root})
+    for root in range(skel.n_vertices):
+        extend(root, root, (), 0, {root})
     return cycles
 
 
-def short_cycle_prune(graph, incumbent: Cost, max_len=2, keep_ties=False) -> bool:
-    """True = discard: some cycle of length <= max_len has ratio >= incumbent
-    (strictly greater when keep_ties is set). Sound: a candidate whose true
-    ratio beats the incumbent is never discarded."""
-    if not incumbent.is_finite:
-        return False
-    arcs = [(e.src, e.dst) for e in graph.edges]
-    bound = incumbent.as_fraction()
-    for cycle in _short_cycles(graph.n_vertices, arcs, max_len):
-        q = sum((graph.edges[k].q for k in cycle), Cost(0))
-        w = sum((graph.edges[k].w for k in cycle), Cost(0))
-        if _ratio_at_least(q, w, bound, strict=keep_ties):
+def short_cycle_hits(cycles, q, bound: Fraction, keep_ties) -> bool:
+    """True = discard: some cycle's ratio under the per-transition q is
+    >= bound (strictly greater with keep_ties); infinite q is a hit.
+    Sound: a table whose true ratio beats the bound is never discarded."""
+    a, b = bound.numerator, bound.denominator
+    for ts, w_sum in cycles:
+        qs = [q[t] for t in ts]
+        if None in qs:
+            return True
+        q_sum = sum(qs)
+        if w_sum == 0:
+            if q_sum > 0:
+                return True
+            lhs, rhs = b, a  # the 0/0 cycle has ratio 1
+        else:
+            lhs, rhs = q_sum * b, a * w_sum
+        if lhs > rhs or (not keep_ties and lhs == rhs):
             return True
     return False
-
-
-def _ratio_at_least(q: Cost, w: Cost, bound: Fraction, strict: bool) -> bool:
-    if not q.is_finite:
-        return True
-    if w == Cost(0):
-        if q > Cost(0):
-            return True
-        ratio = Fraction(1)  # the 0/0 case
-    else:
-        ratio = q.as_fraction() / w.as_fraction()
-    return ratio > bound or (not strict and ratio == bound)
 
 
 # -- deterministic synthesis ---------------------------------------------------
 
 
-class _FastMigrationSearch:
-    """Search core for r=1 serve/switch problems: candidate-independent
-    skeleton plus integer cost tables, so the per-candidate work is an
-    array fill, a short-cycle screen, and the parametric cycle search."""
-
-    def __init__(self, problem, config):
-        self.config = config
-        skel = cached_skeleton(problem, config.horizon)
-        self.n_vertices = skel.n_vertices
-        denoms = [f.denominator for f in skel.w_costs]
-        denoms += [f.denominator for f in skel.serve.values()]
-        denoms += [f.denominator for f in skel.switch.values()]
-        self.scale = math.lcm(*denoms)
-        nx = len(problem.input_alphabet)
-        ny = len(problem.output_alphabet)
-        self.serve_int = {k: int(v * self.scale) for k, v in skel.serve.items()}
-        self.switch_int = {k: int(v * self.scale) for k, v in skel.switch.items()}
-        self.edges = []  # (id, src, dst, w_int, src_win, dst_win, newest, x)
-        for k, (src, dst, src_win, dst_win, x, _b2) in enumerate(skel.edge_struct):
-            self.edges.append(
-                (
-                    k,
-                    src,
-                    dst,
-                    int(skel.w_costs[k] * self.scale),
-                    src_win,
-                    dst_win,
-                    src_win % nx,
-                    x,
-                )
-            )
-        arcs = [(src, dst) for _k, src, dst, *_rest in self.edges]
-        self.short = _short_cycles(
-            self.n_vertices, arcs, config.prune_cycle_length
-        )
-        self.short_w = [
-            sum(self.edges[k][3] for k in cycle) for cycle in self.short
-        ]
-
-    def costs_for(self, table):
-        serve = self.serve_int
-        switch = self.switch_int
-        return [
-            serve[newest, x, table[sw]] + switch[table[sw], table[dw]]
-            for _k, _s, _d, _w, sw, dw, newest, x in self.edges
-        ]
-
-    def short_cycle_hits(self, q_ints, bound: Fraction, strict: bool) -> bool:
-        a, b = bound.numerator, bound.denominator
-        for cycle, w_sum in zip(self.short, self.short_w):
-            q_sum = sum(q_ints[k] for k in cycle)
-            if w_sum == 0:
-                if q_sum > 0:
-                    return True
-                hit = (1 > bound) or (not strict and bound == 1)
-            else:
-                lhs, rhs = q_sum * b, a * w_sum
-                hit = lhs > rhs or (not strict and lhs == rhs)
-            if hit:
-                return True
-        return False
-
-    def evaluate(self, table, abort_above, abort_on_tie):
-        q_ints = self.costs_for(table)
-        arcs = [
-            (k, src, dst, w, q_ints[k])
-            for k, src, dst, w, *_rest in self.edges
-        ]
-        return core_max_ratio(
-            self.n_vertices, arcs, abort_above=abort_above, abort_on_tie=abort_on_tie
-        )
-
-
 def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisResult:
     """Minimum competitive ratio over all horizon-T tables, with witnesses."""
     started = time.monotonic()
-    constraints = (
-        self_loop_constraints(problem, config.horizon)
-        if config.use_self_loop_constraints
-        else SelfLoopConstraints({}, ())
-    )
-    nx = len(problem.input_alphabet)
-    ny = len(problem.output_alphabet)
-    n_windows = nx**config.horizon
-    total = candidate_count(n_windows, ny, constraints.forced)
-    if total > config.candidate_guard:
-        raise SearchSpaceTooLarge(total, config.candidate_guard)
-
+    forced = _forced_entries(problem, config)
+    total = _guarded_count(problem, config, forced)
     if config.jobs > 1:
-        outcome = _search_parallel(problem, config, constraints, total)
+        outcome = _search_parallel(problem, config, forced, total)
     else:
-        outcome = _search_range(problem, config, constraints, 0, total, None)
+        outcome = _search_range(problem, config, forced, 0, total)
     best, tables, examined, pruned, evaluated = outcome
 
-    policies = tuple(
-        DeterministicPolicy(
-            config.horizon, problem.input_alphabet, problem.output_alphabet, t
-        )
-        for t in sorted(tables)
-    )
+    policies = tuple(_policy_from_table(problem, config, t) for t in sorted(tables))
     # verification closure: winners must reproduce the reported ratio exactly
     for policy in policies:
-        check = evaluate_policy(problem, policy)
-        assert check.best.ratio == best, "optimal policy failed re-evaluation"
+        ratio = evaluate_policy(problem, policy).best.ratio
+        if ratio != best:
+            raise VerificationFailed(
+                f"optimal table {policy.table} re-evaluates to {ratio}, "
+                f"the search reported {best}"
+            )
     return SynthesisResult(
         classification="finite" if best.is_finite else "infinite",
         best_ratio=best,
         policies=policies,
         candidates_examined=examined,
-        forced_entries=len(constraints.forced),
+        forced_entries=len(forced),
         pruned_short_cycle=pruned,
         full_evaluations=evaluated,
         wall_seconds=time.monotonic() - started,
     )
 
 
-def _search_range(problem, config, constraints, start, stop, seed_incumbent):
-    """Scan candidates [start, stop); returns (best, tables, examined, pruned,
-    evaluated). Deterministic for fixed arguments."""
-    fast = None
-    if problem.horizon_r == 1 and serve_switch_split(problem) is not None:
-        fast = _FastMigrationSearch(problem, config)
+def _search_range(problem, config, forced, start, stop, best=POS_INF, stop_below=False):
+    """Scan candidates [start, stop) against the incumbent `best`; returns
+    (best, tables, examined, pruned, evaluated). With stop_below the scan
+    ends at the first table that beats the incumbent. Deterministic for
+    fixed arguments."""
+    skel = cached_skeleton(problem, config.horizon)
+    cycles = short_cycles(skel) if config.use_short_cycle_prune else ()
     nx = len(problem.input_alphabet)
     ny = len(problem.output_alphabet)
     keep_ties = config.collect_all_optimal
-    best = seed_incumbent if seed_incumbent is not None else POS_INF
+    bound = best.as_fraction() if best.is_finite else None
     tables = []
     examined = pruned = evaluated = 0
     for index in range(start, stop):
-        table = candidate_by_index(index, config.horizon, nx, ny, constraints.forced)
+        table = candidate_by_index(index, config.horizon, nx, ny, forced)
         examined += 1
-        if fast is not None:
-            q_ints = fast.costs_for(table)
-            if (
-                config.use_short_cycle_prune
-                and best.is_finite
-                and fast.short_cycle_hits(q_ints, best.as_fraction(), keep_ties)
-            ):
-                pruned += 1
-                continue
-            arcs = [
-                (k, src, dst, w, q_ints[k])
-                for k, src, dst, w, *_rest in fast.edges
-            ]
-            evaluated += 1
-            kind, lam, _w, _i = core_max_ratio(
-                fast.n_vertices,
-                arcs,
-                abort_above=best.as_fraction() if best.is_finite else None,
-                abort_on_tie=not keep_ties,
-            )
-        else:
-            graph = build_graph_det(problem, _policy_from_table(problem, config, table))
-            if (
-                config.use_short_cycle_prune
-                and best.is_finite
-                and short_cycle_prune(
-                    graph, best, config.prune_cycle_length, keep_ties
-                )
-            ):
-                pruned += 1
-                continue
-            evaluated += 1
-            verdict = max_ratio_cycle(graph)
-            kind = verdict.classification
-            lam = None if kind == "infinite" else verdict.best.ratio.as_fraction()
-        if kind == "infinite" or kind == "aborted":
+        q = skel.q_det(table)
+        if bound is not None and short_cycle_hits(cycles, q, bound, keep_ties):
+            pruned += 1
             continue
-        ratio = Cost(lam)
-        if ratio < best:
-            best = ratio
+        evaluated += 1
+        kind, lam, _w, _i = core_max_ratio(
+            skel.n_vertices,
+            skel.int_arcs(q),
+            abort_above=bound,
+            abort_on_tie=not keep_ties,
+        )
+        if kind != "finite":
+            continue
+        if bound is None or lam < bound:
+            bound = lam
             tables = [table]
-        elif ratio == best and keep_ties:
+            if stop_below:
+                break
+        elif lam == bound and keep_ties:
             tables.append(table)
+    best = POS_INF if bound is None else Cost(bound)
     return best, tables, examined, pruned, evaluated
 
 
@@ -391,16 +275,16 @@ def _policy_from_table(problem, config, table):
 _WORKER_STATE = {}
 
 
-def _worker_init(problem, config, constraints):
-    _WORKER_STATE["args"] = (problem, config, constraints)
+def _worker_init(problem, config, forced):
+    _WORKER_STATE["args"] = (problem, config, forced)
 
 
 def _worker_range(bounds):
-    problem, config, constraints = _WORKER_STATE["args"]
-    return _search_range(problem, config, constraints, bounds[0], bounds[1], None)
+    problem, config, forced = _WORKER_STATE["args"]
+    return _search_range(problem, config, forced, bounds[0], bounds[1])
 
 
-def _search_parallel(problem, config, constraints, total):
+def _search_parallel(problem, config, forced, total):
     """Chunked parallel scan with a deterministic reduction.
 
     Workers do not share an incumbent, so pruning is merely weaker than in
@@ -411,7 +295,7 @@ def _search_parallel(problem, config, constraints, total):
     chunk = max(1, math.ceil(total / (jobs * 4)))
     bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs, initializer=_worker_init, initargs=(problem, config, constraints)) as pool:
+    with ctx.Pool(jobs, initializer=_worker_init, initargs=(problem, config, forced)) as pool:
         parts = pool.map(_worker_range, bounds)
     best = POS_INF
     for part_best, _t, _e, _p, _f in parts:
@@ -433,40 +317,20 @@ def _search_parallel(problem, config, constraints, total):
 def verify_lower_bound(problem: LocalProblem, config: SynthesisConfig, bound: Fraction):
     """Check that every candidate's graph has a cycle of ratio >= bound.
 
-    Much cheaper than full synthesis: per candidate the parametric search
-    stops at the first cycle reaching the bound. Returns (holds,
+    The synthesis loop with the bound as incumbent: per candidate the
+    parametric search stops at the first cycle reaching the bound, and the
+    scan stops at the first table below it. Returns (holds,
     counterexample_policy, candidates_checked); a counterexample is a
     policy whose exact ratio is below the bound.
     """
-    constraints = (
-        self_loop_constraints(problem, config.horizon)
-        if config.use_self_loop_constraints
-        else SelfLoopConstraints({}, ())
+    config = replace(config, collect_all_optimal=False)
+    forced = _forced_entries(problem, config)
+    total = _guarded_count(problem, config, forced)
+    _best, tables, checked, _p, _e = _search_range(
+        problem, config, forced, 0, total, Cost(Fraction(bound)), stop_below=True
     )
-    nx = len(problem.input_alphabet)
-    ny = len(problem.output_alphabet)
-    total = candidate_count(nx**config.horizon, ny, constraints.forced)
-    if total > config.candidate_guard:
-        raise SearchSpaceTooLarge(total, config.candidate_guard)
-    fast = None
-    if problem.horizon_r == 1 and serve_switch_split(problem) is not None:
-        fast = _FastMigrationSearch(problem, config)
-    bound = Fraction(bound)
-    checked = 0
-    for index in range(total):
-        table = candidate_by_index(index, config.horizon, nx, ny, constraints.forced)
-        checked += 1
-        if fast is not None:
-            kind, lam, _w, _i = fast.evaluate(table, abort_above=bound, abort_on_tie=True)
-        else:
-            verdict = max_ratio_cycle(
-                build_graph_det(problem, _policy_from_table(problem, config, table))
-            )
-            kind = verdict.classification
-            lam = None if kind == "infinite" else verdict.best.ratio.as_fraction()
-        if kind in ("infinite", "aborted") or lam >= bound:
-            continue
-        return False, _policy_from_table(problem, config, table), checked
+    if tables:
+        return False, _policy_from_table(problem, config, tables[0]), checked
     return True, None, checked
 
 
@@ -477,7 +341,9 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     """Best-effort randomized table search: coarse grid sweep over the free
     windows, then coordinate refinement with a halving step.
 
-    Returns (policy, ratio). No global-optimality claim is made.
+    Returns (policy, ratio); when every table tried has an infinite ratio
+    that is the first grid table and +inf. No global-optimality claim is
+    made.
     """
     if len(problem.output_alphabet) != 2:
         raise UnsupportedAggregation("randomized synthesis needs binary outputs")
@@ -499,17 +365,32 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     if total > config.candidate_guard:
         raise SearchSpaceTooLarge(total, config.candidate_guard)
 
-    fast = _RandEvaluator(problem, config.horizon)
-    base = [Fraction(constraints.forced.get(w, 0)) for w in range(n_windows)]
+    skel = cached_skeleton(problem, config.horizon)
 
+    def ratio_of(probs, incumbent):
+        """Exact expected ratio of the table, or None when it cannot beat
+        the incumbent (including infinite-ratio tables)."""
+        q, unit = skel.q_rand(probs)
+        kind, lam, _w, _i = core_max_ratio(
+            skel.n_vertices,
+            skel.int_arcs(q, unit),
+            abort_above=incumbent,
+            abort_on_tie=True,
+        )
+        return lam if kind == "finite" else None
+
+    def improves(ratio, incumbent):
+        return ratio is not None and (incumbent is None or ratio < incumbent)
+
+    base = [Fraction(constraints.forced.get(w, 0)) for w in range(n_windows)]
     best_ratio, best_probs = None, None
     for assignment in product(grid, repeat=len(free)):
         probs = list(base)
         for w, p in zip(free, assignment):
             probs[w] = p
-        ratio = fast.evaluate(probs, best_ratio)
-        if ratio is not None and (best_ratio is None or ratio < best_ratio):
-            best_ratio, best_probs = ratio, list(probs)
+        ratio = ratio_of(probs, best_ratio)
+        if best_probs is None or improves(ratio, best_ratio):
+            best_ratio, best_probs = ratio, probs
 
     # coordinate refinement, shrinking the step each round
     step = Fraction(config.grid_step) / 2
@@ -520,8 +401,8 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
                     continue
                 probs = list(best_probs)
                 probs[w] = candidate
-                ratio = fast.evaluate(probs, best_ratio)
-                if ratio is not None and ratio < best_ratio:
+                ratio = ratio_of(probs, best_ratio)
+                if improves(ratio, best_ratio):
                     best_ratio, best_probs = ratio, probs
         step /= 2
 
@@ -532,47 +413,3 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
         tuple(best_probs),
     )
     return policy, Cost(best_ratio) if best_ratio is not None else POS_INF
-
-
-class _RandEvaluator:
-    """Expected-cost dual-graph evaluation for behavioral tables."""
-
-    def __init__(self, problem, horizon):
-        self.skel = cached_skeleton(problem, horizon)
-        self.nx = len(problem.input_alphabet)
-
-    def evaluate(self, probs, incumbent):
-        """Exact expected ratio of the table, or None when it cannot beat
-        the incumbent (including infinite-ratio tables)."""
-        skel = self.skel
-        serve, switch = skel.serve, skel.switch
-        edges = []
-        denoms = [1]
-        costs = []
-        for k, (src, dst, src_win, dst_win, x, _b2) in enumerate(skel.edge_struct):
-            p, p2 = probs[src_win], probs[dst_win]
-            a = src_win % self.nx
-            q = (
-                (1 - p) * serve[a, x, 0]
-                + p * serve[a, x, 1]
-                + p * (1 - p2) * switch[1, 0]
-                + (1 - p) * p2 * switch[0, 1]
-            )
-            w = skel.w_costs[k]
-            costs.append((k, src, dst, w, q))
-            denoms.append(w.denominator)
-            denoms.append(q.denominator)
-        scale = math.lcm(*denoms)
-        arcs = [
-            (k, src, dst, int(w * scale), int(q * scale))
-            for k, src, dst, w, q in costs
-        ]
-        kind, lam, _witness, _iters = core_max_ratio(
-            skel.n_vertices,
-            arcs,
-            abort_above=incumbent,
-            abort_on_tie=True,
-        )
-        if kind != "finite":
-            return None
-        return lam

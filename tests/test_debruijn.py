@@ -1,18 +1,25 @@
+import gc
+import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from tlsynth.debruijn import (
+    _general_skeleton,
+    _split_skeleton,
     build_graph_det,
     build_graph_rand,
+    cached_skeleton,
     induced_input,
     serve_switch_split,
 )
 from tlsynth.errors import NotAWalk, UnsupportedAggregation
-from tlsynth.exact import Cost
+from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
 from tlsynth.problems import Alphabet, bundled_problem, offline_opt
+from tlsynth.ratiocycle import core_max_ratio
 
 BIN = Alphabet(("0", "1"))
 
@@ -120,6 +127,22 @@ def test_randomized_degenerate_equals_deterministic(migration):
     for e1, e2 in zip(g1.edges, g2.edges):
         assert (e1.src, e1.dst, e1.x, e1.b) == (e2.src, e2.dst, e2.x, e2.b)
         assert e1.w == e2.w and e1.q == e2.q
+
+
+def test_randomized_degenerate_equals_deterministic_general():
+    # behavioral q on the (T+r)-window construction: a 0/1 table is the
+    # deterministic table, +inf costs included
+    problem = bundled_problem("min-dom-set")
+    alphabets = (problem.input_alphabet, problem.output_alphabet)
+    for table in [(1, 0, 1, 1), (0, 0, 0, 1)]:
+        det = DeterministicPolicy(2, *alphabets, table)
+        rand = RandomizedPolicy(2, *alphabets, tuple(Fraction(t) for t in table))
+        g1 = build_graph_det(problem, det)
+        g2 = build_graph_rand(problem, rand)
+        assert g1.dump() == g2.dump()
+    # three unselected nodes in a row (+inf) have positive probability
+    half = RandomizedPolicy(2, *alphabets, (Fraction(1, 2),) * 4)
+    assert all(e.q == POS_INF for e in build_graph_rand(problem, half).edges)
 
 
 def test_randomized_expected_cost_formula(migration):
@@ -231,3 +254,35 @@ def test_dump_mentions_costs(migration):
     graph = build_graph_det(migration, policy)
     text = graph.dump()
     assert "w=0" in text and "q=1" in text and "vertex 0" in text
+
+
+# -- skeletons ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", ["1/2", "1", "2"])
+def test_serve_switch_skeleton_matches_general_skeleton(alpha):
+    # the general (T+r)-window construction charges true step costs and
+    # is the reference for the telescoped serve/switch one
+    problem = bundled_problem("file-migration", {"alpha": alpha})
+    for horizon in (1, 2, 3):
+        split = _split_skeleton(problem, horizon, *serve_switch_split(problem))
+        general = _general_skeleton(problem, horizon)
+        for table in itertools.product((0, 1), repeat=2**horizon):
+            verdicts = [
+                core_max_ratio(s.n_vertices, s.int_arcs(s.q_det(table)))[:2]
+                for s in (split, general)
+            ]
+            assert verdicts[0] == verdicts[1], (horizon, table)
+
+
+def test_skeleton_lives_and_dies_with_its_problem():
+    base = bundled_problem("file-migration")
+    refs = []
+    for alpha in ("1/2", "1", "2"):
+        problem = base.with_parameters({"alpha": alpha})
+        skel = cached_skeleton(problem, 2)
+        assert cached_skeleton(problem, 2) is skel
+        refs.append(weakref.ref(problem))
+    del problem, skel
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]

@@ -18,7 +18,6 @@ from tlsynth.policies import (
     coin_flip_step,
     compile_to_table,
     load_policy,
-    mixed_resetting_output,
     policy_to_document,
     run_coin_flip,
     run_policy,
@@ -170,7 +169,7 @@ def test_mixed_resetting_constant_zero():
 def test_mixed_resetting_output_window_form():
     # step 7 with k=2, T=3: last move before 7 is at time 5
     window = ("0", "1", "0")  # x_4, x_5, x_6
-    assert mixed_resetting_output(window, 7, 3, 2) == "1"
+    assert MixedResettingStrategy(2, 3).output_at(window, 7) == "1"
 
 
 def test_sample_mixed_resetting_uniform():
