@@ -10,7 +10,7 @@ The package provides:
   and algorithm cost q (`tlsynth.debruijn`),
 - the exact maximum cost-ratio cycle solver that turns such a graph into
   a competitive ratio (`tlsynth.ratiocycle`),
-- exhaustive policy synthesis with pruning (`tlsynth.synthesis`),
+- exact policy synthesis by branch and bound (`tlsynth.synthesis`),
 - input generators, empirical measurement and the `tlsynth` CLI
   (`tlsynth.generators`, `tlsynth.measure`, `tlsynth.cli`).
 """

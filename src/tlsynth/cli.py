@@ -226,6 +226,7 @@ def _cmd_synth(args):
                 "forced_entries": res.forced_entries,
                 "pruned_short_cycle": res.pruned_short_cycle,
                 "full_evaluations": res.full_evaluations,
+                "nodes_visited": res.nodes_visited,
             },
             "wall_seconds": round(res.wall_seconds, 3),
             "policies": [policy_to_document(p) for p in res.policies],

@@ -172,12 +172,15 @@ class Skeleton:
     scale: int
     arcs: tuple
 
-    def q_det(self, table):
-        """Per-transition q of a deterministic table (output indices)."""
+    def q_det(self, table, ts=None):
+        """Per-transition q of a deterministic table (output indices), for
+        every transition or only for the transition ids `ts`; only the
+        table entries those transitions read are used."""
         ny = len(self.problem.output_alphabet)
         rows = self.rows
+        transitions = self.transitions
         q = []
-        for row, codes in self.transitions:
+        for row, codes in transitions if ts is None else (transitions[t] for t in ts):
             y = 0
             for c in codes:
                 y = y * ny + table[c]

@@ -84,7 +84,8 @@ class Cost:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        # a finite cost equals its int / Fraction value, so it hashes like it
+        return hash(self.value) if self.sign == _FIN else hash(self._key())
 
     def __lt__(self, other):
         if not isinstance(other, Cost):

@@ -311,12 +311,39 @@ def _bfs_path(n, edges, start, goal):
 
 
 def _any_cycle(n, arcs3):
-    """First cycle (canonical order) in the subgraph given by (id, src, dst)."""
+    """A cycle of the subgraph given by (id, src, dst), or None.
+
+    Depth-first search with three vertex states, roots ascending and arcs
+    in the given order, so the result is deterministic; the first arc back
+    into the current path closes the reported cycle. Linear in the size of
+    the subgraph.
+    """
     out = [[] for _ in range(n)]
     for k, s, d in arcs3:
         out[s].append((k, d))
-    for cycle in _simple_cycles(n, out, visit_cap=_TIGHT_SEARCH_CAP):
-        return cycle
+    state = [0] * n  # 0 unseen, 1 on the current path, 2 done
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(out[root]))]
+        path = []  # path[i] is the arc from stack[i] to stack[i + 1]
+        while stack:
+            v, arcs = stack[-1]
+            for k, d in arcs:
+                if state[d] == 1:
+                    entry = next(i for i, (u, _a) in enumerate(stack) if u == d)
+                    return path[entry:] + [k]
+                if state[d] == 0:
+                    state[d] = 1
+                    path.append(k)
+                    stack.append((d, iter(out[d])))
+                    break
+            else:
+                state[v] = 2
+                stack.pop()
+                if path:
+                    path.pop()
     return None
 
 

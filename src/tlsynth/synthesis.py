@@ -1,24 +1,30 @@
-"""Exhaustive synthesis of optimal time-local policies.
+"""Synthesis of optimal time-local policies.
 
-Every search runs on the problem's `debruijn.Skeleton`: a candidate table
-becomes a per-transition q vector (`Skeleton.q_det` or `Skeleton.q_rand`)
-and then integer arcs for `ratiocycle.core_max_ratio`. Deterministic
-search has one candidate loop, `_search_range`, which `synthesize_det`,
-its parallel workers and `verify_lower_bound` all run, whatever the
-problem. It walks every table X^T -> Y (modulo forced entries) in
-lexicographic order and keeps the minimum exact ratio. Two prunings keep
-this tractable:
+Every search runs on the problem's `debruijn.Skeleton`: a table becomes a
+per-transition q vector (`Skeleton.q_det` or `Skeleton.q_rand`) and then
+integer arcs for `ratiocycle.core_max_ratio`. Deterministic synthesis is
+one depth-first branch and bound over partial tables, `_Search`, which
+`synthesize_det`, its parallel workers and `verify_lower_bound` all run,
+whatever the problem. It finds the minimum exact ratio over every table
+X^T -> Y and the tables reaching it:
 
 - self-loop forcing: on a constant window whose adversary can sit still
   for free, the policy must answer with a free self-loop of its own,
   which pins the table entry (for file migration A(0..0)=0, A(1..1)=1);
-- short-cycle screening: candidates whose skeleton already has a cycle
-  of at most PRUNE_CYCLE_LENGTH adversary-playable edges with ratio at
-  least the incumbent cannot win and are dropped before the full cycle
-  search.
+- node pruning: free entries are assigned one at a time in de Bruijn
+  depth-first order from the forced windows, and a subtree is dropped as
+  soon as the transitions its fixed entries determine hold a cycle that
+  loses to the incumbent (a cycle of the fixed subgraph is a cycle of
+  every completion);
+- short-cycle screening: complete tables with a cycle of at most
+  PRUNE_CYCLE_LENGTH adversary-playable edges whose ratio loses to the
+  incumbent are dropped before the full cycle search.
 
-`verify_lower_bound` is the same loop with the bound as the incumbent,
-stopping at the first table below it.
+Without pruning (`use_short_cycle_prune=False`) the search is a plain
+exhaustive scan, the reference the pruned search is tested against.
+Without `collect_all_optimal` the result is the lexicographically first
+optimal table. `verify_lower_bound` is the same search with the bound as
+the incumbent, stopping at the first table below it.
 
 Randomized search sweeps a probability grid over the free windows and
 then refines coordinate-wise with a shrinking step; the result is the
@@ -27,15 +33,13 @@ best table found, with no global-optimality claim.
 
 from __future__ import annotations
 
-import math
-import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
 from .debruijn import cached_skeleton
-from .errors import SearchSpaceTooLarge, UnsupportedAggregation, VerificationFailed
+from .errors import EmptyGraph, SearchSpaceTooLarge, UnsupportedAggregation, VerificationFailed
 from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy
 from .problems import LocalProblem
@@ -68,8 +72,9 @@ class SynthesisResult:
     policies: tuple  # lexicographically sorted optimal tables
     candidates_examined: int
     forced_entries: int
-    pruned_short_cycle: int
+    pruned_short_cycle: int  # tables discarded without a full evaluation
     full_evaluations: int
+    nodes_visited: int  # search-tree nodes, partial tables included
     wall_seconds: float
 
 
@@ -114,23 +119,11 @@ def _constant_window_code(symbol_idx, base, horizon):
     return code
 
 
-# -- candidate enumeration ----------------------------------------------------
+# -- candidate count ----------------------------------------------------
 
 
 def candidate_count(n_windows, n_outputs, forced):
     return n_outputs ** (n_windows - len(forced))
-
-
-def candidate_by_index(index, horizon, n_inputs, n_outputs, forced):
-    """The index-th table consistent with the forced entries, in
-    lexicographic order of the free-entry vector."""
-    n_windows = n_inputs**horizon
-    free = [w for w in range(n_windows) if w not in forced]
-    table = [forced.get(w, 0) for w in range(n_windows)]
-    for w in reversed(free):
-        table[w] = index % n_outputs
-        index //= n_outputs
-    return tuple(table)
 
 
 def _forced_entries(problem, config):
@@ -139,12 +132,11 @@ def _forced_entries(problem, config):
     return self_loop_constraints(problem, config.horizon).forced
 
 
-def _guarded_count(problem, config, forced):
+def _check_guard(problem, config, forced):
     n_windows = len(problem.input_alphabet) ** config.horizon
     total = candidate_count(n_windows, len(problem.output_alphabet), forced)
     if total > config.candidate_guard:
         raise SearchSpaceTooLarge(total, config.candidate_guard)
-    return total
 
 
 # -- short-cycle screening ----------------------------------------------------
@@ -191,21 +183,242 @@ def short_cycle_hits(cycles, q, bound: Fraction, keep_ties) -> bool:
     return False
 
 
-# -- deterministic synthesis ---------------------------------------------------
+# -- branch and bound over partial tables ----------------------------------------
+
+
+def assignment_order(n_inputs, horizon, forced):
+    """Free window codes in the order the search assigns them.
+
+    Depth-first over the de Bruijn graph of windows (a window steps to its
+    left shift extended by each input, inputs ascending), from the forced
+    windows in ascending order and then from any window not yet reached.
+    Every window in this order is a successor of a forced window or of one
+    before it, so each assignment tends to fix a transition that closes a
+    cycle through windows fixed before it.
+    """
+    n_windows = n_inputs**horizon
+    shift = n_inputs ** (horizon - 1)
+    seen = [False] * n_windows
+    order = []
+
+    def visit(w):
+        seen[w] = True
+        if w not in forced:
+            order.append(w)
+
+    for root in [*sorted(forced), *range(n_windows)]:
+        if seen[root]:
+            continue
+        visit(root)
+        stack = [(root, iter(range(n_inputs)))]
+        while stack:
+            w, inputs = stack[-1]
+            for x in inputs:
+                succ = (w % shift) * n_inputs + x
+                if not seen[succ]:
+                    visit(succ)
+                    stack.append((succ, iter(range(n_inputs))))
+                    break
+            else:
+                stack.pop()
+    return order
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    best: Cost
+    tables: list  # optimal tables found, as tuples of output indices
+    pruned: int  # tables discarded without a full evaluation
+    evaluated: int  # tables evaluated by core_max_ratio
+    nodes: int  # search-tree nodes entered
+
+
+class _Search:
+    """Depth-first branch and bound over partial tables.
+
+    Free windows are assigned in `assignment_order`, output indices
+    ascending; windows not yet assigned hold 0, so the table at a node is
+    the lexicographically first table below it. A transition's q is known
+    once every window it reads is fixed, and its arcs then join the fixed
+    subgraph. Every cycle of that subgraph is a cycle of every completion,
+    so its maximum ratio is a lower bound on the ratio of every table below
+    the node, and the subtree is pruned when that bound already loses to
+    the incumbent. Complete tables are screened for short cycles and then
+    evaluated exactly. Without `use_short_cycle_prune` there is neither
+    node pruning nor the screen: a plain exhaustive scan.
+
+    Ties with the incumbent are kept with `collect_all_optimal`; otherwise
+    the lexicographically first optimal table wins, so a tie prunes only a
+    subtree whose first table is greater than the incumbent's.
+
+    This is the one deterministic search: `run()` searches below the
+    assignment `prefix` of the first free windows, against `incumbent` and
+    against the `_SharedBound` of parallel workers. With stop_below it
+    ends at the first table that beats the incumbent.
+    """
+
+    def __init__(
+        self,
+        problem,
+        config,
+        forced,
+        incumbent=POS_INF,
+        prefix=(),
+        stop_below=False,
+        shared=None,
+    ):
+        skel = cached_skeleton(problem, config.horizon)
+        nx = len(problem.input_alphabet)
+        self.skel = skel
+        self.ny = len(problem.output_alphabet)
+        self.order = assignment_order(nx, config.horizon, forced)
+        position = {w: depth for depth, w in enumerate(self.order)}
+        # fixed_at[d]: transitions whose last read window is assigned at
+        # depth d - 1 (d = 0: transitions between forced windows only)
+        self.fixed_at = [[] for _ in range(len(self.order) + 1)]
+        for t, (_row, codes) in enumerate(skel.transitions):
+            self.fixed_at[1 + max(position.get(c, -1) for c in codes)].append(t)
+        self.arcs_of = [[] for _ in skel.transitions]
+        for k, src, dst, w, t in skel.arcs:
+            self.arcs_of[t].append((k, src, dst, w))
+        self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
+        self.q = [None] * len(skel.transitions)
+        self.arcs = []  # integer arcs of the fixed subgraph
+        self.prune = config.use_short_cycle_prune
+        self.cycles = short_cycles(skel) if self.prune else ()
+        self.keep_ties = config.collect_all_optimal
+        self.bound = incumbent.as_fraction() if incumbent.is_finite else None
+        self.tables = []
+        self.prefix = prefix
+        self.stop_below = stop_below
+        self.shared = shared
+        self.done = False
+        self.pruned = self.evaluated = self.nodes = 0
+
+    def run(self) -> _Outcome:
+        self.visit(0)
+        best = POS_INF if self.bound is None else Cost(self.bound)
+        return _Outcome(best, self.tables, self.pruned, self.evaluated, self.nodes)
+
+    def visit(self, depth):
+        self.nodes += 1
+        mark = len(self.arcs)
+        ts = self.fixed_at[depth]
+        for t, q in zip(ts, self.skel.q_det(self.table, ts)):
+            self.q[t] = q
+            self.arcs.extend((k, src, dst, w, q) for k, src, dst, w in self.arcs_of[t])
+        if depth == len(self.order):
+            self.leaf()
+        elif self.prune and len(self.arcs) > mark and self.cut():
+            self.pruned += self.ny ** (len(self.order) - max(depth, len(self.prefix)))
+        else:
+            window = self.order[depth]
+            values = (self.prefix[depth],) if depth < len(self.prefix) else range(self.ny)
+            for y in values:
+                self.table[window] = y
+                self.visit(depth + 1)
+                if self.done:
+                    break
+            self.table[window] = 0
+        del self.arcs[mark:]
+
+    def limit(self):
+        """(bound, tie_loses): a table below this node is of no use when its
+        ratio exceeds bound, or equals it and tie_loses."""
+        tie_loses = not self.keep_ties and (
+            not self.tables or tuple(self.table) > self.tables[0]
+        )
+        shared = self.shared.get() if self.shared is not None else None
+        if shared is not None and (self.bound is None or shared < self.bound):
+            # another worker's incumbent: its ties are settled in the reduction
+            return shared, False
+        return self.bound, tie_loses
+
+    def solve(self, bound, tie_loses):
+        return core_max_ratio(
+            self.skel.n_vertices, self.arcs, abort_above=bound, abort_on_tie=tie_loses
+        )
+
+    @staticmethod
+    def loses(kind, lam, bound, tie_loses):
+        if kind == "infinite":
+            return True
+        if bound is None:
+            return False
+        return lam > bound or (tie_loses and lam == bound)
+
+    def cut(self):
+        """True when the fixed subgraph proves that no table below the node
+        is of use; an acyclic fixed subgraph proves nothing."""
+        bound, tie_loses = self.limit()
+        try:
+            kind, lam, _w, _i = self.solve(bound, tie_loses)
+        except EmptyGraph:
+            return False
+        return self.loses(kind, lam, bound, tie_loses)
+
+    def leaf(self):
+        bound, tie_loses = self.limit()
+        if bound is not None and short_cycle_hits(
+            self.cycles, self.q, bound, keep_ties=not tie_loses
+        ):
+            self.pruned += 1
+            return
+        self.evaluated += 1
+        kind, lam, _w, _i = self.solve(bound, tie_loses)
+        if self.loses(kind, lam, bound, tie_loses):
+            return
+        table = tuple(self.table)
+        if self.bound is None or lam < self.bound:
+            self.bound = lam
+            self.tables = [table]
+            self.done = self.stop_below
+            if self.shared is not None:
+                self.shared.offer(lam)
+        elif self.keep_ties:
+            self.tables.append(table)
+        else:  # a tie with a lexicographically smaller table
+            self.tables = [table]
+
+
+class _SharedBound:
+    """The lowest ratio any parallel worker has reached so far, as a
+    (numerator, denominator) pair in shared memory; it only goes down.
+    Workers prune against it strictly, which never drops an optimal table;
+    a ratio too large for the pair is simply not shared."""
+
+    def __init__(self, ctx):
+        self.pair = ctx.Array("q", 2)  # denominator 0: nothing reached yet
+
+    def get(self):
+        with self.pair.get_lock():
+            num, den = self.pair[:]
+        return Fraction(num, den) if den else None
+
+    def offer(self, ratio):
+        if max(ratio.numerator, ratio.denominator) >= 2**63:
+            return
+        with self.pair.get_lock():
+            num, den = self.pair[:]
+            if not den or ratio < Fraction(num, den):
+                self.pair[:] = [ratio.numerator, ratio.denominator]
+
+
+# -- deterministic synthesis ---------------------------------------------------------
 
 
 def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisResult:
     """Minimum competitive ratio over all horizon-T tables, with witnesses."""
     started = time.monotonic()
     forced = _forced_entries(problem, config)
-    total = _guarded_count(problem, config, forced)
+    _check_guard(problem, config, forced)
     if config.jobs > 1:
-        outcome = _search_parallel(problem, config, forced, total)
+        outcome = _search_parallel(problem, config, forced)
     else:
-        outcome = _search_range(problem, config, forced, 0, total)
-    best, tables, examined, pruned, evaluated = outcome
+        outcome = _Search(problem, config, forced).run()
+    best = outcome.best
 
-    policies = tuple(_policy_from_table(problem, config, t) for t in sorted(tables))
+    policies = tuple(_policy_from_table(problem, config, t) for t in sorted(outcome.tables))
     # verification closure: winners must reproduce the reported ratio exactly
     for policy in policies:
         ratio = evaluate_policy(problem, policy).best.ratio
@@ -218,52 +431,13 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
         classification="finite" if best.is_finite else "infinite",
         best_ratio=best,
         policies=policies,
-        candidates_examined=examined,
+        candidates_examined=outcome.pruned + outcome.evaluated,
         forced_entries=len(forced),
-        pruned_short_cycle=pruned,
-        full_evaluations=evaluated,
+        pruned_short_cycle=outcome.pruned,
+        full_evaluations=outcome.evaluated,
+        nodes_visited=outcome.nodes,
         wall_seconds=time.monotonic() - started,
     )
-
-
-def _search_range(problem, config, forced, start, stop, best=POS_INF, stop_below=False):
-    """Scan candidates [start, stop) against the incumbent `best`; returns
-    (best, tables, examined, pruned, evaluated). With stop_below the scan
-    ends at the first table that beats the incumbent. Deterministic for
-    fixed arguments."""
-    skel = cached_skeleton(problem, config.horizon)
-    cycles = short_cycles(skel) if config.use_short_cycle_prune else ()
-    nx = len(problem.input_alphabet)
-    ny = len(problem.output_alphabet)
-    keep_ties = config.collect_all_optimal
-    bound = best.as_fraction() if best.is_finite else None
-    tables = []
-    examined = pruned = evaluated = 0
-    for index in range(start, stop):
-        table = candidate_by_index(index, config.horizon, nx, ny, forced)
-        examined += 1
-        q = skel.q_det(table)
-        if bound is not None and short_cycle_hits(cycles, q, bound, keep_ties):
-            pruned += 1
-            continue
-        evaluated += 1
-        kind, lam, _w, _i = core_max_ratio(
-            skel.n_vertices,
-            skel.int_arcs(q),
-            abort_above=bound,
-            abort_on_tie=not keep_ties,
-        )
-        if kind != "finite":
-            continue
-        if bound is None or lam < bound:
-            bound = lam
-            tables = [table]
-            if stop_below:
-                break
-        elif lam == bound and keep_ties:
-            tables.append(table)
-    best = POS_INF if bound is None else Cost(bound)
-    return best, tables, examined, pruned, evaluated
 
 
 def _policy_from_table(problem, config, table):
@@ -275,62 +449,62 @@ def _policy_from_table(problem, config, table):
 _WORKER_STATE = {}
 
 
-def _worker_init(problem, config, forced):
-    _WORKER_STATE["args"] = (problem, config, forced)
+def _worker_init(problem, config, forced, shared):
+    _WORKER_STATE["args"] = (problem, config, forced, shared)
 
 
-def _worker_range(bounds):
-    problem, config, forced = _WORKER_STATE["args"]
-    return _search_range(problem, config, forced, bounds[0], bounds[1])
+def _worker_search(prefix):
+    problem, config, forced, shared = _WORKER_STATE["args"]
+    return _Search(problem, config, forced, prefix=prefix, shared=shared).run()
 
 
-def _search_parallel(problem, config, forced, total):
-    """Chunked parallel scan with a deterministic reduction.
+def _search_parallel(problem, config, forced):
+    """Each worker searches the subtree below one assignment of the first
+    few free windows. Workers prune against each other's best ratio, but
+    each finds every optimal table of its subtree (or the first one), so
+    the reduced result is identical to the sequential search."""
+    n_free = len(problem.input_alphabet) ** config.horizon - len(forced)
+    ny = len(problem.output_alphabet)
+    depth = 0
+    while depth < n_free and ny**depth < config.jobs * 4:
+        depth += 1
+    import multiprocessing  # imported here, so that only parallel runs pay for it
 
-    Workers do not share an incumbent, so pruning is merely weaker than in
-    the sequential scan; ties are never pruned against a stale incumbent,
-    and the reduced result is identical to the sequential one.
-    """
-    jobs = config.jobs
-    chunk = max(1, math.ceil(total / (jobs * 4)))
-    bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs, initializer=_worker_init, initargs=(problem, config, forced)) as pool:
-        parts = pool.map(_worker_range, bounds)
-    best = POS_INF
-    for part_best, _t, _e, _p, _f in parts:
-        if part_best < best:
-            best = part_best
-    tables = []
-    examined = pruned = evaluated = 0
-    for part_best, part_tables, part_examined, part_pruned, part_evald in parts:
-        examined += part_examined
-        pruned += part_pruned
-        evaluated += part_evald
-        if part_best == best:
-            tables.extend(part_tables)
+    shared = _SharedBound(ctx)
+    with ctx.Pool(
+        config.jobs, initializer=_worker_init, initargs=(problem, config, forced, shared)
+    ) as pool:
+        parts = pool.map(_worker_search, list(product(range(ny), repeat=depth)))
+    best = min(part.best for part in parts)
+    tables = sorted(t for part in parts if part.best == best for t in part.tables)
     if not config.collect_all_optimal:
         tables = tables[:1]
-    return best, tables, examined, pruned, evaluated
+    return _Outcome(
+        best,
+        tables,
+        sum(part.pruned for part in parts),
+        sum(part.evaluated for part in parts),
+        sum(part.nodes for part in parts),
+    )
 
 
 def verify_lower_bound(problem: LocalProblem, config: SynthesisConfig, bound: Fraction):
     """Check that every candidate's graph has a cycle of ratio >= bound.
 
-    The synthesis loop with the bound as incumbent: per candidate the
-    parametric search stops at the first cycle reaching the bound, and the
-    scan stops at the first table below it. Returns (holds,
-    counterexample_policy, candidates_checked); a counterexample is a
-    policy whose exact ratio is below the bound.
+    The synthesis search with the bound as incumbent: a subtree or table
+    whose cycles reach the bound is discarded, and the search stops at the
+    first table below it. Returns (holds, counterexample_policy,
+    candidates_checked); a counterexample is a policy whose exact ratio is
+    below the bound.
     """
     config = replace(config, collect_all_optimal=False)
     forced = _forced_entries(problem, config)
-    total = _guarded_count(problem, config, forced)
-    _best, tables, checked, _p, _e = _search_range(
-        problem, config, forced, 0, total, Cost(Fraction(bound)), stop_below=True
-    )
-    if tables:
-        return False, _policy_from_table(problem, config, tables[0]), checked
+    _check_guard(problem, config, forced)
+    outcome = _Search(problem, config, forced, Cost(Fraction(bound)), stop_below=True).run()
+    checked = outcome.pruned + outcome.evaluated
+    if outcome.tables:
+        return False, _policy_from_table(problem, config, outcome.tables[0]), checked
     return True, None, checked
 
 

@@ -42,6 +42,23 @@ def test_synth_eval_round_trip(tmp_path, capsys):
     assert "witness induced input:" in stdout
 
 
+def test_synth_counters_report_nodes_visited(tmp_path, capsys):
+    counters = {}
+    for flag in ((), ("--no-pruning",)):
+        out = tmp_path / "best.json"
+        argv = ["synth", "--problem", "file-migration", "--horizon", "3", *flag]
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0
+        counters[flag] = json.loads(out.read_text())["counters"]
+    pruned, bare = counters[()], counters[("--no-pruning",)]
+    assert pruned["candidates_examined"] == 64
+    assert pruned["pruned_short_cycle"] + pruned["full_evaluations"] == 64
+    assert pruned["full_evaluations"] <= pruned["nodes_visited"] < 2**7 - 1
+    # without pruning every node of the 8-window tree is visited
+    assert bare["nodes_visited"] == 2**9 - 1
+    assert bare["full_evaluations"] == bare["candidates_examined"] == 2**8
+
+
 def test_synth_randomized(tmp_path, capsys):
     out = tmp_path / "rand.json"
     code, _, _ = run_cli(

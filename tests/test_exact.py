@@ -39,6 +39,14 @@ def test_total_order():
     assert max([Cost(3), POS_INF, Cost(7)]) == POS_INF
 
 
+def test_hash_agrees_with_equality():
+    for value in (3, Fraction(1, 2), Fraction(-7, 3), 0):
+        assert Cost(value) == value
+        assert hash(Cost(value)) == hash(value)
+        assert len({Cost(value), value}) == 1
+    assert len({POS_INF, NEG_INF, Cost(0)}) == 3
+
+
 def test_parse_and_format_round_trip():
     for text in ["3", "-2", "5/4", "0"]:
         assert format_rational(parse_rational(text)) == text

@@ -88,6 +88,22 @@ def test_negative_costs_rejected(migration_problem):
         max_ratio_cycle(graph)
 
 
+def test_zero_cycle_behind_many_zero_paths(migration_problem):
+    # 20 zero-cost diamonds (2^20 paths) in front of a zero/zero 2-cycle,
+    # beside a ratio-1/2 self-loop: the zero/zero cycle pins the ratio at 1
+    quads = []
+    for level in range(20):
+        head = 3 * level
+        quads += [(head, head + 1, 0, 0), (head, head + 2, 0, 0)]
+        quads += [(head + 1, head + 3, 0, 0), (head + 2, head + 3, 0, 0)]
+    tail = 60
+    quads += [(tail, tail + 1, 0, 0), (tail + 1, tail, 0, 0), (0, 0, 2, 1)]
+    verdict = max_ratio_cycle(make_graph(migration_problem, tail + 2, quads))
+    assert verdict.classification == "finite"
+    assert verdict.best.ratio == Cost(1)
+    assert verdict.best.q == Cost(0) and verdict.best.w == Cost(0)
+
+
 def test_empty_graph(migration_problem):
     graph = make_graph(migration_problem, 0, [])
     with pytest.raises(EmptyGraph):

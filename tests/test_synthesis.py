@@ -14,7 +14,7 @@ from tlsynth.ratiocycle import evaluate_policy
 from tlsynth.synthesis import (
     PRUNE_CYCLE_LENGTH,
     SynthesisConfig,
-    candidate_by_index,
+    assignment_order,
     candidate_count,
     self_loop_constraints,
     short_cycle_hits,
@@ -61,41 +61,40 @@ def test_no_zero_cost_self_loop_means_no_forcing():
     assert cons.forced == {}
 
 
-# -- enumeration -------------------------------------------------------------------
-
-
-def all_candidates(horizon, forced):
-    count = candidate_count(2**horizon, 2, forced)
-    return [candidate_by_index(i, horizon, 2, 2, forced) for i in range(count)]
+# -- search tree -------------------------------------------------------------------
 
 
 def test_enumerate_t1_single_candidate():
-    cons = self_loop_constraints(migration(), 1)
-    tables = all_candidates(1, cons.forced)
-    assert tables == [(0, 1)]  # follow-the-request is the only option
+    res = synthesize_det(migration(), SynthesisConfig(horizon=1, collect_all_optimal=True))
+    assert res.candidates_examined == res.full_evaluations == 1
+    # follow-the-request is the only option
+    assert [p.table for p in res.policies] == [(0, 1)]
 
 
 def test_enumerate_t2_four_candidates():
     cons = self_loop_constraints(migration(), 2)
-    tables = all_candidates(2, cons.forced)
-    assert len(tables) == 4
-    assert len(set(tables)) == 4
-    for t in tables:
+    # the free windows 01 and 10, in de Bruijn order from window 00
+    assert assignment_order(2, 2, cons.forced) == [0b01, 0b10]
+    res = synthesize_det(
+        migration(),
+        SynthesisConfig(horizon=2, collect_all_optimal=True, use_short_cycle_prune=False),
+    )
+    assert res.candidates_examined == res.full_evaluations == 4
+    # the whole tree: the root, two partial tables and four leaves
+    assert res.nodes_visited == 7
+    for t in (p.table for p in res.policies):
         assert t[0b00] == 0 and t[0b11] == 1
-    # lexicographic order of the free-entry vector (windows 01 and 10)
-    assert [(t[0b01], t[0b10]) for t in tables] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def test_candidate_by_index_matches_enumeration():
-    cons = self_loop_constraints(migration(), 3)
-    free = [w for w in range(8) if w not in cons.forced]
-    expected = []
-    for assignment in itertools.product(range(2), repeat=len(free)):
-        table = [cons.forced.get(w, 0) for w in range(8)]
-        for w, out in zip(free, assignment):
-            table[w] = out
-        expected.append(tuple(table))
-    assert all_candidates(3, cons.forced) == expected
+def test_assignment_order_follows_de_bruijn_successors():
+    forced = self_loop_constraints(migration(), 4).forced
+    order = assignment_order(2, 4, forced)
+    assert sorted(order) == sorted(set(range(16)) - set(forced))
+    fixed = set(forced)
+    for w in order:
+        # each window extends one fixed before it by one input
+        assert any((prev % 8) * 2 + w % 2 == w for prev in fixed), w
+        fixed.add(w)
 
 
 def test_guard_triggers_at_t5():
@@ -203,16 +202,29 @@ def test_optimal_policies_reevaluate_exactly():
 
 
 def test_deterministic_rerun_and_parallel_schedule():
-    cfg = SynthesisConfig(horizon=3, collect_all_optimal=True)
-    first = synthesize_det(migration(), cfg)
-    second = synthesize_det(migration(), cfg)
-    assert first.best_ratio == second.best_ratio
-    assert [p.table for p in first.policies] == [p.table for p in second.policies]
-    parallel = synthesize_det(
-        migration(), SynthesisConfig(horizon=3, collect_all_optimal=True, jobs=2)
-    )
-    assert parallel.best_ratio == first.best_ratio
-    assert [p.table for p in parallel.policies] == [p.table for p in first.policies]
+    for horizon in (3, 4):
+        for collect in (True, False):
+            cfg = SynthesisConfig(horizon=horizon, collect_all_optimal=collect)
+            first = synthesize_det(migration(), cfg)
+            second = synthesize_det(migration(), cfg)
+            assert first.best_ratio == second.best_ratio
+            assert [p.table for p in first.policies] == [p.table for p in second.policies]
+            parallel = synthesize_det(migration(), replace(cfg, jobs=2))
+            assert parallel.best_ratio == first.best_ratio
+            assert [p.table for p in parallel.policies] == [p.table for p in first.policies]
+            assert parallel.candidates_examined == first.candidates_examined
+
+
+OPTIMAL_T4_TABLES = ["0001001100110111", "0001001100010111", "0001011100110111"]
+
+
+def test_t4_alpha1_optimum_is_exactly_a1_a2_a3():
+    res = synthesize_det(migration(), SynthesisConfig(horizon=4, collect_all_optimal=True))
+    assert res.classification == "finite"
+    assert res.best_ratio == Cost(3)
+    assert ["".join(map(str, p.table)) for p in res.policies] == sorted(OPTIMAL_T4_TABLES)
+    assert res.pruned_short_cycle + res.full_evaluations == res.candidates_examined == 2**14
+    assert res.nodes_visited < 2**14
 
 
 def test_verify_lower_bound_modes():
@@ -259,6 +271,81 @@ PREDICT_R1 = {
         {"x": ["*", "*"], "y": ["*", "*"], "cost": "1"},
     ],
 }
+
+
+# the adversary never repeats an input, so the only input cycle is
+# 0101...; the first fixed transitions of the search hold no cycle
+ALTERNATING = {
+    "name": "alternating",
+    "inputs": ["0", "1"],
+    "outputs": ["0", "1"],
+    "r": 1,
+    "aggregation": "sum",
+    "objective": "min",
+    "initial_outputs": ["0"],
+    "rules": [
+        {"x": ["0", "0"], "y": ["*", "*"], "cost": "+inf"},
+        {"x": ["1", "1"], "y": ["*", "*"], "cost": "+inf"},
+        {"x": ["*", "0"], "y": ["*", "0"], "cost": "0"},
+        {"x": ["*", "1"], "y": ["*", "1"], "cost": "0"},
+        {"x": ["*", "*"], "y": ["*", "*"], "cost": "1"},
+    ],
+}
+
+
+def oracle_problem(name, alpha):
+    if name == "alternating":
+        return load_problem(ALTERNATING)
+    if name == "predict":
+        return load_problem(PREDICT_R0)
+    if name == "predict-r1":
+        return load_problem(PREDICT_R1)
+    return bundled_problem(name, {"alpha": alpha} if alpha else None)
+
+
+@pytest.mark.parametrize(
+    "name,alpha,horizons",
+    [
+        *(
+            ("file-migration", alpha, (1, 2, 3))
+            for alpha in ("1/10", "1/5", "3/10", "1/2", "1", "3/2", "2", "5")
+        ),
+        ("min-dom-set", None, (1, 2)),
+        ("predict", None, (1, 2, 3)),
+        ("predict-r1", None, (1, 2, 3)),
+        ("alternating", None, (1, 2, 3)),
+    ],
+)
+def test_branch_and_bound_matches_exhaustive_scan(name, alpha, horizons):
+    """Pruning on (forcing, node pruning, short-cycle screen) against the
+    plain scan of every table, with and without collecting ties."""
+    problem = oracle_problem(name, alpha)
+    nx, ny = len(problem.input_alphabet), len(problem.output_alphabet)
+    for horizon in horizons:
+        results = {}
+        for prune, collect in itertools.product((True, False), repeat=2):
+            config = SynthesisConfig(
+                horizon=horizon,
+                collect_all_optimal=collect,
+                use_self_loop_constraints=prune,
+                use_short_cycle_prune=prune,
+            )
+            res = synthesize_det(problem, config)
+            forced = self_loop_constraints(problem, horizon).forced if prune else {}
+            total = candidate_count(nx**horizon, ny, forced)
+            assert res.pruned_short_cycle + res.full_evaluations == res.candidates_examined
+            assert res.candidates_examined == total
+            assert prune or res.pruned_short_cycle == 0
+            results[prune, collect] = (res.best_ratio, [p.table for p in res.policies])
+        ratio, tables = results[False, True]
+        assert results[True, True] == (ratio, tables), horizon
+        # without ties collected: the lexicographically first optimal table
+        assert results[True, False] == results[False, False] == (ratio, tables[:1]), horizon
+        parallel = synthesize_det(problem, SynthesisConfig(horizon=horizon, jobs=2))
+        assert (parallel.best_ratio, [p.table for p in parallel.policies]) == (
+            ratio,
+            tables[:1],
+        ), horizon
 
 
 def test_generic_path_prediction_problem_is_hopeless():
