@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .debruijn import build_graph_det, build_graph_rand
 from .errors import GuardExceeded, ValidationFailure, ValidationError
@@ -70,7 +69,6 @@ def _build_parser():
     p.add_argument("--randomized", action="store_true")
     p.add_argument("--grid-step", default="1/20")
     p.add_argument("--all-optimal", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-pruning", action="store_true")
     p.add_argument("--verify-lower-bound", metavar="R", default=None)
     p.add_argument("--out", default=None)
@@ -170,6 +168,13 @@ def _read_sequence(problem, text):
     return seq
 
 
+def _rational(text, flag):
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"bad {flag} {text!r}, expected a rational") from None
+
+
 def _write_out(args, text):
     if args.out:
         with open(args.out, "w") as fh:
@@ -186,13 +191,11 @@ def _cmd_synth(args):
     config = SynthesisConfig(
         horizon=args.horizon,
         collect_all_optimal=args.all_optimal,
-        jobs=args.jobs,
-        grid_step=Fraction(parse_rational(args.grid_step)),
-        use_self_loop_constraints=not args.no_pruning,
-        use_short_cycle_prune=not args.no_pruning,
+        grid_step=_rational(args.grid_step, "--grid-step"),
+        prune=not args.no_pruning,
     )
     if args.verify_lower_bound is not None:
-        bound = parse_rational(args.verify_lower_bound)
+        bound = _rational(args.verify_lower_bound, "--verify-lower-bound")
         holds, counter, checked = verify_lower_bound(problem, config, bound)
         if holds:
             print(
@@ -353,14 +356,18 @@ def _named_algorithm(problem, args, name) -> Algorithm:
     return table_algorithm(_load_policy_arg(name))
 
 
+def _parse_check(text):
+    parts = dict(item.partition("=")[::2] for item in text.split(","))
+    if sorted(parts) != ["c", "d"]:
+        raise ValidationError(f"bad --check {text!r}, expected c=..,d=..")
+    return _rational(parts["c"], "--check c"), _rational(parts["d"], "--check d")
+
+
 def _cmd_measure(args):
     problem = _load_problem(args)
     algorithm = _named_algorithm(problem, args, args.algorithm)
     generator = GeneratorSpec.parse(args.generator)
-    check = None
-    if args.check:
-        parts = dict(item.split("=", 1) for item in args.check.split(","))
-        check = (parts["c"], parts["d"])
+    check = _parse_check(args.check) if args.check else None
     record = measure_ratio(
         problem,
         algorithm,
@@ -382,7 +389,10 @@ def _cmd_measure(args):
 def _cmd_table2(args):
     problem = _load_problem(args)
     alphas = [a.strip() for a in args.alphas.split(",") if a.strip()]
-    horizons = [int(t.strip()) for t in args.horizons.split(",") if t.strip()]
+    try:
+        horizons = [int(t) for t in args.horizons.split(",") if t.strip()]
+    except ValueError:
+        raise ValidationError(f"bad --horizons {args.horizons!r}, expected integers") from None
     csv_text = emit_table2(problem, alphas, horizons, randomized=args.randomized)
     _write_out(args, csv_text)
     return 0

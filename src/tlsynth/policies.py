@@ -252,7 +252,6 @@ class SlidingWindowRule:
         for end in range(len(horizon), seg - 1, -1):
             n1 = sum(x == "1" for x in horizon[end - seg : end])
             n0 = seg - n1
-            assert not (n1 >= need and n0 >= need), "segment is both a 0- and 1-window"
             if n1 >= need:
                 return "1"
             if n0 >= need:
@@ -287,7 +286,8 @@ class MixedResettingStrategy:
         move_time = k + T * ((i - 1 - k) // T)
         idx = move_time - i + len(window)  # window holds x_{i-T} .. x_{i-1}
         symbol = window[idx]
-        assert symbol is not None
+        if symbol is None:
+            raise ValidationError(f"window {window!r} holds no input at move time {move_time}")
         return symbol
 
 

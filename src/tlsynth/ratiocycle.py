@@ -16,7 +16,7 @@ adversary never plays them) and a cycle through one q = +inf edge and
 otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
 works on integer arcs and is shared by analysis and synthesis;
 `max_ratio_cycle` wraps it for a `DualGraph` and picks the canonical
-witness.
+witness, or says on the verdict that its capped search could not.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ class RatioVerdict:
     best: CycleReport
     classification: str  # "finite" | "infinite"
     iterations: int = 0  # improving steps the parametric search took
+    # False when the search for the canonical witness hit its step cap: the
+    # witness is then a maximum-ratio cycle, but not the canonical first one
+    witness_certified: bool = True
 
 
 def _cycle_ratio(q: Cost, w: Cost) -> Cost:
@@ -164,7 +167,8 @@ def _simple_cycles(n_vertices, out_arcs, visit_cap=None):
 
     out_arcs[v] lists (edge_id, dst) in deterministic order. Cycles are
     rooted at their smallest vertex; roots ascend, and within a root the
-    search is depth-first in arc order.
+    search is depth-first in arc order. Raises GraphTooLarge after
+    visit_cap arc steps.
     """
     steps = 0
     for root in range(n_vertices):
@@ -177,7 +181,7 @@ def _simple_cycles(n_vertices, out_arcs, visit_cap=None):
             for edge_id, dst in arcs:
                 steps += 1
                 if visit_cap is not None and steps > visit_cap:
-                    return
+                    raise GraphTooLarge(f"cycle search passed {visit_cap} steps")
                 if dst == root:
                     yield edge_path + [edge_id]
                     continue
@@ -274,12 +278,16 @@ def max_ratio_cycle(graph: DualGraph) -> RatioVerdict:
     if kind == "infinite":
         return RatioVerdict(_make_report(graph, witness), "infinite", 0)
     edges = [e for e in edges if e[4] is not None]
+    certified = True
     if lam > 0 and any(w > 0 for _k, _s, _d, w, _q in edges):
         # prefer the canonical first witness among all max-ratio cycles
-        tight = _canonical_tight_cycle(n, edges, lam)
+        try:
+            tight = _canonical_tight_cycle(n, edges, lam)
+        except GraphTooLarge:
+            tight, certified = None, False
         if tight is not None:
             witness = tight
-    return RatioVerdict(_make_report(graph, witness), "finite", iterations)
+    return RatioVerdict(_make_report(graph, witness), "finite", iterations, certified)
 
 
 def _bfs_path(n, edges, start, goal):

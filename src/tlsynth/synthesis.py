@@ -4,9 +4,9 @@ Every search runs on the problem's `debruijn.Skeleton`: a table becomes a
 per-transition q vector (`Skeleton.q_det` or `Skeleton.q_rand`) and then
 integer arcs for `ratiocycle.core_max_ratio`. Deterministic synthesis is
 one depth-first branch and bound over partial tables, `_Search`, which
-`synthesize_det`, its parallel workers and `verify_lower_bound` all run,
-whatever the problem. It finds the minimum exact ratio over every table
-X^T -> Y and the tables reaching it:
+`synthesize_det` and `verify_lower_bound` run in one process, whatever
+the problem. It finds the minimum exact ratio over every table X^T -> Y
+and the tables reaching it:
 
 - self-loop forcing: on a constant window whose adversary can sit still
   for free, the policy must answer with a free self-loop of its own,
@@ -20,8 +20,8 @@ X^T -> Y and the tables reaching it:
   PRUNE_CYCLE_LENGTH adversary-playable edges whose ratio loses to the
   incumbent are dropped before the full cycle search.
 
-Without pruning (`use_short_cycle_prune=False`) the search is a plain
-exhaustive scan, the reference the pruned search is tested against.
+Without pruning (`prune=False`) the search is a plain exhaustive scan
+of every table, the reference the pruned search is tested against.
 Without `collect_all_optimal` the result is the lexicographically first
 optimal table. `verify_lower_bound` is the same search with the bound as
 the incumbent, stopping at the first table below it.
@@ -39,7 +39,14 @@ from fractions import Fraction
 from itertools import product
 
 from .debruijn import cached_skeleton
-from .errors import EmptyGraph, SearchSpaceTooLarge, UnsupportedAggregation, VerificationFailed
+from .errors import (
+    EmptyGraph,
+    InvalidHorizon,
+    SearchSpaceTooLarge,
+    UnsupportedAggregation,
+    ValidationError,
+    VerificationFailed,
+)
 from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy
 from .problems import LocalProblem
@@ -53,16 +60,16 @@ PRUNE_CYCLE_LENGTH = 2
 class SynthesisConfig:
     horizon: int
     collect_all_optimal: bool = False
-    jobs: int = 1
     grid_step: Fraction = Fraction(1, 20)
     refinement_rounds: int = 8
     candidate_guard: int = DEFAULT_CANDIDATE_GUARD
-    use_self_loop_constraints: bool = True
-    use_short_cycle_prune: bool = True
+    prune: bool = True  # self-loop forcing, node pruning and the short-cycle screen
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise InvalidHorizon(f"horizon must be at least 1, got {self.horizon}")
         if not 0 < self.grid_step <= 1:
-            raise ValueError("grid step must lie in (0, 1]")
+            raise ValidationError("grid step must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -81,13 +88,9 @@ class SynthesisResult:
 # -- self-loop constraints ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelfLoopConstraints:
-    forced: dict  # window code -> output index
-
-
-def self_loop_constraints(problem: LocalProblem, horizon: int) -> SelfLoopConstraints:
-    """Forced table entries from zero-cost adversary self-loops.
+def self_loop_constraints(problem: LocalProblem, horizon: int) -> dict:
+    """Forced table entries, {window code: output index}, from zero-cost
+    adversary self-loops.
 
     On the constant window c^T the adversary can loop forever for free by
     repeating any output whose constant self-loop costs zero; a
@@ -109,7 +112,7 @@ def self_loop_constraints(problem: LocalProblem, horizon: int) -> SelfLoopConstr
         ]
         if len(zero_cost_answers) == 1:
             forced[_constant_window_code(c, nx, horizon)] = zero_cost_answers[0]
-    return SelfLoopConstraints(forced)
+    return forced
 
 
 def _constant_window_code(symbol_idx, base, horizon):
@@ -127,9 +130,9 @@ def candidate_count(n_windows, n_outputs, forced):
 
 
 def _forced_entries(problem, config):
-    if not config.use_self_loop_constraints:
+    if not config.prune:
         return {}
-    return self_loop_constraints(problem, config.horizon).forced
+    return self_loop_constraints(problem, config.horizon)
 
 
 def _check_guard(problem, config, forced):
@@ -244,29 +247,19 @@ class _Search:
     so its maximum ratio is a lower bound on the ratio of every table below
     the node, and the subtree is pruned when that bound already loses to
     the incumbent. Complete tables are screened for short cycles and then
-    evaluated exactly. Without `use_short_cycle_prune` there is neither
-    node pruning nor the screen: a plain exhaustive scan.
+    evaluated exactly. Without `prune` there is neither node pruning nor
+    the screen: a plain exhaustive scan.
 
     Ties with the incumbent are kept with `collect_all_optimal`; otherwise
     the lexicographically first optimal table wins, so a tie prunes only a
     subtree whose first table is greater than the incumbent's.
 
-    This is the one deterministic search: `run()` searches below the
-    assignment `prefix` of the first free windows, against `incumbent` and
-    against the `_SharedBound` of parallel workers. With stop_below it
-    ends at the first table that beats the incumbent.
+    This is the one deterministic search: `run()` searches every table
+    against `incumbent`. With stop_below it ends at the first table that
+    beats the incumbent.
     """
 
-    def __init__(
-        self,
-        problem,
-        config,
-        forced,
-        incumbent=POS_INF,
-        prefix=(),
-        stop_below=False,
-        shared=None,
-    ):
+    def __init__(self, problem, config, forced, incumbent=POS_INF, stop_below=False):
         skel = cached_skeleton(problem, config.horizon)
         nx = len(problem.input_alphabet)
         self.skel = skel
@@ -284,14 +277,12 @@ class _Search:
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
         self.q = [None] * len(skel.transitions)
         self.arcs = []  # integer arcs of the fixed subgraph
-        self.prune = config.use_short_cycle_prune
+        self.prune = config.prune
         self.cycles = short_cycles(skel) if self.prune else ()
         self.keep_ties = config.collect_all_optimal
         self.bound = incumbent.as_fraction() if incumbent.is_finite else None
         self.tables = []
-        self.prefix = prefix
         self.stop_below = stop_below
-        self.shared = shared
         self.done = False
         self.pruned = self.evaluated = self.nodes = 0
 
@@ -310,11 +301,10 @@ class _Search:
         if depth == len(self.order):
             self.leaf()
         elif self.prune and len(self.arcs) > mark and self.cut():
-            self.pruned += self.ny ** (len(self.order) - max(depth, len(self.prefix)))
+            self.pruned += self.ny ** (len(self.order) - depth)
         else:
             window = self.order[depth]
-            values = (self.prefix[depth],) if depth < len(self.prefix) else range(self.ny)
-            for y in values:
+            for y in range(self.ny):
                 self.table[window] = y
                 self.visit(depth + 1)
                 if self.done:
@@ -322,86 +312,54 @@ class _Search:
             self.table[window] = 0
         del self.arcs[mark:]
 
-    def limit(self):
-        """(bound, tie_loses): a table below this node is of no use when its
-        ratio exceeds bound, or equals it and tie_loses."""
-        tie_loses = not self.keep_ties and (
-            not self.tables or tuple(self.table) > self.tables[0]
-        )
-        shared = self.shared.get() if self.shared is not None else None
-        if shared is not None and (self.bound is None or shared < self.bound):
-            # another worker's incumbent: its ties are settled in the reduction
-            return shared, False
-        return self.bound, tie_loses
+    def tie_loses(self):
+        """True when a tie with the incumbent is of no use below this node:
+        ties are not kept, and the incumbent is a bare bound or a table
+        before this node's first table."""
+        return not self.keep_ties and (not self.tables or tuple(self.table) > self.tables[0])
 
-    def solve(self, bound, tie_loses):
+    def solve(self, tie_loses):
         return core_max_ratio(
-            self.skel.n_vertices, self.arcs, abort_above=bound, abort_on_tie=tie_loses
+            self.skel.n_vertices, self.arcs, abort_above=self.bound, abort_on_tie=tie_loses
         )
 
-    @staticmethod
-    def loses(kind, lam, bound, tie_loses):
+    def loses(self, kind, lam, tie_loses):
         if kind == "infinite":
             return True
-        if bound is None:
+        if self.bound is None:
             return False
-        return lam > bound or (tie_loses and lam == bound)
+        return lam > self.bound or (tie_loses and lam == self.bound)
 
     def cut(self):
         """True when the fixed subgraph proves that no table below the node
         is of use; an acyclic fixed subgraph proves nothing."""
-        bound, tie_loses = self.limit()
+        tie_loses = self.tie_loses()
         try:
-            kind, lam, _w, _i = self.solve(bound, tie_loses)
+            kind, lam, _w, _i = self.solve(tie_loses)
         except EmptyGraph:
             return False
-        return self.loses(kind, lam, bound, tie_loses)
+        return self.loses(kind, lam, tie_loses)
 
     def leaf(self):
-        bound, tie_loses = self.limit()
-        if bound is not None and short_cycle_hits(
-            self.cycles, self.q, bound, keep_ties=not tie_loses
+        tie_loses = self.tie_loses()
+        if self.bound is not None and short_cycle_hits(
+            self.cycles, self.q, self.bound, keep_ties=not tie_loses
         ):
             self.pruned += 1
             return
         self.evaluated += 1
-        kind, lam, _w, _i = self.solve(bound, tie_loses)
-        if self.loses(kind, lam, bound, tie_loses):
+        kind, lam, _w, _i = self.solve(tie_loses)
+        if self.loses(kind, lam, tie_loses):
             return
         table = tuple(self.table)
         if self.bound is None or lam < self.bound:
             self.bound = lam
             self.tables = [table]
             self.done = self.stop_below
-            if self.shared is not None:
-                self.shared.offer(lam)
         elif self.keep_ties:
             self.tables.append(table)
         else:  # a tie with a lexicographically smaller table
             self.tables = [table]
-
-
-class _SharedBound:
-    """The lowest ratio any parallel worker has reached so far, as a
-    (numerator, denominator) pair in shared memory; it only goes down.
-    Workers prune against it strictly, which never drops an optimal table;
-    a ratio too large for the pair is simply not shared."""
-
-    def __init__(self, ctx):
-        self.pair = ctx.Array("q", 2)  # denominator 0: nothing reached yet
-
-    def get(self):
-        with self.pair.get_lock():
-            num, den = self.pair[:]
-        return Fraction(num, den) if den else None
-
-    def offer(self, ratio):
-        if max(ratio.numerator, ratio.denominator) >= 2**63:
-            return
-        with self.pair.get_lock():
-            num, den = self.pair[:]
-            if not den or ratio < Fraction(num, den):
-                self.pair[:] = [ratio.numerator, ratio.denominator]
 
 
 # -- deterministic synthesis ---------------------------------------------------------
@@ -412,10 +370,7 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
     started = time.monotonic()
     forced = _forced_entries(problem, config)
     _check_guard(problem, config, forced)
-    if config.jobs > 1:
-        outcome = _search_parallel(problem, config, forced)
-    else:
-        outcome = _Search(problem, config, forced).run()
+    outcome = _Search(problem, config, forced).run()
     best = outcome.best
 
     policies = tuple(_policy_from_table(problem, config, t) for t in sorted(outcome.tables))
@@ -443,49 +398,6 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
 def _policy_from_table(problem, config, table):
     return DeterministicPolicy(
         config.horizon, problem.input_alphabet, problem.output_alphabet, table
-    )
-
-
-_WORKER_STATE = {}
-
-
-def _worker_init(problem, config, forced, shared):
-    _WORKER_STATE["args"] = (problem, config, forced, shared)
-
-
-def _worker_search(prefix):
-    problem, config, forced, shared = _WORKER_STATE["args"]
-    return _Search(problem, config, forced, prefix=prefix, shared=shared).run()
-
-
-def _search_parallel(problem, config, forced):
-    """Each worker searches the subtree below one assignment of the first
-    few free windows. Workers prune against each other's best ratio, but
-    each finds every optimal table of its subtree (or the first one), so
-    the reduced result is identical to the sequential search."""
-    n_free = len(problem.input_alphabet) ** config.horizon - len(forced)
-    ny = len(problem.output_alphabet)
-    depth = 0
-    while depth < n_free and ny**depth < config.jobs * 4:
-        depth += 1
-    import multiprocessing  # imported here, so that only parallel runs pay for it
-
-    ctx = multiprocessing.get_context("fork")
-    shared = _SharedBound(ctx)
-    with ctx.Pool(
-        config.jobs, initializer=_worker_init, initargs=(problem, config, forced, shared)
-    ) as pool:
-        parts = pool.map(_worker_search, list(product(range(ny), repeat=depth)))
-    best = min(part.best for part in parts)
-    tables = sorted(t for part in parts if part.best == best for t in part.tables)
-    if not config.collect_all_optimal:
-        tables = tables[:1]
-    return _Outcome(
-        best,
-        tables,
-        sum(part.pruned for part in parts),
-        sum(part.evaluated for part in parts),
-        sum(part.nodes for part in parts),
     )
 
 
@@ -521,10 +433,10 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     """
     if len(problem.output_alphabet) != 2:
         raise UnsupportedAggregation("randomized synthesis needs binary outputs")
-    constraints = self_loop_constraints(problem, config.horizon)
+    forced = self_loop_constraints(problem, config.horizon)
     nx = len(problem.input_alphabet)
     n_windows = nx**config.horizon
-    free = [w for w in range(n_windows) if w not in constraints.forced]
+    free = [w for w in range(n_windows) if w not in forced]
 
     step = Fraction(config.grid_step)
     grid = []
@@ -556,7 +468,7 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     def improves(ratio, incumbent):
         return ratio is not None and (incumbent is None or ratio < incumbent)
 
-    base = [Fraction(constraints.forced.get(w, 0)) for w in range(n_windows)]
+    base = [Fraction(forced.get(w, 0)) for w in range(n_windows)]
     best_ratio, best_probs = None, None
     for assignment in product(grid, repeat=len(free)):
         probs = list(base)

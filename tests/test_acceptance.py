@@ -268,11 +268,7 @@ def test_criterion_9_pruning_consistency():
             pruned = synthesize_det(problem, SynthesisConfig(horizon=horizon))
             bare = synthesize_det(
                 problem,
-                SynthesisConfig(
-                    horizon=horizon,
-                    use_self_loop_constraints=False,
-                    use_short_cycle_prune=False,
-                ),
+                SynthesisConfig(horizon=horizon, prune=False),
             )
             assert pruned.best_ratio == bare.best_ratio, (alpha, horizon)
     report(

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tlsynth.cli import main
 
 
@@ -257,6 +259,40 @@ def test_exit_code_2_on_bad_param(capsys):
         "0",
     )
     assert code == 2
+
+
+SYNTH = ("synth", "--problem", "file-migration")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*SYNTH, "--horizon", "0"),
+        (*SYNTH, "--horizon", "-1"),
+        (*SYNTH, "--horizon", "2", "--grid-step", "abc"),
+        (*SYNTH, "--horizon", "2", "--grid-step", "0"),
+        (*SYNTH, "--horizon", "2", "--verify-lower-bound", "x"),
+        ("table2", "--alphas", "1", "--horizons", "x"),
+        (
+            "measure",
+            "--problem",
+            "file-migration",
+            "--algorithm",
+            "sliding-window",
+            "--generator",
+            "blocks:T=6,L=10",
+            "--horizon",
+            "6",
+            "--check",
+            "c=6",
+        ),
+    ],
+)
+def test_bad_arguments_exit_2(capsys, argv):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
 
 
 def test_exit_code_3_on_guard(capsys):

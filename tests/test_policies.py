@@ -170,6 +170,9 @@ def test_mixed_resetting_output_window_form():
     # step 7 with k=2, T=3: last move before 7 is at time 5
     window = ("0", "1", "0")  # x_4, x_5, x_6
     assert MixedResettingStrategy(2, 3).output_at(window, 7) == "1"
+    # a window that holds no input at the move time is rejected
+    with pytest.raises(ValidationError):
+        MixedResettingStrategy(1, 3).output_at((None, None, None), 5)
 
 
 def test_sample_mixed_resetting_uniform():

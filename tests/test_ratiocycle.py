@@ -102,6 +102,8 @@ def test_zero_cycle_behind_many_zero_paths(migration_problem):
     assert verdict.classification == "finite"
     assert verdict.best.ratio == Cost(1)
     assert verdict.best.q == Cost(0) and verdict.best.w == Cost(0)
+    # the canonical-witness search gives up on the 2^20 tight paths
+    assert not verdict.witness_certified
 
 
 def test_empty_graph(migration_problem):
@@ -199,6 +201,7 @@ def test_follow_the_request_ratio_four(migration_problem):
     verdict = evaluate_policy(migration_problem, policy)
     assert verdict.classification == "finite"
     assert verdict.best.ratio == Cost(4)
+    assert verdict.witness_certified
 
 
 @pytest.mark.parametrize("alpha,expected", [("1", 5), ("2", 7), ("1/2", 4)])

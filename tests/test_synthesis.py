@@ -35,15 +35,15 @@ def migration(alpha="1"):
 
 
 def test_forced_entries_t3():
-    cons = self_loop_constraints(migration(), 3)
-    assert cons.forced == {0b000: 0, 0b111: 1}
-    assert candidate_count(8, 2, cons.forced) == 64
+    forced = self_loop_constraints(migration(), 3)
+    assert forced == {0b000: 0, 0b111: 1}
+    assert candidate_count(8, 2, forced) == 64
 
 
 def test_forced_entries_t4_count():
-    cons = self_loop_constraints(migration(), 4)
-    assert len(cons.forced) == 2
-    assert candidate_count(16, 2, cons.forced) == 2**14
+    forced = self_loop_constraints(migration(), 4)
+    assert len(forced) == 2
+    assert candidate_count(16, 2, forced) == 2**14
 
 
 def test_no_zero_cost_self_loop_means_no_forcing():
@@ -57,8 +57,7 @@ def test_no_zero_cost_self_loop_means_no_forcing():
         "initial_outputs": ["0"],
         "rules": [{"x": ["*", "*"], "y": ["*", "*"], "cost": "1"}],
     }
-    cons = self_loop_constraints(load_problem(doc), 2)
-    assert cons.forced == {}
+    assert self_loop_constraints(load_problem(doc), 2) == {}
 
 
 # -- search tree -------------------------------------------------------------------
@@ -72,22 +71,23 @@ def test_enumerate_t1_single_candidate():
 
 
 def test_enumerate_t2_four_candidates():
-    cons = self_loop_constraints(migration(), 2)
+    forced = self_loop_constraints(migration(), 2)
     # the free windows 01 and 10, in de Bruijn order from window 00
-    assert assignment_order(2, 2, cons.forced) == [0b01, 0b10]
+    assert assignment_order(2, 2, forced) == [0b01, 0b10]
     res = synthesize_det(
-        migration(),
-        SynthesisConfig(horizon=2, collect_all_optimal=True, use_short_cycle_prune=False),
+        migration(), SynthesisConfig(horizon=2, collect_all_optimal=True, prune=False)
     )
-    assert res.candidates_examined == res.full_evaluations == 4
-    # the whole tree: the root, two partial tables and four leaves
-    assert res.nodes_visited == 7
+    # without forcing every table is a candidate
+    assert res.candidates_examined == res.full_evaluations == 16
+    # the whole tree over four windows: 1 + 2 + 4 + 8 + 16 nodes
+    assert res.nodes_visited == 31
+    # the optimal tables still answer the constant windows as forcing would
     for t in (p.table for p in res.policies):
         assert t[0b00] == 0 and t[0b11] == 1
 
 
 def test_assignment_order_follows_de_bruijn_successors():
-    forced = self_loop_constraints(migration(), 4).forced
+    forced = self_loop_constraints(migration(), 4)
     order = assignment_order(2, 4, forced)
     assert sorted(order) == sorted(set(range(16)) - set(forced))
     fixed = set(forced)
@@ -173,11 +173,7 @@ def test_pruning_soundness(alpha, horizon):
     pruned = synthesize_det(problem, SynthesisConfig(horizon=horizon))
     bare = synthesize_det(
         problem,
-        SynthesisConfig(
-            horizon=horizon,
-            use_self_loop_constraints=False,
-            use_short_cycle_prune=False,
-        ),
+        SynthesisConfig(horizon=horizon, prune=False),
     )
     assert pruned.best_ratio == bare.best_ratio
 
@@ -201,7 +197,7 @@ def test_optimal_policies_reevaluate_exactly():
         assert verdict.best.ratio == res.best_ratio
 
 
-def test_deterministic_rerun_and_parallel_schedule():
+def test_deterministic_rerun():
     for horizon in (3, 4):
         for collect in (True, False):
             cfg = SynthesisConfig(horizon=horizon, collect_all_optimal=collect)
@@ -209,10 +205,7 @@ def test_deterministic_rerun_and_parallel_schedule():
             second = synthesize_det(migration(), cfg)
             assert first.best_ratio == second.best_ratio
             assert [p.table for p in first.policies] == [p.table for p in second.policies]
-            parallel = synthesize_det(migration(), replace(cfg, jobs=2))
-            assert parallel.best_ratio == first.best_ratio
-            assert [p.table for p in parallel.policies] == [p.table for p in first.policies]
-            assert parallel.candidates_examined == first.candidates_examined
+            assert first.candidates_examined == second.candidates_examined
 
 
 OPTIMAL_T4_TABLES = ["0001001100110111", "0001001100010111", "0001011100110111"]
@@ -318,21 +311,17 @@ def oracle_problem(name, alpha):
 )
 def test_branch_and_bound_matches_exhaustive_scan(name, alpha, horizons):
     """Pruning on (forcing, node pruning, short-cycle screen) against the
-    plain scan of every table, with and without collecting ties."""
+    plain scan of every table, with and without collecting ties; and
+    lower-bound verification at and just above the scan's optimum."""
     problem = oracle_problem(name, alpha)
     nx, ny = len(problem.input_alphabet), len(problem.output_alphabet)
     for horizon in horizons:
-        results = {}
+        results, totals = {}, {}
         for prune, collect in itertools.product((True, False), repeat=2):
-            config = SynthesisConfig(
-                horizon=horizon,
-                collect_all_optimal=collect,
-                use_self_loop_constraints=prune,
-                use_short_cycle_prune=prune,
-            )
+            config = SynthesisConfig(horizon=horizon, collect_all_optimal=collect, prune=prune)
             res = synthesize_det(problem, config)
-            forced = self_loop_constraints(problem, horizon).forced if prune else {}
-            total = candidate_count(nx**horizon, ny, forced)
+            forced = self_loop_constraints(problem, horizon) if prune else {}
+            total = totals[prune] = candidate_count(nx**horizon, ny, forced)
             assert res.pruned_short_cycle + res.full_evaluations == res.candidates_examined
             assert res.candidates_examined == total
             assert prune or res.pruned_short_cycle == 0
@@ -341,11 +330,17 @@ def test_branch_and_bound_matches_exhaustive_scan(name, alpha, horizons):
         assert results[True, True] == (ratio, tables), horizon
         # without ties collected: the lexicographically first optimal table
         assert results[True, False] == results[False, False] == (ratio, tables[:1]), horizon
-        parallel = synthesize_det(problem, SynthesisConfig(horizon=horizon, jobs=2))
-        assert (parallel.best_ratio, [p.table for p in parallel.policies]) == (
-            ratio,
-            tables[:1],
-        ), horizon
+        for prune in (True, False):
+            config = SynthesisConfig(horizon=horizon, prune=prune)
+            # the optimum holds; with every table infinite, any finite bound does
+            holding = [ratio.as_fraction()] if ratio.is_finite else [Fraction(1), Fraction(10**6)]
+            for bound in holding:
+                assert verify_lower_bound(problem, config, bound) == (True, None, totals[prune])
+            if ratio.is_finite:
+                above = ratio.as_fraction() + Fraction(1, 1000)
+                holds, counter, _ = verify_lower_bound(problem, config, above)
+                assert not holds, horizon
+                assert evaluate_policy(problem, counter).best.ratio < Cost(above), horizon
 
 
 def test_generic_path_prediction_problem_is_hopeless():
