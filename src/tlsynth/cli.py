@@ -137,8 +137,7 @@ def _load_problem(args):
     if name in bundled_problem_names():
         problem = bundled_problem(name)
     else:
-        with open(name) as fh:
-            problem = load_problem(fh.read())
+        problem = load_problem(_read_file(name, "--problem"))
     overrides = {}
     for item in args.param:
         key, eq, value = item.partition("=")
@@ -154,8 +153,7 @@ def _load_problem(args):
 
 def _read_sequence(problem, text):
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            text = fh.read().strip()
+        text = _read_file(text[1:], "--input").strip()
     symbols = problem.input_alphabet.symbols
     if "," in text:
         seq = tuple(t.strip() for t in text.split(",") if t.strip())
@@ -166,6 +164,14 @@ def _read_sequence(problem, text):
     for sym in seq:
         problem.input_alphabet.index(sym)
     return seq
+
+
+def _read_file(path, flag):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {flag} file {path!r}: {exc.strerror}") from None
 
 
 def _rational(text, flag):
@@ -241,9 +247,8 @@ def _cmd_synth(args):
 # -- eval ----------------------------------------------------------------------
 
 
-def _load_policy_arg(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+def _load_policy_arg(path, flag):
+    doc = json.loads(_read_file(path, flag))
     if "policies" in doc:  # synthesis result document
         if not doc["policies"]:
             raise ValidationError("synthesis document holds no policies")
@@ -253,7 +258,7 @@ def _load_policy_arg(path):
 
 def _cmd_eval(args):
     problem = _load_problem(args)
-    policy = _load_policy_arg(args.policy)
+    policy = _load_policy_arg(args.policy, "--policy")
     if args.dump_graph:
         graph = (
             build_graph_rand(problem, policy)
@@ -337,7 +342,7 @@ def _named_policy(problem, args, name):
         return sample_mixed_resetting(T, args.seed)
     if name == "reset-wrapper":
         return ResetWrapper(ThresholdMigrator(alpha or 1), _require_horizon(args, name))
-    return _load_policy_arg(name)
+    return _load_policy_arg(name, "--algorithm")
 
 
 # -- measure ---------------------------------------------------------------------
@@ -353,7 +358,7 @@ def _named_algorithm(problem, args, name) -> Algorithm:
         return coin_flip_algorithm(alpha)
     if name == "reset-wrapper":
         return reset_wrapper_algorithm(_require_horizon(args, name), alpha or 1)
-    return table_algorithm(_load_policy_arg(name))
+    return table_algorithm(_load_policy_arg(name, "--algorithm"))
 
 
 def _parse_check(text):

@@ -2,9 +2,13 @@
 CSV table of synthesized competitive ratios.
 
 Costs stay exact rationals throughout a trial; only the summary
-statistics (mean, standard error) are floats. The offline optimum of a
-sequence is computed once and cached, which matches the oblivious
-adversary: inputs are fixed before any coins are flipped.
+statistics (mean, standard error) are floats. `offline_opt` and
+`LocalProblem.evaluate` add a trial's step costs as ints scaled by the lcm
+of the problem's rule denominators, with +inf / -inf as sentinels, and
+divide by the scale once, so their totals are the exact rational sums.
+The offline optimum of a sequence is computed once and cached, which
+matches the oblivious adversary: inputs are fixed before any coins are
+flipped.
 """
 
 from __future__ import annotations

@@ -8,6 +8,14 @@ problem's declared initial outputs on the output side.
 
 All costs are exact: rationals or +/-inf. Rule matching is first-match in
 declaration order, so lookups are pure functions of (problem, windows).
+
+Summing costs is the hot path of `evaluate` and of the offline optimum, so
+each problem also keeps an integer view of its cost function: every finite
+cost times the problem's scale (the lcm of the denominators of its finite
+resolved rule costs) is an exact int, and the infinities stay the
+`POS_INF` / `NEG_INF` sentinels. Sums of scaled ints divided by the scale
+are the exact rational sums; a sentinel added to an int saturates, and
++inf plus -inf raises `InfinityClash`, as `Cost` addition does.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import product
+from math import lcm
 
 from .errors import (
     InfinityClash,
@@ -194,7 +203,13 @@ class LocalProblem:
                 raise ValidationError(f"rules[{k}].x: length must be r+1")
             if len(rule.y_pattern) != self.horizon_r + 1:
                 raise ValidationError(f"rules[{k}].y: length must be r+1")
+        # (x-window, y-window) -> (Cost, the cost times _scale: an int, or
+        # the POS_INF / NEG_INF sentinel)
         object.__setattr__(self, "_lookup_memo", {})
+        finite = (rule.cost.resolve(self.parameters) for rule in self.rules)
+        object.__setattr__(
+            self, "_scale", lcm(*(c.value.denominator for c in finite if c.is_finite))
+        )
         # horizon -> debruijn.Skeleton; lives and dies with this problem
         object.__setattr__(self, "_skeleton_memo", {})
 
@@ -203,10 +218,13 @@ class LocalProblem:
     def lookup_cost(self, x_window, y_window) -> Cost:
         """Cost of the first rule matching the window pair (first-match order)."""
         key = (tuple(x_window), tuple(y_window))
-        memo = self._lookup_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        entry = self._lookup_memo.get(key)
+        if entry is None:
+            entry = self._resolve(key)
+        return entry[0]
+
+    def _resolve(self, key):
+        """Validate a window pair, match it, and memoize its (Cost, scaled)."""
         xw, yw = key
         if len(xw) != self.horizon_r + 1 or len(yw) != self.horizon_r + 1:
             raise ValidationError("window length must be r+1")
@@ -219,11 +237,21 @@ class LocalProblem:
         for rule in self.rules:
             if rule.matches(xw, yw):
                 value = rule.cost.resolve(self.parameters)
-                memo[key] = value
-                return value
+                scaled = value
+                if value.is_finite:
+                    frac = value.value
+                    scaled = frac.numerator * (self._scale // frac.denominator)
+                entry = self._lookup_memo[key] = (value, scaled)
+                return entry
         raise NoMatchingRule(
             f"problem {self.name!r}: no rule matches x={xw} y={yw}"
         )
+
+    def _unscale(self, total) -> Cost:
+        """The Cost of a sum of scaled entries (an int or a sentinel)."""
+        if isinstance(total, int):
+            return Cost(Fraction(total, self._scale))
+        return total
 
     def step_windows(self, x_seq, y_seq, i):
         """Windows for 1-based step i, with boundary conventions applied."""
@@ -235,15 +263,30 @@ class LocalProblem:
         )
         return xw, yw
 
+    def _x_windows(self, x_seq):
+        """The input window of every step, in order (placeholders in front)."""
+        return _windows((None,) * self.horizon_r + tuple(x_seq), len(x_seq))
+
     def evaluate(self, x_seq, y_seq) -> CostBreakdown:
-        """Per-step costs and their aggregate for a full input/output pair."""
-        if len(x_seq) != len(y_seq):
+        """Per-step costs and their aggregate for a full input/output pair.
+
+        A sum is taken over the scaled ints of the memo's entries.
+        """
+        n = len(x_seq)
+        if n != len(y_seq):
             raise ValidationError("input and output sequences differ in length")
-        per_step = []
-        for i in range(1, len(x_seq) + 1):
-            xw, yw = self.step_windows(x_seq, y_seq, i)
-            per_step.append(self.lookup_cost(xw, yw))
-        return CostBreakdown(tuple(per_step), self._aggregate(per_step))
+        y_windows = _windows(self.initial_outputs + tuple(y_seq), n)
+        memo = self._lookup_memo
+        entries = [
+            memo.get(key) or self._resolve(key)
+            for key in zip(self._x_windows(x_seq), y_windows)
+        ]
+        per_step = tuple(cost for cost, _ in entries)
+        if self.aggregation == "sum":
+            total = self._unscale(sum(scaled for _, scaled in entries))
+        else:
+            total = self._aggregate(per_step)
+        return CostBreakdown(per_step, total)
 
     def _aggregate(self, per_step) -> Cost:
         if self.aggregation == "sum":
@@ -261,7 +304,12 @@ class LocalProblem:
         for name, value in overrides.items():
             if name not in params:
                 raise ValidationError(f"unknown parameter {name!r}")
-            params[name] = parse_rational(value)
+            try:
+                params[name] = parse_rational(value)
+            except (ValueError, ZeroDivisionError):
+                raise ValidationError(
+                    f"bad value {value!r} for parameter {name!r}, expected a rational"
+                ) from None
         return LocalProblem(
             name=self.name,
             input_alphabet=self.input_alphabet,
@@ -283,7 +331,10 @@ def offline_opt(problem: LocalProblem, x_seq):
     """Exact offline optimum over all output sequences, with one optimizer.
 
     Sum aggregation uses the additive recursion over states = last r
-    outputs. Min/max aggregation augments the state with the running
+    outputs, on the problem's integer view: step costs are finite costs
+    times the problem's scale, as exact ints, or the +inf / -inf sentinels,
+    so every total is exact and only the optimum is turned back into a
+    `Cost`. Min/max aggregation augments the state with the running
     aggregate, which stays inside the finite set of realized rule costs.
     """
     if not x_seq:
@@ -293,13 +344,13 @@ def offline_opt(problem: LocalProblem, x_seq):
     return _offline_opt_minmax(problem, x_seq)
 
 
+def _windows(padded, n):
+    """The n windows of r+1 consecutive symbols of padded (r = len - n)."""
+    return zip(*(padded[k : k + n] for k in range(len(padded) - n + 1)))
+
+
 def _step_cost_fn(problem, x_seq):
-    r = problem.horizon_r
-    n = len(x_seq)
-    xwindows = [
-        tuple(x_seq[j - 1] if j >= 1 else None for j in range(i - r, i + 1))
-        for i in range(1, n + 1)
-    ]
+    xwindows = list(problem._x_windows(x_seq))
 
     def step_cost(i, state, y):
         # state holds outputs y_{i-r} .. y_{i-1}
@@ -308,27 +359,86 @@ def _step_cost_fn(problem, x_seq):
     return step_cost
 
 
+def _negated(scaled):
+    if isinstance(scaled, int):
+        return -scaled
+    return NEG_INF if scaled is POS_INF else POS_INF
+
+
 def _offline_opt_sum(problem, x_seq):
-    n = len(x_seq)
+    """Minimizes (for a max objective: the negated) scaled step costs.
+
+    A state, the last r outputs, is coded in base |Y| with its symbols
+    ranked in sort order, so ascending codes visit states as sorted() does
+    on symbol tuples. Outputs are tried in alphabet order and only a strict
+    improvement replaces a state's entry, which fixes the returned outputs.
+    A step whose total would be +inf plus -inf is skipped.
+    """
+    r = problem.horizon_r
     outputs = problem.output_alphabet.symbols
-    step_cost = _step_cost_fn(problem, x_seq)
-    start = tuple(problem.initial_outputs)
-    layers = [{start: (Cost(0), None, None)}]
-    for i in range(1, n + 1):
-        prev = layers[-1]
-        cur = {}
-        for state in sorted(prev):
-            acc = prev[state][0]
-            for y in outputs:
+    ny = len(outputs)
+    n_states = ny**r
+    by_rank = sorted(outputs)
+    rank = {y: k for k, y in enumerate(by_rank)}
+    states = list(product(by_rank, repeat=r))
+    sign = 1 if problem.objective == "min" else -1
+    start = 0
+    for y in problem.initial_outputs:
+        start = start * ny + rank[y]
+
+    ids = {}
+    bases = [ids.setdefault(xw, len(ids)) * n_states for xw in problem._x_windows(x_seq)]
+    x_wins = list(ids)
+    # rows[base + s]: (next state, signed scaled cost, back code s*|Y| + output
+    # index) per output, built the first time state s is reached at that
+    # window, since a pair that is never reached need not match any rule
+    rows = [None] * (len(ids) * n_states)
+
+    def row(index):
+        w, s = divmod(index, n_states)
+        entries = []
+        for k, y in enumerate(outputs):
+            key = (x_wins[w], states[s] + (y,))
+            scaled = (problem._lookup_memo.get(key) or problem._resolve(key))[1]
+            nxt = (s * ny + rank[y]) % n_states
+            entries.append((nxt, scaled if sign > 0 else _negated(scaled), s * ny + k))
+        rows[index] = entries
+        return entries
+
+    prev = [None] * n_states
+    prev[start] = 0
+    backs = []
+    for base in bases:
+        cur = [None] * n_states
+        back = [None] * n_states
+        for s, acc in enumerate(prev):
+            if acc is None:
+                continue
+            for nxt, cost, code in rows[base + s] or row(base + s):
                 try:
-                    total = acc + step_cost(i, state, y)
+                    total = acc + cost
                 except InfinityClash:
                     continue
-                nxt = (state + (y,))[1:] if problem.horizon_r else ()
-                if nxt not in cur or problem.better(total, cur[nxt][0]):
-                    cur[nxt] = (total, state, y)
-        layers.append(cur)
-    return _extract_path(problem, layers, key=lambda entry: entry[0])
+                old = cur[nxt]
+                if old is None or total < old:
+                    cur[nxt] = total
+                    back[nxt] = code
+        backs.append(back)
+        prev = cur
+
+    best_state, best = None, None
+    for s, total in enumerate(prev):
+        if total is not None and (best is None or total < best):
+            best_state, best = s, total
+    if best is None:
+        raise InfinityClash("every output sequence meets both +inf and -inf")
+    ys = []
+    state = best_state
+    for back in reversed(backs):
+        state, k = divmod(back[state], ny)
+        ys.append(outputs[k])
+    ys.reverse()
+    return problem._unscale(best if sign > 0 else _negated(best)), tuple(ys)
 
 
 def _offline_opt_minmax(problem, x_seq):
@@ -367,29 +477,18 @@ def _offline_opt_minmax(problem, x_seq):
     return total, tuple(ys)
 
 
-def _extract_path(problem, layers, key):
-    final = layers[-1]
-    best_state, best = None, None
-    for state in sorted(final):
-        value = key(final[state])
-        if best is None or problem.better(value, best):
-            best_state, best = state, value
-    ys = []
-    state = best_state
-    for layer in reversed(layers[1:]):
-        _, prev_state, y = layer[state]
-        ys.append(y)
-        state = prev_state
-    ys.reverse()
-    return best, tuple(ys)
-
-
 def brute_force_opt(problem: LocalProblem, x_seq):
-    """Independent oracle: exhaustive search over all |Y|^n output sequences."""
+    """Independent oracle: exhaustive search over all |Y|^n output sequences.
+
+    Each candidate is totalled with `Cost` arithmetic over `lookup_cost`,
+    not through the integer view that `evaluate` and `offline_opt` share.
+    """
     best, best_y = None, None
+    steps = range(1, len(x_seq) + 1)
     for ys in product(problem.output_alphabet.symbols, repeat=len(x_seq)):
+        per_step = [problem.lookup_cost(*problem.step_windows(x_seq, ys, i)) for i in steps]
         try:
-            total = problem.evaluate(x_seq, ys).total
+            total = problem._aggregate(per_step)
         except InfinityClash:
             continue
         if best is None or problem.better(total, best):

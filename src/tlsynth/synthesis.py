@@ -33,6 +33,7 @@ best table found, with no global-optimality claim.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -438,18 +439,13 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     n_windows = nx**config.horizon
     free = [w for w in range(n_windows) if w not in forced]
 
+    # grid: the multiples of the step below 1, then 1; counted before built
     step = Fraction(config.grid_step)
-    grid = []
-    value = Fraction(0)
-    while value < 1:
-        grid.append(value)
-        value += step
-    grid.append(Fraction(1))
-    grid = sorted(set(grid))
-
-    total = len(grid) ** len(free)
+    below_one = math.ceil(1 / step)
+    total = (below_one + 1) ** len(free)
     if total > config.candidate_guard:
         raise SearchSpaceTooLarge(total, config.candidate_guard)
+    grid = [k * step for k in range(below_one)] + [Fraction(1)]
 
     skel = cached_skeleton(problem, config.horizon)
 

@@ -286,6 +286,8 @@ SYNTH = ("synth", "--problem", "file-migration")
             "--check",
             "c=6",
         ),
+        (*SYNTH, "--param", "alpha=x", "--horizon", "2"),
+        ("table2", "--alphas", "x", "--horizons", "1"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):
@@ -293,6 +295,22 @@ def test_bad_arguments_exit_2(capsys, argv):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--policy", ("eval", "--problem", "file-migration", "--policy", "{missing}")),
+        ("--problem", ("opt", "--problem", "{missing}", "--input", "0110")),
+        ("--input", ("opt", "--problem", "file-migration", "--input", "@{missing}")),
+    ],
+)
+def test_missing_file_exits_2(tmp_path, capsys, flag, argv):
+    missing = str(tmp_path / "missing.json")
+    code, stdout, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot read {flag} file ")
 
 
 def test_exit_code_3_on_guard(capsys):

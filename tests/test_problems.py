@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsynth.errors import NoMatchingRule, ParseError, ValidationError
-from tlsynth.exact import NEG_INF, POS_INF, Cost
+from tlsynth.errors import InfinityClash, NoMatchingRule, ParseError, ValidationError
+from tlsynth.exact import NEG_INF, POS_INF, Cost, cost_sum
 from tlsynth.problems import (
     bundled_problem,
     brute_force_opt,
@@ -127,9 +128,21 @@ def test_opt_stay_home_on_alternation(migration):
     assert migration.evaluate(("1", "0", "1", "0"), ys).total == Cost(2)
 
 
-@pytest.mark.parametrize("name", ["file-migration", "load-balancing", "max-ind-set", "min-dom-set"])
-def test_opt_equals_brute_force_on_random_inputs(name):
-    problem = bundled_problem(name)
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        pytest.param("file-migration", None, id="file-migration"),
+        pytest.param("load-balancing", None, id="load-balancing"),
+        pytest.param("max-ind-set", None, id="max-ind-set"),
+        pytest.param("min-dom-set", None, id="min-dom-set"),
+        # scales 3, 10 and 2: the integer view divides by them on return
+        pytest.param("file-migration", {"alpha": "1/3"}, id="file-migration-alpha=1/3"),
+        pytest.param("file-migration", {"alpha": "7/10"}, id="file-migration-alpha=7/10"),
+        pytest.param("file-migration", {"alpha": "5/2"}, id="file-migration-alpha=5/2"),
+    ],
+)
+def test_opt_equals_brute_force_on_random_inputs(name, params):
+    problem = bundled_problem(name, params)
     rng = random.Random(7)
     symbols = problem.input_alphabet.symbols
     for _ in range(25):
@@ -148,6 +161,124 @@ def test_opt_brute_force_equivalence_hypothesis(xs):
     dp_total, _ = offline_opt(problem, tuple(xs))
     bf_total, _ = brute_force_opt(problem, tuple(xs))
     assert dp_total == bf_total
+
+
+# (problem, alpha, input) -> (total, outputs), recorded with the Cost-based
+# dynamic program the integer one replaced; ties must break the same way
+OPT_GOLDEN = [
+    ("file-migration", "1", "0110100111", "4", "0000000111"),
+    ("file-migration", "1", "1111000011110000", "4", "1111000011110000"),
+    ("file-migration", "1", "1010101010", "5", "0000000000"),
+    ("file-migration", "5/2", "0110100111", "11/2", "0000000111"),
+    ("file-migration", "5/2", "1111000011110000", "8", "0000000000000000"),
+    ("file-migration", "5/2", "1101101101", "11/2", "1111111111"),
+    ("file-migration", "1/3", "0110100111", "5/3", "0110100111"),
+    ("file-migration", "1/3", "1001", "1", "1001"),
+    ("file-migration", "1/3", "1111000011110000", "4/3", "1111000011110000"),
+    ("load-balancing", None, "1212211221", "1", "1211211121"),
+    ("load-balancing", None, "2222", "1", "2121"),
+    ("load-balancing", None, "2121211", "1", "2121211"),
+    ("max-ind-set", None, "5775757", "26", "1010101"),
+    ("max-ind-set", None, "7777", "14", "1010"),
+    ("max-ind-set", None, "5577557755", "29", "1010101010"),
+    ("min-dom-set", None, "1212211221", "4", "1001001001"),
+    ("min-dom-set", None, "2222", "2", "0100"),
+    ("min-dom-set", None, "1112221", "3", "0100100"),
+]
+
+
+@pytest.mark.parametrize("name,alpha,xs,total,ys", OPT_GOLDEN)
+def test_opt_outputs_are_pinned(name, alpha, xs, total, ys):
+    problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
+    got_total, got_ys = offline_opt(problem, tuple(xs))
+    assert (str(got_total), "".join(got_ys)) == (total, ys)
+
+
+@pytest.mark.parametrize("name", ["file-migration", "load-balancing", "max-ind-set", "min-dom-set"])
+def test_evaluate_total_is_the_exact_aggregate(name):
+    aggregate = {"sum": cost_sum, "min": min, "max": max}
+    rng = random.Random(11)
+    for params in (None, {"alpha": "7/10"}) if name == "file-migration" else (None,):
+        problem = bundled_problem(name, params)
+        xsyms = problem.input_alphabet.symbols
+        ysyms = problem.output_alphabet.symbols
+        for _ in range(40):
+            n = rng.randint(1, 30)
+            xs = tuple(rng.choice(xsyms) for _ in range(n))
+            ys = tuple(rng.choice(ysyms) for _ in range(n))
+            per_step = tuple(
+                problem.lookup_cost(*problem.step_windows(xs, ys, i)) for i in range(1, n + 1)
+            )
+            out = problem.evaluate(xs, ys)
+            assert out.per_step == per_step
+            assert out.total == aggregate[problem.aggregation](per_step)
+
+
+# x-windows ("a","a") with outputs ("1","1") cost -inf, input "b" with
+# outputs ("0","0") costs +inf and input "c" always does; outputs are
+# declared out of sort order
+CLASH_DOC = {
+    "name": "clash",
+    "inputs": ["a", "b", "c"],
+    "outputs": ["1", "0"],
+    "r": 1,
+    "aggregation": "sum",
+    "objective": "min",
+    "initial_outputs": ["0"],
+    "rules": [
+        {"x": ["a", "a"], "y": ["1", "1"], "cost": "-inf"},
+        {"x": ["*", "b"], "y": ["0", "0"], "cost": "+inf"},
+        {"x": ["*", "c"], "y": ["*", "*"], "cost": "+inf"},
+        {"x": ["*", "*"], "y": ["0", "1"], "cost": "2/3"},
+        {"x": ["*", "*"], "y": ["1", "0"], "cost": "3/4"},
+        {"x": ["*", "a"], "y": ["*", "*"], "cost": "1/2"},
+        {"x": ["*", "b"], "y": ["*", "*"], "cost": "1/5"},
+    ],
+}
+
+
+# input -> (total, outputs) per objective, recorded like OPT_GOLDEN
+CLASH_GOLDEN = {
+    "min": {"abab": ("47/30", "1111"), "aabba": ("-inf", "11100"), "babba": ("31/15", "11111")},
+    "max": {"abab": ("+inf", "0000"), "aabba": ("+inf", "10000"), "babba": ("+inf", "00000")},
+}
+
+
+@pytest.mark.parametrize("objective", ["min", "max"])
+def test_infinities_of_both_signs(objective):
+    problem = load_problem(dict(CLASH_DOC, objective=objective))
+    for xs, expected in CLASH_GOLDEN[objective].items():
+        total, ys = offline_opt(problem, tuple(xs))
+        assert (str(total), "".join(ys)) == expected, xs
+    with pytest.raises(InfinityClash):
+        problem.evaluate(("a", "a", "b", "b"), ("1", "1", "0", "0"))
+    assert problem.evaluate(("a", "a", "b"), ("1", "1", "0")).total == NEG_INF
+    assert problem.evaluate(("b", "b"), ("1", "0")).total == Cost(Fraction(17, 12))
+    totals = set()
+    for n in range(1, 7):
+        for xs in itertools.product("ab", repeat=n):
+            dp_total, dp_ys = offline_opt(problem, xs)
+            assert dp_total == brute_force_opt(problem, xs)[0], xs
+            assert problem.evaluate(xs, dp_ys).total == dp_total
+            totals.add(dp_total.is_finite)
+    assert totals == {True, False}
+    if objective == "min":
+        # the -inf path into state 1 clashes with the +inf of "c" and is
+        # skipped; the finite path through state 0 pays +inf
+        assert offline_opt(problem, tuple("aac"))[0] == POS_INF
+        assert brute_force_opt(problem, tuple("aac"))[0] == POS_INF
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InfinityClash,
+    reason="the sum DP keeps one total per state, so -inf displaces the finite "
+    "totals of both states before 'c' and every continuation clashes",
+)
+def test_opt_when_minus_inf_fills_every_state():
+    problem = load_problem(CLASH_DOC)
+    assert brute_force_opt(problem, tuple("aaac"))[0] == POS_INF
+    assert offline_opt(problem, tuple("aaac"))[0] == POS_INF
 
 
 def test_sum_monotone_under_extension(migration):

@@ -1,4 +1,5 @@
 import itertools
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -421,6 +422,16 @@ def test_randomized_beats_deterministic_t2():
     # the reported table really evaluates to the reported ratio
     check = evaluate_policy(migration(), policy)
     assert check.best.ratio == ratio
+
+
+def test_randomized_guard_counts_before_building_the_grid():
+    config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 10**6))
+    started = time.monotonic()
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        synthesize_rand(migration(), config)
+    # (10**6 + 1) grid values on each of the two free windows
+    assert err.value.count == 1_000_002_000_001
+    assert time.monotonic() - started < 1
 
 
 def test_randomized_degenerate_grid_recovers_deterministic():
