@@ -14,7 +14,8 @@ picked by whether the problem's cost splits into serve + switch parts:
 - For r=1 problems whose cost splits into a serving part (new input vs
   new output) plus a switching part (old output vs new output), vertices
   carry exactly the policy's T-input window. The switching part of each
-  step is charged one edge early, which telescopes over any cycle.
+  step is charged one edge early, which telescopes over any cycle; a
+  split that would charge some edge a negative q is not used.
 - Otherwise vertices carry T+r inputs, enough to recompute the policy's
   outputs across a whole cost window, and every edge charges its true
   step cost.
@@ -25,9 +26,11 @@ adversary's outputs, so q is computed once per transition from a cost
 row and the table entries of the windows the transition reads. There is
 one q function for deterministic tables (`Skeleton.q_det`) and one for
 behavioral tables (`Skeleton.q_rand`, the expectation over independent
-per-step draws). All costs are integers scaled by `Skeleton.scale`; the
-`DualGraph` built by `build_graph_det` / `build_graph_rand` is an exact
-`Cost` view of the same edges for witnesses, dumps and the oracle.
+per-step draws). All costs are ints in the problem's own scale
+(`Skeleton.scale`). Analysis and synthesis solve these integer arcs
+(`Skeleton.int_arcs`); the exact `Cost` view of the same edges is built
+only for witness reports (`Skeleton.dual_edges`), dumps and the oracle
+(`build_graph_det` / `build_graph_rand`).
 """
 
 from __future__ import annotations
@@ -120,32 +123,25 @@ def serve_switch_split(problem: LocalProblem):
     """Split an r=1 cost table into serve(x_prev, x, y) + switch(y_prev, y).
 
     Returns (serve, switch) lookup dicts over symbol indices, or None when
-    the table does not decompose (or touches an infinity).
+    the table does not decompose, touches an infinity, or would make a
+    split-skeleton edge charge serve(a, b, c) + switch(c, d) < 0.
     """
     if problem.horizon_r != 1:
         return None
     xs = problem.input_alphabet.symbols
     ys = problem.output_alphabet.symbols
-    serve = {}
-    for a, b, d in product(range(len(xs)), range(len(xs)), range(len(ys))):
-        cost = problem.lookup_cost((xs[a], xs[b]), (ys[d], ys[d]))
-        if not cost.is_finite:
+    cost = {}  # (a, b, c, d) -> cost of inputs (a, b) and outputs (c, d)
+    for a, b, c, d in product(range(len(xs)), range(len(xs)), range(len(ys)), range(len(ys))):
+        value = problem.lookup_cost((xs[a], xs[b]), (ys[c], ys[d]))
+        if not value.is_finite:
             return None
-        serve[a, b, d] = cost.as_fraction()
-    switch = {}
-    a0 = b0 = 0
-    for c, d in product(range(len(ys)), repeat=2):
-        cost = problem.lookup_cost((xs[a0], xs[b0]), (ys[c], ys[d]))
-        if not cost.is_finite:
-            return None
-        switch[c, d] = cost.as_fraction() - serve[a0, b0, d]
-    for a, b in product(range(len(xs)), repeat=2):
-        for c, d in product(range(len(ys)), repeat=2):
-            cost = problem.lookup_cost((xs[a], xs[b]), (ys[c], ys[d]))
-            if not cost.is_finite:
-                return None
-            if cost.as_fraction() != serve[a, b, d] + switch[c, d]:
-                return None
+        cost[a, b, c, d] = value.as_fraction()
+    serve = {(a, b, d): cost[a, b, d, d] for a, b, _c, d in cost}
+    switch = {(c, d): cost[0, 0, c, d] - serve[0, 0, d] for _a, _b, c, d in cost}
+    if any(v != serve[a, b, d] + switch[c, d] for (a, b, c, d), v in cost.items()):
+        return None
+    if any(serve[a, b, c] + switch[c, d] < 0 for a, b, c, d in cost):
+        return None
     return serve, switch
 
 
@@ -157,8 +153,9 @@ class Skeleton:
     t the edge's transition. transitions[t] = (row, codes): the policy's q
     on every edge of t is rows[row][y], where y encodes (oldest first,
     base |Y|) the table outputs at the window codes `codes`. Row entries
-    are ints scaled by `scale`, or None for +inf. arcs lists the edges an
-    adversary can play (w < +inf) as (k, src, dst, w * scale, t).
+    are ints scaled by `scale`, the problem's own scale, or None for +inf.
+    arcs lists the edges an adversary can play (w < +inf) as
+    (k, src, dst, w * scale, t).
     """
 
     problem: LocalProblem
@@ -222,18 +219,24 @@ class Skeleton:
         """(id, src, dst, w, q) integer arcs for `ratiocycle.core_max_ratio`."""
         return [(k, s, d, w * unit, q[t]) for k, s, d, w, t in self.arcs]
 
+    def dual_edges(self, q, unit=1, ids=None):
+        """Exact DualEdges with per-transition q from q_det / q_rand: every
+        edge, or the edges with ids `ids`."""
+        edges = self.edges if ids is None else [self.edges[k] for k in ids]
+        denom = self.scale * unit
+        return [
+            DualEdge(s, d, x, b, w, POS_INF if q[t] is None else Cost(Fraction(q[t], denom)))
+            for s, d, x, b, w, t in edges
+        ]
+
     def graph(self, q, unit=1) -> DualGraph:
         """Exact DualGraph view with per-transition q from q_det / q_rand."""
-        denom = self.scale * unit
-        q_costs = [POS_INF if v is None else Cost(Fraction(v, denom)) for v in q]
         return DualGraph(
             problem=self.problem,
             horizon=self.horizon,
             win_len=self.win_len,
             n_vertices=self.n_vertices,
-            edges=tuple(
-                DualEdge(s, d, x, b, w, q_costs[t]) for s, d, x, b, w, t in self.edges
-            ),
+            edges=tuple(self.dual_edges(q, unit)),
             out_edges=self.out_edges,
         )
 
@@ -333,19 +336,20 @@ def _general_skeleton(problem, horizon):
 
 
 def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
-    """Scale every finite cost to an integer and index the edges."""
+    """Scale every finite cost to an int in the problem's scale, which any
+    sum or difference of rule costs allows, and index the edges. A general
+    row entry is also some edge's w, so a negative or -inf cost a policy
+    could pay is rejected here; split rows are >= 0."""
+    scale = problem._scale
     out = [[] for _ in range(n_vertices)]
-    played = []
+    arcs = []
     for k, (src, dst, _x, _b, w, t) in enumerate(edges):
         out[src].append(k)
         if w == POS_INF:
             continue  # the adversary never pays +inf
         if not w.is_finite or w.as_fraction() < 0:
             raise ValueError(f"edge {k}: adversary cost {w} must be >= 0")
-        played.append((k, src, dst, w.as_fraction(), t))
-    finite = [c.as_fraction() for row in rows for c in row if c != POS_INF]
-    scale = lcm(*(f.denominator for f in finite + [arc[3] for arc in played]))
-    arcs = [(k, src, dst, int(w * scale), t) for k, src, dst, w, t in played]
+        arcs.append((k, src, dst, int(w.as_fraction() * scale), t))
     int_rows = tuple(
         tuple(None if c == POS_INF else int(c.as_fraction() * scale) for c in row)
         for row in rows
@@ -364,8 +368,10 @@ def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
     )
 
 
-def _policy_skeleton(problem, policy, horizon):
-    """The skeleton a policy's dual graph is a view of, after validation."""
+def policy_q(problem: LocalProblem, policy, horizon=None):
+    """(skeleton, q, unit): the skeleton a policy's dual graph is a view of,
+    after validation, and the policy's per-transition q in units of
+    1/(skeleton.scale * unit), from q_det or, for a RandomizedPolicy, q_rand."""
     if horizon is not None and horizon != policy.horizon:
         raise ValidationError("horizon argument disagrees with the policy table")
     if (
@@ -373,19 +379,22 @@ def _policy_skeleton(problem, policy, horizon):
         or policy.output_alphabet.symbols != problem.output_alphabet.symbols
     ):
         raise ValidationError("policy and problem alphabets differ")
-    return cached_skeleton(problem, policy.horizon)
+    skel = cached_skeleton(problem, policy.horizon)
+    if isinstance(policy, RandomizedPolicy):
+        return (skel, *skel.q_rand(policy.table))
+    return skel, skel.q_det(policy.table), 1
 
 
 def build_graph_det(problem: LocalProblem, policy: DeterministicPolicy, horizon=None):
     """Dual graph of a deterministic table policy."""
-    skel = _policy_skeleton(problem, policy, horizon)
-    return skel.graph(skel.q_det(policy.table))
+    skel, q, unit = policy_q(problem, policy, horizon)
+    return skel.graph(q, unit)
 
 
 def build_graph_rand(problem: LocalProblem, policy: RandomizedPolicy, horizon=None):
     """Dual graph of a behavioral randomized policy (expected algorithm costs)."""
-    skel = _policy_skeleton(problem, policy, horizon)
-    return skel.graph(*skel.q_rand(policy.table))
+    skel, q, unit = policy_q(problem, policy, horizon)
+    return skel.graph(q, unit)
 
 
 def induced_input(graph: DualGraph, cycle_edges):

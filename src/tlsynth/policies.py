@@ -68,13 +68,6 @@ class DeterministicPolicy:
             if not 0 <= entry < len(self.output_alphabet):
                 raise ValidationError(f"table entry {entry} outside output alphabet")
 
-    @property
-    def kind(self):
-        return "deterministic"
-
-    def output_code(self, window_code: int) -> int:
-        return self.table[window_code]
-
     def run(self, x_seq):
         """Outputs y_1..y_n; short windows are filled with the first symbol."""
         base = len(self.input_alphabet)
@@ -126,10 +119,6 @@ class RandomizedPolicy:
         for p in self.table:
             if not 0 <= p <= 1:
                 raise ValidationError(f"probability {p} outside [0, 1]")
-
-    @property
-    def kind(self):
-        return "randomized"
 
     def run(self, x_seq, seed):
         base = len(self.input_alphabet)
@@ -401,12 +390,6 @@ def policy_to_document(policy) -> dict:
     }
 
 
-def save_policy(policy, path):
-    with open(path, "w") as fh:
-        json.dump(policy_to_document(policy), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_policy(document):
     if isinstance(document, (str, bytes)):
         try:
@@ -426,8 +409,3 @@ def load_policy(document):
     if doc["kind"] == "randomized":
         return RandomizedPolicy.from_entries(horizon, inputs, outputs, doc["entries"])
     raise ParseError(f"unknown kind {doc['kind']!r}", field="kind")
-
-
-def load_policy_file(path):
-    with open(path) as fh:
-        return load_policy(fh.read())

@@ -480,20 +480,33 @@ def _offline_opt_minmax(problem, x_seq):
 def brute_force_opt(problem: LocalProblem, x_seq):
     """Independent oracle: exhaustive search over all |Y|^n output sequences.
 
-    Each candidate is totalled with `Cost` arithmetic over `lookup_cost`,
-    not through the integer view that `evaluate` and `offline_opt` share.
+    Depth first in `product` order, the first optimum winning. Each prefix
+    is totalled once in `Cost` arithmetic over `lookup_cost`, apart from the
+    integer view `evaluate` and `offline_opt` share. A sum adds left to
+    right, so a prefix meeting +inf and -inf is dropped with its extensions.
     """
-    best, best_y = None, None
-    steps = range(1, len(x_seq) + 1)
-    for ys in product(problem.output_alphabet.symbols, repeat=len(x_seq)):
-        per_step = [problem.lookup_cost(*problem.step_windows(x_seq, ys, i)) for i in steps]
-        try:
-            total = problem._aggregate(per_step)
-        except InfinityClash:
-            continue
-        if best is None or problem.better(total, best):
-            best, best_y = total, ys
-    return best, best_y
+    if not x_seq:
+        return problem._aggregate(()), ()
+    combine = {"sum": Cost.__add__, "min": min, "max": max}[problem.aggregation]
+    best = (None, None)
+
+    def extend(ys, total):
+        nonlocal best
+        if len(ys) == len(x_seq):
+            if best[0] is None or problem.better(total, best[0]):
+                best = total, ys
+            return
+        for y in problem.output_alphabet.symbols:
+            prefix = ys + (y,)
+            u = problem.lookup_cost(*problem.step_windows(x_seq, prefix, len(prefix)))
+            try:
+                prefix_total = u if total is None else combine(total, u)
+            except InfinityClash:
+                continue  # every extension of this prefix clashes here too
+            extend(prefix, prefix_total)
+
+    extend((), None)
+    return best
 
 
 # -- document loading ------------------------------------------------------

@@ -14,9 +14,11 @@ oracle on small graphs.
 Edge costs must be non-negative; edges with w = +inf are ignored (an
 adversary never plays them) and a cycle through one q = +inf edge and
 otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
-works on integer arcs and is shared by analysis and synthesis;
-`max_ratio_cycle` wraps it for a `DualGraph` and picks the canonical
-witness, or says on the verdict that its capped search could not.
+works on integer arcs and is shared by analysis and synthesis; a verdict
+adds the canonical witness, or says that its capped search gave up.
+`evaluate_policy` solves a `debruijn.Skeleton`'s arcs, in the problem's
+own scale, and reads back only the witness edges as `Cost`s for the
+report; `max_ratio_cycle` validates and scales a hand-built `DualGraph`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .debruijn import DualGraph, build_graph_det, build_graph_rand, induced_input
+from .debruijn import DualGraph, policy_q
 from .errors import EmptyGraph, GraphTooLarge
 from .exact import POS_INF, Cost, cost_sum
-from .policies import RandomizedPolicy
 
 BRUTE_FORCE_VERTEX_GUARD = 14
 _TIGHT_SEARCH_CAP = 200_000
@@ -62,18 +63,19 @@ def _cycle_ratio(q: Cost, w: Cost) -> Cost:
     return POS_INF
 
 
-def _make_report(graph: DualGraph, edge_ids) -> CycleReport:
-    edges = [graph.edges[k] for k in edge_ids]
+def _make_report(problem, edges, edge_ids) -> CycleReport:
+    """Report of the cycle `edge_ids`; edges[k] is the DualEdge with id k."""
+    edges = [edges[k] for k in edge_ids]
     q = cost_sum(e.q for e in edges)
     w = cost_sum(e.w for e in edges)
-    vertices = tuple([e.src for e in edges] + [edges[-1].dst])
+    symbols = problem.input_alphabet.symbols
     return CycleReport(
-        vertices=vertices,
+        vertices=tuple([e.src for e in edges] + [edges[-1].dst]),
         edge_ids=tuple(edge_ids),
         q=q,
         w=w,
         ratio=_cycle_ratio(q, w),
-        induced=induced_input(graph, edge_ids),
+        induced=tuple(symbols[e.x] for e in edges),
     )
 
 
@@ -90,14 +92,12 @@ def walk_ratio(graph: DualGraph, edge_ids) -> Cost:
 def _prepare(graph: DualGraph):
     """Validate costs, drop unusable edges, scale to integers.
 
-    Returns (edges, scale) where edges is a list of
-    (edge_id, src, dst, w_int, q_int) and an infinite-q edge is flagged
-    with q_int = None.
+    Returns the integer arcs (edge_id, src, dst, w_int, q_int) of
+    `core_max_ratio`; an infinite-q edge has q_int = None.
     """
     if graph.n_vertices == 0:
         raise EmptyGraph("graph has no vertices")
-    usable = []
-    denoms = [1]
+    usable = []  # (edge_id, src, dst, w, q) with Fraction costs, q None for +inf
     for k, e in enumerate(graph.edges):
         if e.w == POS_INF:
             continue  # the adversary never pays +inf
@@ -106,19 +106,15 @@ def _prepare(graph: DualGraph):
         if e.q.is_finite:
             if e.q.as_fraction() < 0:
                 raise ValueError(f"edge {k}: algorithm cost {e.q} must be >= 0")
-            denoms.append(e.q.as_fraction().denominator)
         elif e.q != POS_INF:
             raise ValueError(f"edge {k}: algorithm cost {e.q} unsupported")
-        denoms.append(e.w.as_fraction().denominator)
-        usable.append(k)
-    scale = lcm(*denoms)
-    edges = []
-    for k in usable:
-        e = graph.edges[k]
-        w_int = int(e.w.as_fraction() * scale)
-        q_int = int(e.q.as_fraction() * scale) if e.q.is_finite else None
-        edges.append((k, e.src, e.dst, w_int, q_int))
-    return edges, scale
+        q = e.q.as_fraction() if e.q.is_finite else None
+        usable.append((k, e.src, e.dst, e.w.as_fraction(), q))
+    scale = lcm(*(c.denominator for arc in usable for c in arc[3:] if c is not None))
+    return [
+        (k, s, d, int(w * scale), None if q is None else int(q * scale))
+        for k, s, d, w, q in usable
+    ]
 
 
 def _negative_cycle(n, arcs):
@@ -200,6 +196,8 @@ def _simple_cycles(n_vertices, out_arcs, visit_cap=None):
 
 
 def _out_arcs(n, arcs):
+    """Adjacency lists [(edge_id, dst), ...] per vertex, in arc order, of
+    arcs whose first three fields are (edge_id, src, dst)."""
     out = [[] for _ in range(n)]
     for arc in arcs:
         out[arc[1]].append((arc[0], arc[2]))
@@ -270,13 +268,12 @@ def core_max_ratio(n, edges, abort_above=None, abort_on_tie=False):
     return "finite", lam, witness, iterations
 
 
-def max_ratio_cycle(graph: DualGraph) -> RatioVerdict:
-    """Exact maximum-ratio cycle via parametric search; see module docstring."""
-    edges, _scale = _prepare(graph)
-    n = graph.n_vertices
+def _solve(n, edges):
+    """`core_max_ratio`, then the canonical witness: (classification,
+    witness edge ids, iterations, certified)."""
     kind, lam, witness, iterations = core_max_ratio(n, edges)
     if kind == "infinite":
-        return RatioVerdict(_make_report(graph, witness), "infinite", 0)
+        return kind, witness, 0, True
     edges = [e for e in edges if e[4] is not None]
     certified = True
     if lam > 0 and any(w > 0 for _k, _s, _d, w, _q in edges):
@@ -287,7 +284,14 @@ def max_ratio_cycle(graph: DualGraph) -> RatioVerdict:
             tight, certified = None, False
         if tight is not None:
             witness = tight
-    return RatioVerdict(_make_report(graph, witness), "finite", iterations, certified)
+    return kind, witness, iterations, certified
+
+
+def max_ratio_cycle(graph: DualGraph) -> RatioVerdict:
+    """Exact maximum-ratio cycle via parametric search; see module docstring."""
+    kind, witness, iterations, certified = _solve(graph.n_vertices, _prepare(graph))
+    report = _make_report(graph.problem, graph.edges, witness)
+    return RatioVerdict(report, kind, iterations, certified)
 
 
 def _bfs_path(n, edges, start, goal):
@@ -295,7 +299,7 @@ def _bfs_path(n, edges, start, goal):
     gives the empty path."""
     if start == goal:
         return []
-    out = _out_arcs(n, [(k, s, d, 0) for k, s, d, w, q in edges])
+    out = _out_arcs(n, edges)
     seen = {start: None}
     frontier = [start]
     while frontier:
@@ -326,9 +330,7 @@ def _any_cycle(n, arcs3):
     into the current path closes the reported cycle. Linear in the size of
     the subgraph.
     """
-    out = [[] for _ in range(n)]
-    for k, s, d in arcs3:
-        out[s].append((k, d))
+    out = _out_arcs(n, arcs3)
     state = [0] * n  # 0 unseen, 1 on the current path, 2 done
     for root in range(n):
         if state[root]:
@@ -374,16 +376,10 @@ def _canonical_tight_cycle(n, edges, lam):
         if not changed:
             break
     tight = [
-        (k, s, d, w, q)
-        for k, s, d, w, q in edges
-        if dist[s] + a * w - b * q - dist[d] == 0
+        (k, s, d, w, q) for k, s, d, w, q in edges if dist[s] + a * w - b * q == dist[d]
     ]
-    out = [[] for _ in range(n)]
-    weight = {}
-    for k, s, d, w, q in tight:
-        out[s].append((k, d))
-        weight[k] = w
-    for cycle in _simple_cycles(n, out, visit_cap=_TIGHT_SEARCH_CAP):
+    weight = {k: w for k, _s, _d, w, _q in tight}
+    for cycle in _simple_cycles(n, _out_arcs(n, tight), visit_cap=_TIGHT_SEARCH_CAP):
         if sum(weight[k] for k in cycle) > 0:
             return cycle
     return None
@@ -396,29 +392,25 @@ def brute_force_max_ratio(graph: DualGraph) -> RatioVerdict:
             f"{graph.n_vertices} vertices exceed the brute-force guard "
             f"{BRUTE_FORCE_VERTEX_GUARD}"
         )
-    edges, _scale = _prepare(graph)
-    out = [[] for _ in range(graph.n_vertices)]
-    for k, s, d, w, q in edges:
-        out[s].append((k, d))
+    out = _out_arcs(graph.n_vertices, _prepare(graph))
     best = None  # (ratio Cost, edge_ids)
     for cycle in _simple_cycles(graph.n_vertices, out):
-        report_q = cost_sum(graph.edges[k].q for k in cycle)
-        report_w = cost_sum(graph.edges[k].w for k in cycle)
-        ratio = _cycle_ratio(report_q, report_w)
+        ratio = walk_ratio(graph, cycle)
         if best is None or ratio > best[0]:
             best = (ratio, cycle)
     if best is None:
         raise EmptyGraph("graph has no directed cycle")
-    report = _make_report(graph, best[1])
+    report = _make_report(graph.problem, graph.edges, best[1])
     classification = "infinite" if report.ratio == POS_INF else "finite"
     return RatioVerdict(report, classification, 0)
 
 
 def evaluate_policy(problem, policy, horizon=None) -> RatioVerdict:
-    """Competitive ratio of a policy: build its dual graph, solve for the
-    maximum-ratio cycle."""
-    if isinstance(policy, RandomizedPolicy):
-        graph = build_graph_rand(problem, policy, horizon)
-    else:
-        graph = build_graph_det(problem, policy, horizon)
-    return max_ratio_cycle(graph)
+    """Competitive ratio of a deterministic or behavioral table policy: the
+    maximum-ratio cycle of its skeleton's integer arcs. Witness edge ids are
+    skeleton edge ids, as in `build_graph_det` / `build_graph_rand`."""
+    skel, q, unit = policy_q(problem, policy, horizon)
+    kind, witness, iterations, certified = _solve(skel.n_vertices, skel.int_arcs(q, unit))
+    edges = dict(zip(witness, skel.dual_edges(q, unit, witness)))
+    report = _make_report(problem, edges, witness)
+    return RatioVerdict(report, kind, iterations, certified)

@@ -18,8 +18,8 @@ from tlsynth.debruijn import (
 from tlsynth.errors import NotAWalk, UnsupportedAggregation
 from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
-from tlsynth.problems import Alphabet, bundled_problem, offline_opt
-from tlsynth.ratiocycle import core_max_ratio
+from tlsynth.problems import Alphabet, bundled_problem, load_problem, offline_opt
+from tlsynth.ratiocycle import brute_force_max_ratio, core_max_ratio, evaluate_policy
 
 BIN = Alphabet(("0", "1"))
 
@@ -286,3 +286,32 @@ def test_skeleton_lives_and_dies_with_its_problem():
     del problem, skel
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_split_with_a_negative_edge_q_falls_back_to_the_general_skeleton():
+    # the cost splits as serve = (1, 5) for outputs (0, 1) plus
+    # switch(0, 1) = -4, so the split skeleton would charge the transition
+    # reading outputs (0, 1) serve(0) + switch(0, 1) = -3
+    problem = load_problem(
+        {
+            "name": "costly-ones",
+            "inputs": ["0", "1"],
+            "outputs": ["0", "1"],
+            "r": 1,
+            "aggregation": "sum",
+            "objective": "min",
+            "initial_outputs": ["0"],
+            "rules": [
+                {"x": ["*", "*"], "y": ["1", "1"], "cost": "5"},
+                {"x": ["*", "*"], "y": ["*", "*"], "cost": "1"},
+            ],
+        }
+    )
+    assert serve_switch_split(problem) is None
+    assert cached_skeleton(problem, 1).win_len == 2
+    for table in itertools.product((0, 1), repeat=2):
+        policy = DeterministicPolicy(1, BIN, BIN, table)
+        verdict = evaluate_policy(problem, policy)
+        oracle = brute_force_max_ratio(build_graph_det(problem, policy))
+        assert verdict.classification == "finite"
+        assert verdict.best.ratio == oracle.best.ratio

@@ -281,6 +281,38 @@ def test_opt_when_minus_inf_fills_every_state():
     assert offline_opt(problem, tuple("aaac"))[0] == POS_INF
 
 
+def product_scan_opt(problem, x_seq):
+    """The exhaustive optimum as one product loop over whole sequences, each
+    totalled from scratch: the reference for the depth-first oracle."""
+    best, best_y = None, None
+    steps = range(1, len(x_seq) + 1)
+    for ys in itertools.product(problem.output_alphabet.symbols, repeat=len(x_seq)):
+        per_step = [problem.lookup_cost(*problem.step_windows(x_seq, ys, i)) for i in steps]
+        try:
+            total = problem._aggregate(per_step)
+        except InfinityClash:
+            continue
+        if best is None or problem.better(total, best):
+            best, best_y = total, ys
+    return best, best_y
+
+
+@pytest.mark.parametrize(
+    "doc",
+    ["file-migration", "load-balancing", "max-ind-set", "min-dom-set", "clash-min", "clash-max"],
+)
+def test_brute_force_opt_matches_the_product_scan(doc):
+    # totals and outputs: the first optimal sequence in product order wins
+    if doc.startswith("clash-"):
+        problem = load_problem(dict(CLASH_DOC, objective=doc[len("clash-") :]))
+    else:
+        problem = bundled_problem(doc)
+    symbols = problem.input_alphabet.symbols
+    for n in range(1, 6):
+        for xs in itertools.product(symbols, repeat=n):
+            assert brute_force_opt(problem, xs) == product_scan_opt(problem, xs), xs
+
+
 def test_sum_monotone_under_extension(migration):
     rng = random.Random(3)
     for _ in range(30):

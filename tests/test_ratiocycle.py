@@ -1,14 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_graph, random_dual_graph
-from tlsynth.debruijn import adversary_outputs, build_graph_det
+from tlsynth.debruijn import adversary_outputs, build_graph_det, build_graph_rand
 from tlsynth.errors import EmptyGraph, GraphTooLarge
 from tlsynth.exact import POS_INF, Cost
-from tlsynth.policies import DeterministicPolicy, run_policy
-from tlsynth.problems import Alphabet, offline_opt
+from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
+from tlsynth.problems import Alphabet, bundled_problem, load_problem, offline_opt
 from tlsynth.ratiocycle import (
     _simple_cycles,
     brute_force_max_ratio,
@@ -16,6 +17,7 @@ from tlsynth.ratiocycle import (
     max_ratio_cycle,
     walk_ratio,
 )
+from tlsynth.synthesis import SynthesisConfig, synthesize_det
 
 BIN = Alphabet(("0", "1"))
 
@@ -234,3 +236,98 @@ def test_empirical_consistency_of_witness(migration_problem):
     opt, _ = offline_opt(migration_problem, seq)
     bound = (2 + 1) * Fraction(2)  # (T + r) * max rule cost at alpha 1
     assert alg >= ratio * (opt.as_fraction() - bound) - bound
+
+
+# -- skeleton arcs against the DualGraph path ------------------------------------
+
+
+def graph_verdict(problem, policy):
+    """The verdict through a DualGraph and `_prepare`, the oracle path."""
+    build = build_graph_rand if isinstance(policy, RandomizedPolicy) else build_graph_det
+    return max_ratio_cycle(build(problem, policy))
+
+
+def oracle_policies(problem, seed):
+    """Every table at T <= 3, and 20 seeded behavioral tables per T."""
+    xs, ys = problem.input_alphabet, problem.output_alphabet
+    for horizon in (1, 2, 3):
+        n_windows = len(xs) ** horizon
+        for table in itertools.product(range(len(ys)), repeat=n_windows):
+            yield DeterministicPolicy(horizon, xs, ys, table)
+        rng = random.Random(f"{seed}-{horizon}")
+        for _ in range(20):
+            denoms = [rng.randint(1, 12) for _ in range(n_windows)]
+            probs = tuple(Fraction(rng.randint(0, d), d) for d in denoms)
+            yield RandomizedPolicy(horizon, xs, ys, probs)
+
+
+@pytest.mark.parametrize(
+    "name,alpha",
+    [
+        ("file-migration", "1/3"),
+        ("file-migration", "1"),
+        ("file-migration", "2"),
+        # includes the two T=3 tables whose cycle through two +inf-q edges
+        # both paths miss (10001011 and 11010001)
+        ("min-dom-set", None),
+    ],
+)
+def test_evaluate_policy_matches_the_dual_graph_path(name, alpha):
+    problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
+    for policy in oracle_policies(problem, f"{name}-{alpha}"):
+        assert evaluate_policy(problem, policy) == graph_verdict(problem, policy), policy
+
+
+def test_reference_randomized_table_matches_the_dual_graph_path():
+    problem = bundled_problem("file-migration", {"alpha": "1"})
+    entries = {
+        "000": "0",
+        "001": "3309/10000",
+        "010": "2711/10000",
+        "011": "1",
+        "100": "0",
+        "101": "7289/10000",
+        "110": "6691/10000",
+        "111": "1",
+    }
+    policy = RandomizedPolicy.from_entries(3, BIN, BIN, entries)
+    assert evaluate_policy(problem, policy) == graph_verdict(problem, policy)
+
+
+# file migration with one negative finite rule cost
+NEGATIVE_RULE = {
+    "name": "negative-rule",
+    "inputs": ["0", "1"],
+    "outputs": ["0", "1"],
+    "r": 1,
+    "aggregation": "sum",
+    "objective": "min",
+    "initial_outputs": ["0"],
+    "rules": [
+        {"x": ["*", "0"], "y": ["0", "0"], "cost": "0"},
+        {"x": ["*", "0"], "y": ["1", "1"], "cost": "1"},
+        {"x": ["*", "0"], "y": ["1", "0"], "cost": "1"},
+        {"x": ["*", "0"], "y": ["0", "1"], "cost": "2"},
+        {"x": ["*", "1"], "y": ["1", "1"], "cost": "0"},
+        {"x": ["*", "1"], "y": ["0", "0"], "cost": "1"},
+        {"x": ["*", "1"], "y": ["0", "1"], "cost": "-1/2"},
+        {"x": ["*", "1"], "y": ["1", "0"], "cost": "2"},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["max-ind-set", "negative-rule"])
+def test_negative_and_minus_inf_costs_are_rejected(name):
+    # the skeleton validates every w, and every cost a policy can pay is
+    # the w of some edge: max-ind-set has a -inf rule
+    if name == "negative-rule":
+        problem = load_problem(NEGATIVE_RULE)
+    else:
+        problem = bundled_problem(name)
+    xs, ys = problem.input_alphabet, problem.output_alphabet
+    for horizon in (1, 2):
+        policy = DeterministicPolicy(horizon, xs, ys, (0,) * len(xs) ** horizon)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            evaluate_policy(problem, policy)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            synthesize_det(problem, SynthesisConfig(horizon=horizon))
