@@ -10,9 +10,9 @@ import argparse
 import json
 import sys
 
-from .debruijn import build_graph_det, build_graph_rand
+from .debruijn import build_graph_det
 from .errors import GuardExceeded, ValidationFailure, ValidationError
-from .exact import decimal4, format_rational, parse_rational
+from .exact import decimal4, format_rational, parse_rational, ratio_texts
 from .generators import GeneratorSpec
 from .measure import (
     Algorithm,
@@ -21,22 +21,16 @@ from .measure import (
     emit_table2,
     measure_ratio,
     mixed_resetting_algorithm,
-    reset_wrapper_algorithm,
+    policy_algorithm,
     sliding_window_algorithm,
-    table_algorithm,
 )
 from .policies import (
     MixedResettingStrategy,
     RandomizedPolicy,
     ResetWrapper,
-    SlidingWindowRule,
     ThresholdMigrator,
     load_policy,
     policy_to_document,
-    run_coin_flip,
-    run_policy,
-    run_randomized,
-    sample_mixed_resetting,
 )
 from .problems import bundled_problem, bundled_problem_names, load_problem, offline_opt
 from .ratiocycle import evaluate_policy
@@ -217,8 +211,6 @@ def _cmd_synth(args):
         doc = {
             "problem": problem.name,
             "kind": "randomized",
-            "ratio_exact": format_rational(ratio.as_fraction()) if ratio.is_finite else "inf",
-            "ratio_decimal": decimal4(ratio.as_fraction()) if ratio.is_finite else "inf",
             "policies": [policy_to_document(policy)],
         }
     else:
@@ -228,8 +220,6 @@ def _cmd_synth(args):
             "problem": problem.name,
             "kind": "deterministic",
             "classification": res.classification,
-            "ratio_exact": format_rational(ratio.as_fraction()) if ratio.is_finite else "inf",
-            "ratio_decimal": decimal4(ratio.as_fraction()) if ratio.is_finite else "inf",
             "counters": {
                 "candidates_examined": res.candidates_examined,
                 "forced_entries": res.forced_entries,
@@ -240,6 +230,7 @@ def _cmd_synth(args):
             "wall_seconds": round(res.wall_seconds, 3),
             "policies": [policy_to_document(p) for p in res.policies],
         }
+    doc["ratio_exact"], doc["ratio_decimal"] = ratio_texts(ratio)
     _write_out(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -260,11 +251,7 @@ def _cmd_eval(args):
     problem = _load_problem(args)
     policy = _load_policy_arg(args.policy, "--policy")
     if args.dump_graph:
-        graph = (
-            build_graph_rand(problem, policy)
-            if isinstance(policy, RandomizedPolicy)
-            else build_graph_det(problem, policy)
-        )
+        graph = build_graph_det(problem, policy)
         with open(args.dump_graph, "w") as fh:
             fh.write(graph.dump() + "\n")
     verdict = evaluate_policy(problem, policy)
@@ -290,39 +277,11 @@ def _cmd_opt(args):
     xs = _read_sequence(problem, args.input)
     total, ys = offline_opt(problem, xs)
     print(f"opt cost: {total}")
-    sep = "" if all(len(s) == 1 for s in problem.output_alphabet.symbols) else ","
-    print(f"opt outputs: {sep.join(ys)}")
+    print(f"opt outputs: {problem.output_alphabet.join(ys)}")
     return 0
 
 
-# -- simulate --------------------------------------------------------------------
-
-
-def _cmd_simulate(args):
-    problem = _load_problem(args)
-    xs = _read_sequence(problem, args.input)
-    name = args.algorithm
-    sep = "" if all(len(s) == 1 for s in problem.output_alphabet.symbols) else ","
-    if name == "coin-flip":
-        served, cost = run_coin_flip(xs, problem.parameters["alpha"], args.seed)
-        print(f"outputs: {sep.join(served)}")
-        print(f"total cost: {format_rational(cost)}")
-        print(f"seed: {args.seed}")
-        return 0
-    policy = _named_policy(problem, args, name)
-    if not isinstance(policy, RandomizedPolicy):
-        outputs = run_policy(policy, xs)
-        breakdown = problem.evaluate(xs, outputs)
-        print(f"outputs: {sep.join(outputs)}")
-        print(f"per-step costs: {' '.join(str(c) for c in breakdown.per_step)}")
-        print(f"total cost: {breakdown.total}")
-        return 0
-    trace = run_randomized(policy, xs, args.seed, problem)
-    print(f"outputs: {sep.join(trace.outputs)}")
-    print(f"per-step costs: {' '.join(str(c) for c in trace.per_step)}")
-    print(f"total cost: {trace.total}")
-    print(f"seed: {trace.seed}")
-    return 0
+# -- algorithms (simulate, measure) ---------------------------------------------
 
 
 def _require_horizon(args, name):
@@ -331,34 +290,49 @@ def _require_horizon(args, name):
     return args.horizon
 
 
-def _named_policy(problem, args, name):
+def _named_algorithm(problem, args, strategy_k=None) -> Algorithm:
+    """The algorithm `--algorithm` names, for simulate and measure."""
+    name = args.algorithm
     alpha = problem.parameters.get("alpha")
-    if name == "sliding-window":
-        return SlidingWindowRule(_require_horizon(args, name), alpha)
-    if name == "mixed-resetting":
-        T = _require_horizon(args, name)
-        if args.strategy_k is not None:
-            return MixedResettingStrategy(args.strategy_k, T)
-        return sample_mixed_resetting(T, args.seed)
-    if name == "reset-wrapper":
-        return ResetWrapper(ThresholdMigrator(alpha or 1), _require_horizon(args, name))
-    return _load_policy_arg(name, "--algorithm")
-
-
-# -- measure ---------------------------------------------------------------------
-
-
-def _named_algorithm(problem, args, name) -> Algorithm:
-    alpha = problem.parameters.get("alpha")
+    if alpha is None and name in ("coin-flip", "sliding-window"):
+        raise ValidationError(f"{name} needs a problem with parameter alpha")
+    if name == "coin-flip":
+        return coin_flip_algorithm(alpha)
     if name == "sliding-window":
         return sliding_window_algorithm(_require_horizon(args, name), alpha)
     if name == "mixed-resetting":
-        return mixed_resetting_algorithm(_require_horizon(args, name))
-    if name == "coin-flip":
-        return coin_flip_algorithm(alpha)
+        T = _require_horizon(args, name)
+        if strategy_k is not None:
+            return policy_algorithm(MixedResettingStrategy(strategy_k, T))
+        return mixed_resetting_algorithm(T)
     if name == "reset-wrapper":
-        return reset_wrapper_algorithm(_require_horizon(args, name), alpha or 1)
-    return table_algorithm(_load_policy_arg(name, "--algorithm"))
+        T = _require_horizon(args, name)
+        return policy_algorithm(ResetWrapper(ThresholdMigrator(alpha or 1), T))
+    return policy_algorithm(_load_policy_arg(name, "--algorithm"))
+
+
+# -- simulate --------------------------------------------------------------------
+
+
+def _cmd_simulate(args):
+    problem = _load_problem(args)
+    xs = _read_sequence(problem, args.input)
+    algorithm = _named_algorithm(problem, args, args.strategy_k)
+    outputs = algorithm.outputs(xs, args.seed)
+    print(f"outputs: {problem.output_alphabet.join(outputs)}")
+    coin_flip = args.algorithm == "coin-flip"
+    if coin_flip:
+        print(f"total cost: {format_rational(algorithm.cost_on(problem, xs, args.seed))}")
+    else:
+        breakdown = problem.evaluate(xs, outputs)
+        print(f"per-step costs: {' '.join(str(c) for c in breakdown.per_step)}")
+        print(f"total cost: {breakdown.total}")
+    if coin_flip or isinstance(algorithm.policy, RandomizedPolicy):
+        print(f"seed: {args.seed}")
+    return 0
+
+
+# -- measure ---------------------------------------------------------------------
 
 
 def _parse_check(text):
@@ -370,7 +344,7 @@ def _parse_check(text):
 
 def _cmd_measure(args):
     problem = _load_problem(args)
-    algorithm = _named_algorithm(problem, args, args.algorithm)
+    algorithm = _named_algorithm(problem, args)
     generator = GeneratorSpec.parse(args.generator)
     check = _parse_check(args.check) if args.check else None
     record = measure_ratio(

@@ -386,7 +386,7 @@ def policy_q(problem: LocalProblem, policy, horizon=None):
 
 
 def build_graph_det(problem: LocalProblem, policy: DeterministicPolicy, horizon=None):
-    """Dual graph of a deterministic table policy."""
+    """Dual graph of a table policy (expected algorithm costs for a RandomizedPolicy)."""
     skel, q, unit = policy_q(problem, policy, horizon)
     return skel.graph(q, unit)
 

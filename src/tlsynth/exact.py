@@ -150,3 +150,11 @@ def decimal4(x: Fraction) -> str:
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // 10_000}.{scaled % 10_000:04d}"
+
+
+def ratio_texts(ratio: Cost) -> tuple:
+    """(exact, 4-decimal) renderings of a ratio; ("inf", "inf") if infinite."""
+    if not ratio.is_finite:
+        return "inf", "inf"
+    value = ratio.as_fraction()
+    return format_rational(value), decimal4(value)

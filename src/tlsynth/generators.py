@@ -1,12 +1,20 @@
 """Input-sequence generators, including the adversarial families.
 
-blocks:   (1^T 0^T)^L, the block construction behind the 2*alpha/T bound.
-adaptive: issue 1-requests until the policy's output becomes 1, then
-          0-requests until it returns to 0, repeated L times (the
-          classic adaptive lower-bound family, with a cutoff so that
-          never-migrating policies terminate).
-uniform:  i.i.d. coin flips with bias p.
-fixed:    a literal sequence.
+A spec is `kind:key=value,...`:
+
+blocks:T=..,L=..           (1^T 0^T)^L, the block construction behind the
+                           2*alpha/T bound.
+adaptive:L=..[,cutoff=..]  issue 1-requests until the policy's output
+                           becomes 1, then 0-requests until it returns to
+                           0, repeated L times (the classic adaptive
+                           lower-bound family, with a cutoff, default
+                           1000, so that never-migrating policies end).
+uniform:n=..[,p=..]        n i.i.d. coin flips with bias p (default 1/2),
+                           seeded per trial.
+fixed:seq=..               a literal sequence.
+
+`GeneratorSpec.parse` rejects unknown kinds and keys, missing keys and
+values that do not parse.
 """
 
 from __future__ import annotations
@@ -16,42 +24,13 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .exact import parse_rational
-from .policies import DeterministicPolicy
+from .policies import RandomizedPolicy
 
 
 def gen_blocks(block_len: int, repetitions: int):
     if block_len < 1 or repetitions < 1:
         raise ValidationError("blocks generator needs T >= 1 and L >= 1")
     return (("1",) * block_len + ("0",) * block_len) * repetitions
-
-
-class _Stepper:
-    """Incremental policy driver: exposes the output the policy will use
-    for the next step, given everything emitted so far."""
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.step = 1
-        if isinstance(policy, DeterministicPolicy):
-            self.base = len(policy.input_alphabet)
-            self.modulus = self.base**policy.horizon
-            self.code = 0
-        else:
-            self.window = [None] * policy.horizon
-
-    def next_output(self):
-        if isinstance(self.policy, DeterministicPolicy):
-            return self.policy.output_alphabet.symbols[self.policy.table[self.code]]
-        return self.policy.output_at(tuple(self.window), self.step)
-
-    def feed(self, x):
-        if isinstance(self.policy, DeterministicPolicy):
-            idx = self.policy.input_alphabet.index(x)
-            self.code = (self.code * self.base + idx) % self.modulus
-        else:
-            self.window.pop(0)
-            self.window.append(x)
-        self.step += 1
 
 
 def gen_adaptive(policy, phases: int, cutoff: int = 1000):
@@ -62,7 +41,7 @@ def gen_adaptive(policy, phases: int, cutoff: int = 1000):
     """
     if phases < 1 or cutoff < 1:
         raise ValidationError("adaptive generator needs L >= 1 and cutoff >= 1")
-    stepper = _Stepper(policy)
+    T = policy.horizon
     seq = []
     cutoff_hit = False
     for _ in range(phases):
@@ -70,9 +49,9 @@ def gen_adaptive(policy, phases: int, cutoff: int = 1000):
             emitted = 0
             while True:
                 seq.append(target)
-                stepper.feed(target)
                 emitted += 1
-                if stepper.next_output() == target:
+                window = (None,) * (T - len(seq)) + tuple(seq[-T:])
+                if policy.output_at(window, len(seq) + 1) == target:
                     break
                 if emitted >= cutoff:
                     cutoff_hit = True
@@ -88,6 +67,16 @@ def gen_uniform(length: int, bias, seed):
     return tuple("1" if rng.random() < bias else "0" for _ in range(length))
 
 
+# value parser of each key, per kind; every key but `cutoff` and `p` is required
+_KEYS = {
+    "blocks": {"T": int, "L": int},
+    "adaptive": {"L": int, "cutoff": int},
+    "uniform": {"n": int, "p": parse_rational},
+    "fixed": {"seq": str},
+}
+_OPTIONAL = ("cutoff", "p")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: str  # blocks | adaptive | uniform | fixed
@@ -101,32 +90,43 @@ class GeneratorSpec:
     def parse(text: str) -> "GeneratorSpec":
         kind, _, rest = text.partition(":")
         kind = kind.strip()
-        if kind not in ("blocks", "adaptive", "uniform", "fixed"):
+        if kind not in _KEYS:
             raise ValidationError(f"unknown generator kind {kind!r}")
+        keys = _KEYS[kind]
         params = {}
         if rest:
             for item in rest.split(","):
                 key, eq, value = item.partition("=")
+                key, value = key.strip(), value.strip()
                 if not eq:
                     raise ValidationError(f"bad generator parameter {item!r}")
-                params[key.strip()] = value.strip()
+                if key not in keys:
+                    raise ValidationError(f"unknown {kind} generator parameter {key!r}")
+                try:
+                    keys[key](value)
+                except (ValueError, ZeroDivisionError):
+                    raise ValidationError(f"bad {kind} generator value {key}={value!r}") from None
+                params[key] = value
+        missing = [key for key in keys if key not in params and key not in _OPTIONAL]
+        if missing:
+            raise ValidationError(f"{kind} generator needs {', '.join(missing)}")
         return GeneratorSpec(kind, params)
 
-    def realize(self, policy=None, trial_seed=None):
-        """Produce one input sequence (a fresh one per trial for `uniform`)."""
+    def realize(self, trial_seed, policy=None):
+        """Produce one input sequence; `trial_seed` seeds `uniform`, and
+        `adaptive` plays against `policy`."""
         p = self.params
         if self.kind == "blocks":
             return gen_blocks(int(p["T"]), int(p["L"]))
         if self.kind == "adaptive":
-            if policy is None:
+            if policy is None or isinstance(policy, RandomizedPolicy):
                 raise ValidationError("adaptive generator needs a deterministic policy")
             seq, _hit = gen_adaptive(
                 policy, int(p["L"]), int(p.get("cutoff", 1000))
             )
             return seq
         if self.kind == "uniform":
-            seed = p.get("seed", 0) if trial_seed is None else trial_seed
-            return gen_uniform(int(p["n"]), p.get("p", "1/2"), seed)
+            return gen_uniform(int(p["n"]), p.get("p", "1/2"), trial_seed)
         if self.kind == "fixed":
             return tuple(p["seq"])
         raise ValidationError(f"unknown generator kind {self.kind!r}")

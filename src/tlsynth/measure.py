@@ -1,6 +1,11 @@
 """Empirical ratio measurement against the exact offline optimum, and the
 CSV table of synthesized competitive ratios.
 
+Every runnable algorithm is an `Algorithm`: `outputs(xs, seed)` runs it
+on one sequence (a policy through `policies.run_policy`), and `cost_on`
+evaluates those outputs. The coin flip, which is not a time-local policy,
+keeps the cost its own simulation charges.
+
 Costs stay exact rationals throughout a trial; only the summary
 statistics (mean, standard error) are floats. `offline_opt` and
 `LocalProblem.evaluate` add a trial's step costs as ints scaled by the lcm
@@ -20,13 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardExceeded, ValidationError
-from .exact import decimal4, format_rational, parse_rational
+from .exact import format_rational, parse_rational, ratio_texts
 from .generators import GeneratorSpec
 from .policies import (
-    RandomizedPolicy,
-    ResetWrapper,
     SlidingWindowRule,
-    ThresholdMigrator,
     compile_to_table,
     run_coin_flip,
     run_policy,
@@ -44,72 +46,57 @@ def mixed_resetting_best_horizon(alpha) -> int:
 
 
 class Algorithm:
-    """Uniform wrapper around everything the harness can run.
+    """Everything the harness can run, behind one interface.
 
-    `cost_on(problem, xs, seed)` returns the exact total cost of one run;
-    `randomized` says whether different seeds can give different costs.
+    `outputs(xs, seed)` are the algorithm's outputs on xs; the seed picks
+    the coins of a randomized algorithm and is ignored by a deterministic
+    one. `cost_on(problem, xs, seed)` is the exact total cost of those
+    outputs, except for the coin flip, which pays for its moves itself.
+    `policy` is the policy that `gen_adaptive` plays against, if any.
     """
 
-    def __init__(self, name, runner, randomized, policy=None):
-        self.name = name
-        self._runner = runner
-        self.randomized = randomized
-        self.policy = policy  # deterministic policy driving gen_adaptive, if any
+    def __init__(self, outputs, policy=None, cost=None):
+        self.outputs = outputs
+        self.policy = policy
+        self._cost = cost
 
     def cost_on(self, problem, xs, seed) -> Fraction:
-        return self._runner(problem, xs, seed)
+        if self._cost is not None:
+            return self._cost(xs, seed)
+        return problem.evaluate(xs, self.outputs(xs, seed)).total.as_fraction()
 
 
-def table_algorithm(policy) -> Algorithm:
-    if isinstance(policy, RandomizedPolicy):
-        def run(problem, xs, seed):
-            return problem.evaluate(xs, policy.run(xs, seed)).total.as_fraction()
-
-        return Algorithm("randomized-table", run, randomized=True)
-
-    def run(problem, xs, seed):
-        return problem.evaluate(xs, run_policy(policy, xs)).total.as_fraction()
-
-    return Algorithm("deterministic-table", run, randomized=False, policy=policy)
+def policy_algorithm(policy) -> Algorithm:
+    """A table, behavioural table or clocked policy, run as it is."""
+    return Algorithm(lambda xs, seed: run_policy(policy, xs, seed), policy)
 
 
 def sliding_window_algorithm(horizon, alpha) -> Algorithm:
     rule = SlidingWindowRule(horizon, alpha)
+    if horizon > 16:
+        return policy_algorithm(rule)
     # tabulating keeps long simulations cheap; the table equals the rule
-    driver = rule
-    if 2**horizon <= 2**16:
-        bin_alphabet = Alphabet(("0", "1"))
-        driver = compile_to_table(rule, horizon, bin_alphabet, bin_alphabet)
+    # on full windows, so the first T outputs, whose windows hold
+    # placeholders, come from the rule
+    bin_alphabet = Alphabet(("0", "1"))
+    table = compile_to_table(rule, horizon, bin_alphabet, bin_alphabet)
 
-    def run(problem, xs, seed):
-        return problem.evaluate(xs, run_policy(driver, xs)).total.as_fraction()
+    def outputs(xs, seed):
+        return run_policy(rule, xs[:horizon]) + run_policy(table, xs)[horizon:]
 
-    return Algorithm("sliding-window", run, randomized=False, policy=driver)
+    return Algorithm(outputs, rule)
 
 
 def mixed_resetting_algorithm(horizon) -> Algorithm:
-    def run(problem, xs, seed):
-        strategy = sample_mixed_resetting(horizon, seed)
-        return problem.evaluate(xs, run_policy(strategy, xs)).total.as_fraction()
-
-    return Algorithm("mixed-resetting", run, randomized=True)
+    """The Mixed Resetting family: the seed picks the member k."""
+    return Algorithm(lambda xs, seed: run_policy(sample_mixed_resetting(horizon, seed), xs))
 
 
 def coin_flip_algorithm(alpha) -> Algorithm:
-    def run(problem, xs, seed):
-        _served, cost = run_coin_flip(xs, alpha, seed)
-        return cost
-
-    return Algorithm("coin-flip", run, randomized=True)
-
-
-def reset_wrapper_algorithm(horizon, alpha) -> Algorithm:
-    wrapper = ResetWrapper(ThresholdMigrator(parse_rational(alpha)), horizon)
-
-    def run(problem, xs, seed):
-        return problem.evaluate(xs, run_policy(wrapper, xs)).total.as_fraction()
-
-    return Algorithm("reset-wrapper", run, randomized=False, policy=wrapper)
+    return Algorithm(
+        lambda xs, seed: run_coin_flip(xs, alpha, seed)[0],
+        cost=lambda xs, seed: run_coin_flip(xs, alpha, seed)[1],
+    )
 
 
 @dataclass(frozen=True)
@@ -241,25 +228,14 @@ def emit_table2(problem, alphas, horizons, randomized=False, config_kwargs=None)
     for alpha in alphas:
         cell_problem = problem.with_parameters({"alpha": alpha})
         for horizon in horizons:
-            kinds = ["det"] + (["rand"] if randomized else [])
-            for kind in kinds:
+            config = SynthesisConfig(horizon=horizon, **config_kwargs)
+            for kind in ["det"] + (["rand"] if randomized else []):
                 try:
                     if kind == "det":
-                        res = synthesize_det(
-                            cell_problem,
-                            SynthesisConfig(horizon=horizon, **config_kwargs),
-                        )
-                        ratio = res.best_ratio
+                        ratio = synthesize_det(cell_problem, config).best_ratio
                     else:
-                        _pol, ratio = synthesize_rand(
-                            cell_problem,
-                            SynthesisConfig(horizon=horizon, **config_kwargs),
-                        )
-                    if ratio.is_finite:
-                        exact = format_rational(ratio.as_fraction())
-                        dec = decimal4(ratio.as_fraction())
-                    else:
-                        exact = dec = "inf"
+                        _pol, ratio = synthesize_rand(cell_problem, config)
+                    exact, dec = ratio_texts(ratio)
                 except GuardExceeded:
                     exact = dec = "skipped"
                 out.write(

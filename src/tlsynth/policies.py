@@ -2,10 +2,12 @@
 
 All executions follow the same output convention: the output at step i is
 a function of the window (x_{i-T}, ..., x_{i-1}), with placeholder entries
-for positions before the first input. Table-driven policies resolve the
-placeholder as the input alphabet's first symbol; clock-driven policies
-receive the raw window plus the step index and handle boundaries
-themselves.
+(None) for positions before the first input. Every deterministic policy
+answers `output_at(window, i)`: tables read a placeholder as the input
+alphabet's first symbol, clock-driven policies receive the raw window plus
+the step index and handle boundaries themselves. `run_policy` runs any
+policy on a sequence; tables take a rolling-code fast path, and a
+behavioural table draws its coins from the seed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     TableTooLarge,
     ValidationError,
 )
-from .exact import Cost, parse_rational, format_rational
+from .exact import parse_rational, format_rational
 from .problems import Alphabet
 
 TABLE_GUARD = 2**24  # max |X|^T entries a dense table may hold
@@ -68,6 +70,14 @@ class DeterministicPolicy:
             if not 0 <= entry < len(self.output_alphabet):
                 raise ValidationError(f"table entry {entry} outside output alphabet")
 
+    def output_at(self, window, i):
+        """Output for one window; placeholders read as the first symbol."""
+        index = self.input_alphabet.index
+        code = window_index(
+            (0 if x is None else index(x) for x in window), len(self.input_alphabet)
+        )
+        return self.output_alphabet.symbols[self.table[code]]
+
     def run(self, x_seq):
         """Outputs y_1..y_n; short windows are filled with the first symbol."""
         base = len(self.input_alphabet)
@@ -80,12 +90,6 @@ class DeterministicPolicy:
             out.append(symbols[self.table[code]])
             code = (code * base + index(x)) % modulus
         return tuple(out)
-
-    def window_string(self, window_code: int) -> str:
-        idxs = decode_window(window_code, len(self.input_alphabet), self.horizon)
-        tokens = [self.input_alphabet.symbols[i] for i in idxs]
-        sep = "" if all(len(t) == 1 for t in self.input_alphabet.symbols) else ","
-        return sep.join(tokens)
 
     @staticmethod
     def from_entries(horizon, input_alphabet, output_alphabet, entries):
@@ -162,15 +166,6 @@ def _table_from_entries(horizon, input_alphabet, entries, convert):
     if missing:
         raise ValidationError(f"{len(missing)} windows missing from entries")
     return table
-
-
-@dataclass(frozen=True)
-class ExecutionTrace:
-    inputs: tuple
-    outputs: tuple
-    per_step: tuple
-    total: Cost
-    seed: object = None
 
 
 # -- clocked policies -------------------------------------------------------
@@ -325,11 +320,13 @@ def run_coin_flip(x_seq, alpha, seed, initial_location="0"):
 # -- running policies --------------------------------------------------------
 
 
-def run_policy(policy, x_seq):
-    """Outputs of a deterministic table or clocked policy on x_seq."""
+def run_policy(policy, x_seq, seed=0):
+    """Outputs of any policy on x_seq; seed draws a behavioural table's coins."""
+    if isinstance(policy, RandomizedPolicy):
+        return policy.run(x_seq, seed)
     if isinstance(policy, DeterministicPolicy):
         return policy.run(x_seq)
-    T = getattr(policy, "horizon")
+    T = policy.horizon
     out = []
     window = [None] * T
     for i in range(1, len(x_seq) + 1):
@@ -337,16 +334,6 @@ def run_policy(policy, x_seq):
         window.pop(0)
         window.append(x_seq[i - 1])
     return tuple(out)
-
-
-def run_randomized(policy: RandomizedPolicy, x_seq, seed, problem=None) -> ExecutionTrace:
-    """Seeded run of a behavioral policy; costs filled in when a problem is given."""
-    outputs = policy.run(x_seq, seed)
-    per_step, total = (), None
-    if problem is not None:
-        breakdown = problem.evaluate(x_seq, outputs)
-        per_step, total = breakdown.per_step, breakdown.total
-    return ExecutionTrace(tuple(x_seq), outputs, per_step, total, seed)
 
 
 def compile_to_table(rule_policy, horizon, input_alphabet, output_alphabet):
@@ -367,20 +354,17 @@ def compile_to_table(rule_policy, horizon, input_alphabet, output_alphabet):
 
 
 def policy_to_document(policy) -> dict:
-    entries = {}
     if isinstance(policy, DeterministicPolicy):
-        for code, out in enumerate(policy.table):
-            entries[policy.window_string(code)] = policy.output_alphabet.symbols[out]
-        kind = "deterministic"
+        kind, values = "deterministic", [policy.output_alphabet.symbols[o] for o in policy.table]
     elif isinstance(policy, RandomizedPolicy):
-        for code, p in enumerate(policy.table):
-            idxs = decode_window(code, len(policy.input_alphabet), policy.horizon)
-            tokens = [policy.input_alphabet.symbols[i] for i in idxs]
-            sep = "" if all(len(t) == 1 for t in policy.input_alphabet.symbols) else ","
-            entries[sep.join(tokens)] = format_rational(p)
-        kind = "randomized"
+        kind, values = "randomized", [format_rational(p) for p in policy.table]
     else:
         raise ValidationError(f"cannot serialize policy of type {type(policy).__name__}")
+    inputs = policy.input_alphabet
+    entries = {}
+    for code, value in enumerate(values):
+        idxs = decode_window(code, len(inputs), policy.horizon)
+        entries[inputs.join(inputs.symbols[i] for i in idxs)] = value
     return {
         "horizon": policy.horizon,
         "inputs": list(policy.input_alphabet.symbols),

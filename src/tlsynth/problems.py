@@ -66,6 +66,11 @@ class Alphabet:
     def __contains__(self, symbol):
         return symbol in self._index
 
+    def join(self, tokens) -> str:
+        """Tokens as text: run together when every symbol is one character,
+        comma-separated otherwise."""
+        return ("" if all(len(s) == 1 for s in self.symbols) else ",").join(tokens)
+
     def __len__(self):
         return len(self.symbols)
 

@@ -20,7 +20,7 @@ from tlsynth.measure import (
     mixed_resetting_algorithm,
     mixed_resetting_best_horizon,
     sliding_window_algorithm,
-    table_algorithm,
+    policy_algorithm,
 )
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy
 from tlsynth.problems import Alphabet, brute_force_opt, bundled_problem, offline_opt
@@ -224,7 +224,7 @@ def test_criterion_7_lower_bound_realization():
         for policy in res.policies:
             rec = measure_ratio(
                 problem,
-                table_algorithm(policy),
+                policy_algorithm(policy),
                 GeneratorSpec.parse("adaptive:L=200,cutoff=1000"),
             )
             assert rec.mean_ratio >= 5.9, (horizon, policy.table)

@@ -161,6 +161,22 @@ def test_simulate_randomized_policy_file(tmp_path, capsys):
     assert "seed: 7" in stdout
 
 
+def test_simulate_and_measure_run_the_same_sliding_window(capsys):
+    # the first T windows hold placeholders, which the rule ignores
+    common = ("--problem", "file-migration", "--algorithm", "sliding-window")
+    for horizon in ("6", "17"):
+        code, stdout, _ = run_cli(
+            capsys, "simulate", *common, "--horizon", horizon, "--input", "110"
+        )
+        assert code == 0
+        assert "total cost: 2\n" in stdout
+        code, stdout, _ = run_cli(
+            capsys, "measure", *common, "--horizon", horizon, "--generator", "fixed:seq=110"
+        )
+        assert code == 0
+        assert stdout.splitlines()[1].startswith("fixed:seq=110,3,1,2.000000,")
+
+
 def test_measure_command_with_check(capsys):
     code, stdout, _ = run_cli(
         capsys,
@@ -262,6 +278,7 @@ def test_exit_code_2_on_bad_param(capsys):
 
 
 SYNTH = ("synth", "--problem", "file-migration")
+MEASURE_SW = ("measure", "--problem", "file-migration", "--algorithm", "sliding-window")
 
 
 @pytest.mark.parametrize(
@@ -288,6 +305,18 @@ SYNTH = ("synth", "--problem", "file-migration")
         ),
         (*SYNTH, "--param", "alpha=x", "--horizon", "2"),
         ("table2", "--alphas", "x", "--horizons", "1"),
+        *(
+            (*MEASURE_SW, "--horizon", "6", "--generator", spec)
+            for spec in (
+                "blocks",
+                "blocks:T=x,L=2",
+                "uniform:n=abc",
+                "uniform:n=10,p=x",
+                "fixed",
+                "uniform:n=5,seed=1",
+            )
+        ),
+        ("simulate", "--problem", "min-dom-set", "--algorithm", "coin-flip", "--input", "12"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):

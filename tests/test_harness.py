@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,15 @@ from tlsynth.measure import (
     measure_ratio,
     mixed_resetting_best_horizon,
     sliding_window_algorithm,
-    table_algorithm,
+    policy_algorithm,
     coin_flip_algorithm,
 )
-from tlsynth.policies import DeterministicPolicy, SlidingWindowRule
+from tlsynth.policies import (
+    DeterministicPolicy,
+    MixedResettingStrategy,
+    SlidingWindowRule,
+    run_policy,
+)
 from tlsynth.problems import Alphabet, bundled_problem
 
 BIN = Alphabet(("0", "1"))
@@ -66,6 +72,30 @@ def test_gen_adaptive_sliding_window_phase_length():
     assert all(r >= 2 for r in runs)
 
 
+@pytest.mark.parametrize(
+    "name,phases,cutoff,expected,hit",
+    [
+        ("follow", 4, 7, "10101010", False),
+        ("a1", 4, 7, "1100110011001100", False),
+        ("sliding-window", 4, 7, "11100110011001100", False),
+        ("mixed-resetting", 4, 7, "11000111000111000111000", False),
+        ("follow", 3, 2, "101010", False),
+        ("a1", 3, 2, "110011001100", False),
+        ("sliding-window", 3, 2, "110011001100", True),
+        ("mixed-resetting", 3, 2, "1100100100", True),
+    ],
+)
+def test_gen_adaptive_sequences_are_pinned(name, phases, cutoff, expected, hit):
+    policy = {
+        "follow": follow(),
+        "a1": DeterministicPolicy(4, BIN, BIN, tuple(int(c) for c in "0001001100110111")),
+        "sliding-window": SlidingWindowRule(6, 1),
+        "mixed-resetting": MixedResettingStrategy(2, 3),
+    }[name]
+    seq, cutoff_hit = gen_adaptive(policy, phases, cutoff)
+    assert ("".join(seq), cutoff_hit) == (expected, hit)
+
+
 def test_gen_uniform_seeded():
     a = gen_uniform(100, "1/2", seed=5)
     assert a == gen_uniform(100, "1/2", seed=5)
@@ -89,7 +119,7 @@ def test_measure_all_zero_input():
     problem = bundled_problem("file-migration")
     record = measure_ratio(
         problem,
-        table_algorithm(follow()),
+        policy_algorithm(follow()),
         GeneratorSpec(kind="fixed", params={"seq": "0" * 40}),
     )
     assert record.algorithm_cost == 0
@@ -102,7 +132,7 @@ def test_measure_infinite_ratio_when_opt_zero():
     stay_wrong = DeterministicPolicy(1, BIN, BIN, (1, 1))  # sits at node 1
     record = measure_ratio(
         problem,
-        table_algorithm(stay_wrong),
+        policy_algorithm(stay_wrong),
         GeneratorSpec(kind="fixed", params={"seq": "0" * 10}),
     )
     assert record.ratio == "inf"
@@ -130,6 +160,20 @@ def test_measure_is_seed_deterministic():
     r1 = measure_ratio(problem, alg, spec, trials=20, base_seed=3)
     r2 = measure_ratio(problem, alg, spec, trials=20, base_seed=3)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("horizon,alpha", [(6, 1), (6, 2), (12, 1), (12, 2)])
+def test_measured_sliding_window_is_the_rule(horizon, alpha):
+    # the tabulated fast path must not change a single output, including
+    # the first T, whose windows hold placeholders
+    algorithm = sliding_window_algorithm(horizon, alpha)
+    rule = SlidingWindowRule(horizon, alpha)
+    assert isinstance(algorithm.policy, SlidingWindowRule)  # what gen_adaptive plays
+    inputs = [tuple(format(v, f"0{n}b")) if n else () for n in range(11) for v in range(2**n)]
+    rng = random.Random(horizon * 10 + alpha)
+    inputs += [tuple(rng.choice("01") for _ in range(500)) for _ in range(5)]
+    for xs in inputs:
+        assert algorithm.outputs(xs, 0) == run_policy(rule, xs), xs
 
 
 def test_mixed_resetting_best_horizon_values():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from tlsynth.policies import (
     policy_to_document,
     run_coin_flip,
     run_policy,
-    run_randomized,
     sample_mixed_resetting,
 )
 from tlsynth.problems import Alphabet, bundled_problem
@@ -50,6 +50,23 @@ def follow_the_request():
 def test_follow_the_request_convention():
     # y_1 comes from the placeholder window, filled with the first symbol
     assert run_policy(follow_the_request(), ("1", "1", "0")) == ("0", "1", "1")
+
+
+def test_output_at_matches_the_rolling_run():
+    # output_at reads placeholders as the first symbol, as run does
+    rng = random.Random(4)
+    cases = [(BIN, T, table) for T in (1, 2) for table in itertools.product((0, 1), repeat=2**T)]
+    cases += [(BIN, 3, tuple(rng.randint(0, 1) for _ in range(8))) for _ in range(8)]
+    abc = Alphabet(("a", "b", "c"))
+    cases += [(abc, T, tuple(rng.randint(0, 1) for _ in range(3**T))) for T in (1, 2, 3)]
+    for inputs, T, table in cases:
+        policy = DeterministicPolicy(T, inputs, BIN, table)
+        for n in range(2 * T + 1):
+            for xs in itertools.product(inputs.symbols, repeat=n):
+                outs = policy.run(xs)
+                for i in range(1, n + 1):
+                    window = (None,) * (T - i + 1) + xs[max(0, i - 1 - T) : i - 1]
+                    assert policy.output_at(window, i) == outs[i - 1], (T, table, xs, i)
 
 
 def test_empty_input_gives_empty_output():
@@ -106,10 +123,9 @@ def test_seeded_runs_are_reproducible():
     problem = bundled_problem("file-migration")
     policy = reference_randomized_policy()
     xs = tuple(random.Random(5).choice("01") for _ in range(200))
-    t1 = run_randomized(policy, xs, seed=7, problem=problem)
-    t2 = run_randomized(policy, xs, seed=7, problem=problem)
-    assert t1 == t2
-    assert t1.total == problem.evaluate(xs, t1.outputs).total
+    t1 = run_policy(policy, xs, seed=7)
+    assert t1 == run_policy(policy, xs, seed=7) == policy.run(xs, 7)
+    assert problem.evaluate(xs, t1).total == problem.evaluate(xs, policy.run(xs, 7)).total
 
 
 # -- sliding window -----------------------------------------------------------
@@ -289,6 +305,16 @@ def test_policy_round_trip_randomized():
     assert doc["entries"]["001"] == "3309/10000"
     again = load_policy(__import__("json").dumps(doc))
     assert again.table == policy.table
+
+
+def test_policy_round_trip_multi_character_tokens():
+    words = Alphabet(("lo", "hi"))
+    policy = DeterministicPolicy(2, words, BIN, (0, 1, 1, 0))
+    doc = policy_to_document(policy)
+    assert doc["entries"] == {"lo,lo": "0", "lo,hi": "1", "hi,lo": "1", "hi,hi": "0"}
+    assert load_policy(doc) == policy
+    behavioural = RandomizedPolicy(1, words, BIN, (Fraction(1, 3), Fraction(1)))
+    assert policy_to_document(behavioural)["entries"] == {"lo": "1/3", "hi": "1"}
 
 
 def test_policy_entries_reject_gaps():
