@@ -320,14 +320,12 @@ def _cmd_simulate(args):
     algorithm = _named_algorithm(problem, args, args.strategy_k)
     outputs = algorithm.outputs(xs, args.seed)
     print(f"outputs: {problem.output_alphabet.join(outputs)}")
-    coin_flip = args.algorithm == "coin-flip"
-    if coin_flip:
-        print(f"total cost: {format_rational(algorithm.cost_on(problem, xs, args.seed))}")
-    else:
-        breakdown = problem.evaluate(xs, outputs)
-        print(f"per-step costs: {' '.join(str(c) for c in breakdown.per_step)}")
-        print(f"total cost: {breakdown.total}")
-    if coin_flip or isinstance(algorithm.policy, RandomizedPolicy):
+    breakdown = problem.evaluate(xs, outputs)
+    print(f"per-step costs: {' '.join(str(c) for c in breakdown.per_step)}")
+    print(f"total cost: {breakdown.total}")
+    # the seed picks the outputs of a behavioural table and of an algorithm
+    # with no one policy: the coin flip and a drawn Mixed Resetting member
+    if algorithm.policy is None or isinstance(algorithm.policy, RandomizedPolicy):
         print(f"seed: {args.seed}")
     return 0
 

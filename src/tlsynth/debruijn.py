@@ -27,10 +27,11 @@ row and the table entries of the windows the transition reads. There is
 one q function for deterministic tables (`Skeleton.q_det`) and one for
 behavioral tables (`Skeleton.q_rand`, the expectation over independent
 per-step draws). All costs are ints in the problem's own scale
-(`Skeleton.scale`). Analysis and synthesis solve these integer arcs
-(`Skeleton.int_arcs`); the exact `Cost` view of the same edges is built
-only for witness reports (`Skeleton.dual_edges`), dumps and the oracle
-(`build_graph_det` / `build_graph_rand`).
+(`Skeleton.scale`), read as they are from the problem's scaled view
+(`LocalProblem.lookup_scaled`). Analysis and synthesis solve these integer
+arcs (`Skeleton.int_arcs`); the exact `Cost` view of the same edges is
+built in one place (`Skeleton.dual_edges`), only for witness reports,
+dumps and the oracle (`build_graph_det` / `build_graph_rand`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     UnsupportedAggregation,
     ValidationError,
 )
-from .exact import POS_INF, Cost
+from .exact import NEG_INF, POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy, decode_window, window_index
 from .problems import LocalProblem
 
@@ -122,9 +123,10 @@ def _check_sum(problem):
 def serve_switch_split(problem: LocalProblem):
     """Split an r=1 cost table into serve(x_prev, x, y) + switch(y_prev, y).
 
-    Returns (serve, switch) lookup dicts over symbol indices, or None when
-    the table does not decompose, touches an infinity, or would make a
-    split-skeleton edge charge serve(a, b, c) + switch(c, d) < 0.
+    Returns (serve, switch) lookup dicts over symbol indices, with costs in
+    the problem's scale, or None when the table does not decompose, touches
+    an infinity, or would make a split-skeleton edge charge
+    serve(a, b, c) + switch(c, d) < 0.
     """
     if problem.horizon_r != 1:
         return None
@@ -132,10 +134,10 @@ def serve_switch_split(problem: LocalProblem):
     ys = problem.output_alphabet.symbols
     cost = {}  # (a, b, c, d) -> cost of inputs (a, b) and outputs (c, d)
     for a, b, c, d in product(range(len(xs)), range(len(xs)), range(len(ys)), range(len(ys))):
-        value = problem.lookup_cost((xs[a], xs[b]), (ys[c], ys[d]))
-        if not value.is_finite:
+        value = problem.lookup_scaled((xs[a], xs[b]), (ys[c], ys[d]))
+        if not isinstance(value, int):
             return None
-        cost[a, b, c, d] = value.as_fraction()
+        cost[a, b, c, d] = value
     serve = {(a, b, d): cost[a, b, d, d] for a, b, _c, d in cost}
     switch = {(c, d): cost[0, 0, c, d] - serve[0, 0, d] for _a, _b, c, d in cost}
     if any(v != serve[a, b, d] + switch[c, d] for (a, b, c, d), v in cost.items()):
@@ -149,13 +151,13 @@ def serve_switch_split(problem: LocalProblem):
 class Skeleton:
     """Policy-independent dual graph of a problem at horizon T.
 
-    edges[k] = (src, dst, x, b, w, t): w is the adversary's exact Cost and
-    t the edge's transition. transitions[t] = (row, codes): the policy's q
-    on every edge of t is rows[row][y], where y encodes (oldest first,
-    base |Y|) the table outputs at the window codes `codes`. Row entries
-    are ints scaled by `scale`, the problem's own scale, or None for +inf.
-    arcs lists the edges an adversary can play (w < +inf) as
-    (k, src, dst, w * scale, t).
+    Costs are ints scaled by `scale`, the problem's own scale.
+    edges[k] = (src, dst, x, b, w, t): w is the adversary's cost, an int
+    or the POS_INF sentinel, and t the edge's transition. transitions[t] =
+    (row, codes): the policy's q on every edge of t is rows[row][y], where
+    y encodes (oldest first, base |Y|) the table outputs at the window
+    codes `codes`. Row entries are ints, or None for +inf. arcs lists the
+    edges an adversary can play (w < +inf) as (k, src, dst, w, t).
     """
 
     problem: LocalProblem
@@ -221,11 +223,15 @@ class Skeleton:
 
     def dual_edges(self, q, unit=1, ids=None):
         """Exact DualEdges with per-transition q from q_det / q_rand: every
-        edge, or the edges with ids `ids`."""
+        edge, or the edges with ids `ids`. The one place the skeleton's
+        ints become `Cost`s."""
         edges = self.edges if ids is None else [self.edges[k] for k in ids]
+        unscale = self.problem._unscale
         denom = self.scale * unit
         return [
-            DualEdge(s, d, x, b, w, POS_INF if q[t] is None else Cost(Fraction(q[t], denom)))
+            DualEdge(
+                s, d, x, b, unscale(w), POS_INF if q[t] is None else Cost(Fraction(q[t], denom))
+            )
             for s, d, x, b, w, t in edges
         ]
 
@@ -286,10 +292,10 @@ def _split_skeleton(problem, horizon, serve, switch):
             for x in range(nx):
                 dst_win = succ_base + x
                 for b2 in range(ny):
-                    w = problem.lookup_cost((xs[newest], xs[x]), (ys[b], ys[b2]))
+                    w = problem.lookup_scaled((xs[newest], xs[x]), (ys[b], ys[b2]))
                     edges.append((src, dst_win * ny + b2, x, b2, w, win * nx + x))
     rows = [
-        [Cost(serve[a, x, y0] + switch[y0, y1]) for y0 in range(ny) for y1 in range(ny)]
+        [serve[a, x, y0] + switch[y0, y1] for y0 in range(ny) for y1 in range(ny)]
         for a in range(nx)
         for x in range(nx)
     ]
@@ -322,12 +328,12 @@ def _general_skeleton(problem, horizon):
                 x_window = tuple(xs[i] for i in ext[-(r + 1) :])
                 dst_win = window_index(ext[1:], nx)
                 for b2 in range(ny):
-                    w = problem.lookup_cost(x_window, adv_syms + (ys[b2],))
+                    w = problem.lookup_scaled(x_window, adv_syms + (ys[b2],))
                     dst = dst_win * adv_size + ((adv * ny + b2) % adv_size if r else 0)
                     edges.append((src, dst, x, b2, w, win * nx + x))
     rows = [
         [
-            problem.lookup_cost(tuple(xs[i] for i in x_window), tuple(ys[i] for i in y))
+            problem.lookup_scaled(tuple(xs[i] for i in x_window), tuple(ys[i] for i in y))
             for y in product(range(ny), repeat=r + 1)
         ]
         for x_window in product(range(nx), repeat=r + 1)
@@ -336,24 +342,19 @@ def _general_skeleton(problem, horizon):
 
 
 def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
-    """Scale every finite cost to an int in the problem's scale, which any
-    sum or difference of rule costs allows, and index the edges. A general
-    row entry is also some edge's w, so a negative or -inf cost a policy
-    could pay is rejected here; split rows are >= 0."""
-    scale = problem._scale
+    """Index the edges and reject a negative or -inf adversary cost. A
+    general row entry is also some edge's w, so this rejects every such
+    cost a policy could pay; split rows are >= 0."""
     out = [[] for _ in range(n_vertices)]
     arcs = []
     for k, (src, dst, _x, _b, w, t) in enumerate(edges):
         out[src].append(k)
-        if w == POS_INF:
+        if w is POS_INF:
             continue  # the adversary never pays +inf
-        if not w.is_finite or w.as_fraction() < 0:
-            raise ValueError(f"edge {k}: adversary cost {w} must be >= 0")
-        arcs.append((k, src, dst, int(w.as_fraction() * scale), t))
-    int_rows = tuple(
-        tuple(None if c == POS_INF else int(c.as_fraction() * scale) for c in row)
-        for row in rows
-    )
+        if w is NEG_INF or w < 0:
+            raise ValueError(f"edge {k}: adversary cost {problem._unscale(w)} must be >= 0")
+        arcs.append((k, src, dst, w, t))
+    int_rows = tuple(tuple(None if c is POS_INF else c for c in row) for row in rows)
     return Skeleton(
         problem=problem,
         horizon=horizon,
@@ -363,7 +364,7 @@ def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
         out_edges=tuple(tuple(ids) for ids in out),
         transitions=tuple(transitions),
         rows=int_rows,
-        scale=scale,
+        scale=problem._scale,
         arcs=tuple(arcs),
     )
 

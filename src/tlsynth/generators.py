@@ -9,12 +9,12 @@ adaptive:L=..[,cutoff=..]  issue 1-requests until the policy's output
                            0, repeated L times (the classic adaptive
                            lower-bound family, with a cutoff, default
                            1000, so that never-migrating policies end).
-uniform:n=..[,p=..]        n i.i.d. coin flips with bias p (default 1/2),
-                           seeded per trial.
+uniform:n=..[,p=..]        n i.i.d. coin flips with bias p in [0, 1]
+                           (default 1/2), seeded per trial.
 fixed:seq=..               a literal sequence.
 
-`GeneratorSpec.parse` rejects unknown kinds and keys, missing keys and
-values that do not parse.
+`GeneratorSpec.parse` rejects unknown kinds and keys, missing keys,
+values that do not parse and a bias outside [0, 1].
 """
 
 from __future__ import annotations
@@ -67,11 +67,18 @@ def gen_uniform(length: int, bias, seed):
     return tuple("1" if rng.random() < bias else "0" for _ in range(length))
 
 
+def _bias(text):
+    p = parse_rational(text)
+    if not 0 <= p <= 1:
+        raise ValueError(f"bias {p} lies outside [0, 1]")
+    return p
+
+
 # value parser of each key, per kind; every key but `cutoff` and `p` is required
 _KEYS = {
     "blocks": {"T": int, "L": int},
     "adaptive": {"L": int, "cutoff": int},
-    "uniform": {"n": int, "p": parse_rational},
+    "uniform": {"n": int, "p": _bias},
     "fixed": {"seq": str},
 }
 _OPTIONAL = ("cutoff", "p")

@@ -2,9 +2,8 @@
 CSV table of synthesized competitive ratios.
 
 Every runnable algorithm is an `Algorithm`: `outputs(xs, seed)` runs it
-on one sequence (a policy through `policies.run_policy`), and `cost_on`
-evaluates those outputs. The coin flip, which is not a time-local policy,
-keeps the cost its own simulation charges.
+on one sequence (a policy through `policies.run_policy`, the coin flip
+through its own simulation), and `cost_on` evaluates those outputs.
 
 Costs stay exact rationals throughout a trial; only the summary
 statistics (mean, standard error) are floats. `offline_opt` and
@@ -51,18 +50,16 @@ class Algorithm:
     `outputs(xs, seed)` are the algorithm's outputs on xs; the seed picks
     the coins of a randomized algorithm and is ignored by a deterministic
     one. `cost_on(problem, xs, seed)` is the exact total cost of those
-    outputs, except for the coin flip, which pays for its moves itself.
-    `policy` is the policy that `gen_adaptive` plays against, if any.
+    outputs. `policy` is the one policy the algorithm runs, which
+    `gen_adaptive` plays against; it is None when the seed picks the
+    outputs some other way (the coin flip, a drawn Mixed Resetting member).
     """
 
-    def __init__(self, outputs, policy=None, cost=None):
+    def __init__(self, outputs, policy=None):
         self.outputs = outputs
         self.policy = policy
-        self._cost = cost
 
     def cost_on(self, problem, xs, seed) -> Fraction:
-        if self._cost is not None:
-            return self._cost(xs, seed)
         return problem.evaluate(xs, self.outputs(xs, seed)).total.as_fraction()
 
 
@@ -93,10 +90,7 @@ def mixed_resetting_algorithm(horizon) -> Algorithm:
 
 
 def coin_flip_algorithm(alpha) -> Algorithm:
-    return Algorithm(
-        lambda xs, seed: run_coin_flip(xs, alpha, seed)[0],
-        cost=lambda xs, seed: run_coin_flip(xs, alpha, seed)[1],
-    )
+    return Algorithm(lambda xs, seed: run_coin_flip(xs, alpha, seed))
 
 
 @dataclass(frozen=True)

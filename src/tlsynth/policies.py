@@ -295,26 +295,24 @@ def coin_flip_step(current_location, request, alpha, variate):
     return MOVE if Fraction(variate) < p else SKIP
 
 
-def run_coin_flip(x_seq, alpha, seed, initial_location="0"):
-    """Simulate the coin-flip algorithm; returns (serving locations, cost).
+def run_coin_flip(x_seq, alpha, seed):
+    """Simulate the coin-flip algorithm from location "0"; returns the
+    location that served each request.
 
-    Serving cost is 1 per mismatched request; a MOVE that changes the
-    location costs alpha. The location sequence reported is the one that
-    served each request.
+    After serving a request from elsewhere, the file MOVEs to it with
+    probability 1/(2*alpha); a coin is drawn at every step. The problem
+    costs the served locations like any other outputs, so a move after
+    the last request, which serves nothing, is never charged.
     """
     alpha = parse_rational(alpha)
     rng = random.Random(seed)
-    loc = initial_location
+    loc = "0"
     served_at = []
-    cost = Fraction(0)
     for x in x_seq:
         served_at.append(loc)
-        if x != loc:
-            cost += 1
         if coin_flip_step(loc, x, alpha, rng.random()) == MOVE and x != loc:
             loc = x
-            cost += alpha
-    return tuple(served_at), cost
+    return tuple(served_at)
 
 
 # -- running policies --------------------------------------------------------

@@ -9,13 +9,16 @@ problem's declared initial outputs on the output side.
 All costs are exact: rationals or +/-inf. Rule matching is first-match in
 declaration order, so lookups are pure functions of (problem, windows).
 
-Summing costs is the hot path of `evaluate` and of the offline optimum, so
-each problem also keeps an integer view of its cost function: every finite
-cost times the problem's scale (the lcm of the denominators of its finite
-resolved rule costs) is an exact int, and the infinities stay the
-`POS_INF` / `NEG_INF` sentinels. Sums of scaled ints divided by the scale
-are the exact rational sums; a sentinel added to an int saturates, and
-+inf plus -inf raises `InfinityClash`, as `Cost` addition does.
+Each problem scales every cost once. Its memo keeps, beside each matched
+`Cost`, the cost times the problem's scale (the lcm of the denominators of
+its finite resolved rule costs) as an exact int, with the infinities kept
+as the `POS_INF` / `NEG_INF` sentinels; `lookup_scaled` reads that view.
+The exact consumers work on these ints alone: the sum in `evaluate`, the
+offline optimum under every aggregation, and the `debruijn` skeleton.
+Sums, maxima and minima of scaled ints, divided by the scale, are the
+exact rational results. A sentinel compares below or above every int and
+saturates when added to one, and +inf plus -inf raises `InfinityClash`, as
+`Cost` arithmetic does. The brute-force oracle stays in `Cost` arithmetic.
 """
 
 from __future__ import annotations
@@ -223,10 +226,13 @@ class LocalProblem:
     def lookup_cost(self, x_window, y_window) -> Cost:
         """Cost of the first rule matching the window pair (first-match order)."""
         key = (tuple(x_window), tuple(y_window))
-        entry = self._lookup_memo.get(key)
-        if entry is None:
-            entry = self._resolve(key)
-        return entry[0]
+        return (self._lookup_memo.get(key) or self._resolve(key))[0]
+
+    def lookup_scaled(self, x_window, y_window):
+        """The same cost times the problem's scale: an exact int, or the
+        POS_INF / NEG_INF sentinel."""
+        key = (tuple(x_window), tuple(y_window))
+        return (self._lookup_memo.get(key) or self._resolve(key))[1]
 
     def _resolve(self, key):
         """Validate a window pair, match it, and memoize its (Cost, scaled)."""
@@ -335,50 +341,24 @@ class LocalProblem:
 def offline_opt(problem: LocalProblem, x_seq):
     """Exact offline optimum over all output sequences, with one optimizer.
 
-    Sum aggregation uses the additive recursion over states = last r
-    outputs, on the problem's integer view: step costs are finite costs
-    times the problem's scale, as exact ints, or the +inf / -inf sentinels,
-    so every total is exact and only the optimum is turned back into a
-    `Cost`. Min/max aggregation augments the state with the running
-    aggregate, which stays inside the finite set of realized rule costs.
+    A dynamic program over states = the last r outputs, on the problem's
+    integer view: step costs are the memo's scaled ints or the +inf / -inf
+    sentinels, so every total is exact and only the optimum is turned back
+    into a `Cost`. The step combine is + for sum aggregation and max or
+    min for the others. Max and min commute with the per-state minimum (a
+    bottleneck path semiring), so the running aggregate never enters the
+    state. A max objective negates every step cost, which for min/max also
+    swaps the two, and minimizes; every total starts at the combine's
+    identity.
+
+    A state is coded in base |Y| with its symbols ranked in sort order, so
+    ascending codes visit states as sorted() does on symbol tuples. Outputs
+    are tried in alphabet order and only a strict improvement replaces a
+    state's entry, which fixes the returned outputs. A step whose sum would
+    be +inf plus -inf is skipped.
     """
     if not x_seq:
         raise ValidationError("offline_opt requires a non-empty input")
-    if problem.aggregation == "sum":
-        return _offline_opt_sum(problem, x_seq)
-    return _offline_opt_minmax(problem, x_seq)
-
-
-def _windows(padded, n):
-    """The n windows of r+1 consecutive symbols of padded (r = len - n)."""
-    return zip(*(padded[k : k + n] for k in range(len(padded) - n + 1)))
-
-
-def _step_cost_fn(problem, x_seq):
-    xwindows = list(problem._x_windows(x_seq))
-
-    def step_cost(i, state, y):
-        # state holds outputs y_{i-r} .. y_{i-1}
-        return problem.lookup_cost(xwindows[i - 1], state + (y,))
-
-    return step_cost
-
-
-def _negated(scaled):
-    if isinstance(scaled, int):
-        return -scaled
-    return NEG_INF if scaled is POS_INF else POS_INF
-
-
-def _offline_opt_sum(problem, x_seq):
-    """Minimizes (for a max objective: the negated) scaled step costs.
-
-    A state, the last r outputs, is coded in base |Y| with its symbols
-    ranked in sort order, so ascending codes visit states as sorted() does
-    on symbol tuples. Outputs are tried in alphabet order and only a strict
-    improvement replaces a state's entry, which fixes the returned outputs.
-    A step whose total would be +inf plus -inf is skipped.
-    """
     r = problem.horizon_r
     outputs = problem.output_alphabet.symbols
     ny = len(outputs)
@@ -387,6 +367,14 @@ def _offline_opt_sum(problem, x_seq):
     rank = {y: k for k, y in enumerate(by_rank)}
     states = list(product(by_rank, repeat=r))
     sign = 1 if problem.objective == "min" else -1
+    aggregation = problem.aggregation
+    if sign < 0 and aggregation != "sum":
+        aggregation = "min" if aggregation == "max" else "max"
+    combine, identity = {  # the step combine and its identity
+        "sum": (None, 0),  # an inline +, which a call would slow down
+        "max": (max, NEG_INF),
+        "min": (min, POS_INF),
+    }[aggregation]
     start = 0
     for y in problem.initial_outputs:
         start = start * ny + rank[y]
@@ -403,15 +391,14 @@ def _offline_opt_sum(problem, x_seq):
         w, s = divmod(index, n_states)
         entries = []
         for k, y in enumerate(outputs):
-            key = (x_wins[w], states[s] + (y,))
-            scaled = (problem._lookup_memo.get(key) or problem._resolve(key))[1]
+            scaled = problem.lookup_scaled(x_wins[w], states[s] + (y,))
             nxt = (s * ny + rank[y]) % n_states
             entries.append((nxt, scaled if sign > 0 else _negated(scaled), s * ny + k))
         rows[index] = entries
         return entries
 
     prev = [None] * n_states
-    prev[start] = 0
+    prev[start] = identity
     backs = []
     for base in bases:
         cur = [None] * n_states
@@ -420,10 +407,13 @@ def _offline_opt_sum(problem, x_seq):
             if acc is None:
                 continue
             for nxt, cost, code in rows[base + s] or row(base + s):
-                try:
-                    total = acc + cost
-                except InfinityClash:
-                    continue
+                if combine is None:
+                    try:
+                        total = acc + cost
+                    except InfinityClash:
+                        continue
+                else:
+                    total = combine(acc, cost)
                 old = cur[nxt]
                 if old is None or total < old:
                     cur[nxt] = total
@@ -446,40 +436,15 @@ def _offline_opt_sum(problem, x_seq):
     return problem._unscale(best if sign > 0 else _negated(best)), tuple(ys)
 
 
-def _offline_opt_minmax(problem, x_seq):
-    n = len(x_seq)
-    outputs = problem.output_alphabet.symbols
-    step_cost = _step_cost_fn(problem, x_seq)
-    agg = min if problem.aggregation == "min" else max
-    start = (tuple(problem.initial_outputs), None)  # (last r outputs, running agg)
-    layers = [{start: (None, None)}]
-    for i in range(1, n + 1):
-        prev = layers[-1]
-        cur = {}
-        for state in sorted(prev, key=repr):
-            window_state, running = state
-            for y in outputs:
-                u = step_cost(i, window_state, y)
-                new_running = u if running is None else agg(running, u)
-                nxt_window = (window_state + (y,))[1:] if problem.horizon_r else ()
-                nxt = (nxt_window, new_running)
-                if nxt not in cur:
-                    cur[nxt] = (state, y)
-        layers.append(cur)
-    final = layers[-1]
-    best_state = None
-    for state in sorted(final, key=repr):
-        if best_state is None or problem.better(state[1], best_state[1]):
-            best_state = state
-    total = best_state[1]
-    ys = []
-    state = best_state
-    for layer in reversed(layers[1:]):
-        prev_state, y = layer[state]
-        ys.append(y)
-        state = prev_state
-    ys.reverse()
-    return total, tuple(ys)
+def _windows(padded, n):
+    """The n windows of r+1 consecutive symbols of padded (r = len - n)."""
+    return zip(*(padded[k : k + n] for k in range(len(padded) - n + 1)))
+
+
+def _negated(scaled):
+    if isinstance(scaled, int):
+        return -scaled
+    return NEG_INF if scaled is POS_INF else POS_INF
 
 
 def brute_force_opt(problem: LocalProblem, x_seq):

@@ -49,7 +49,7 @@ from .errors import (
     VerificationFailed,
 )
 from .exact import POS_INF, Cost
-from .policies import DeterministicPolicy, RandomizedPolicy
+from .policies import DeterministicPolicy, RandomizedPolicy, window_index
 from .problems import LocalProblem
 from .ratiocycle import core_max_ratio, evaluate_policy
 
@@ -63,7 +63,6 @@ class SynthesisConfig:
     collect_all_optimal: bool = False
     grid_step: Fraction = Fraction(1, 20)
     refinement_rounds: int = 8
-    candidate_guard: int = DEFAULT_CANDIDATE_GUARD
     prune: bool = True  # self-loop forcing, node pruning and the short-cycle screen
 
     def __post_init__(self):
@@ -109,18 +108,11 @@ def self_loop_constraints(problem: LocalProblem, horizon: int) -> dict:
         zero_cost_answers = [
             o
             for o in range(len(ys))
-            if problem.lookup_cost((xs[c],) * (r + 1), (ys[o],) * (r + 1)) == Cost(0)
+            if problem.lookup_scaled((xs[c],) * (r + 1), (ys[o],) * (r + 1)) == 0
         ]
         if len(zero_cost_answers) == 1:
-            forced[_constant_window_code(c, nx, horizon)] = zero_cost_answers[0]
+            forced[window_index((c,) * horizon, nx)] = zero_cost_answers[0]
     return forced
-
-
-def _constant_window_code(symbol_idx, base, horizon):
-    code = 0
-    for _ in range(horizon):
-        code = code * base + symbol_idx
-    return code
 
 
 # -- candidate count ----------------------------------------------------
@@ -131,16 +123,17 @@ def candidate_count(n_windows, n_outputs, forced):
 
 
 def _forced_entries(problem, config):
-    if not config.prune:
-        return {}
-    return self_loop_constraints(problem, config.horizon)
-
-
-def _check_guard(problem, config, forced):
+    """The forced entries (none without pruning), once the tables left to
+    search pass the candidate guard."""
+    forced = self_loop_constraints(problem, config.horizon) if config.prune else {}
     n_windows = len(problem.input_alphabet) ** config.horizon
-    total = candidate_count(n_windows, len(problem.output_alphabet), forced)
-    if total > config.candidate_guard:
-        raise SearchSpaceTooLarge(total, config.candidate_guard)
+    _check_guard(candidate_count(n_windows, len(problem.output_alphabet), forced))
+    return forced
+
+
+def _check_guard(total):
+    if total > DEFAULT_CANDIDATE_GUARD:
+        raise SearchSpaceTooLarge(total, DEFAULT_CANDIDATE_GUARD)
 
 
 # -- short-cycle screening ----------------------------------------------------
@@ -370,7 +363,6 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
     """Minimum competitive ratio over all horizon-T tables, with witnesses."""
     started = time.monotonic()
     forced = _forced_entries(problem, config)
-    _check_guard(problem, config, forced)
     outcome = _Search(problem, config, forced).run()
     best = outcome.best
 
@@ -413,7 +405,6 @@ def verify_lower_bound(problem: LocalProblem, config: SynthesisConfig, bound: Fr
     """
     config = replace(config, collect_all_optimal=False)
     forced = _forced_entries(problem, config)
-    _check_guard(problem, config, forced)
     outcome = _Search(problem, config, forced, Cost(Fraction(bound)), stop_below=True).run()
     checked = outcome.pruned + outcome.evaluated
     if outcome.tables:
@@ -442,9 +433,7 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     # grid: the multiples of the step below 1, then 1; counted before built
     step = Fraction(config.grid_step)
     below_one = math.ceil(1 / step)
-    total = (below_one + 1) ** len(free)
-    if total > config.candidate_guard:
-        raise SearchSpaceTooLarge(total, config.candidate_guard)
+    _check_guard((below_one + 1) ** len(free))
     grid = [k * step for k in range(below_one)] + [Fraction(1)]
 
     skel = cached_skeleton(problem, config.horizon)

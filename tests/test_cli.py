@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tlsynth.cli import main
+from tlsynth.problems import bundled_problem
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +134,56 @@ def test_simulate_named_algorithms(capsys):
     )
     assert code == 0
     assert "outputs: 00000" in stdout
+    assert "seed:" not in stdout  # the member is fixed, so the seed picks nothing
+
+
+@pytest.mark.parametrize(
+    "seed,outputs,total", [("0", "0000000000", "7"), ("7", "0001111111", "5")]
+)
+def test_simulate_drawn_mixed_resetting_prints_its_seed(capsys, seed, outputs, total):
+    code, stdout, _ = run_cli(
+        capsys,
+        "simulate",
+        "--problem",
+        "file-migration",
+        "--algorithm",
+        "mixed-resetting",
+        "--horizon",
+        "4",
+        "--input",
+        "0110111011",
+        "--seed",
+        seed,
+    )
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[0] == f"outputs: {outputs}"
+    assert lines[2] == f"total cost: {total}"
+    assert lines[3] == f"seed: {seed}"
+
+
+def test_simulate_coin_flip_prints_the_cost_of_its_outputs(capsys):
+    # a move after the last request serves nothing and is not charged
+    problem = bundled_problem("file-migration")
+    xs = tuple("0101101110")
+    for seed in range(50):
+        code, stdout, _ = run_cli(
+            capsys,
+            "simulate",
+            "--problem",
+            "file-migration",
+            "--algorithm",
+            "coin-flip",
+            "--input",
+            "".join(xs),
+            "--seed",
+            str(seed),
+        )
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in stdout.splitlines())
+        evaluated = problem.evaluate(xs, tuple(lines["outputs"])).total
+        assert lines["total cost"] == str(evaluated), seed
+        assert lines["seed"] == str(seed)
 
 
 def test_simulate_randomized_policy_file(tmp_path, capsys):
@@ -312,6 +363,8 @@ MEASURE_SW = ("measure", "--problem", "file-migration", "--algorithm", "sliding-
                 "blocks:T=x,L=2",
                 "uniform:n=abc",
                 "uniform:n=10,p=x",
+                "uniform:n=10,p=2",
+                "uniform:n=10,p=-1",
                 "fixed",
                 "uniform:n=5,seed=1",
             )

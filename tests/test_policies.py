@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlsynth.errors import InvalidAlpha, InvalidHorizon, TableTooLarge, ValidationError
+from tlsynth.measure import coin_flip_algorithm
 from tlsynth.policies import (
     MOVE,
     SKIP,
@@ -217,10 +218,11 @@ def test_coin_flip_move_rate():
 
 def test_run_coin_flip_costs_match_replay():
     xs = tuple(random.Random(9).choice("01") for _ in range(300))
-    served, cost = run_coin_flip(xs, 2, seed=4)
+    served = run_coin_flip(xs, 2, seed=4)
     replay = sum(x != loc for x, loc in zip(xs, served))
     moves = sum(a != b for a, b in zip(served, served[1:]))
-    assert cost == replay + 2 * moves
+    problem = bundled_problem("file-migration", {"alpha": "2"})
+    assert coin_flip_algorithm(2).cost_on(problem, xs, 4) == replay + 2 * moves
 
 
 # -- compile_to_table ---------------------------------------------------------

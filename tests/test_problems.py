@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -178,6 +179,9 @@ OPT_GOLDEN = [
     ("load-balancing", None, "1212211221", "1", "1211211121"),
     ("load-balancing", None, "2222", "1", "2121"),
     ("load-balancing", None, "2121211", "1", "2121211"),
+    ("load-balancing", None, "1221212211122121", "1", "1121211211112121"),
+    ("load-balancing", None, "2112211221122112211", "1", "2111211121112111211"),
+    ("load-balancing", None, "22212221222122212221", "1", "21212121212121212121"),
     ("max-ind-set", None, "5775757", "26", "1010101"),
     ("max-ind-set", None, "7777", "14", "1010"),
     ("max-ind-set", None, "5577557755", "29", "1010101010"),
@@ -192,6 +196,22 @@ def test_opt_outputs_are_pinned(name, alpha, xs, total, ys):
     problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
     got_total, got_ys = offline_opt(problem, tuple(xs))
     assert (str(got_total), "".join(got_ys)) == (total, ys)
+
+
+@pytest.mark.parametrize("aggregation", ["min", "max"])
+@pytest.mark.parametrize("objective", ["min", "max"])
+@pytest.mark.parametrize(
+    "name", ["file-migration", "load-balancing", "max-ind-set", "min-dom-set", "clash"]
+)
+def test_min_max_opt_equals_brute_force(name, aggregation, objective):
+    # every input up to length 6, under each bottleneck pair a problem can declare
+    base = load_problem(CLASH_DOC) if name == "clash" else bundled_problem(name)
+    problem = dataclasses.replace(base, aggregation=aggregation, objective=objective)
+    for n in range(1, 7):
+        for xs in itertools.product(problem.input_alphabet.symbols, repeat=n):
+            dp_total, dp_ys = offline_opt(problem, xs)
+            assert dp_total == brute_force_opt(problem, xs)[0], xs
+            assert problem.evaluate(xs, dp_ys).total == dp_total, xs
 
 
 @pytest.mark.parametrize("name", ["file-migration", "load-balancing", "max-ind-set", "min-dom-set"])

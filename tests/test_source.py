@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import tlsynth
@@ -36,4 +37,22 @@ def test_no_unused_imports_in_package():
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in read:
                     found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_package_imports_only_stdlib():
+    # the runtime stays stdlib-only: every import is relative or a stdlib module
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] not in sys.stdlib_module_names:
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {module}")
     assert found == []
