@@ -226,6 +226,8 @@ def _cmd_synth(args):
                 "pruned_short_cycle": res.pruned_short_cycle,
                 "full_evaluations": res.full_evaluations,
                 "nodes_visited": res.nodes_visited,
+                "decision_tests": res.decision_tests,
+                "parametric_solves": res.parametric_solves,
             },
             "wall_seconds": round(res.wall_seconds, 3),
             "policies": [policy_to_document(p) for p in res.policies],

@@ -43,6 +43,7 @@ from math import lcm
 
 from .errors import (
     GraphTooLarge,
+    InvalidCost,
     NotAWalk,
     UnsupportedAggregation,
     ValidationError,
@@ -352,7 +353,7 @@ def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
         if w is POS_INF:
             continue  # the adversary never pays +inf
         if w is NEG_INF or w < 0:
-            raise ValueError(f"edge {k}: adversary cost {problem._unscale(w)} must be >= 0")
+            raise InvalidCost(f"edge {k}: adversary cost {problem._unscale(w)} must be >= 0")
         arcs.append((k, src, dst, w, t))
     int_rows = tuple(tuple(None if c is POS_INF else c for c in row) for row in rows)
     return Skeleton(

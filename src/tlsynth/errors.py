@@ -48,6 +48,11 @@ class NotAWalk(TlsynthError):
     """Edge sequence does not respect window successorship."""
 
 
+class InvalidCost(ValidationFailure, ValueError):
+    """A cost the cycle-ratio analysis cannot take: a negative or -inf
+    adversary cost, or a negative or -inf algorithm cost."""
+
+
 class EmptyGraph(ValidationFailure):
     """Graph has no vertices."""
 

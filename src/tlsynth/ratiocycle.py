@@ -16,6 +16,11 @@ adversary never plays them) and a cycle through one q = +inf edge and
 otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
 works on integer arcs and is shared by analysis and synthesis; a verdict
 adds the canonical witness, or says that its capped search gave up.
+`exceeds` answers the question a branch and bound asks, on the same
+arcs: does a cycle's ratio exceed a bound a/b (or reach it, when a tie
+loses)? It is one negative-cycle test on the integer weights a*w - b*q,
+label correcting from potentials a caller may carry over from a subset
+of the arcs, and it agrees with the verdict `core_max_ratio` implies.
 `evaluate_policy` solves a `debruijn.Skeleton`'s arcs, in the problem's
 own scale, and reads back only the witness edges as `Cost`s for the
 report; `max_ratio_cycle` validates and scales a hand-built `DualGraph`.
@@ -28,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from .debruijn import DualGraph, policy_q
-from .errors import EmptyGraph, GraphTooLarge
+from .errors import EmptyGraph, GraphTooLarge, InvalidCost
 from .exact import POS_INF, Cost, cost_sum
 
 BRUTE_FORCE_VERTEX_GUARD = 14
@@ -102,12 +107,12 @@ def _prepare(graph: DualGraph):
         if e.w == POS_INF:
             continue  # the adversary never pays +inf
         if not e.w.is_finite or e.w.as_fraction() < 0:
-            raise ValueError(f"edge {k}: adversary cost {e.w} must be >= 0")
+            raise InvalidCost(f"edge {k}: adversary cost {e.w} must be >= 0")
         if e.q.is_finite:
             if e.q.as_fraction() < 0:
-                raise ValueError(f"edge {k}: algorithm cost {e.q} must be >= 0")
+                raise InvalidCost(f"edge {k}: algorithm cost {e.q} must be >= 0")
         elif e.q != POS_INF:
-            raise ValueError(f"edge {k}: algorithm cost {e.q} unsupported")
+            raise InvalidCost(f"edge {k}: algorithm cost {e.q} unsupported")
         q = e.q.as_fraction() if e.q.is_finite else None
         usable.append((k, e.src, e.dst, e.w.as_fraction(), q))
     scale = lcm(*(c.denominator for arc in usable for c in arc[3:] if c is not None))
@@ -204,6 +209,22 @@ def _out_arcs(n, arcs):
     return out
 
 
+def _infinite_q_cycle(n, edges):
+    """Stage 0 of every verdict: (cycle, finite), where cycle is the edge ids
+    of a cycle through one infinite-q arc closed by finite-q arcs, or None,
+    and finite holds the arcs with finite q. A cycle through two or more
+    infinite-q arcs is not detected here, and the table is rated on its
+    remaining cycles."""
+    finite = [e for e in edges if e[4] is not None]
+    if len(finite) < len(edges):
+        for k, src, dst, _w, q in edges:
+            if q is None:
+                path = _bfs_path(n, finite, dst, src)
+                if path is not None:
+                    return path + [k], finite
+    return None, finite
+
+
 def core_max_ratio(n, edges, abort_above=None, abort_on_tie=False):
     """Parametric search over integer-scaled arcs (id, src, dst, w, q).
 
@@ -214,17 +235,9 @@ def core_max_ratio(n, edges, abort_above=None, abort_on_tie=False):
     abort_on_tie), reporting kind "aborted": the true ratio is then >= lam
     and the candidate cannot beat the incumbent.
     """
-    # stage 0: an infinite-q edge closed into a cycle by finite-q edges
-    # settles the verdict; a cycle through two or more infinite-q edges is
-    # not detected here, and the table is rated on its remaining cycles
-    finite = [e for e in edges if e[4] is not None]
-    if len(finite) < len(edges):
-        for k, src, dst, _w, q in edges:
-            if q is None:
-                path = _bfs_path(n, finite, dst, src)
-                if path is not None:
-                    return "infinite", None, path + [k], 0
-        edges = finite
+    cycle, edges = _infinite_q_cycle(n, edges)
+    if cycle is not None:
+        return "infinite", None, cycle, 0
 
     # stage 1: a zero-w cycle with positive q means an unbounded ratio
     zero_w = [(k, s, d, -q) for k, s, d, w, q in edges if w == 0]
@@ -266,6 +279,100 @@ def core_max_ratio(n, edges, abort_above=None, abort_on_tie=False):
         if zero_zero is not None:
             return "finite", Fraction(1), zero_zero, iterations
     return "finite", lam, witness, iterations
+
+
+def exceeds(n, edges, bound, ties_lose=False, potentials=None):
+    """Decide whether the arcs (id, src, dst, w, q) of `core_max_ratio` hold
+    a cycle whose ratio is above `bound`, or equal to it with ties_lose,
+    without computing the maximum ratio.
+
+    The verdict is the one `core_max_ratio` implies: True exactly when its
+    ratio is infinite, above the bound, or equal to it with ties_lose; with
+    bound None, exactly when it is infinite. Returns (verdict, potentials);
+    potentials are not None only when the verdict is False and was reached
+    by the integer test below, and are then feasible for these arcs under
+    this bound and tie rule, so a call on a superset of the arcs may start
+    from them.
+
+    After stage 0 of `core_max_ratio`, the answer is whether the finite-q
+    arcs hold a negative cycle under the weights a*w - b*q for a bound a/b
+    (a cycle of ratio above a/b, or a zero-w cycle with positive q), or,
+    with ties_lose, under M*(a*w - b*q) - [w or q nonzero] with M = n + 1:
+    a simple cycle has at most n arcs, so it is then negative exactly when
+    its ratio is at least a/b and it is not a 0/0 cycle. Without a bound
+    the weights are -q on the zero-w arcs, stage 1 of `core_max_ratio`. A
+    0/0 cycle rates 1, so bounds <= 1 run `core_max_ratio` itself, with the
+    bound as its abort.
+    """
+    if bound is not None and bound <= 1:
+        try:
+            kind, lam, _w, _i = core_max_ratio(
+                n, edges, abort_above=bound, abort_on_tie=ties_lose
+            )
+        except EmptyGraph:
+            return False, None  # no cycle exceeds anything
+        return kind == "infinite" or lam > bound or (ties_lose and lam == bound), None
+    cycle, edges = _infinite_q_cycle(n, edges)
+    if cycle is not None:
+        return True, None
+    if bound is None:
+        weighted = [(s, d, -q) for _k, s, d, w, q in edges if w == 0]
+    else:
+        a, b = bound.numerator, bound.denominator
+        if ties_lose:
+            m = n + 1
+            weighted = [
+                (s, d, m * (a * w - b * q) - (1 if w or q else 0)) for _k, s, d, w, q in edges
+            ]
+        else:
+            weighted = [(s, d, a * w - b * q) for _k, s, d, w, q in edges]
+    feasible = _feasible_potentials(n, weighted, potentials)
+    return feasible is None, feasible
+
+
+def _feasible_potentials(n, arcs, potentials=None):
+    """Potentials p with p[dst] <= p[src] + weight on every arc (src, dst,
+    weight), or None when the arcs hold a negative cycle.
+
+    FIFO label correcting from `potentials` (zeros, a virtual source, when
+    None), whose first pass scans the tails of the arcs they violate. At
+    each improving relaxation u -> v the predecessor tree is walked from u
+    to its root: meeting v closes a negative cycle (walk to root;
+    Cherkassky & Goldberg 1999, "Negative-cycle detection algorithms").
+    Without a negative cycle every label is final after n - 1 passes, so a
+    pass beyond n also proves one.
+    """
+    dist = [0] * n if potentials is None else list(potentials)
+    out = [[] for _ in range(n)]
+    queued = [False] * n
+    active = []
+    for src, dst, wt in arcs:
+        out[src].append((dst, wt))
+        if not queued[src] and dist[src] + wt < dist[dst]:
+            queued[src] = True
+            active.append(src)
+    pred = [-1] * n
+    for _pass in range(n + 1):
+        if not active:
+            return dist
+        following = []
+        for u in active:
+            queued[u] = False
+            for v, wt in out[u]:
+                nd = dist[u] + wt
+                if nd < dist[v]:
+                    x = u
+                    while x != -1:
+                        if x == v:
+                            return None
+                        x = pred[x]
+                    dist[v] = nd
+                    pred[v] = u
+                    if not queued[v]:
+                        queued[v] = True
+                        following.append(v)
+        active = following
+    return None
 
 
 def _solve(n, edges):

@@ -2,11 +2,11 @@
 
 Every search runs on the problem's `debruijn.Skeleton`: a table becomes a
 per-transition q vector (`Skeleton.q_det` or `Skeleton.q_rand`) and then
-integer arcs for `ratiocycle.core_max_ratio`. Deterministic synthesis is
-one depth-first branch and bound over partial tables, `_Search`, which
-`synthesize_det` and `verify_lower_bound` run in one process, whatever
-the problem. It finds the minimum exact ratio over every table X^T -> Y
-and the tables reaching it:
+integer arcs for `ratiocycle`. Deterministic synthesis is one depth-first
+branch and bound over partial tables, `_Search`, which `synthesize_det`
+and `verify_lower_bound` run in one process, whatever the problem. It
+finds the minimum exact ratio over every table X^T -> Y and the tables
+reaching it:
 
 - self-loop forcing: on a constant window whose adversary can sit still
   for free, the policy must answer with a free self-loop of its own,
@@ -15,10 +15,14 @@ and the tables reaching it:
   depth-first order from the forced windows, and a subtree is dropped as
   soon as the transitions its fixed entries determine hold a cycle that
   loses to the incumbent (a cycle of the fixed subgraph is a cycle of
-  every completion);
+  every completion). Whether one does is a decision, not a ratio:
+  `ratiocycle.exceeds`, one warm-started negative-cycle test;
 - short-cycle screening: complete tables with a cycle of at most
   PRUNE_CYCLE_LENGTH adversary-playable edges whose ratio loses to the
-  incumbent are dropped before the full cycle search.
+  incumbent are dropped before the decision test.
+
+A complete table is decided the same way, and only a table that does not
+lose is solved for its exact ratio by `ratiocycle.core_max_ratio`.
 
 Without pruning (`prune=False`) the search is a plain exhaustive scan
 of every table, the reference the pruned search is tested against.
@@ -41,7 +45,6 @@ from itertools import product
 
 from .debruijn import cached_skeleton
 from .errors import (
-    EmptyGraph,
     InvalidHorizon,
     SearchSpaceTooLarge,
     UnsupportedAggregation,
@@ -51,7 +54,7 @@ from .errors import (
 from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy, window_index
 from .problems import LocalProblem
-from .ratiocycle import core_max_ratio, evaluate_policy
+from .ratiocycle import core_max_ratio, evaluate_policy, exceeds
 
 DEFAULT_CANDIDATE_GUARD = 2**26
 PRUNE_CYCLE_LENGTH = 2
@@ -82,6 +85,8 @@ class SynthesisResult:
     pruned_short_cycle: int  # tables discarded without a full evaluation
     full_evaluations: int
     nodes_visited: int  # search-tree nodes, partial tables included
+    decision_tests: int  # `ratiocycle.exceeds` calls: node cuts and leaf verdicts
+    parametric_solves: int  # leaves that did not lose, rated by `core_max_ratio`
     wall_seconds: float
 
 
@@ -226,8 +231,10 @@ class _Outcome:
     best: Cost
     tables: list  # optimal tables found, as tuples of output indices
     pruned: int  # tables discarded without a full evaluation
-    evaluated: int  # tables evaluated by core_max_ratio
+    evaluated: int  # tables past the screen, each given a decision test
     nodes: int  # search-tree nodes entered
+    decisions: int  # `exceeds` calls
+    solves: int  # `core_max_ratio` calls on leaves that did not lose
 
 
 class _Search:
@@ -240,9 +247,13 @@ class _Search:
     subgraph. Every cycle of that subgraph is a cycle of every completion,
     so its maximum ratio is a lower bound on the ratio of every table below
     the node, and the subtree is pruned when that bound already loses to
-    the incumbent. Complete tables are screened for short cycles and then
-    evaluated exactly. Without `prune` there is neither node pruning nor
-    the screen: a plain exhaustive scan.
+    the incumbent. `loses` decides that with `ratiocycle.exceeds`, started
+    from the potentials of the nearest ancestor decided under the same
+    bound and tie rule, without computing the bound itself. Complete tables
+    are screened for short cycles and then decided the same way; only a
+    table that does not lose is solved for its exact ratio. Without `prune`
+    there is neither node pruning nor the screen: a plain exhaustive scan,
+    which still decides each table before solving it.
 
     Ties with the incumbent are kept with `collect_all_optimal`; otherwise
     the lexicographically first optimal table wins, so a tie prunes only a
@@ -271,6 +282,9 @@ class _Search:
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
         self.q = [None] * len(skel.transitions)
         self.arcs = []  # integer arcs of the fixed subgraph
+        # ((bound, tie_loses), potentials) of the path's decision tests that
+        # found no losing cycle, outermost first
+        self.warm = []
         self.prune = config.prune
         self.cycles = short_cycles(skel) if self.prune else ()
         self.keep_ties = config.collect_all_optimal
@@ -278,23 +292,31 @@ class _Search:
         self.tables = []
         self.stop_below = stop_below
         self.done = False
-        self.pruned = self.evaluated = self.nodes = 0
+        self.pruned = self.evaluated = self.nodes = self.decisions = self.solves = 0
 
     def run(self) -> _Outcome:
         self.visit(0)
         best = POS_INF if self.bound is None else Cost(self.bound)
-        return _Outcome(best, self.tables, self.pruned, self.evaluated, self.nodes)
+        return _Outcome(
+            best,
+            self.tables,
+            self.pruned,
+            self.evaluated,
+            self.nodes,
+            self.decisions,
+            self.solves,
+        )
 
     def visit(self, depth):
         self.nodes += 1
-        mark = len(self.arcs)
+        mark, warm_mark = len(self.arcs), len(self.warm)
         ts = self.fixed_at[depth]
         for t, q in zip(ts, self.skel.q_det(self.table, ts)):
             self.q[t] = q
             self.arcs.extend((k, src, dst, w, q) for k, src, dst, w in self.arcs_of[t])
         if depth == len(self.order):
             self.leaf()
-        elif self.prune and len(self.arcs) > mark and self.cut():
+        elif self.prune and len(self.arcs) > mark and self.loses(self.tie_loses()):
             self.pruned += self.ny ** (len(self.order) - depth)
         else:
             window = self.order[depth]
@@ -305,6 +327,7 @@ class _Search:
                     break
             self.table[window] = 0
         del self.arcs[mark:]
+        del self.warm[warm_mark:]
 
     def tie_loses(self):
         """True when a tie with the incumbent is of no use below this node:
@@ -312,27 +335,22 @@ class _Search:
         before this node's first table."""
         return not self.keep_ties and (not self.tables or tuple(self.table) > self.tables[0])
 
-    def solve(self, tie_loses):
-        return core_max_ratio(
-            self.skel.n_vertices, self.arcs, abort_above=self.bound, abort_on_tie=tie_loses
+    def loses(self, tie_loses):
+        """True when the fixed subgraph holds a cycle that loses to the
+        incumbent, so no table below the node is of use (an acyclic one
+        proves nothing): `exceeds`, started from the potentials of the
+        nearest ancestor decided under the same bound and tie rule. Those
+        stay feasible for that ancestor's arcs, all of which are still
+        fixed, so only the arcs added since can be violated."""
+        self.decisions += 1
+        key = (self.bound, tie_loses)
+        start = next((p for k, p in reversed(self.warm) if k == key), None)
+        verdict, potentials = exceeds(
+            self.skel.n_vertices, self.arcs, self.bound, tie_loses, start
         )
-
-    def loses(self, kind, lam, tie_loses):
-        if kind == "infinite":
-            return True
-        if self.bound is None:
-            return False
-        return lam > self.bound or (tie_loses and lam == self.bound)
-
-    def cut(self):
-        """True when the fixed subgraph proves that no table below the node
-        is of use; an acyclic fixed subgraph proves nothing."""
-        tie_loses = self.tie_loses()
-        try:
-            kind, lam, _w, _i = self.solve(tie_loses)
-        except EmptyGraph:
-            return False
-        return self.loses(kind, lam, tie_loses)
+        if potentials is not None:
+            self.warm.append((key, potentials))
+        return verdict
 
     def leaf(self):
         tie_loses = self.tie_loses()
@@ -342,9 +360,11 @@ class _Search:
             self.pruned += 1
             return
         self.evaluated += 1
-        kind, lam, _w, _i = self.solve(tie_loses)
-        if self.loses(kind, lam, tie_loses):
+        if self.loses(tie_loses):
             return
+        # a finite ratio that beats the incumbent, or ties it usefully
+        self.solves += 1
+        _kind, lam, _w, _i = core_max_ratio(self.skel.n_vertices, self.arcs)
         table = tuple(self.table)
         if self.bound is None or lam < self.bound:
             self.bound = lam
@@ -384,6 +404,8 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
         pruned_short_cycle=outcome.pruned,
         full_evaluations=outcome.evaluated,
         nodes_visited=outcome.nodes,
+        decision_tests=outcome.decisions,
+        parametric_solves=outcome.solves,
         wall_seconds=time.monotonic() - started,
     )
 

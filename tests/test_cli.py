@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tlsynth.cli import main
+from tlsynth.policies import DeterministicPolicy, policy_to_document
 from tlsynth.problems import bundled_problem
 
 
@@ -57,6 +58,9 @@ def test_synth_counters_report_nodes_visited(tmp_path, capsys):
     assert pruned["candidates_examined"] == 64
     assert pruned["pruned_short_cycle"] + pruned["full_evaluations"] == 64
     assert pruned["full_evaluations"] <= pruned["nodes_visited"] < 2**7 - 1
+    # every full evaluation is one decision test; only leaves that do not lose are solved
+    assert pruned["full_evaluations"] <= pruned["decision_tests"] <= pruned["nodes_visited"]
+    assert pruned["parametric_solves"] <= pruned["full_evaluations"]
     # without pruning every node of the 8-window tree is visited
     assert bare["nodes_visited"] == 2**9 - 1
     assert bare["full_evaluations"] == bare["candidates_examined"] == 2**8
@@ -393,6 +397,23 @@ def test_missing_file_exits_2(tmp_path, capsys, flag, argv):
     assert code == 2
     assert stdout == ""
     assert err.startswith(f"error: cannot read {flag} file ")
+
+
+def test_negative_adversary_cost_exits_2(tmp_path, capsys):
+    # max-ind-set has a -inf rule, which the skeleton rejects for synth and eval
+    code, stdout, err = run_cli(capsys, "synth", "--problem", "max-ind-set", "--horizon", "2")
+    assert (code, stdout) == (2, "")
+    assert err == "error: edge 5: adversary cost -inf must be >= 0\n"
+    problem = bundled_problem("max-ind-set")
+    xs, ys = problem.input_alphabet, problem.output_alphabet
+    policy = tmp_path / "policy.json"
+    doc = policy_to_document(DeterministicPolicy(2, xs, ys, (0, 0, 0, 0)))
+    policy.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(
+        capsys, "eval", "--problem", "max-ind-set", "--policy", str(policy)
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: edge ") and err.endswith(" must be >= 0\n")
 
 
 def test_exit_code_3_on_guard(capsys):

@@ -11,9 +11,12 @@ from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem, offline_opt
 from tlsynth.ratiocycle import (
+    _out_arcs,
     _simple_cycles,
     brute_force_max_ratio,
+    core_max_ratio,
     evaluate_policy,
+    exceeds,
     max_ratio_cycle,
     walk_ratio,
 )
@@ -160,6 +163,95 @@ def test_termination_iteration_bound(migration_problem):
         n_cycles = sum(1 for _ in _simple_cycles(graph.n_vertices, out))
         verdict = max_ratio_cycle(graph)
         assert verdict.iterations <= n_cycles
+
+
+# -- the decision test ------------------------------------------------------------
+
+
+def random_int_arcs(rng, infinite_q):
+    """Integer arcs (id, src, dst, w, q) on at most 8 vertices, with 0/0
+    arcs, zero-w arcs of positive q and, with infinite_q, q = None arcs."""
+    n = rng.randint(1, 8)
+    arcs = []
+    for v in range(n):
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.2:
+                w, q = 0, 0
+            elif kind < 0.27:
+                w, q = 0, rng.randint(1, 3)
+            else:
+                w, q = rng.randint(1, 4), rng.randint(0, 6)
+            if infinite_q and rng.random() < 0.1:
+                q = None
+            arcs.append((len(arcs), v, rng.randrange(n), w, q))
+    return n, arcs
+
+
+def simple_cycle_ratios(n, arcs):
+    """Ratio of every simple cycle of the finite-q arcs: q/w, 1 for 0/0
+    and None (+inf) for a zero-w cycle with positive q."""
+    finite = [arc for arc in arcs if arc[4] is not None]
+    by_id = {k: (w, q) for k, _s, _d, w, q in finite}
+    ratios = []
+    for cycle in _simple_cycles(n, _out_arcs(n, finite)):
+        w = sum(by_id[k][0] for k in cycle)
+        q = sum(by_id[k][1] for k in cycle)
+        ratios.append(Fraction(q, w) if w else (Fraction(1) if q == 0 else None))
+    return ratios
+
+
+def core_loses(n, arcs, bound, ties_lose):
+    """The verdict of the full parametric search, with no abort."""
+    try:
+        kind, lam, _w, _i = core_max_ratio(n, arcs)
+    except EmptyGraph:
+        return False
+    if kind == "infinite":
+        return True
+    return bound is not None and (lam > bound or (ties_lose and lam == bound))
+
+
+@pytest.mark.parametrize("infinite_q", [False, True])
+def test_exceeds_matches_the_cycle_oracle(infinite_q):
+    """`exceeds` against brute-force simple cycles on finite graphs, and
+    against `core_max_ratio` with +inf-q arcs (whose stage 0 it shares),
+    cold and warm-started from potentials feasible for a prefix of the
+    arcs; bounds at, just above and just below each cycle ratio, <= 1 and
+    none."""
+    rng = random.Random(2024 + infinite_q)
+    decided = set()
+    for _ in range(250):
+        n, arcs = random_int_arcs(rng, infinite_q)
+        ratios = simple_cycle_ratios(n, arcs)
+        finite_ratios = {r for r in ratios if r is not None}
+        bounds = {Fraction(0), Fraction(1, 2), Fraction(1), None}
+        bounds |= {r + d for r in finite_ratios for d in (0, Fraction(1, 7), -Fraction(1, 7))}
+        prefix = arcs[: rng.randint(0, len(arcs))]
+        for bound in bounds:
+            for ties_lose in (False, True):
+                if infinite_q:
+                    expected = core_loses(n, arcs, bound, ties_lose)
+                else:
+                    expected = any(
+                        r is None
+                        or (bound is not None and (r > bound or (ties_lose and r == bound)))
+                        for r in ratios
+                    )
+                cold, potentials = exceeds(n, arcs, bound, ties_lose)
+                assert cold == expected, (n, arcs, bound, ties_lose)
+                start_loses, start = exceeds(n, prefix, bound, ties_lose)
+                assert not start_loses or expected  # a cycle of the prefix stays
+                warm, warm_potentials = exceeds(n, arcs, bound, ties_lose, start)
+                assert warm == expected, (n, arcs, bound, ties_lose, start)
+                for found in (potentials, warm_potentials):
+                    if found is not None:
+                        # feasible: a restart from them changes nothing
+                        assert exceeds(n, arcs, bound, ties_lose, found) == (False, found)
+                decided.add((expected, bound is not None and bound > 1, start is not None))
+    # the integer test reached both verdicts from a warm start, and the
+    # losing one also after a prefix that already lost
+    assert {(False, True, True), (True, True, True), (True, True, False)} <= decided
 
 
 # -- walk decomposition ----------------------------------------------------------

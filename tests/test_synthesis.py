@@ -221,6 +221,50 @@ def test_t4_alpha1_optimum_is_exactly_a1_a2_a3():
     assert res.nodes_visited < 2**14
 
 
+# ratio, nodes visited, full evaluations and optimal tables of the T=4
+# search, as the search that solved every node for its ratio found them
+T4_SEARCH_SHAPE = [
+    ("1/2", True, 3, 5209, 2512, ["0101010101010101"]),
+    ("1", True, 3, 597, 256, sorted(OPTIMAL_T4_TABLES)),
+    (
+        "2",
+        True,
+        4,
+        515,
+        212,
+        [
+            "0000001100011111",
+            "0000001100111111",
+            "0000011100111111",
+            *sorted(OPTIMAL_T4_TABLES),
+        ],
+    ),
+    ("1", False, 3, 475, 178, ["0001001100010111"]),
+]
+
+
+@pytest.mark.parametrize(
+    "alpha,collect,ratio,nodes,evaluations,tables",
+    T4_SEARCH_SHAPE,
+    ids=["alpha=1/2", "alpha=1", "alpha=2", "alpha=1-first-table"],
+)
+def test_t4_search_shape(alpha, collect, ratio, nodes, evaluations, tables):
+    """The decision tests cut and drop exactly the nodes and leaves that
+    solving each one for its ratio did."""
+    config = SynthesisConfig(horizon=4, collect_all_optimal=collect)
+    res = synthesize_det(migration(alpha), config)
+    assert res.best_ratio == Cost(ratio)
+    assert (res.nodes_visited, res.full_evaluations) == (nodes, evaluations)
+    assert res.candidates_examined == 2**14
+    assert ["".join(map(str, p.table)) for p in res.policies] == tables
+
+
+def test_only_leaves_that_do_not_lose_are_solved():
+    res = synthesize_det(migration(), SynthesisConfig(horizon=4, collect_all_optimal=True))
+    assert res.full_evaluations <= res.decision_tests <= res.nodes_visited
+    assert res.parametric_solves < res.full_evaluations
+
+
 def test_verify_lower_bound_modes():
     holds, counter, checked = verify_lower_bound(
         migration(), SynthesisConfig(horizon=2), Fraction(4)
