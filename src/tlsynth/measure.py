@@ -39,7 +39,11 @@ from .synthesis import SynthesisConfig, synthesize_det, synthesize_rand
 
 def mixed_resetting_best_horizon(alpha) -> int:
     """Horizon at which the Mixed Resetting family balances its two cost
-    terms (nearest integer)."""
+    terms (nearest integer).
+
+    A closed-form heuristic, not the exact minimizer of the family's
+    ratio: an exact rating of each horizon can pick another one (at
+    alpha=2 it favours T=6, ratio 11/4, over this T=5, ratio 14/5)."""
     a = float(parse_rational(alpha))
     return max(1, round(a + math.sqrt(20 * a * a - 4 * a + 1) / 2 - 1))
 

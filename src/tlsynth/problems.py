@@ -281,7 +281,8 @@ class LocalProblem:
     def evaluate(self, x_seq, y_seq) -> CostBreakdown:
         """Per-step costs and their aggregate for a full input/output pair.
 
-        A sum is taken over the scaled ints of the memo's entries.
+        The aggregate is taken over the scaled ints (or sentinels) of the
+        memo's entries and turned back into a `Cost` once.
         """
         n = len(x_seq)
         if n != len(y_seq):
@@ -294,10 +295,12 @@ class LocalProblem:
         ]
         per_step = tuple(cost for cost, _ in entries)
         if self.aggregation == "sum":
-            total = self._unscale(sum(scaled for _, scaled in entries))
+            total = sum(scaled for _, scaled in entries)
+        elif not entries:
+            raise ValidationError("min/max aggregation of an empty sequence")
         else:
-            total = self._aggregate(per_step)
-        return CostBreakdown(per_step, total)
+            total = (min if self.aggregation == "min" else max)(s for _, s in entries)
+        return CostBreakdown(per_step, self._unscale(total))
 
     def _aggregate(self, per_step) -> Cost:
         if self.aggregation == "sum":

@@ -16,11 +16,12 @@ adversary never plays them) and a cycle through one q = +inf edge and
 otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
 works on integer arcs and is shared by analysis and synthesis; a verdict
 adds the canonical witness, or says that its capped search gave up.
-`exceeds` answers the question a branch and bound asks, on the same
-arcs: does a cycle's ratio exceed a bound a/b (or reach it, when a tie
-loses)? It is one negative-cycle test on the integer weights a*w - b*q,
-label correcting from potentials a caller may carry over from a subset
-of the arcs, and it agrees with the verdict `core_max_ratio` implies.
+`ArcStack.exceeds` answers the question a branch and bound asks, on the
+same arcs: does a cycle's ratio exceed a bound a/b (or reach it, when a
+tie loses)? It is one negative-cycle test on integer weights A*w - B*q,
+label correcting from the potentials of an earlier decision on fewer of
+the stack's arcs, and it agrees with the verdict `core_max_ratio`
+implies; `exceeds` runs it once on a list of arcs.
 `evaluate_policy` solves a `debruijn.Skeleton`'s arcs, in the problem's
 own scale, and reads back only the witness edges as `Cost`s for the
 report; `max_ratio_cycle` validates and scales a hand-built `DualGraph`.
@@ -282,97 +283,168 @@ def core_max_ratio(n, edges, abort_above=None, abort_on_tie=False):
 
 
 def exceeds(n, edges, bound, ties_lose=False, potentials=None):
-    """Decide whether the arcs (id, src, dst, w, q) of `core_max_ratio` hold
-    a cycle whose ratio is above `bound`, or equal to it with ties_lose,
-    without computing the maximum ratio.
+    """`ArcStack.exceeds` on the arcs (id, src, dst, w, q) of
+    `core_max_ratio`, started from `potentials` (zeros when None)."""
+    stack = ArcStack(n)
+    stack.push(edges)
+    return stack.exceeds(bound, ties_lose, potentials)
 
-    The verdict is the one `core_max_ratio` implies: True exactly when its
-    ratio is infinite, above the bound, or equal to it with ties_lose; with
-    bound None, exactly when it is infinite. Returns (verdict, potentials);
-    potentials are not None only when the verdict is False and was reached
-    by the integer test below, and are then feasible for these arcs under
-    this bound and tie rule, so a call on a superset of the arcs may start
-    from them.
 
-    After stage 0 of `core_max_ratio`, the answer is whether the finite-q
-    arcs hold a negative cycle under the weights a*w - b*q for a bound a/b
-    (a cycle of ratio above a/b, or a zero-w cycle with positive q), or,
-    with ties_lose, under M*(a*w - b*q) - [w or q nonzero] with M = n + 1:
-    a simple cycle has at most n arcs, so it is then negative exactly when
-    its ratio is at least a/b and it is not a 0/0 cycle. Without a bound
-    the weights are -q on the zero-w arcs, stage 1 of `core_max_ratio`. A
-    0/0 cycle rates 1, so bounds <= 1 run `core_max_ratio` itself, with the
-    bound as its abort.
+class ArcStack:
+    """Arcs (id, src, dst, w, q) of `core_max_ratio`, pushed and popped like
+    a stack, with the decision a branch and bound asks of them: does a
+    cycle's ratio exceed a bound a/b (or reach it, when a tie loses)?
+
+    The finite-q arcs are also kept as one adjacency of (dst, w, q), and
+    the +inf-q arcs are counted. `exceeds` is one negative-cycle test under
+    the weights A*w - B*q, computed while relaxing. It starts from the
+    potentials of the last decision under the same weights whose arcs are
+    all still on the stack, so only the arcs pushed since can be violated
+    and only their tails are queued. `pop_to` drops the arcs and the
+    potentials above a mark.
     """
-    if bound is not None and bound <= 1:
-        try:
-            kind, lam, _w, _i = core_max_ratio(
-                n, edges, abort_above=bound, abort_on_tie=ties_lose
-            )
-        except EmptyGraph:
-            return False, None  # no cycle exceeds anything
-        return kind == "infinite" or lam > bound or (ties_lose and lam == bound), None
-    cycle, edges = _infinite_q_cycle(n, edges)
-    if cycle is not None:
-        return True, None
-    if bound is None:
-        weighted = [(s, d, -q) for _k, s, d, w, q in edges if w == 0]
-    else:
-        a, b = bound.numerator, bound.denominator
-        if ties_lose:
-            m = n + 1
-            weighted = [
-                (s, d, m * (a * w - b * q) - (1 if w or q else 0)) for _k, s, d, w, q in edges
-            ]
-        else:
-            weighted = [(s, d, a * w - b * q) for _k, s, d, w, q in edges]
-    feasible = _feasible_potentials(n, weighted, potentials)
-    return feasible is None, feasible
 
+    def __init__(self, n):
+        self.n = n
+        self.arcs = []
+        self.out = [[] for _ in range(n)]  # (dst, w, q) of the finite-q arcs
+        self.infinite = 0  # +inf-q arcs on the stack
+        self.warm = []  # ((A, B), potentials, arc count), oldest first
 
-def _feasible_potentials(n, arcs, potentials=None):
-    """Potentials p with p[dst] <= p[src] + weight on every arc (src, dst,
-    weight), or None when the arcs hold a negative cycle.
+    def push(self, arcs):
+        own, out = self.arcs, self.out
+        for arc in arcs:
+            own.append(arc)
+            if arc[4] is None:
+                self.infinite += 1
+            else:
+                out[arc[1]].append(arc[2:])
 
-    FIFO label correcting from `potentials` (zeros, a virtual source, when
-    None), whose first pass scans the tails of the arcs they violate. At
-    each improving relaxation u -> v the predecessor tree is walked from u
-    to its root: meeting v closes a negative cycle (walk to root;
-    Cherkassky & Goldberg 1999, "Negative-cycle detection algorithms").
-    Without a negative cycle every label is final after n - 1 passes, so a
-    pass beyond n also proves one.
-    """
-    dist = [0] * n if potentials is None else list(potentials)
-    out = [[] for _ in range(n)]
-    queued = [False] * n
-    active = []
-    for src, dst, wt in arcs:
-        out[src].append((dst, wt))
-        if not queued[src] and dist[src] + wt < dist[dst]:
-            queued[src] = True
-            active.append(src)
-    pred = [-1] * n
-    for _pass in range(n + 1):
-        if not active:
-            return dist
-        following = []
-        for u in active:
-            queued[u] = False
-            for v, wt in out[u]:
-                nd = dist[u] + wt
-                if nd < dist[v]:
-                    x = u
-                    while x != -1:
-                        if x == v:
-                            return None
-                        x = pred[x]
-                    dist[v] = nd
-                    pred[v] = u
-                    if not queued[v]:
-                        queued[v] = True
-                        following.append(v)
-        active = following
-    return None
+    def pop_to(self, mark):
+        arcs, out = self.arcs, self.out
+        while len(arcs) > mark:
+            arc = arcs.pop()
+            if arc[4] is None:
+                self.infinite -= 1
+            else:
+                out[arc[1]].pop()
+        warm = self.warm
+        while warm and warm[-1][2] > mark:
+            warm.pop()
+
+    def weights(self, bound, ties_lose):
+        """(A, B) such that a simple cycle of the finite-q arcs is negative
+        under A*w - B*q exactly when it loses, by the verdict
+        `core_max_ratio` implies after its stage 0, for a bound a/b > 1 or
+        none. A simple cycle has at most n arcs, so its W and Q are at most
+        n*w_max and n*q_max over the finite-q arcs, and W, Q and
+        a*W - b*Q are integers:
+
+        - a strict bound: (a, b); the cycle's ratio is above a/b, or it is a
+          zero-w cycle with positive q;
+        - a tie that loses: (M*a - 1, M*b) with M = n*w_max + 1, so the
+          weight is M*(a*W - b*Q) - W; the cycle's ratio is at least a/b
+          and it is not a 0/0 cycle, which rates 1;
+        - no bound: (n*q_max + 1, 1); a zero-w cycle with positive q, as in
+          stage 1 of `core_max_ratio`, since every other cycle weighs at
+          least 1.
+        """
+        if bound is not None and not ties_lose:
+            return bound.numerator, bound.denominator
+        finite = [arc for arc in self.arcs if arc[4] is not None]
+        if bound is None:
+            return self.n * max((arc[4] for arc in finite), default=0) + 1, 1
+        m = self.n * max((arc[3] for arc in finite), default=0) + 1
+        return m * bound.numerator - 1, m * bound.denominator
+
+    def exceeds(self, bound, ties_lose=False, potentials=None):
+        """Decide whether the arcs hold a cycle whose ratio is above
+        `bound`, or equal to it with ties_lose, without computing the
+        maximum ratio.
+
+        The verdict is the one `core_max_ratio` implies: True exactly when
+        its ratio is infinite, above the bound, or equal to it with
+        ties_lose; with bound None, exactly when it is infinite. Returns
+        (verdict, potentials); potentials are not None only when the
+        verdict is False and was reached by the negative-cycle test, and
+        are then feasible for these arcs under `weights`.
+
+        Stage 0 of `core_max_ratio` runs only when a +inf-q arc is on the
+        stack. A 0/0 cycle rates 1, so bounds <= 1 run `core_max_ratio`
+        itself, with the bound as its abort. Given `potentials`, the test
+        starts from them and queues the tails of every arc they violate;
+        otherwise from the last feasible potentials under the same weights,
+        or from zeros (a virtual source).
+        """
+        if bound is not None and bound <= 1:
+            try:
+                kind, lam, _w, _i = core_max_ratio(
+                    self.n, self.arcs, abort_above=bound, abort_on_tie=ties_lose
+                )
+            except EmptyGraph:
+                return False, None  # no cycle exceeds anything
+            return kind == "infinite" or lam > bound or (ties_lose and lam == bound), None
+        if self.infinite and _infinite_q_cycle(self.n, self.arcs)[0] is not None:
+            return True, None
+        key = self.weights(bound, ties_lose)
+        since = 0
+        if potentials is None:
+            potentials = [0] * self.n
+            for entry in reversed(self.warm):
+                if entry[0] == key:
+                    _key, potentials, since = entry
+                    break
+        dist = self._relax(key, list(potentials), self.arcs[since:])
+        if dist is None:
+            return True, None
+        self.warm.append((key, dist, len(self.arcs)))
+        return False, dist
+
+    def _relax(self, key, dist, fresh):
+        """Feasible potentials p, p[dst] <= p[src] + A*w - B*q on every
+        finite-q arc, reached from dist by relaxing; or None when the arcs
+        hold a negative cycle. Only the tails of the `fresh` arcs that dist
+        violates are queued at first: every other arc must satisfy dist.
+
+        FIFO label correcting. At each improving relaxation u -> v the
+        predecessor tree is walked from u to its root: meeting v closes a
+        negative cycle (walk to root; Cherkassky & Goldberg 1999,
+        "Negative-cycle detection algorithms"). Without a negative cycle
+        every label is final after n - 1 passes, so a pass beyond n also
+        proves one.
+        """
+        a, b = key
+        n = self.n
+        queued = [False] * n
+        active = []
+        for _k, src, dst, w, q in fresh:
+            if q is not None and not queued[src] and dist[src] + a * w - b * q < dist[dst]:
+                queued[src] = True
+                active.append(src)
+        out = self.out
+        pred = [-1] * n
+        for _pass in range(n + 1):
+            if not active:
+                return dist
+            following = []
+            for u in active:
+                queued[u] = False
+                du = dist[u]
+                for v, w, q in out[u]:
+                    nd = du + a * w - b * q
+                    if nd < dist[v]:
+                        x = u
+                        while x != -1:
+                            if x == v:
+                                return None
+                            x = pred[x]
+                        dist[v] = nd
+                        pred[v] = u
+                        if not queued[v]:
+                            queued[v] = True
+                            following.append(v)
+            active = following
+        return None
 
 
 def _solve(n, edges):

@@ -15,14 +15,19 @@ reaching it:
   depth-first order from the forced windows, and a subtree is dropped as
   soon as the transitions its fixed entries determine hold a cycle that
   loses to the incumbent (a cycle of the fixed subgraph is a cycle of
-  every completion). Whether one does is a decision, not a ratio:
-  `ratiocycle.exceeds`, one warm-started negative-cycle test;
+  every completion). Whether one does is a decision, not a ratio: one
+  negative-cycle test on the fixed subgraph, a `ratiocycle.ArcStack` that
+  grows and shrinks with the search and starts each test from an
+  ancestor's potentials, so only the arcs fixed since are queued;
 - short-cycle screening: complete tables with a cycle of at most
   PRUNE_CYCLE_LENGTH adversary-playable edges whose ratio loses to the
   incumbent are dropped before the decision test.
 
-A complete table is decided the same way, and only a table that does not
-lose is solved for its exact ratio by `ratiocycle.core_max_ratio`.
+A complete table is decided the same way. One that does not lose is
+decided again with ties losing: if a cycle then reaches the incumbent, the
+table ties it and is recorded without a solve. Only a table that beats the
+incumbent is solved for its exact ratio by `ratiocycle.core_max_ratio`,
+once per improvement.
 
 Without pruning (`prune=False`) the search is a plain exhaustive scan
 of every table, the reference the pruned search is tested against.
@@ -54,7 +59,7 @@ from .errors import (
 from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy, window_index
 from .problems import LocalProblem
-from .ratiocycle import core_max_ratio, evaluate_policy, exceeds
+from .ratiocycle import ArcStack, core_max_ratio, evaluate_policy
 
 DEFAULT_CANDIDATE_GUARD = 2**26
 PRUNE_CYCLE_LENGTH = 2
@@ -85,8 +90,8 @@ class SynthesisResult:
     pruned_short_cycle: int  # tables discarded without a full evaluation
     full_evaluations: int
     nodes_visited: int  # search-tree nodes, partial tables included
-    decision_tests: int  # `ratiocycle.exceeds` calls: node cuts and leaf verdicts
-    parametric_solves: int  # leaves that did not lose, rated by `core_max_ratio`
+    decision_tests: int  # `ArcStack.exceeds` calls: node cuts, leaf and tie verdicts
+    parametric_solves: int  # leaves that beat the incumbent, rated by `core_max_ratio`
     wall_seconds: float
 
 
@@ -233,8 +238,8 @@ class _Outcome:
     pruned: int  # tables discarded without a full evaluation
     evaluated: int  # tables past the screen, each given a decision test
     nodes: int  # search-tree nodes entered
-    decisions: int  # `exceeds` calls
-    solves: int  # `core_max_ratio` calls on leaves that did not lose
+    decisions: int  # `ArcStack.exceeds` calls
+    solves: int  # `core_max_ratio` calls on leaves that beat the incumbent
 
 
 class _Search:
@@ -244,14 +249,16 @@ class _Search:
     ascending; windows not yet assigned hold 0, so the table at a node is
     the lexicographically first table below it. A transition's q is known
     once every window it reads is fixed, and its arcs then join the fixed
-    subgraph. Every cycle of that subgraph is a cycle of every completion,
-    so its maximum ratio is a lower bound on the ratio of every table below
-    the node, and the subtree is pruned when that bound already loses to
-    the incumbent. `loses` decides that with `ratiocycle.exceeds`, started
-    from the potentials of the nearest ancestor decided under the same
-    bound and tie rule, without computing the bound itself. Complete tables
-    are screened for short cycles and then decided the same way; only a
-    table that does not lose is solved for its exact ratio. Without `prune`
+    subgraph, an `ArcStack` that `visit` grows and pops back on return.
+    Every cycle of that subgraph is a cycle of every completion, so its
+    maximum ratio is a lower bound on the ratio of every table below the
+    node, and the subtree is pruned when that bound already loses to the
+    incumbent. `loses` decides that with `ArcStack.exceeds`, started from
+    the potentials of the nearest ancestor decided under the same weights,
+    without computing the bound itself. Complete tables are screened for
+    short cycles and then decided the same way. A table that does not lose
+    is decided again with ties losing, which tells a tie (recorded as is)
+    from a win; only a win is solved for its exact ratio. Without `prune`
     there is neither node pruning nor the screen: a plain exhaustive scan,
     which still decides each table before solving it.
 
@@ -281,10 +288,7 @@ class _Search:
             self.arcs_of[t].append((k, src, dst, w))
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
         self.q = [None] * len(skel.transitions)
-        self.arcs = []  # integer arcs of the fixed subgraph
-        # ((bound, tie_loses), potentials) of the path's decision tests that
-        # found no losing cycle, outermost first
-        self.warm = []
+        self.fixed = ArcStack(skel.n_vertices)  # integer arcs of the fixed subgraph
         self.prune = config.prune
         self.cycles = short_cycles(skel) if self.prune else ()
         self.keep_ties = config.collect_all_optimal
@@ -309,14 +313,15 @@ class _Search:
 
     def visit(self, depth):
         self.nodes += 1
-        mark, warm_mark = len(self.arcs), len(self.warm)
+        fixed = self.fixed
+        mark = len(fixed.arcs)
         ts = self.fixed_at[depth]
         for t, q in zip(ts, self.skel.q_det(self.table, ts)):
             self.q[t] = q
-            self.arcs.extend((k, src, dst, w, q) for k, src, dst, w in self.arcs_of[t])
+            fixed.push((k, src, dst, w, q) for k, src, dst, w in self.arcs_of[t])
         if depth == len(self.order):
             self.leaf()
-        elif self.prune and len(self.arcs) > mark and self.loses(self.tie_loses()):
+        elif self.prune and len(fixed.arcs) > mark and self.loses(self.tie_loses()):
             self.pruned += self.ny ** (len(self.order) - depth)
         else:
             window = self.order[depth]
@@ -326,8 +331,7 @@ class _Search:
                 if self.done:
                     break
             self.table[window] = 0
-        del self.arcs[mark:]
-        del self.warm[warm_mark:]
+        fixed.pop_to(mark)
 
     def tie_loses(self):
         """True when a tie with the incumbent is of no use below this node:
@@ -338,19 +342,12 @@ class _Search:
     def loses(self, tie_loses):
         """True when the fixed subgraph holds a cycle that loses to the
         incumbent, so no table below the node is of use (an acyclic one
-        proves nothing): `exceeds`, started from the potentials of the
-        nearest ancestor decided under the same bound and tie rule. Those
-        stay feasible for that ancestor's arcs, all of which are still
-        fixed, so only the arcs added since can be violated."""
+        proves nothing): `ArcStack.exceeds`, started from the potentials of
+        the nearest ancestor decided under the same weights. Those stay
+        feasible for that ancestor's arcs, all of which are still fixed, so
+        only the arcs added since can be violated."""
         self.decisions += 1
-        key = (self.bound, tie_loses)
-        start = next((p for k, p in reversed(self.warm) if k == key), None)
-        verdict, potentials = exceeds(
-            self.skel.n_vertices, self.arcs, self.bound, tie_loses, start
-        )
-        if potentials is not None:
-            self.warm.append((key, potentials))
-        return verdict
+        return self.fixed.exceeds(self.bound, tie_loses)[0]
 
     def leaf(self):
         tie_loses = self.tie_loses()
@@ -362,18 +359,19 @@ class _Search:
         self.evaluated += 1
         if self.loses(tie_loses):
             return
-        # a finite ratio that beats the incumbent, or ties it usefully
-        self.solves += 1
-        _kind, lam, _w, _i = core_max_ratio(self.skel.n_vertices, self.arcs)
         table = tuple(self.table)
-        if self.bound is None or lam < self.bound:
-            self.bound = lam
-            self.tables = [table]
-            self.done = self.stop_below
-        elif self.keep_ties:
-            self.tables.append(table)
-        else:  # a tie with a lexicographically smaller table
-            self.tables = [table]
+        if self.bound is not None and not tie_loses and self.loses(True):
+            # no cycle is above the incumbent and one reaches it: a tie
+            if self.keep_ties:
+                self.tables.append(table)
+            else:  # a tie with a lexicographically smaller table
+                self.tables = [table]
+            return
+        # a finite ratio below the incumbent
+        self.solves += 1
+        _kind, self.bound, _w, _i = core_max_ratio(self.skel.n_vertices, self.fixed.arcs)
+        self.tables = [table]
+        self.done = self.stop_below
 
 
 # -- deterministic synthesis ---------------------------------------------------------

@@ -234,6 +234,22 @@ def test_evaluate_total_is_the_exact_aggregate(name):
             assert out.total == aggregate[problem.aggregation](per_step)
 
 
+@pytest.mark.parametrize(
+    "name,aggregation",
+    [("load-balancing", "max"), ("load-balancing", "min"), ("min-dom-set", "max")],
+)
+def test_min_max_evaluate_equals_the_cost_aggregate(name, aggregation):
+    # every input and output pair up to length 6; min-dom-set pays +inf
+    problem = dataclasses.replace(bundled_problem(name), aggregation=aggregation)
+    xsyms = problem.input_alphabet.symbols
+    ysyms = problem.output_alphabet.symbols
+    for n in range(1, 7):
+        for xs in itertools.product(xsyms, repeat=n):
+            for ys in itertools.product(ysyms, repeat=n):
+                out = problem.evaluate(xs, ys)
+                assert out.total == problem._aggregate(out.per_step), (xs, ys)
+
+
 # x-windows ("a","a") with outputs ("1","1") cost -inf, input "b" with
 # outputs ("0","0") costs +inf and input "c" always does; outputs are
 # declared out of sort order

@@ -11,6 +11,7 @@ from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem, offline_opt
 from tlsynth.ratiocycle import (
+    ArcStack,
     _out_arcs,
     _simple_cycles,
     brute_force_max_ratio,
@@ -212,13 +213,24 @@ def core_loses(n, arcs, bound, ties_lose):
     return bound is not None and (lam > bound or (ties_lose and lam == bound))
 
 
+def ratios_lose(ratios, bound, ties_lose):
+    """The verdict of a list of simple cycle ratios."""
+    return any(
+        r is None or (bound is not None and (r > bound or (ties_lose and r == bound)))
+        for r in ratios
+    )
+
+
 @pytest.mark.parametrize("infinite_q", [False, True])
 def test_exceeds_matches_the_cycle_oracle(infinite_q):
     """`exceeds` against brute-force simple cycles on finite graphs, and
     against `core_max_ratio` with +inf-q arcs (whose stage 0 it shares),
     cold and warm-started from potentials feasible for a prefix of the
     arcs; bounds at, just above and just below each cycle ratio, <= 1 and
-    none."""
+    none. On an `ArcStack` as the branch and bound uses it, the prefix is
+    decided first, the rest of the arcs is pushed and decided from the
+    prefix's potentials (queueing only the rest's tails), and popped again;
+    decisions under every bound and tie rule share the stack."""
     rng = random.Random(2024 + infinite_q)
     decided = set()
     for _ in range(250):
@@ -228,16 +240,26 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
         bounds = {Fraction(0), Fraction(1, 2), Fraction(1), None}
         bounds |= {r + d for r in finite_ratios for d in (0, Fraction(1, 7), -Fraction(1, 7))}
         prefix = arcs[: rng.randint(0, len(arcs))]
+        prefix_ratios = simple_cycle_ratios(n, prefix)
+        stack = ArcStack(n)
+        stack.push(prefix)
         for bound in bounds:
             for ties_lose in (False, True):
                 if infinite_q:
                     expected = core_loses(n, arcs, bound, ties_lose)
+                    prefix_loses = core_loses(n, prefix, bound, ties_lose)
                 else:
-                    expected = any(
-                        r is None
-                        or (bound is not None and (r > bound or (ties_lose and r == bound)))
-                        for r in ratios
-                    )
+                    expected = ratios_lose(ratios, bound, ties_lose)
+                    prefix_loses = ratios_lose(prefix_ratios, bound, ties_lose)
+                assert stack.exceeds(bound, ties_lose)[0] == prefix_loses
+                stack.push(arcs[len(prefix) :])
+                key = stack.weights(bound, ties_lose)
+                from_prefix = any(entry[0] == key for entry in stack.warm)
+                assert stack.exceeds(bound, ties_lose)[0] == expected, (n, arcs, bound)
+                stack.pop_to(len(prefix))
+                assert all(count <= len(prefix) for _k, _p, count in stack.warm)
+                assert stack.exceeds(bound, ties_lose)[0] == prefix_loses
+                decided.add(("stack", expected, bound is not None and bound > 1, from_prefix))
                 cold, potentials = exceeds(n, arcs, bound, ties_lose)
                 assert cold == expected, (n, arcs, bound, ties_lose)
                 start_loses, start = exceeds(n, prefix, bound, ties_lose)
@@ -250,8 +272,36 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
                         assert exceeds(n, arcs, bound, ties_lose, found) == (False, found)
                 decided.add((expected, bound is not None and bound > 1, start is not None))
     # the integer test reached both verdicts from a warm start, and the
-    # losing one also after a prefix that already lost
+    # losing one also after a prefix that already lost; on the stack both
+    # from the prefix's potentials
     assert {(False, True, True), (True, True, True), (True, True, False)} <= decided
+    assert {("stack", False, True, True), ("stack", True, True, True)} <= decided
+
+
+@pytest.mark.parametrize("infinite_q", [False, True])
+def test_tie_decision_matches_the_ratio(infinite_q):
+    """A second decision with ties losing tells a tie from a win: when no
+    cycle exceeds b, one reaches it exactly when `core_max_ratio` rates the
+    arcs b; bounds at, just above and just below each ratio, <= 1 included."""
+    rng = random.Random(77 + infinite_q)
+    seen = set()
+    for _ in range(300):
+        n, arcs = random_int_arcs(rng, infinite_q)
+        try:
+            kind, lam, _w, _i = core_max_ratio(n, arcs)
+        except EmptyGraph:
+            kind, lam = "acyclic", None
+        bounds = {Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)}
+        bounds |= {r for r in simple_cycle_ratios(n, arcs) if r is not None}
+        if lam is not None:
+            bounds |= {lam, lam + Fraction(1, 7), lam - Fraction(1, 7)}
+        for bound in bounds:
+            if exceeds(n, arcs, bound, ties_lose=False)[0]:
+                continue
+            tie = exceeds(n, arcs, bound, ties_lose=True)[0]
+            assert tie == (kind == "finite" and lam == bound), (n, arcs, bound)
+            seen.add((tie, bound > 1))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # -- walk decomposition ----------------------------------------------------------

@@ -222,10 +222,11 @@ def test_t4_alpha1_optimum_is_exactly_a1_a2_a3():
 
 
 # ratio, nodes visited, full evaluations and optimal tables of the T=4
-# search, as the search that solved every node for its ratio found them
+# search, as the search that solved every node for its ratio found them;
+# then its decision tests and parametric solves (one per incumbent)
 T4_SEARCH_SHAPE = [
-    ("1/2", True, 3, 5209, 2512, ["0101010101010101"]),
-    ("1", True, 3, 597, 256, sorted(OPTIMAL_T4_TABLES)),
+    ("1/2", True, 3, 5209, 2512, ["0101010101010101"], 5301, 5),
+    ("1", True, 3, 597, 256, sorted(OPTIMAL_T4_TABLES), 643, 6),
     (
         "2",
         True,
@@ -238,17 +239,19 @@ T4_SEARCH_SHAPE = [
             "0000011100111111",
             *sorted(OPTIMAL_T4_TABLES),
         ],
+        570,
+        6,
     ),
-    ("1", False, 3, 475, 178, ["0001001100010111"]),
+    ("1", False, 3, 475, 178, ["0001001100010111"], 477, 6),
 ]
 
 
 @pytest.mark.parametrize(
-    "alpha,collect,ratio,nodes,evaluations,tables",
+    "alpha,collect,ratio,nodes,evaluations,tables,decisions,solves",
     T4_SEARCH_SHAPE,
     ids=["alpha=1/2", "alpha=1", "alpha=2", "alpha=1-first-table"],
 )
-def test_t4_search_shape(alpha, collect, ratio, nodes, evaluations, tables):
+def test_t4_search_shape(alpha, collect, ratio, nodes, evaluations, tables, decisions, solves):
     """The decision tests cut and drop exactly the nodes and leaves that
     solving each one for its ratio did."""
     config = SynthesisConfig(horizon=4, collect_all_optimal=collect)
@@ -257,12 +260,31 @@ def test_t4_search_shape(alpha, collect, ratio, nodes, evaluations, tables):
     assert (res.nodes_visited, res.full_evaluations) == (nodes, evaluations)
     assert res.candidates_examined == 2**14
     assert ["".join(map(str, p.table)) for p in res.policies] == tables
+    assert (res.decision_tests, res.parametric_solves) == (decisions, solves)
 
 
 def test_only_leaves_that_do_not_lose_are_solved():
     res = synthesize_det(migration(), SynthesisConfig(horizon=4, collect_all_optimal=True))
-    assert res.full_evaluations <= res.decision_tests <= res.nodes_visited
+    # a node takes at most one decision test, and a leaf that does not lose
+    # a second one, which tells a tie from a win; only wins are solved
+    assert res.full_evaluations <= res.decision_tests
+    assert res.decision_tests <= res.nodes_visited + res.full_evaluations
     assert res.parametric_solves < res.full_evaluations
+
+
+def test_t5_alpha2_optimum(monkeypatch):
+    """The first T=5 column entry, past the paper: at alpha=2 the best ratio
+    falls from 4 at T=4 to 7/2, with exactly four optimal tables."""
+    monkeypatch.setattr(synthesis, "DEFAULT_CANDIDATE_GUARD", 2**30)
+    res = synthesize_det(migration("2"), SynthesisConfig(horizon=5, collect_all_optimal=True))
+    assert res.best_ratio == Cost(Fraction(7, 2))
+    assert (res.nodes_visited, res.full_evaluations) == (31_045, 3_912)
+    assert ["".join(map(str, p.table)) for p in res.policies] == [
+        "00000001000111110000001101111111",
+        "00000001000111110000101101111111",
+        "00000001001011110000011101111111",
+        "00000001001111110000011101111111",
+    ]
 
 
 def test_verify_lower_bound_modes():
