@@ -359,6 +359,13 @@ def offline_opt(problem: LocalProblem, x_seq):
     are tried in alphabet order and only a strict improvement replaces a
     state's entry, which fixes the returned outputs. A step whose sum would
     be +inf plus -inf is skipped.
+
+    One total per state is exact unless a sum can clash: a finite total
+    dominates +inf, but -inf does not dominate a finite total, which a
+    later +inf step turns into +inf where -inf clashes. So when rule costs
+    of both infinities exist, each state has two slots, each with its own
+    back code: the -inf total first, then the best other total. A step
+    lands in the -inf slot exactly when it comes from one or costs -inf.
     """
     if not x_seq:
         raise ValidationError("offline_opt requires a non-empty input")
@@ -378,38 +385,49 @@ def offline_opt(problem: LocalProblem, x_seq):
         "max": (max, NEG_INF),
         "min": (min, POS_INF),
     }[aggregation]
+    # slots per state: two (the -inf total, then the others) when a sum can
+    # clash, else one
+    infinities = {rule.cost.infinity for rule in problem.rules}  # +1, -1 or 0 each
+    slots = 2 if combine is None and {1, -1} <= infinities else 1
+    n_slots = n_states * slots
     start = 0
     for y in problem.initial_outputs:
         start = start * ny + rank[y]
 
     ids = {}
-    bases = [ids.setdefault(xw, len(ids)) * n_states for xw in problem._x_windows(x_seq)]
+    bases = [ids.setdefault(xw, len(ids)) * n_slots for xw in problem._x_windows(x_seq)]
     x_wins = list(ids)
-    # rows[base + s]: (next state, signed scaled cost, back code s*|Y| + output
-    # index) per output, built the first time state s is reached at that
-    # window, since a pair that is never reached need not match any rule
-    rows = [None] * (len(ids) * n_states)
+    # rows[base + slot]: (next slot, signed scaled cost, back code slot*|Y| +
+    # output index) per output, built the first time the slot is reached at
+    # that window, since a pair that is never reached need not match any rule
+    rows = [None] * (len(ids) * n_slots)
 
     def row(index):
-        w, s = divmod(index, n_states)
+        w, slot = divmod(index, n_slots)
+        # other: 1 in the second of two slots, which holds the totals above -inf
+        s, other = divmod(slot, slots)
         entries = []
         for k, y in enumerate(outputs):
             scaled = problem.lookup_scaled(x_wins[w], states[s] + (y,))
-            nxt = (s * ny + rank[y]) % n_states
-            entries.append((nxt, scaled if sign > 0 else _negated(scaled), s * ny + k))
+            if sign < 0:
+                scaled = _negated(scaled)
+            nxt = (s * ny + rank[y]) % n_states * slots
+            if other and scaled is not NEG_INF:
+                nxt += 1
+            entries.append((nxt, scaled, slot * ny + k))
         rows[index] = entries
         return entries
 
-    prev = [None] * n_states
-    prev[start] = identity
+    prev = [None] * n_slots
+    prev[start * slots + slots - 1] = identity
     backs = []
     for base in bases:
-        cur = [None] * n_states
-        back = [None] * n_states
-        for s, acc in enumerate(prev):
+        cur = [None] * n_slots
+        back = [None] * n_slots
+        for slot, acc in enumerate(prev):
             if acc is None:
                 continue
-            for nxt, cost, code in rows[base + s] or row(base + s):
+            for nxt, cost, code in rows[base + slot] or row(base + slot):
                 if combine is None:
                     try:
                         total = acc + cost
@@ -424,16 +442,16 @@ def offline_opt(problem: LocalProblem, x_seq):
         backs.append(back)
         prev = cur
 
-    best_state, best = None, None
-    for s, total in enumerate(prev):
+    best_slot, best = None, None
+    for slot, total in enumerate(prev):
         if total is not None and (best is None or total < best):
-            best_state, best = s, total
+            best_slot, best = slot, total
     if best is None:
         raise InfinityClash("every output sequence meets both +inf and -inf")
     ys = []
-    state = best_state
+    slot = best_slot
     for back in reversed(backs):
-        state, k = divmod(back[state], ny)
+        slot, k = divmod(back[slot], ny)
         ys.append(outputs[k])
     ys.reverse()
     return problem._unscale(best if sign > 0 else _negated(best)), tuple(ys)

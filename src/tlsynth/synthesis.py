@@ -37,7 +37,9 @@ the incumbent, stopping at the first table below it.
 
 Randomized search sweeps a probability grid over the free windows and
 then refines coordinate-wise with a shrinking step; the result is the
-best table found, with no global-optimality claim.
+best table found, with no global-optimality claim. Each table there is
+decided against the incumbent the same way, ties losing, and only a win
+is solved, once per improvement.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .errors import (
 from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy, window_index
 from .problems import LocalProblem
-from .ratiocycle import ArcStack, core_max_ratio, evaluate_policy
+from .ratiocycle import ArcStack, core_max_ratio, evaluate_policy, exceeds
 
 DEFAULT_CANDIDATE_GUARD = 2**26
 PRUNE_CYCLE_LENGTH = 2
@@ -439,9 +441,12 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     """Best-effort randomized table search: coarse grid sweep over the free
     windows, then coordinate refinement with a halving step.
 
-    Returns (policy, ratio); when every table tried has an infinite ratio
-    that is the first grid table and +inf. No global-optimality claim is
-    made.
+    Each table is decided against the incumbent with one
+    `ratiocycle.exceeds` test, ties losing, and only a table that beats it
+    is solved by `core_max_ratio`; while no table has a finite ratio, each
+    is solved. Returns (policy, ratio); when every table tried has an
+    infinite ratio that is the first grid table and +inf. No
+    global-optimality claim is made.
     """
     if len(problem.output_alphabet) != 2:
         raise UnsupportedAggregation("randomized synthesis needs binary outputs")
@@ -458,20 +463,19 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
 
     skel = cached_skeleton(problem, config.horizon)
 
-    def ratio_of(probs, incumbent):
-        """Exact expected ratio of the table, or None when it cannot beat
-        the incumbent (including infinite-ratio tables)."""
+    def improvement(probs, incumbent):
+        """The exact expected ratio of the table when it beats the
+        incumbent, else None. Against a finite incumbent the table is
+        decided with ties losing, and only a win is solved; with none, it
+        is solved and wins when its ratio is finite."""
         q, unit = skel.q_rand(probs)
-        kind, lam, _w, _i = core_max_ratio(
-            skel.n_vertices,
-            skel.int_arcs(q, unit),
-            abort_above=incumbent,
-            abort_on_tie=True,
-        )
+        arcs = skel.int_arcs(q, unit)
+        if incumbent is not None and exceeds(
+            skel.n_vertices, arcs, incumbent, ties_lose=True
+        )[0]:
+            return None
+        kind, lam, _w, _i = core_max_ratio(skel.n_vertices, arcs)
         return lam if kind == "finite" else None
-
-    def improves(ratio, incumbent):
-        return ratio is not None and (incumbent is None or ratio < incumbent)
 
     base = [Fraction(forced.get(w, 0)) for w in range(n_windows)]
     best_ratio, best_probs = None, None
@@ -479,8 +483,8 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
         probs = list(base)
         for w, p in zip(free, assignment):
             probs[w] = p
-        ratio = ratio_of(probs, best_ratio)
-        if best_probs is None or improves(ratio, best_ratio):
+        ratio = improvement(probs, best_ratio)
+        if ratio is not None or best_probs is None:
             best_ratio, best_probs = ratio, probs
 
     # coordinate refinement, shrinking the step each round
@@ -492,8 +496,8 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
                     continue
                 probs = list(best_probs)
                 probs[w] = candidate
-                ratio = ratio_of(probs, best_ratio)
-                if improves(ratio, best_ratio):
+                ratio = improvement(probs, best_ratio)
+                if ratio is not None:
                     best_ratio, best_probs = ratio, probs
         step /= 2
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,19 @@ def test_emit_table2_deterministic_and_exact():
     assert lines[0] == "alpha,T,kind,ratio_exact,ratio_decimal"
     assert "1/2,1,det,3,3.0000" in lines
     assert "1,2,det,4,4.0000" in lines
+
+
+def test_emit_table2_reproduces_the_benchmark_reference():
+    # the benchmark's table2 operation and gate; the reference is only read
+    reference = Path(__file__).resolve().parents[1] / "bench" / "ref" / "table2.csv"
+    csv_text = emit_table2(
+        bundled_problem("file-migration"),
+        ("1/10", "1/5", "3/10", "1/2", "1"),
+        (1, 2),
+        randomized=True,
+        config_kwargs={"grid_step": Fraction(1, 20)},
+    )
+    assert csv_text.encode() == reference.read_bytes()
 
 
 def test_emit_table2_skips_guarded_cells():

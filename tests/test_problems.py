@@ -305,16 +305,56 @@ def test_infinities_of_both_signs(objective):
         assert brute_force_opt(problem, tuple("aac"))[0] == POS_INF
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InfinityClash,
-    reason="the sum DP keeps one total per state, so -inf displaces the finite "
-    "totals of both states before 'c' and every continuation clashes",
-)
 def test_opt_when_minus_inf_fills_every_state():
+    # -inf reaches both states before "c"; the finite totals it would have
+    # displaced are the only ones that survive the +inf of "c"
     problem = load_problem(CLASH_DOC)
     assert brute_force_opt(problem, tuple("aaac"))[0] == POS_INF
     assert offline_opt(problem, tuple("aaac"))[0] == POS_INF
+
+
+def random_clash_doc(rng, r, objective):
+    """A problem whose every full window pair of inputs a and b costs -inf,
+    +inf or a small rational, drawn from rng; windows that reach before the
+    first step fall to a catch-all rule, and a window ending in input c
+    costs +inf, so only the paths that avoided -inf survive it."""
+    costs = ["-inf", "+inf", "0", "1/2", "1", "3/2", "2/3"]
+    rules = [{"x": ["*"] * r + ["c"], "y": ["*"] * (r + 1), "cost": "+inf"}]
+    rules += [
+        {"x": list(xw), "y": list(yw), "cost": rng.choice(costs)}
+        for xw in itertools.product("ab", repeat=r + 1)
+        for yw in itertools.product("01", repeat=r + 1)
+    ]
+    rules.append({"x": ["*"] * (r + 1), "y": ["*"] * (r + 1), "cost": rng.choice(costs)})
+    return {
+        "name": "random-clash",
+        "inputs": ["a", "b", "c"],
+        "outputs": ["0", "1"],
+        "r": r,
+        "aggregation": "sum",
+        "objective": objective,
+        "initial_outputs": ["0"] * r,
+        "rules": rules,
+    }
+
+
+@pytest.mark.parametrize("objective", ["min", "max"])
+def test_sum_opt_under_both_infinities_equals_brute_force(objective):
+    # seeded random tables with infinities of both signs, every input up to
+    # length 5: a clash on every path raises in both, or neither does
+    rng = random.Random(6)
+    for r in (1, 1, 1, 2, 2):
+        problem = load_problem(random_clash_doc(rng, r, objective))
+        for n in range(1, 6):
+            for xs in itertools.product("abc", repeat=n):
+                expected = brute_force_opt(problem, xs)[0]
+                if expected is None:
+                    with pytest.raises(InfinityClash):
+                        offline_opt(problem, xs)
+                    continue
+                dp_total, dp_ys = offline_opt(problem, xs)
+                assert dp_total == expected, (r, xs)
+                assert problem.evaluate(xs, dp_ys).total == dp_total, (r, xs)
 
 
 def product_scan_opt(problem, x_seq):

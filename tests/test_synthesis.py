@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +12,7 @@ from tlsynth.errors import SearchSpaceTooLarge, VerificationFailed
 from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem
-from tlsynth.ratiocycle import evaluate_policy
+from tlsynth.ratiocycle import core_max_ratio, evaluate_policy
 from tlsynth.synthesis import (
     PRUNE_CYCLE_LENGTH,
     SynthesisConfig,
@@ -533,3 +534,96 @@ def test_randomized_all_infinite_returns_first_grid_table():
     assert ratio == POS_INF
     # forced constant windows, free windows at the grid's first value
     assert policy.table == (0, 0, 0, 1)
+
+
+def solved_sweep(problem, config):
+    """The randomized sweep with every grid and refinement table solved by
+    `core_max_ratio`, keeping the first table and then each strict
+    improvement: (probabilities, ratio or None, improvements)."""
+    forced = self_loop_constraints(problem, config.horizon)
+    n_windows = len(problem.input_alphabet) ** config.horizon
+    free = [w for w in range(n_windows) if w not in forced]
+    step = config.grid_step
+    grid = [k * step for k in range(math.ceil(1 / step))] + [Fraction(1)]
+    skel = cached_skeleton(problem, config.horizon)
+
+    def ratio(probs):
+        q, unit = skel.q_rand(probs)
+        kind, lam, _w, _i = core_max_ratio(skel.n_vertices, skel.int_arcs(q, unit))
+        return lam if kind == "finite" else None
+
+    best = None  # [probabilities, ratio]
+    improvements = 0
+
+    def consider(probs):
+        nonlocal best, improvements
+        lam = ratio(probs)
+        if best is None:
+            best = [probs, lam]
+        elif lam is not None and (best[1] is None or lam < best[1]):
+            best = [probs, lam]
+            improvements += 1
+
+    for assignment in itertools.product(grid, repeat=len(free)):
+        probs = [Fraction(forced.get(w, 0)) for w in range(n_windows)]
+        for w, p in zip(free, assignment):
+            probs[w] = p
+        consider(probs)
+    step = config.grid_step / 2
+    for _ in range(config.refinement_rounds):
+        for w in free:
+            for candidate in (best[0][w] - step, best[0][w] + step):
+                if 0 <= candidate <= 1:
+                    probs = list(best[0])
+                    probs[w] = candidate
+                    consider(probs)
+        step /= 2
+    return tuple(best[0]), best[1], improvements
+
+
+RAND_ORACLE_CASES = [
+    *(
+        (f"file-migration-{alpha}-T{horizon}", migration(alpha), horizon, Fraction(1, 4), 2)
+        for alpha in ("1/10", "3/10", "1/2", "1", "2")
+        for horizon in (1, 2)
+    ),
+    # the 64 deterministic tables, 16 of them tied at the optimum 4
+    ("file-migration-1-T3-grid-1", migration("1"), 3, Fraction(1), 0),
+    ("min-dom-set-T2", bundled_problem("min-dom-set"), 2, Fraction(1, 2), 8),
+    ("predict-r1-T2", load_problem(PREDICT_R1), 2, Fraction(1, 2), 8),
+]
+
+
+@pytest.mark.parametrize(
+    "problem,horizon,step,rounds",
+    [case[1:] for case in RAND_ORACLE_CASES],
+    ids=[case[0] for case in RAND_ORACLE_CASES],
+)
+def test_decided_sweep_matches_the_solved_sweep(problem, horizon, step, rounds):
+    """Deciding each table against the incumbent keeps the table and the
+    ratio that solving every table finds: ties keep the first table, and
+    min-dom-set's general skeleton and +inf-q arcs and an all-infinite
+    problem are included."""
+    config = SynthesisConfig(horizon=horizon, grid_step=step, refinement_rounds=rounds)
+    probs, lam, _improvements = solved_sweep(problem, config)
+    policy, ratio = synthesize_rand(problem, config)
+    assert policy.table == probs
+    assert ratio == (POS_INF if lam is None else Cost(lam))
+
+
+def test_randomized_sweep_shape(monkeypatch):
+    """The randomized twin of `test_t4_search_shape`: only the first table
+    and each strict improvement are solved; every other table is decided."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return core_max_ratio(*args, **kwargs)
+
+    config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
+    probs, lam, improvements = solved_sweep(migration(), config)
+    monkeypatch.setattr(synthesis, "core_max_ratio", counted)
+    policy, ratio = synthesize_rand(migration(), config)
+    assert (policy.table, ratio) == (probs, Cost(Fraction(7, 2))) and lam == Fraction(7, 2)
+    assert len(calls) == improvements + 1 == 34
+    assert all(kwargs == {} for kwargs in calls)  # solves, never aborted climbs
