@@ -17,11 +17,12 @@ otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
 works on integer arcs and is shared by analysis and synthesis; a verdict
 adds the canonical witness, or says that its capped search gave up.
 `ArcStack.exceeds` answers the question a branch and bound asks, on the
-same arcs: does a cycle's ratio exceed a bound a/b (or reach it, when a
-tie loses)? It is one negative-cycle test on integer weights A*w - B*q,
-label correcting from the potentials of an earlier decision on fewer of
-the stack's arcs, and it agrees with the verdict `core_max_ratio`
-implies; `exceeds` runs it once on a list of arcs.
+same arcs and for every bound: does a cycle's ratio exceed a bound a/b
+(or reach it, when a tie loses)? It is one negative-cycle test on integer
+weights A*w - B*q, label correcting from the potentials of an earlier
+decision on fewer of the stack's arcs, and it agrees with the verdict
+`core_max_ratio` implies. Its potentials at the maximum ratio also give
+the canonical witness its tight subgraph.
 `evaluate_policy` solves a `debruijn.Skeleton`'s arcs, in the problem's
 own scale, and reads back only the witness edges as `Cost`s for the
 report; `max_ratio_cycle` validates and scales a hand-built `DualGraph`.
@@ -218,23 +219,20 @@ def _infinite_q_cycle(n, edges):
     remaining cycles."""
     finite = [e for e in edges if e[4] is not None]
     if len(finite) < len(edges):
+        out = _out_arcs(n, finite)
         for k, src, dst, _w, q in edges:
             if q is None:
-                path = _bfs_path(n, finite, dst, src)
+                path = _bfs_path(out, dst, src)
                 if path is not None:
                     return path + [k], finite
     return None, finite
 
 
-def core_max_ratio(n, edges, abort_above=None, abort_on_tie=False):
+def core_max_ratio(n, edges):
     """Parametric search over integer-scaled arcs (id, src, dst, w, q).
 
     q is None for an infinite algorithm cost. Returns (kind, ratio,
-    witness_edge_ids, iterations) with kind one of "infinite", "finite",
-    or "aborted". When abort_above is given the search stops as soon as
-    the running lower bound lam exceeds it (or ties it, with
-    abort_on_tie), reporting kind "aborted": the true ratio is then >= lam
-    and the candidate cannot beat the incumbent.
+    witness_edge_ids, iterations) with kind "infinite" or "finite".
     """
     cycle, edges = _infinite_q_cycle(n, edges)
     if cycle is not None:
@@ -262,10 +260,6 @@ def core_max_ratio(n, edges, abort_above=None, abort_on_tie=False):
         lam = Fraction(q_sum, w_sum)
         witness = cycle
         iterations += 1
-        if abort_above is not None and (
-            lam > abort_above or (abort_on_tie and lam == abort_above)
-        ):
-            return "aborted", lam, witness, iterations
 
     # a cycle consisting only of zero-cost edges pins the ratio at 1
     zero_zero = _any_cycle(n, [(k, s, d) for k, s, d, w, q in edges if w == 0 and q == 0])
@@ -280,14 +274,6 @@ def core_max_ratio(n, edges, abort_above=None, abort_on_tie=False):
         if zero_zero is not None:
             return "finite", Fraction(1), zero_zero, iterations
     return "finite", lam, witness, iterations
-
-
-def exceeds(n, edges, bound, ties_lose=False, potentials=None):
-    """`ArcStack.exceeds` on the arcs (id, src, dst, w, q) of
-    `core_max_ratio`, started from `potentials` (zeros when None)."""
-    stack = ArcStack(n)
-    stack.push(edges)
-    return stack.exceeds(bound, ties_lose, potentials)
 
 
 class ArcStack:
@@ -333,18 +319,17 @@ class ArcStack:
             warm.pop()
 
     def weights(self, bound, ties_lose):
-        """(A, B) such that a simple cycle of the finite-q arcs is negative
-        under A*w - B*q exactly when it loses, by the verdict
-        `core_max_ratio` implies after its stage 0, for a bound a/b > 1 or
-        none. A simple cycle has at most n arcs, so its W and Q are at most
-        n*w_max and n*q_max over the finite-q arcs, and W, Q and
-        a*W - b*Q are integers:
+        """(A, B) such that a simple cycle of the finite-q arcs other than a
+        0/0 cycle is negative under A*w - B*q exactly when it loses, by the
+        verdict `core_max_ratio` implies after its stage 0, for any bound
+        a/b or none. A 0/0 cycle weighs 0 under any (A, B). A simple
+        cycle has at most n arcs, so its W and Q are at most n*w_max and
+        n*q_max over the finite-q arcs, and W, Q and a*W - b*Q are integers:
 
         - a strict bound: (a, b); the cycle's ratio is above a/b, or it is a
           zero-w cycle with positive q;
         - a tie that loses: (M*a - 1, M*b) with M = n*w_max + 1, so the
-          weight is M*(a*W - b*Q) - W; the cycle's ratio is at least a/b
-          and it is not a 0/0 cycle, which rates 1;
+          weight is M*(a*W - b*Q) - W; the cycle's ratio is at least a/b;
         - no bound: (n*q_max + 1, 1); a zero-w cycle with positive q, as in
           stage 1 of `core_max_ratio`, since every other cycle weighs at
           least 1.
@@ -357,7 +342,7 @@ class ArcStack:
         m = self.n * max((arc[3] for arc in finite), default=0) + 1
         return m * bound.numerator - 1, m * bound.denominator
 
-    def exceeds(self, bound, ties_lose=False, potentials=None):
+    def exceeds(self, bound, ties_lose=False):
         """Decide whether the arcs hold a cycle whose ratio is above
         `bound`, or equal to it with ties_lose, without computing the
         maximum ratio.
@@ -370,30 +355,23 @@ class ArcStack:
         are then feasible for these arcs under `weights`.
 
         Stage 0 of `core_max_ratio` runs only when a +inf-q arc is on the
-        stack. A 0/0 cycle rates 1, so bounds <= 1 run `core_max_ratio`
-        itself, with the bound as its abort. Given `potentials`, the test
-        starts from them and queues the tails of every arc they violate;
-        otherwise from the last feasible potentials under the same weights,
-        or from zeros (a virtual source).
+        stack. A 0/0 cycle rates 1, so when it loses (a bound below 1, or
+        1 with ties losing) it is looked for first. The test starts from
+        the last feasible potentials under the same weights, or from zeros
+        (a virtual source).
         """
-        if bound is not None and bound <= 1:
-            try:
-                kind, lam, _w, _i = core_max_ratio(
-                    self.n, self.arcs, abort_above=bound, abort_on_tie=ties_lose
-                )
-            except EmptyGraph:
-                return False, None  # no cycle exceeds anything
-            return kind == "infinite" or lam > bound or (ties_lose and lam == bound), None
         if self.infinite and _infinite_q_cycle(self.n, self.arcs)[0] is not None:
             return True, None
+        if bound is not None and (bound < 1 or (bound == 1 and ties_lose)):
+            zero_zero = [arc[:3] for arc in self.arcs if arc[3] == arc[4] == 0]
+            if _any_cycle(self.n, zero_zero) is not None:
+                return True, None
         key = self.weights(bound, ties_lose)
-        since = 0
-        if potentials is None:
-            potentials = [0] * self.n
-            for entry in reversed(self.warm):
-                if entry[0] == key:
-                    _key, potentials, since = entry
-                    break
+        potentials, since = [0] * self.n, 0
+        for entry in reversed(self.warm):
+            if entry[0] == key:
+                _key, potentials, since = entry
+                break
         dist = self._relax(key, list(potentials), self.arcs[since:])
         if dist is None:
             return True, None
@@ -473,12 +451,11 @@ def max_ratio_cycle(graph: DualGraph) -> RatioVerdict:
     return RatioVerdict(report, kind, iterations, certified)
 
 
-def _bfs_path(n, edges, start, goal):
-    """Shortest edge-id path start -> goal (None if unreachable); start == goal
-    gives the empty path."""
+def _bfs_path(out, start, goal):
+    """Shortest edge-id path start -> goal over the adjacency `out` of
+    `_out_arcs` (None if unreachable); start == goal gives the empty path."""
     if start == goal:
         return []
-    out = _out_arcs(n, edges)
     seen = {start: None}
     frontier = [start]
     while frontier:
@@ -539,21 +516,16 @@ def _any_cycle(n, arcs3):
 def _canonical_tight_cycle(n, edges, lam):
     """First simple cycle achieving ratio exactly lam, in canonical order.
 
-    With shortest-path potentials for weights lam*w - q every edge has
-    non-negative reduced weight, and a cycle has ratio lam exactly when
-    all its edges are reduced-weight zero and its w is positive.
+    No cycle of the finite-q `edges` exceeds lam, so `ArcStack.exceeds`
+    returns potentials: shortest distances from a virtual source under
+    weights lam*w - q. Every edge then has non-negative reduced weight,
+    and a cycle has ratio lam exactly when all its edges are reduced-weight
+    zero and its w is positive.
     """
     a, b = lam.numerator, lam.denominator
-    dist = [0] * n
-    for _ in range(n):
-        changed = False
-        for k, s, d, w, q in edges:
-            nd = dist[s] + a * w - b * q
-            if nd < dist[d]:
-                dist[d] = nd
-                changed = True
-        if not changed:
-            break
+    stack = ArcStack(n)
+    stack.push(edges)
+    dist = stack.exceeds(lam)[1]
     tight = [
         (k, s, d, w, q) for k, s, d, w, q in edges if dist[s] + a * w - b * q == dist[d]
     ]

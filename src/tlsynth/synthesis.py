@@ -38,8 +38,9 @@ the incumbent, stopping at the first table below it.
 Randomized search sweeps a probability grid over the free windows and
 then refines coordinate-wise with a shrinking step; the result is the
 best table found, with no global-optimality claim. Each table there is
-decided against the incumbent the same way, ties losing, and only a win
-is solved, once per improvement.
+pushed onto a fresh `ratiocycle.ArcStack` and decided against the
+incumbent the same way, ties losing, and only a win is solved, once per
+improvement.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .errors import (
 from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy, window_index
 from .problems import LocalProblem
-from .ratiocycle import ArcStack, core_max_ratio, evaluate_policy, exceeds
+from .ratiocycle import ArcStack, core_max_ratio, evaluate_policy
 
 DEFAULT_CANDIDATE_GUARD = 2**26
 PRUNE_CYCLE_LENGTH = 2
@@ -233,17 +234,6 @@ def assignment_order(n_inputs, horizon, forced):
     return order
 
 
-@dataclass(frozen=True)
-class _Outcome:
-    best: Cost
-    tables: list  # optimal tables found, as tuples of output indices
-    pruned: int  # tables discarded without a full evaluation
-    evaluated: int  # tables past the screen, each given a decision test
-    nodes: int  # search-tree nodes entered
-    decisions: int  # `ArcStack.exceeds` calls
-    solves: int  # `core_max_ratio` calls on leaves that beat the incumbent
-
-
 class _Search:
     """Depth-first branch and bound over partial tables.
 
@@ -268,7 +258,7 @@ class _Search:
     the lexicographically first optimal table wins, so a tie prunes only a
     subtree whose first table is greater than the incumbent's.
 
-    This is the one deterministic search: `run()` searches every table
+    This is the one deterministic search: `visit(0)` searches every table
     against `incumbent`. With stop_below it ends at the first table that
     beats the incumbent.
     """
@@ -295,23 +285,13 @@ class _Search:
         self.cycles = short_cycles(skel) if self.prune else ()
         self.keep_ties = config.collect_all_optimal
         self.bound = incumbent.as_fraction() if incumbent.is_finite else None
-        self.tables = []
+        self.tables = []  # optimal tables found, as tuples of output indices
         self.stop_below = stop_below
         self.done = False
+        # tables discarded without a full evaluation, tables past the screen
+        # (each given a decision test), nodes entered, `ArcStack.exceeds`
+        # calls, and `core_max_ratio` calls on leaves that beat the incumbent
         self.pruned = self.evaluated = self.nodes = self.decisions = self.solves = 0
-
-    def run(self) -> _Outcome:
-        self.visit(0)
-        best = POS_INF if self.bound is None else Cost(self.bound)
-        return _Outcome(
-            best,
-            self.tables,
-            self.pruned,
-            self.evaluated,
-            self.nodes,
-            self.decisions,
-            self.solves,
-        )
 
     def visit(self, depth):
         self.nodes += 1
@@ -383,10 +363,11 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
     """Minimum competitive ratio over all horizon-T tables, with witnesses."""
     started = time.monotonic()
     forced = _forced_entries(problem, config)
-    outcome = _Search(problem, config, forced).run()
-    best = outcome.best
+    search = _Search(problem, config, forced)
+    search.visit(0)
+    best = POS_INF if search.bound is None else Cost(search.bound)
 
-    policies = tuple(_policy_from_table(problem, config, t) for t in sorted(outcome.tables))
+    policies = tuple(_policy_from_table(problem, config, t) for t in sorted(search.tables))
     # verification closure: winners must reproduce the reported ratio exactly
     for policy in policies:
         ratio = evaluate_policy(problem, policy).best.ratio
@@ -399,13 +380,13 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
         classification="finite" if best.is_finite else "infinite",
         best_ratio=best,
         policies=policies,
-        candidates_examined=outcome.pruned + outcome.evaluated,
+        candidates_examined=search.pruned + search.evaluated,
         forced_entries=len(forced),
-        pruned_short_cycle=outcome.pruned,
-        full_evaluations=outcome.evaluated,
-        nodes_visited=outcome.nodes,
-        decision_tests=outcome.decisions,
-        parametric_solves=outcome.solves,
+        pruned_short_cycle=search.pruned,
+        full_evaluations=search.evaluated,
+        nodes_visited=search.nodes,
+        decision_tests=search.decisions,
+        parametric_solves=search.solves,
         wall_seconds=time.monotonic() - started,
     )
 
@@ -427,10 +408,11 @@ def verify_lower_bound(problem: LocalProblem, config: SynthesisConfig, bound: Fr
     """
     config = replace(config, collect_all_optimal=False)
     forced = _forced_entries(problem, config)
-    outcome = _Search(problem, config, forced, Cost(Fraction(bound)), stop_below=True).run()
-    checked = outcome.pruned + outcome.evaluated
-    if outcome.tables:
-        return False, _policy_from_table(problem, config, outcome.tables[0]), checked
+    search = _Search(problem, config, forced, Cost(Fraction(bound)), stop_below=True)
+    search.visit(0)
+    checked = search.pruned + search.evaluated
+    if search.tables:
+        return False, _policy_from_table(problem, config, search.tables[0]), checked
     return True, None, checked
 
 
@@ -441,12 +423,12 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     """Best-effort randomized table search: coarse grid sweep over the free
     windows, then coordinate refinement with a halving step.
 
-    Each table is decided against the incumbent with one
-    `ratiocycle.exceeds` test, ties losing, and only a table that beats it
-    is solved by `core_max_ratio`; while no table has a finite ratio, each
-    is solved. Returns (policy, ratio); when every table tried has an
-    infinite ratio that is the first grid table and +inf. No
-    global-optimality claim is made.
+    Each table's arcs are pushed onto a fresh `ratiocycle.ArcStack` and
+    decided against the incumbent with one `ArcStack.exceeds` test, ties
+    losing, and only a table that beats it is solved by `core_max_ratio`;
+    while no table has a finite ratio, each is solved. Returns (policy,
+    ratio); when every table tried has an infinite ratio that is the first
+    grid table and +inf. No global-optimality claim is made.
     """
     if len(problem.output_alphabet) != 2:
         raise UnsupportedAggregation("randomized synthesis needs binary outputs")
@@ -470,10 +452,11 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
         is solved and wins when its ratio is finite."""
         q, unit = skel.q_rand(probs)
         arcs = skel.int_arcs(q, unit)
-        if incumbent is not None and exceeds(
-            skel.n_vertices, arcs, incumbent, ties_lose=True
-        )[0]:
-            return None
+        if incumbent is not None:
+            stack = ArcStack(skel.n_vertices)
+            stack.push(arcs)
+            if stack.exceeds(incumbent, ties_lose=True)[0]:
+                return None
         kind, lam, _w, _i = core_max_ratio(skel.n_vertices, arcs)
         return lam if kind == "finite" else None
 

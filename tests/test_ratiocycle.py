@@ -11,13 +11,14 @@ from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem, offline_opt
 from tlsynth.ratiocycle import (
+    _TIGHT_SEARCH_CAP,
     ArcStack,
     _out_arcs,
+    _prepare,
     _simple_cycles,
     brute_force_max_ratio,
     core_max_ratio,
     evaluate_policy,
-    exceeds,
     max_ratio_cycle,
     walk_ratio,
 )
@@ -94,9 +95,9 @@ def test_negative_costs_rejected(migration_problem):
         max_ratio_cycle(graph)
 
 
-def test_zero_cycle_behind_many_zero_paths(migration_problem):
-    # 20 zero-cost diamonds (2^20 paths) in front of a zero/zero 2-cycle,
-    # beside a ratio-1/2 self-loop: the zero/zero cycle pins the ratio at 1
+def zero_diamond_graph(problem):
+    """20 zero-cost diamonds (2^20 paths) in front of a zero/zero 2-cycle,
+    beside a ratio-1/2 self-loop."""
     quads = []
     for level in range(20):
         head = 3 * level
@@ -104,7 +105,12 @@ def test_zero_cycle_behind_many_zero_paths(migration_problem):
         quads += [(head + 1, head + 3, 0, 0), (head + 2, head + 3, 0, 0)]
     tail = 60
     quads += [(tail, tail + 1, 0, 0), (tail + 1, tail, 0, 0), (0, 0, 2, 1)]
-    verdict = max_ratio_cycle(make_graph(migration_problem, tail + 2, quads))
+    return make_graph(problem, tail + 2, quads)
+
+
+def test_zero_cycle_behind_many_zero_paths(migration_problem):
+    # the zero/zero cycle pins the ratio at 1
+    verdict = max_ratio_cycle(zero_diamond_graph(migration_problem))
     assert verdict.classification == "finite"
     assert verdict.best.ratio == Cost(1)
     assert verdict.best.q == Cost(0) and verdict.best.w == Cost(0)
@@ -152,6 +158,48 @@ def test_witness_validity(migration_problem):
         assert report.vertices[0] == report.vertices[-1]
         interior = report.vertices[:-1]
         assert len(set(interior)) == len(interior)
+
+
+def reference_witness(graph):
+    """The witness and certification of `max_ratio_cycle`, with the tight
+    subgraph taken from Bellman-Ford potentials started at zeros: the
+    parametric search's witness, replaced by the first simple cycle of
+    positive w over the tight arcs when the capped search finds one."""
+    n, arcs = graph.n_vertices, _prepare(graph)
+    kind, lam, witness, _i = core_max_ratio(n, arcs)
+    finite = [arc for arc in arcs if arc[4] is not None]
+    if kind == "infinite" or lam == 0 or not any(arc[3] > 0 for arc in finite):
+        return tuple(witness), True
+    a, b = lam.numerator, lam.denominator
+    dist = [0] * n
+    for _ in range(n):
+        for _k, s, d, w, q in finite:
+            dist[d] = min(dist[d], dist[s] + a * w - b * q)
+    tight = [arc for arc in finite if dist[arc[1]] + a * arc[3] - b * arc[4] == dist[arc[2]]]
+    weight = {arc[0]: arc[3] for arc in tight}
+    try:
+        for cycle in _simple_cycles(n, _out_arcs(n, tight), visit_cap=_TIGHT_SEARCH_CAP):
+            if sum(weight[k] for k in cycle) > 0:
+                return tuple(cycle), True
+    except GraphTooLarge:
+        return tuple(witness), False
+    return tuple(witness), True
+
+
+def test_canonical_witness_matches_the_bellman_ford_reference(migration_problem):
+    """The tight subgraph read off `ArcStack.exceeds`'s potentials gives
+    the witness and certification that Bellman-Ford potentials give,
+    including a search that hits its step cap."""
+    rng = random.Random(1013)
+    graphs = [random_dual_graph(migration_problem, rng) for _ in range(150)]
+    graphs.append(zero_diamond_graph(migration_problem))
+    certified = set()
+    for graph in graphs:
+        verdict = max_ratio_cycle(graph)
+        found = (verdict.best.edge_ids, verdict.witness_certified)
+        assert found == reference_witness(graph), graph
+        certified.add(verdict.witness_certified)
+    assert certified == {False, True}
 
 
 def test_termination_iteration_bound(migration_problem):
@@ -202,6 +250,23 @@ def simple_cycle_ratios(n, arcs):
     return ratios
 
 
+def exceeds(n, arcs, bound, ties_lose=False):
+    """`ArcStack.exceeds` on a fresh stack holding `arcs`."""
+    stack = ArcStack(n)
+    stack.push(arcs)
+    return stack.exceeds(bound, ties_lose)
+
+
+def feasible(arcs, key, potentials):
+    """True when `potentials` satisfy every finite-q arc under weights `key`."""
+    a, b = key
+    return all(
+        potentials[d] <= potentials[s] + a * w - b * q
+        for _k, s, d, w, q in arcs
+        if q is not None
+    )
+
+
 def core_loses(n, arcs, bound, ties_lose):
     """The verdict of the full parametric search, with no abort."""
     try:
@@ -223,13 +288,13 @@ def ratios_lose(ratios, bound, ties_lose):
 
 @pytest.mark.parametrize("infinite_q", [False, True])
 def test_exceeds_matches_the_cycle_oracle(infinite_q):
-    """`exceeds` against brute-force simple cycles on finite graphs, and
-    against `core_max_ratio` with +inf-q arcs (whose stage 0 it shares),
-    cold and warm-started from potentials feasible for a prefix of the
-    arcs; bounds at, just above and just below each cycle ratio, <= 1 and
-    none. On an `ArcStack` as the branch and bound uses it, the prefix is
-    decided first, the rest of the arcs is pushed and decided from the
-    prefix's potentials (queueing only the rest's tails), and popped again;
+    """`ArcStack.exceeds` against brute-force simple cycles on finite
+    graphs, and against `core_max_ratio` with +inf-q arcs (whose stage 0 it
+    shares); bounds at, just above and just below each cycle ratio, <= 1
+    and none. On a fresh stack the potentials it returns are feasible. On
+    an `ArcStack` as the branch and bound uses it, the prefix is decided
+    first, the rest of the arcs is pushed and decided from the prefix's
+    potentials (queueing only the rest's tails), and popped again;
     decisions under every bound and tie rule share the stack."""
     rng = random.Random(2024 + infinite_q)
     decided = set()
@@ -259,23 +324,17 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
                 stack.pop_to(len(prefix))
                 assert all(count <= len(prefix) for _k, _p, count in stack.warm)
                 assert stack.exceeds(bound, ties_lose)[0] == prefix_loses
-                decided.add(("stack", expected, bound is not None and bound > 1, from_prefix))
+                decided.add((expected, None if bound is None else bound > 1, from_prefix))
                 cold, potentials = exceeds(n, arcs, bound, ties_lose)
                 assert cold == expected, (n, arcs, bound, ties_lose)
-                start_loses, start = exceeds(n, prefix, bound, ties_lose)
-                assert not start_loses or expected  # a cycle of the prefix stays
-                warm, warm_potentials = exceeds(n, arcs, bound, ties_lose, start)
-                assert warm == expected, (n, arcs, bound, ties_lose, start)
-                for found in (potentials, warm_potentials):
-                    if found is not None:
-                        # feasible: a restart from them changes nothing
-                        assert exceeds(n, arcs, bound, ties_lose, found) == (False, found)
-                decided.add((expected, bound is not None and bound > 1, start is not None))
-    # the integer test reached both verdicts from a warm start, and the
-    # losing one also after a prefix that already lost; on the stack both
-    # from the prefix's potentials
-    assert {(False, True, True), (True, True, True), (True, True, False)} <= decided
-    assert {("stack", False, True, True), ("stack", True, True, True)} <= decided
+                if potentials is not None:
+                    assert feasible(arcs, key, potentials)
+                assert not prefix_loses or expected  # a cycle of the prefix stays
+    # on the stack both verdicts were reached from the prefix's potentials,
+    # for bounds above 1 and for bounds <= 1, and the losing one also after
+    # a prefix that already lost
+    assert {(v, above, True) for v in (False, True) for above in (False, True)} <= decided
+    assert (True, True, False) in decided
 
 
 @pytest.mark.parametrize("infinite_q", [False, True])

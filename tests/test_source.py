@@ -56,3 +56,31 @@ def test_package_imports_only_stdlib():
                 if module.split(".")[0] not in sys.stdlib_module_names:
                     found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {module}")
     assert found == []
+
+
+def test_no_unreferenced_private_definitions():
+    # a private function, class or method that nothing in the package reads
+    # (as a name or an attribute) is a leftover; dunder methods are exempt
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for path, tree in trees.items():
+        defined = [node for node in tree.body if isinstance(node, definitions)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defined += [node for node in cls.body if isinstance(node, definitions)]
+        for node in defined:
+            private = node.name.startswith("_") and not node.name.endswith("__")
+            if private and node.name not in read:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
+    assert found == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tlsynth import synthesis
+from tlsynth import ratiocycle, synthesis
 from tlsynth.debruijn import cached_skeleton
 from tlsynth.errors import SearchSpaceTooLarge, VerificationFailed
 from tlsynth.exact import POS_INF, Cost
@@ -298,6 +298,26 @@ def test_verify_lower_bound_modes():
     )
     assert not holds
     assert evaluate_policy(migration(), counter).best.ratio == Cost(4)
+
+
+@pytest.mark.parametrize("bound", [Fraction(1, 2), Fraction(1)])
+def test_bounds_up_to_one_are_decided_without_a_solve(monkeypatch, bound):
+    """A bound <= 1 is decided by `ArcStack.exceeds` itself, 0/0 cycles
+    included: verifying it makes no `core_max_ratio` call."""
+    calls = []
+    original = ratiocycle.core_max_ratio
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ratiocycle, "core_max_ratio", counted)
+    monkeypatch.setattr(synthesis, "core_max_ratio", counted)
+    holds, counter, checked = verify_lower_bound(
+        migration(), SynthesisConfig(horizon=2), bound
+    )
+    assert holds and counter is None and checked > 0
+    assert calls == []
 
 
 # r=0 matching problem: the output should equal the unseen current input,
