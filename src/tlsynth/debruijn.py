@@ -26,7 +26,8 @@ adversary's outputs, so q is computed once per transition from a cost
 row and the table entries of the windows the transition reads. There is
 one q function for deterministic tables (`Skeleton.q_det`) and one for
 behavioral tables (`Skeleton.q_rand`, the expectation over independent
-per-step draws). All costs are ints in the problem's own scale
+per-step draws, on probabilities written as numerators over one
+denominator). All costs are ints in the problem's own scale
 (`Skeleton.scale`), read as they are from the problem's scaled view
 (`LocalProblem.lookup_scaled`). Analysis and synthesis solve these integer
 arcs (`Skeleton.int_arcs`); the exact `Cost` view of the same edges is
@@ -187,36 +188,44 @@ class Skeleton:
             q.append(rows[row][y])
         return q
 
-    def q_rand(self, probs):
-        """Per-transition expected q of a behavioral table (P(second output)
-        per window), with an independent draw at every step.
+    def q_rand(self, ones, den, ts=None):
+        """Per-transition expected q of a behavioral table, P(second output)
+        per window given as numerators `ones` over one denominator `den`,
+        with an independent draw at every step; for every transition or only
+        for the transition ids `ts`.
 
-        Returns (q, unit): ints (None for +inf) in units of 1/(scale*unit).
+        Ints (None for +inf) in units of 1/(scale * rand_unit(den)). An
+        output drawn with probability 0 costs nothing, +inf included.
         """
-        den = lcm(*(p.denominator for p in probs))
-        ones = [int(p * den) for p in probs]
         rows = self.rows
+        transitions = self.transitions
         q = []
-        for row, codes in self.transitions:
+        for row, codes in transitions if ts is None else (transitions[t] for t in ts):
             terms = [(0, 1)]  # (output code so far, its probability * den^depth)
             for c in codes:
                 p1 = ones[c]
-                p0 = den - p1
-                terms = [
-                    (y * 2 + bit, m * pb)
-                    for y, m in terms
-                    for bit, pb in ((0, p0), (1, p1))
-                    if pb
-                ]
+                if 0 < p1 < den:
+                    p0 = den - p1
+                    terms = [t for y, m in terms for t in ((y * 2, m * p0), (y * 2 + 1, m * p1))]
+                else:  # one output for sure
+                    bit = p1 // den
+                    terms = [(y * 2 + bit, m * den) for y, m in terms]
+            costs = rows[row]
             total = 0
             for y, m in terms:
-                cost = rows[row][y]
+                cost = costs[y]
                 if cost is None:
                     total = None
                     break
                 total += m * cost
             q.append(total)
-        return q, den ** len(self.transitions[0][1])
+        return q
+
+    def rand_unit(self, den):
+        """`q_rand`'s values over `den` count 1/(scale * rand_unit(den)):
+        den to the number of windows a transition reads, the same for every
+        transition."""
+        return den ** len(self.transitions[0][1])
 
     def int_arcs(self, q, unit=1):
         """(id, src, dst, w, q) integer arcs for `ratiocycle.core_max_ratio`."""
@@ -383,8 +392,16 @@ def policy_q(problem: LocalProblem, policy, horizon=None):
         raise ValidationError("policy and problem alphabets differ")
     skel = cached_skeleton(problem, policy.horizon)
     if isinstance(policy, RandomizedPolicy):
-        return (skel, *skel.q_rand(policy.table))
+        ones, den = over_common_denominator(policy.table)
+        return skel, skel.q_rand(ones, den), skel.rand_unit(den)
     return skel, skel.q_det(policy.table), 1
+
+
+def over_common_denominator(probs):
+    """(numerators, den): the Fractions `probs` over the lcm of their
+    denominators, as `Skeleton.q_rand` reads a table."""
+    den = lcm(*(p.denominator for p in probs))
+    return [p.numerator * (den // p.denominator) for p in probs], den
 
 
 def build_graph_det(problem: LocalProblem, policy: DeterministicPolicy, horizon=None):

@@ -288,14 +288,33 @@ class ArcStack:
     all still on the stack, so only the arcs pushed since can be violated
     and only their tails are queued. `pop_to` drops the arcs and the
     potentials above a mark.
+
+    w_max and q_max bound the w and the finite q of every arc the stack
+    will ever hold (a search takes them from its whole skeleton), so the
+    weights of a bound stay the same as arcs come and go.
     """
 
-    def __init__(self, n):
+    def __init__(self, n, w_max, q_max):
         self.n = n
+        self.tie = n * w_max + 1  # M of a losing tie: above the W of every simple cycle
+        self.unbounded = n * q_max + 1  # A with no bound: above the Q of every simple cycle
         self.arcs = []
         self.out = [[] for _ in range(n)]  # (dst, w, q) of the finite-q arcs
         self.infinite = 0  # +inf-q arcs on the stack
         self.warm = []  # ((A, B), potentials, arc count), oldest first
+
+    @classmethod
+    def holding(cls, n, arcs):
+        """A stack holding the arcs of one table, bounded by their own
+        largest w and finite q."""
+        finite = [arc for arc in arcs if arc[4] is not None]
+        stack = cls(
+            n,
+            max((arc[3] for arc in finite), default=0),
+            max((arc[4] for arc in finite), default=0),
+        )
+        stack.push(arcs)
+        return stack
 
     def push(self, arcs):
         own, out = self.arcs, self.out
@@ -308,12 +327,12 @@ class ArcStack:
 
     def pop_to(self, mark):
         arcs, out = self.arcs, self.out
-        while len(arcs) > mark:
-            arc = arcs.pop()
+        for arc in arcs[mark:]:  # each vertex's arcs above the mark end its list
             if arc[4] is None:
                 self.infinite -= 1
             else:
                 out[arc[1]].pop()
+        del arcs[mark:]
         warm = self.warm
         while warm and warm[-1][2] > mark:
             warm.pop()
@@ -323,24 +342,27 @@ class ArcStack:
         0/0 cycle is negative under A*w - B*q exactly when it loses, by the
         verdict `core_max_ratio` implies after its stage 0, for any bound
         a/b or none. A 0/0 cycle weighs 0 under any (A, B). A simple
-        cycle has at most n arcs, so its W and Q are at most n*w_max and
-        n*q_max over the finite-q arcs, and W, Q and a*W - b*Q are integers:
+        cycle has at most n arcs, so its W and Q are below M = n*w_max + 1
+        and n*q_max + 1, and W, Q and a*W - b*Q are integers:
 
         - a strict bound: (a, b); the cycle's ratio is above a/b, or it is a
           zero-w cycle with positive q;
-        - a tie that loses: (M*a - 1, M*b) with M = n*w_max + 1, so the
-          weight is M*(a*W - b*Q) - W; the cycle's ratio is at least a/b;
+        - a tie that loses: (M*a - 1, M*b), so the weight is
+          M*(a*W - b*Q) - W; the cycle's ratio is at least a/b;
         - no bound: (n*q_max + 1, 1); a zero-w cycle with positive q, as in
           stage 1 of `core_max_ratio`, since every other cycle weighs at
           least 1.
+
+        Any M above every simple cycle's W gives the same verdicts, so M
+        and A come from the stack's declared bounds and a bound's weights
+        never change while the stack lives: a decision can start from the
+        potentials of any earlier one under the same bound and tie rule.
         """
-        if bound is not None and not ties_lose:
-            return bound.numerator, bound.denominator
-        finite = [arc for arc in self.arcs if arc[4] is not None]
         if bound is None:
-            return self.n * max((arc[4] for arc in finite), default=0) + 1, 1
-        m = self.n * max((arc[3] for arc in finite), default=0) + 1
-        return m * bound.numerator - 1, m * bound.denominator
+            return self.unbounded, 1
+        if not ties_lose:
+            return bound.numerator, bound.denominator
+        return self.tie * bound.numerator - 1, self.tie * bound.denominator
 
     def exceeds(self, bound, ties_lose=False):
         """Decide whether the arcs hold a cycle whose ratio is above
@@ -523,9 +545,7 @@ def _canonical_tight_cycle(n, edges, lam):
     zero and its w is positive.
     """
     a, b = lam.numerator, lam.denominator
-    stack = ArcStack(n)
-    stack.push(edges)
-    dist = stack.exceeds(lam)[1]
+    dist = ArcStack.holding(n, edges).exceeds(lam)[1]
     tight = [
         (k, s, d, w, q) for k, s, d, w, q in edges if dist[s] + a * w - b * q == dist[d]
     ]

@@ -2,11 +2,11 @@
 
 Every search runs on the problem's `debruijn.Skeleton`: a table becomes a
 per-transition q vector (`Skeleton.q_det` or `Skeleton.q_rand`) and then
-integer arcs for `ratiocycle`. Deterministic synthesis is one depth-first
-branch and bound over partial tables, `_Search`, which `synthesize_det`
-and `verify_lower_bound` run in one process, whatever the problem. It
-finds the minimum exact ratio over every table X^T -> Y and the tables
-reaching it:
+integer arcs for `ratiocycle`. Every search over tables is one depth-first
+branch and bound over partial tables, `_Search`, which `synthesize_det`,
+`verify_lower_bound` and the grid phase of `synthesize_rand` run in one
+process, whatever the problem. Deterministic synthesis finds the minimum
+exact ratio over every table X^T -> Y and the tables reaching it:
 
 - self-loop forcing: on a constant window whose adversary can sit still
   for free, the policy must answer with a free self-loop of its own,
@@ -35,12 +35,17 @@ Without `collect_all_optimal` the result is the lexicographically first
 optimal table. `verify_lower_bound` is the same search with the bound as
 the incumbent, stopping at the first table below it.
 
-Randomized search sweeps a probability grid over the free windows and
-then refines coordinate-wise with a shrinking step; the result is the
-best table found, with no global-optimality claim. Each table there is
+Randomized search runs the same branch and bound over a probability grid
+on the free windows, each probability a numerator over the step's
+denominator, so every q shares one unit; a cycle of the fixed subgraph
+has the same q in every completion, so node pruning holds as it does for
+deterministic tables. The self-loop entries stay forced, whatever
+`prune` says. The grid's lexicographically first optimal table is then
+refined coordinate-wise with a shrinking step; each refinement table is
 pushed onto a fresh `ratiocycle.ArcStack` and decided against the
 incumbent the same way, ties losing, and only a win is solved, once per
-improvement.
+improvement. The result is the best table found, with no
+global-optimality claim.
 """
 
 from __future__ import annotations
@@ -49,9 +54,8 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 
-from .debruijn import cached_skeleton
+from .debruijn import cached_skeleton, over_common_denominator
 from .errors import (
     InvalidHorizon,
     SearchSpaceTooLarge,
@@ -74,7 +78,9 @@ class SynthesisConfig:
     collect_all_optimal: bool = False
     grid_step: Fraction = Fraction(1, 20)
     refinement_rounds: int = 8
-    prune: bool = True  # self-loop forcing, node pruning and the short-cycle screen
+    # self-loop forcing (always on for randomized search), node pruning and
+    # the short-cycle screen; off, the search is the exhaustive decided scan
+    prune: bool = True
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -154,22 +160,25 @@ def _check_guard(total):
 
 def short_cycles(skel, max_len=PRUNE_CYCLE_LENGTH):
     """Simple cycles of at most max_len skeleton arcs (edges with w < +inf),
-    as (transition ids, scaled w sum), rooted at their smallest vertex."""
+    as (transition ids, scaled w sum), rooted at their smallest vertex. Of
+    the cycles through the same transitions, which share their q for every
+    table, only a lightest is kept: no other rates higher."""
     out = [[] for _ in range(skel.n_vertices)]
     for _k, src, dst, w, t in skel.arcs:
         out[src].append((dst, w, t))
-    cycles = []
+    lightest = {}  # transition ids -> least w sum
 
     def extend(root, v, ts, w_sum, on_path):
         for dst, w, t in out[v]:
             if dst == root:
-                cycles.append((ts + (t,), w_sum + w))
+                cycle = ts + (t,)
+                lightest[cycle] = min(w_sum + w, lightest.get(cycle, w_sum + w))
             elif len(ts) + 1 < max_len and dst > root and dst not in on_path:
                 extend(root, dst, ts + (t,), w_sum + w, on_path | {dst})
 
     for root in range(skel.n_vertices):
         extend(root, root, (), 0, {root})
-    return cycles
+    return list(lightest.items())
 
 
 def short_cycle_hits(cycles, q, bound: Fraction, keep_ties) -> bool:
@@ -237,16 +246,20 @@ def assignment_order(n_inputs, horizon, forced):
 class _Search:
     """Depth-first branch and bound over partial tables.
 
-    Free windows are assigned in `assignment_order`, output indices
-    ascending; windows not yet assigned hold 0, so the table at a node is
-    the lexicographically first table below it. A transition's q is known
-    once every window it reads is fixed, and its arcs then join the fixed
-    subgraph, an `ArcStack` that `visit` grows and pops back on return.
-    Every cycle of that subgraph is a cycle of every completion, so its
-    maximum ratio is a lower bound on the ratio of every table below the
-    node, and the subtree is pruned when that bound already loses to the
-    incumbent. `loses` decides that with `ArcStack.exceeds`, started from
-    the potentials of the nearest ancestor decided under the same weights,
+    Free windows are assigned in `assignment_order`, values ascending; a
+    value is an output index, or for a behavioral grid the numerator of a
+    probability over one denominator `den`. Windows not yet assigned hold
+    the first value, 0, so the table at a node is the lexicographically
+    first table below it. A transition's q is known once every window it
+    reads is fixed, from `Skeleton.q_det` or `Skeleton.q_rand` over `den`,
+    and its arcs then join the fixed subgraph, an `ArcStack` that `visit`
+    grows and pops back on return. As `den` is fixed, so is the unit of q,
+    and every arc's w is scaled by it once. Every cycle of that subgraph is
+    a cycle of every completion with the same q, so its maximum ratio is a
+    lower bound on the ratio of every table below the node, and the
+    subtree is pruned when that bound already loses to the incumbent.
+    `loses` decides that with `ArcStack.exceeds`, started from the
+    potentials of the nearest ancestor decided under the same weights,
     without computing the bound itself. Complete tables are screened for
     short cycles and then decided the same way. A table that does not lose
     is decided again with ties losing, which tells a tie (recorded as is)
@@ -258,16 +271,25 @@ class _Search:
     the lexicographically first optimal table wins, so a tie prunes only a
     subtree whose first table is greater than the incumbent's.
 
-    This is the one deterministic search: `visit(0)` searches every table
+    This is the one search over tables: `visit(0)` searches every table
     against `incumbent`. With stop_below it ends at the first table that
     beats the incumbent.
     """
 
-    def __init__(self, problem, config, forced, incumbent=POS_INF, stop_below=False):
+    def __init__(
+        self, problem, config, forced, incumbent=POS_INF, stop_below=False, grid=None
+    ):
+        """grid: (numerators, den) of a behavioral probability grid, with
+        `forced` in numerators too; None searches deterministic tables."""
         skel = cached_skeleton(problem, config.horizon)
         nx = len(problem.input_alphabet)
         self.skel = skel
-        self.ny = len(problem.output_alphabet)
+        if grid is None:
+            self.values, self.q_of, unit = range(len(problem.output_alphabet)), skel.q_det, 1
+        else:
+            self.values, den = grid
+            self.q_of = lambda table, ts: skel.q_rand(table, den, ts)
+            unit = skel.rand_unit(den)
         self.order = assignment_order(nx, config.horizon, forced)
         position = {w: depth for depth, w in enumerate(self.order)}
         # fixed_at[d]: transitions whose last read window is assigned at
@@ -277,15 +299,21 @@ class _Search:
             self.fixed_at[1 + max(position.get(c, -1) for c in codes)].append(t)
         self.arcs_of = [[] for _ in skel.transitions]
         for k, src, dst, w, t in skel.arcs:
-            self.arcs_of[t].append((k, src, dst, w))
+            self.arcs_of[t].append((k, src, dst, w * unit))
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
         self.q = [None] * len(skel.transitions)
-        self.fixed = ArcStack(skel.n_vertices)  # integer arcs of the fixed subgraph
+        # integer arcs of the fixed subgraph, bounded by the skeleton's
+        # largest w and row entry in q's unit (a q is a mean of row entries)
+        self.fixed = ArcStack(
+            skel.n_vertices,
+            max((w for _k, _s, _d, w, _t in skel.arcs), default=0) * unit,
+            max((c for row in skel.rows for c in row if c is not None), default=0) * unit,
+        )
         self.prune = config.prune
-        self.cycles = short_cycles(skel) if self.prune else ()
+        self.cycles = [(ts, w * unit) for ts, w in short_cycles(skel)] if self.prune else ()
         self.keep_ties = config.collect_all_optimal
         self.bound = incumbent.as_fraction() if incumbent.is_finite else None
-        self.tables = []  # optimal tables found, as tuples of output indices
+        self.tables = []  # optimal tables found, as tuples of values
         self.stop_below = stop_below
         self.done = False
         # tables discarded without a full evaluation, tables past the screen
@@ -298,17 +326,19 @@ class _Search:
         fixed = self.fixed
         mark = len(fixed.arcs)
         ts = self.fixed_at[depth]
-        for t, q in zip(ts, self.skel.q_det(self.table, ts)):
-            self.q[t] = q
-            fixed.push((k, src, dst, w, q) for k, src, dst, w in self.arcs_of[t])
+        qs = self.q_of(self.table, ts)
+        arcs_of, q_all = self.arcs_of, self.q
+        for t, q in zip(ts, qs):
+            q_all[t] = q
+        fixed.push([(k, src, dst, w, q) for t, q in zip(ts, qs) for k, src, dst, w in arcs_of[t]])
         if depth == len(self.order):
             self.leaf()
         elif self.prune and len(fixed.arcs) > mark and self.loses(self.tie_loses()):
-            self.pruned += self.ny ** (len(self.order) - depth)
+            self.pruned += len(self.values) ** (len(self.order) - depth)
         else:
             window = self.order[depth]
-            for y in range(self.ny):
-                self.table[window] = y
+            for value in self.values:
+                self.table[window] = value
                 self.visit(depth + 1)
                 if self.done:
                     break
@@ -420,55 +450,61 @@ def verify_lower_bound(problem: LocalProblem, config: SynthesisConfig, bound: Fr
 
 
 def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
-    """Best-effort randomized table search: coarse grid sweep over the free
+    """Best-effort randomized table search: a grid search over the free
     windows, then coordinate refinement with a halving step.
 
-    Each table's arcs are pushed onto a fresh `ratiocycle.ArcStack` and
-    decided against the incumbent with one `ArcStack.exceeds` test, ties
-    losing, and only a table that beats it is solved by `core_max_ratio`;
-    while no table has a finite ratio, each is solved. Returns (policy,
-    ratio); when every table tried has an infinite ratio that is the first
-    grid table and +inf. No global-optimality claim is made.
+    The grid phase is `_Search` over the grid's probabilities, written as
+    numerators over the step's denominator: the branch and bound of
+    `synthesize_det` (`prune=False` gives its exhaustive decided scan),
+    with the self-loop entries forced either way. It returns the
+    lexicographically first optimal grid table. Each refinement table is
+    pushed onto a fresh `ratiocycle.ArcStack`, since its step, and so the
+    common denominator, changes every round, and decided against the
+    incumbent with ties losing; only a win is solved by `core_max_ratio`.
+    Returns (policy, ratio); when every table tried has an infinite ratio
+    that is the first grid table and +inf. No global-optimality claim is
+    made.
     """
     if len(problem.output_alphabet) != 2:
-        raise UnsupportedAggregation("randomized synthesis needs binary outputs")
+        raise ValidationError("randomized synthesis needs binary outputs")
     forced = self_loop_constraints(problem, config.horizon)
-    nx = len(problem.input_alphabet)
-    n_windows = nx**config.horizon
+    n_windows = len(problem.input_alphabet) ** config.horizon
     free = [w for w in range(n_windows) if w not in forced]
 
-    # grid: the multiples of the step below 1, then 1; counted before built
+    # grid: the multiples of the step below 1, then 1, as numerators over
+    # the step's denominator; counted before built
     step = Fraction(config.grid_step)
     below_one = math.ceil(1 / step)
     _check_guard((below_one + 1) ** len(free))
-    grid = [k * step for k in range(below_one)] + [Fraction(1)]
+    den = step.denominator
+    grid = [k * step.numerator for k in range(below_one)] + [den]
 
-    skel = cached_skeleton(problem, config.horizon)
+    search = _Search(
+        problem,
+        replace(config, collect_all_optimal=False),
+        {w: output * den for w, output in forced.items()},
+        grid=(grid, den),
+    )
+    search.visit(0)
+    # no finite table: the first grid table, which the search restores
+    best = search.tables[0] if search.tables else search.table
+    best_probs = [Fraction(value, den) for value in best]
+    best_ratio = search.bound
+
+    skel = search.skel
 
     def improvement(probs, incumbent):
         """The exact expected ratio of the table when it beats the
         incumbent, else None. Against a finite incumbent the table is
         decided with ties losing, and only a win is solved; with none, it
         is solved and wins when its ratio is finite."""
-        q, unit = skel.q_rand(probs)
-        arcs = skel.int_arcs(q, unit)
+        ones, common = over_common_denominator(probs)
+        arcs = skel.int_arcs(skel.q_rand(ones, common), skel.rand_unit(common))
         if incumbent is not None:
-            stack = ArcStack(skel.n_vertices)
-            stack.push(arcs)
-            if stack.exceeds(incumbent, ties_lose=True)[0]:
+            if ArcStack.holding(skel.n_vertices, arcs).exceeds(incumbent, ties_lose=True)[0]:
                 return None
         kind, lam, _w, _i = core_max_ratio(skel.n_vertices, arcs)
         return lam if kind == "finite" else None
-
-    base = [Fraction(forced.get(w, 0)) for w in range(n_windows)]
-    best_ratio, best_probs = None, None
-    for assignment in product(grid, repeat=len(free)):
-        probs = list(base)
-        for w, p in zip(free, assignment):
-            probs[w] = p
-        ratio = improvement(probs, best_ratio)
-        if ratio is not None or best_probs is None:
-            best_ratio, best_probs = ratio, probs
 
     # coordinate refinement, shrinking the step each round
     step = Fraction(config.grid_step) / 2

@@ -13,6 +13,7 @@ from tlsynth.debruijn import (
     build_graph_rand,
     cached_skeleton,
     induced_input,
+    over_common_denominator,
     serve_switch_split,
 )
 from tlsynth.errors import NotAWalk, UnsupportedAggregation
@@ -153,6 +154,34 @@ def test_randomized_expected_cost_formula(migration):
     for e in graph.edges:
         if e.x == 1:
             assert e.q == Cost(1)
+
+
+@pytest.mark.parametrize("name", ["file-migration", "min-dom-set"])
+def test_q_rand_over_a_shared_denominator(name):
+    """A table's numerators over any common denominator give every
+    transition the same expected q: q / rand_unit(den) does not depend on
+    den, so a search can fix den for all its tables. On min-dom-set a
+    +inf row entry reached with probability 0 costs nothing."""
+    problem = bundled_problem(name)
+    skel = cached_skeleton(problem, 2)
+    rng = random.Random(5)
+    values = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
+    finite_past_inf = 0  # finite q on transitions with a +inf row entry
+    for _ in range(40):
+        probs = [rng.choice(values) for _ in range(4)]
+        ones, den = over_common_denominator(probs)
+        per_table = skel.q_rand(ones, den)
+        shared = 12 * 5  # a multiple of every denominator in `values`
+        wide = skel.q_rand([int(p * shared) for p in probs], shared)
+        for t, (q, q_wide) in enumerate(zip(per_table, wide)):
+            if q is None:
+                assert q_wide is None
+                continue
+            assert Fraction(q, skel.rand_unit(den)) == Fraction(q_wide, skel.rand_unit(shared))
+            finite_past_inf += None in skel.rows[skel.transitions[t][0]]
+        ts = rng.sample(range(len(skel.transitions)), 3)
+        assert skel.q_rand(ones, den, ts) == [per_table[t] for t in ts]
+    assert (finite_past_inf > 0) == (name == "min-dom-set")
 
 
 # -- induced inputs ------------------------------------------------------------

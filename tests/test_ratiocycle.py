@@ -252,9 +252,13 @@ def simple_cycle_ratios(n, arcs):
 
 def exceeds(n, arcs, bound, ties_lose=False):
     """`ArcStack.exceeds` on a fresh stack holding `arcs`."""
-    stack = ArcStack(n)
-    stack.push(arcs)
-    return stack.exceeds(bound, ties_lose)
+    return ArcStack.holding(n, arcs).exceeds(bound, ties_lose)
+
+
+def maxima(arcs):
+    """The largest w and finite q of `arcs`, as `ArcStack.holding` takes them."""
+    finite = [arc for arc in arcs if arc[4] is not None]
+    return max((a[3] for a in finite), default=0), max((a[4] for a in finite), default=0)
 
 
 def feasible(arcs, key, potentials):
@@ -295,7 +299,8 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
     an `ArcStack` as the branch and bound uses it, the prefix is decided
     first, the rest of the arcs is pushed and decided from the prefix's
     potentials (queueing only the rest's tails), and popped again;
-    decisions under every bound and tie rule share the stack."""
+    decisions under every bound and tie rule share the stack, whose
+    weights for a bound do not change as arcs are pushed and popped."""
     rng = random.Random(2024 + infinite_q)
     decided = set()
     for _ in range(250):
@@ -306,7 +311,7 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
         bounds |= {r + d for r in finite_ratios for d in (0, Fraction(1, 7), -Fraction(1, 7))}
         prefix = arcs[: rng.randint(0, len(arcs))]
         prefix_ratios = simple_cycle_ratios(n, prefix)
-        stack = ArcStack(n)
+        stack = ArcStack(n, *maxima(arcs))
         stack.push(prefix)
         for bound in bounds:
             for ties_lose in (False, True):
@@ -316,12 +321,14 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
                 else:
                     expected = ratios_lose(ratios, bound, ties_lose)
                     prefix_loses = ratios_lose(prefix_ratios, bound, ties_lose)
+                key = stack.weights(bound, ties_lose)
                 assert stack.exceeds(bound, ties_lose)[0] == prefix_loses
                 stack.push(arcs[len(prefix) :])
-                key = stack.weights(bound, ties_lose)
+                assert stack.weights(bound, ties_lose) == key
                 from_prefix = any(entry[0] == key for entry in stack.warm)
                 assert stack.exceeds(bound, ties_lose)[0] == expected, (n, arcs, bound)
                 stack.pop_to(len(prefix))
+                assert stack.weights(bound, ties_lose) == key
                 assert all(count <= len(prefix) for _k, _p, count in stack.warm)
                 assert stack.exceeds(bound, ties_lose)[0] == prefix_loses
                 decided.add((expected, None if bound is None else bound > 1, from_prefix))
@@ -341,7 +348,10 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
 def test_tie_decision_matches_the_ratio(infinite_q):
     """A second decision with ties losing tells a tie from a win: when no
     cycle exceeds b, one reaches it exactly when `core_max_ratio` rates the
-    arcs b; bounds at, just above and just below each ratio, <= 1 included."""
+    arcs b; bounds at, just above and just below each ratio, <= 1 included.
+    A stack whose declared w and q bounds exceed its arcs' own, as a
+    search's stack holding part of a skeleton, reaches the same verdicts,
+    with no bound as well."""
     rng = random.Random(77 + infinite_q)
     seen = set()
     for _ in range(300):
@@ -350,15 +360,22 @@ def test_tie_decision_matches_the_ratio(infinite_q):
             kind, lam, _w, _i = core_max_ratio(n, arcs)
         except EmptyGraph:
             kind, lam = "acyclic", None
+        w_max, q_max = maxima(arcs)
+        loose = ArcStack(n, w_max + rng.randint(1, 9), 2 * q_max + rng.randint(1, 9))
+        loose.push(arcs)
+        assert loose.exceeds(None)[0] == (kind == "infinite")
         bounds = {Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)}
         bounds |= {r for r in simple_cycle_ratios(n, arcs) if r is not None}
         if lam is not None:
             bounds |= {lam, lam + Fraction(1, 7), lam - Fraction(1, 7)}
         for bound in bounds:
-            if exceeds(n, arcs, bound, ties_lose=False)[0]:
+            strict = exceeds(n, arcs, bound, ties_lose=False)[0]
+            assert loose.exceeds(bound, ties_lose=False)[0] == strict
+            if strict:
                 continue
             tie = exceeds(n, arcs, bound, ties_lose=True)[0]
             assert tie == (kind == "finite" and lam == bound), (n, arcs, bound)
+            assert loose.exceeds(bound, ties_lose=True)[0] == tie
             seen.add((tie, bound > 1))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from tlsynth import ratiocycle, synthesis
-from tlsynth.debruijn import cached_skeleton
-from tlsynth.errors import SearchSpaceTooLarge, VerificationFailed
+from tlsynth.debruijn import cached_skeleton, over_common_denominator
+from tlsynth.errors import SearchSpaceTooLarge, ValidationError, VerificationFailed
 from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem
@@ -556,6 +556,37 @@ def test_randomized_all_infinite_returns_first_grid_table():
     assert policy.table == (0, 0, 0, 1)
 
 
+def test_randomized_needs_binary_outputs():
+    three = {
+        "name": "three-outputs",
+        "inputs": ["0", "1"],
+        "outputs": ["0", "1", "2"],
+        "r": 1,
+        "aggregation": "sum",
+        "objective": "min",
+        "initial_outputs": ["0"],
+        "rules": [
+            {"x": ["*", "0"], "y": ["*", "0"], "cost": "0"},
+            {"x": ["*", "*"], "y": ["*", "*"], "cost": "1"},
+        ],
+    }
+    with pytest.raises(ValidationError, match="binary outputs"):
+        synthesize_rand(load_problem(three), SynthesisConfig(horizon=1))
+
+
+def test_randomized_t3_pin():
+    """Node pruning cuts the T=3 grid of 5^6 tables: a sweep that decides
+    every grid table takes about 2 s for the same answer."""
+    config = SynthesisConfig(horizon=3, grid_step=Fraction(1, 4), refinement_rounds=2)
+    started = time.monotonic()
+    policy, ratio = synthesize_rand(migration("1"), config)
+    assert time.monotonic() - started < 1
+    assert ratio == Cost(Fraction(65, 24))
+    assert policy.table == tuple(
+        Fraction(p) for p in ("0", "1/16", "1/2", "1", "0", "1", "7/16", "1")
+    )
+
+
 def solved_sweep(problem, config):
     """The randomized sweep with every grid and refinement table solved by
     `core_max_ratio`, keeping the first table and then each strict
@@ -568,8 +599,9 @@ def solved_sweep(problem, config):
     skel = cached_skeleton(problem, config.horizon)
 
     def ratio(probs):
-        q, unit = skel.q_rand(probs)
-        kind, lam, _w, _i = core_max_ratio(skel.n_vertices, skel.int_arcs(q, unit))
+        ones, den = over_common_denominator(probs)
+        arcs = skel.int_arcs(skel.q_rand(ones, den), skel.rand_unit(den))
+        kind, lam, _w, _i = core_max_ratio(skel.n_vertices, arcs)
         return lam if kind == "finite" else None
 
     best = None  # [probabilities, ratio]
@@ -609,22 +641,32 @@ RAND_ORACLE_CASES = [
     ),
     # the 64 deterministic tables, 16 of them tied at the optimum 4
     ("file-migration-1-T3-grid-1", migration("1"), 3, Fraction(1), 0),
+    # 3^6 grid tables, where node pruning cuts subtrees
+    ("file-migration-1-T3-grid-1/2", migration("1"), 3, Fraction(1, 2), 2),
+    ("file-migration-1/2-T3-grid-1/2", migration("1/2"), 3, Fraction(1, 2), 2),
     ("min-dom-set-T2", bundled_problem("min-dom-set"), 2, Fraction(1, 2), 8),
     ("predict-r1-T2", load_problem(PREDICT_R1), 2, Fraction(1, 2), 8),
 ]
 
 
 @pytest.mark.parametrize(
-    "problem,horizon,step,rounds",
-    [case[1:] for case in RAND_ORACLE_CASES],
-    ids=[case[0] for case in RAND_ORACLE_CASES],
+    "problem,horizon,step,rounds,prune",
+    [(*case[1:], prune) for case in RAND_ORACLE_CASES for prune in (True, False)],
+    ids=[
+        case[0] + ("" if prune else "-exhaustive")
+        for case in RAND_ORACLE_CASES
+        for prune in (True, False)
+    ],
 )
-def test_decided_sweep_matches_the_solved_sweep(problem, horizon, step, rounds):
-    """Deciding each table against the incumbent keeps the table and the
-    ratio that solving every table finds: ties keep the first table, and
-    min-dom-set's general skeleton and +inf-q arcs and an all-infinite
-    problem are included."""
-    config = SynthesisConfig(horizon=horizon, grid_step=step, refinement_rounds=rounds)
+def test_decided_sweep_matches_the_solved_sweep(problem, horizon, step, rounds, prune):
+    """The grid search, pruned or exhaustive, deciding each table against
+    the incumbent, keeps the table and the ratio that solving every grid
+    table in order finds: ties keep the first table, and min-dom-set's
+    general skeleton and +inf-q arcs and an all-infinite problem are
+    included."""
+    config = SynthesisConfig(
+        horizon=horizon, grid_step=step, refinement_rounds=rounds, prune=prune
+    )
     probs, lam, _improvements = solved_sweep(problem, config)
     policy, ratio = synthesize_rand(problem, config)
     assert policy.table == probs
