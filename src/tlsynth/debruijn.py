@@ -149,6 +149,29 @@ def serve_switch_split(problem: LocalProblem):
     return serve, switch
 
 
+def expected_cost(costs, reads, den):
+    """Expected cost over one cost row `costs` (ints, None for +inf), whose
+    index encodes the outputs at a transition's reads oldest first, base 2,
+    when each read draws its second output independently with probability
+    reads[j] / den; an int over den ** len(reads). An output drawn with
+    probability 0 costs nothing, +inf included."""
+    terms = [(0, 1)]  # (output code so far, its probability * den^depth)
+    for p1 in reads:
+        if 0 < p1 < den:
+            p0 = den - p1
+            terms = [t for y, m in terms for t in ((y * 2, m * p0), (y * 2 + 1, m * p1))]
+        else:  # one output for sure
+            bit = p1 // den
+            terms = [(y * 2 + bit, m * den) for y, m in terms]
+    total = 0
+    for y, m in terms:
+        cost = costs[y]
+        if cost is None:
+            return None
+        total += m * cost
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class Skeleton:
     """Policy-independent dual graph of a problem at horizon T.
@@ -173,53 +196,31 @@ class Skeleton:
     scale: int
     arcs: tuple
 
-    def q_det(self, table, ts=None):
-        """Per-transition q of a deterministic table (output indices), for
-        every transition or only for the transition ids `ts`; only the
-        table entries those transitions read are used."""
+    def q_det(self, table):
+        """Per-transition q of a deterministic table (output indices)."""
         ny = len(self.problem.output_alphabet)
         rows = self.rows
-        transitions = self.transitions
         q = []
-        for row, codes in transitions if ts is None else (transitions[t] for t in ts):
+        for row, codes in self.transitions:
             y = 0
             for c in codes:
                 y = y * ny + table[c]
             q.append(rows[row][y])
         return q
 
-    def q_rand(self, ones, den, ts=None):
+    def q_rand(self, ones, den):
         """Per-transition expected q of a behavioral table, P(second output)
         per window given as numerators `ones` over one denominator `den`,
-        with an independent draw at every step; for every transition or only
-        for the transition ids `ts`.
+        with an independent draw at every step (`expected_cost`).
 
         Ints (None for +inf) in units of 1/(scale * rand_unit(den)). An
         output drawn with probability 0 costs nothing, +inf included.
         """
         rows = self.rows
-        transitions = self.transitions
-        q = []
-        for row, codes in transitions if ts is None else (transitions[t] for t in ts):
-            terms = [(0, 1)]  # (output code so far, its probability * den^depth)
-            for c in codes:
-                p1 = ones[c]
-                if 0 < p1 < den:
-                    p0 = den - p1
-                    terms = [t for y, m in terms for t in ((y * 2, m * p0), (y * 2 + 1, m * p1))]
-                else:  # one output for sure
-                    bit = p1 // den
-                    terms = [(y * 2 + bit, m * den) for y, m in terms]
-            costs = rows[row]
-            total = 0
-            for y, m in terms:
-                cost = costs[y]
-                if cost is None:
-                    total = None
-                    break
-                total += m * cost
-            q.append(total)
-        return q
+        return [
+            expected_cost(rows[row], [ones[c] for c in codes], den)
+            for row, codes in self.transitions
+        ]
 
     def rand_unit(self, den):
         """`q_rand`'s values over `den` count 1/(scale * rand_unit(den)):

@@ -384,7 +384,11 @@ class ArcStack:
         """
         if self.infinite and _infinite_q_cycle(self.n, self.arcs)[0] is not None:
             return True, None
-        if bound is not None and (bound < 1 or (bound == 1 and ties_lose)):
+        # bound < 1, or bound == 1 with ties_lose, on the lowest terms
+        if bound is not None and (
+            bound.numerator < bound.denominator
+            or (ties_lose and bound.numerator == bound.denominator)
+        ):
             zero_zero = [arc[:3] for arc in self.arcs if arc[3] == arc[4] == 0]
             if _any_cycle(self.n, zero_zero) is not None:
                 return True, None

@@ -1,8 +1,9 @@
 """Synthesis of optimal time-local policies.
 
 Every search runs on the problem's `debruijn.Skeleton`: a table becomes a
-per-transition q vector (`Skeleton.q_det` or `Skeleton.q_rand`) and then
-integer arcs for `ratiocycle`. Every search over tables is one depth-first
+per-transition q (the row entry of the outputs a transition reads, or
+`debruijn.expected_cost` of their probabilities) and then integer arcs
+for `ratiocycle`. Every search over tables is one depth-first
 branch and bound over partial tables, `_Search`, which `synthesize_det`,
 `verify_lower_bound` and the grid phase of `synthesize_rand` run in one
 process, whatever the problem. Deterministic synthesis finds the minimum
@@ -12,13 +13,19 @@ exact ratio over every table X^T -> Y and the tables reaching it:
   for free, the policy must answer with a free self-loop of its own,
   which pins the table entry (for file migration A(0..0)=0, A(1..1)=1);
 - node pruning: free entries are assigned one at a time in de Bruijn
-  depth-first order from the forced windows, and a subtree is dropped as
-  soon as the transitions its fixed entries determine hold a cycle that
-  loses to the incumbent (a cycle of the fixed subgraph is a cycle of
-  every completion). Whether one does is a decision, not a ratio: one
-  negative-cycle test on the fixed subgraph, a `ratiocycle.ArcStack` that
-  grows and shrinks with the search and starts each test from an
-  ancestor's potentials, so only the arcs fixed since are queued;
+  depth-first order from the forced windows. A transition's arcs at a
+  node carry its exact q once the windows it reads are fixed, and before
+  that the least q over the corners of its free reads, each read its own
+  variable (every output index, or probability 0 and 1); a transition
+  with a +inf corner waits for its exact q. q is multilinear in the
+  reads, so a cycle's ratio at the node is at most its ratio in every
+  completion, and a subtree is dropped as soon as a cycle of the node
+  loses to the incumbent. Whether a cycle loses is a decision, not a
+  ratio: one negative-cycle test on a `ratiocycle.ArcStack` that grows and
+  shrinks with the search, where each assignment pushes the tighter arcs
+  of the transitions reading the window on top of their looser ones, and
+  starts each test from an ancestor's potentials, so only the arcs pushed
+  since are queued;
 - short-cycle screening: complete tables with a cycle of at most
   PRUNE_CYCLE_LENGTH adversary-playable edges whose ratio loses to the
   incumbent are dropped before the decision test.
@@ -37,15 +44,16 @@ the incumbent, stopping at the first table below it.
 
 Randomized search runs the same branch and bound over a probability grid
 on the free windows, each probability a numerator over the step's
-denominator, so every q shares one unit; a cycle of the fixed subgraph
-has the same q in every completion, so node pruning holds as it does for
+denominator, so every q shares one unit, and the corners of a free read
+are 0 and the denominator, so node pruning holds as it does for
 deterministic tables. The self-loop entries stay forced, whatever
-`prune` says. The grid's lexicographically first optimal table is then
-refined coordinate-wise with a shrinking step; each refinement table is
-pushed onto a fresh `ratiocycle.ArcStack` and decided against the
-incumbent the same way, ties losing, and only a win is solved, once per
-improvement. The result is the best table found, with no
-global-optimality claim.
+`prune` says. The grid search starts from the optimum of the grid's
+deterministic tables, found by the same search first. The grid's
+lexicographically first optimal table is then refined coordinate-wise
+with a shrinking step; each refinement table is pushed onto a fresh
+`ratiocycle.ArcStack` and decided against the incumbent the same way,
+ties losing, and only a win is solved, once per improvement. The result
+is the best table found, with no global-optimality claim.
 """
 
 from __future__ import annotations
@@ -54,8 +62,9 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
-from .debruijn import cached_skeleton, over_common_denominator
+from .debruijn import cached_skeleton, expected_cost, over_common_denominator
 from .errors import (
     InvalidHorizon,
     SearchSpaceTooLarge,
@@ -251,69 +260,99 @@ class _Search:
     probability over one denominator `den`. Windows not yet assigned hold
     the first value, 0, so the table at a node is the lexicographically
     first table below it. A transition's q is known once every window it
-    reads is fixed, from `Skeleton.q_det` or `Skeleton.q_rand` over `den`,
-    and its arcs then join the fixed subgraph, an `ArcStack` that `visit`
-    grows and pops back on return. As `den` is fixed, so is the unit of q,
-    and every arc's w is scaled by it once. Every cycle of that subgraph is
-    a cycle of every completion with the same q, so its maximum ratio is a
-    lower bound on the ratio of every table below the node, and the
-    subtree is pruned when that bound already loses to the incumbent.
-    `loses` decides that with `ArcStack.exceeds`, started from the
-    potentials of the nearest ancestor decided under the same weights,
-    without computing the bound itself. Complete tables are screened for
-    short cycles and then decided the same way. A table that does not lose
-    is decided again with ties losing, which tells a tie (recorded as is)
-    from a win; only a win is solved for its exact ratio. Without `prune`
-    there is neither node pruning nor the screen: a plain exhaustive scan,
-    which still decides each table before solving it.
+    reads is fixed: `rows[row][y]` of the output indices it reads, or their
+    `debruijn.expected_cost` over `den`. As `den` is fixed, so is the unit
+    of q, and every arc's w is scaled by it once. Arcs are pushed onto one
+    `ArcStack`, which `visit` grows and pops back on return.
+
+    With `prune`, a node also holds a relaxed arc for every transition
+    whose reads are not all fixed: its q is the least over the corners of
+    its free reads, each read its own variable taking every output index,
+    or 0 and `den` on a grid. q is multilinear in the reads, so that is its
+    least value on every table below the node. Depth 0 pushes every
+    transition so, and each assignment pushes the transitions reading the
+    window again, on top of their looser arcs, when their least q rises;
+    the last one gives the exact q. A parallel arc with the same w and a
+    smaller q changes no verdict, so every cycle's ratio at the node is at
+    most its ratio in every completion, and the subtree is pruned when the
+    stack already holds a cycle that loses to the incumbent. A transition
+    with a +inf corner is kept out until its q is exact, so an infinite
+    verdict at a node holds at every completion as well. `loses` decides
+    with `ArcStack.exceeds`, started from the potentials of the nearest
+    ancestor decided under the same weights, without computing the bound.
+    Complete tables are screened for short cycles and then decided the
+    same way. A table that does not lose is decided again with ties
+    losing, which tells a tie (recorded as is) from a win; only a win is
+    solved for its exact ratio, on its exact arcs. Without `prune` a node
+    holds only exact arcs and there is neither node pruning nor the
+    screen: a plain exhaustive scan, which still decides each table before
+    solving it.
 
     Ties with the incumbent are kept with `collect_all_optimal`; otherwise
     the lexicographically first optimal table wins, so a tie prunes only a
     subtree whose first table is greater than the incumbent's.
 
     This is the one search over tables: `visit(0)` searches every table
-    against `incumbent`. With stop_below it ends at the first table that
-    beats the incumbent.
+    against the incumbent, a `bound` (None for none) reached by the
+    `tables` given. With stop_below it ends at the first table that beats
+    the incumbent.
     """
 
     def __init__(
-        self, problem, config, forced, incumbent=POS_INF, stop_below=False, grid=None
+        self, problem, config, forced, bound=None, tables=(), stop_below=False, grid=None
     ):
         """grid: (numerators, den) of a behavioral probability grid, with
         `forced` in numerators too; None searches deterministic tables."""
         skel = cached_skeleton(problem, config.horizon)
         nx = len(problem.input_alphabet)
+        rows = skel.rows
         self.skel = skel
         if grid is None:
-            self.values, self.q_of, unit = range(len(problem.output_alphabet)), skel.q_det, 1
+            ny = len(problem.output_alphabet)
+            self.values = self.corners = range(ny)
+            self.q_reads = lambda row, reads: rows[row][window_index(reads, ny)]
+            self.unit = 1
         else:
             self.values, den = grid
-            self.q_of = lambda table, ts: skel.q_rand(table, den, ts)
-            unit = skel.rand_unit(den)
+            self.corners = (0, den)
+            self.q_reads = lambda row, reads: expected_cost(rows[row], reads, den)
+            self.unit = skel.rand_unit(den)
+        self.prune = config.prune
         self.order = assignment_order(nx, config.horizon, forced)
         position = {w: depth for depth, w in enumerate(self.order)}
-        # fixed_at[d]: transitions whose last read window is assigned at
-        # depth d - 1 (d = 0: transitions between forced windows only)
-        self.fixed_at = [[] for _ in range(len(self.order) + 1)]
-        for t, (_row, codes) in enumerate(skel.transitions):
-            self.fixed_at[1 + max(position.get(c, -1) for c in codes)].append(t)
+        # pushed_at[d]: (t, codes, row, free read positions, memo) of the
+        # transitions whose q, or least q, is pushed at depth d. With prune,
+        # every transition at depth 0 and again after each assignment of a
+        # window it reads; without, each one once, after its last read is
+        # assigned (at depth 0 when it reads forced windows only)
+        self.pushed_at = [[] for _ in range(len(self.order) + 1)]
+        memos = {}  # (row, free) -> {reads: q, least q or None}
+        for t, (row, codes) in enumerate(skel.transitions):
+            fixed_from = [position.get(c, -1) + 1 for c in codes]
+            for d in {0, *fixed_from} if self.prune else {max(fixed_from)}:
+                free = tuple(j for j, f in enumerate(fixed_from) if f > d)
+                memo = memos.setdefault((row, free), {})
+                self.pushed_at[d].append((t, codes, row, free, memo))
         self.arcs_of = [[] for _ in skel.transitions]
         for k, src, dst, w, t in skel.arcs:
-            self.arcs_of[t].append((k, src, dst, w * unit))
+            self.arcs_of[t].append((k, src, dst, w * self.unit))
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
-        self.q = [None] * len(skel.transitions)
-        # integer arcs of the fixed subgraph, bounded by the skeleton's
-        # largest w and row entry in q's unit (a q is a mean of row entries)
-        self.fixed = ArcStack(
+        # q of each transition's last arcs on the stack, -1 when it has none
+        self.q = [-1] * len(skel.transitions)
+        # integer arcs of the node, exact and relaxed, bounded by the
+        # skeleton's largest w and row entry in q's unit (a q is a mean of
+        # row entries, and a least q is one of them)
+        self.stack = ArcStack(
             skel.n_vertices,
-            max((w for _k, _s, _d, w, _t in skel.arcs), default=0) * unit,
-            max((c for row in skel.rows for c in row if c is not None), default=0) * unit,
+            max((w for _k, _s, _d, w, _t in skel.arcs), default=0) * self.unit,
+            max((c for row in rows for c in row if c is not None), default=0) * self.unit,
         )
-        self.prune = config.prune
-        self.cycles = [(ts, w * unit) for ts, w in short_cycles(skel)] if self.prune else ()
+        self.cycles = (
+            [(ts, w * self.unit) for ts, w in short_cycles(skel)] if self.prune else ()
+        )
         self.keep_ties = config.collect_all_optimal
-        self.bound = incumbent.as_fraction() if incumbent.is_finite else None
-        self.tables = []  # optimal tables found, as tuples of values
+        self.bound = bound
+        self.tables = list(tables)  # optimal tables found, as tuples of values
         self.stop_below = stop_below
         self.done = False
         # tables discarded without a full evaluation, tables past the screen
@@ -321,29 +360,71 @@ class _Search:
         # calls, and `core_max_ratio` calls on leaves that beat the incumbent
         self.pruned = self.evaluated = self.nodes = self.decisions = self.solves = 0
 
+    def least_q(self, row, free, reads):
+        """The transition's q at `reads`, or with free read positions its
+        least q over their corners; None when a corner's q is +inf."""
+        if not free:
+            return self.q_reads(row, reads)
+        least = None
+        reads = list(reads)
+        for corner in product(self.corners, repeat=len(free)):
+            for j, value in zip(free, corner):
+                reads[j] = value
+            q = self.q_reads(row, reads)
+            if q is None:
+                return None
+            if least is None or q < least:
+                least = q
+        return least
+
+    def enter(self, depth):
+        """Push the arcs of the transitions whose q, or least q, rises at
+        `depth` under the current table. Returns (mark, raised, pushed)
+        for `leave`: the stack's length before, each raised transition
+        with its q before, and whether any arc was pushed."""
+        stack, table, q_all, arcs_of = self.stack, self.table, self.q, self.arcs_of
+        mark = len(stack.arcs)
+        raised = []
+        arcs = []
+        for t, codes, row, free, memo in self.pushed_at[depth]:
+            reads = tuple(map(table.__getitem__, codes))
+            q = memo.get(reads, -1)  # -1: not seen, as every q is >= 0
+            if q == -1:
+                q = memo[reads] = self.least_q(row, free, reads)
+            if q is None:
+                if free:
+                    continue  # a +inf corner: kept out until q is exact
+            elif q <= q_all[t]:
+                continue  # no tighter than its arcs on the stack
+            raised.append((t, q_all[t]))
+            q_all[t] = q
+            arcs.extend((k, src, dst, w, q) for k, src, dst, w in arcs_of[t])
+        stack.push(arcs)
+        return mark, raised, bool(arcs)
+
+    def leave(self, mark, raised):
+        """Undo an `enter`."""
+        self.stack.pop_to(mark)
+        q_all = self.q
+        for t, q in raised:
+            q_all[t] = q
+
     def visit(self, depth):
         self.nodes += 1
-        fixed = self.fixed
-        mark = len(fixed.arcs)
-        ts = self.fixed_at[depth]
-        qs = self.q_of(self.table, ts)
-        arcs_of, q_all = self.arcs_of, self.q
-        for t, q in zip(ts, qs):
-            q_all[t] = q
-        fixed.push([(k, src, dst, w, q) for t, q in zip(ts, qs) for k, src, dst, w in arcs_of[t]])
+        mark, raised, pushed = self.enter(depth)
         if depth == len(self.order):
             self.leaf()
-        elif self.prune and len(fixed.arcs) > mark and self.loses(self.tie_loses()):
+        elif self.prune and pushed and self.loses(self.tie_loses()):
             self.pruned += len(self.values) ** (len(self.order) - depth)
         else:
-            window = self.order[depth]
+            table, window = self.table, self.order[depth]
             for value in self.values:
-                self.table[window] = value
+                table[window] = value
                 self.visit(depth + 1)
                 if self.done:
                     break
-            self.table[window] = 0
-        fixed.pop_to(mark)
+            table[window] = 0
+        self.leave(mark, raised)
 
     def tie_loses(self):
         """True when a tie with the incumbent is of no use below this node:
@@ -352,14 +433,14 @@ class _Search:
         return not self.keep_ties and (not self.tables or tuple(self.table) > self.tables[0])
 
     def loses(self, tie_loses):
-        """True when the fixed subgraph holds a cycle that loses to the
-        incumbent, so no table below the node is of use (an acyclic one
-        proves nothing): `ArcStack.exceeds`, started from the potentials of
-        the nearest ancestor decided under the same weights. Those stay
-        feasible for that ancestor's arcs, all of which are still fixed, so
-        only the arcs added since can be violated."""
+        """True when the stack holds a cycle that loses to the incumbent,
+        so no table below the node is of use (an acyclic one proves
+        nothing): `ArcStack.exceeds`, started from the potentials of the
+        nearest ancestor decided under the same weights. Those stay
+        feasible for that ancestor's arcs, all of which are still on the
+        stack, so only the arcs added since can be violated."""
         self.decisions += 1
-        return self.fixed.exceeds(self.bound, tie_loses)[0]
+        return self.stack.exceeds(self.bound, tie_loses)[0]
 
     def leaf(self):
         tie_loses = self.tie_loses()
@@ -381,7 +462,10 @@ class _Search:
             return
         # a finite ratio below the incumbent
         self.solves += 1
-        _kind, self.bound, _w, _i = core_max_ratio(self.skel.n_vertices, self.fixed.arcs)
+        skel = self.skel
+        _kind, self.bound, _w, _i = core_max_ratio(
+            skel.n_vertices, skel.int_arcs(self.q, self.unit)
+        )
         self.tables = [table]
         self.done = self.stop_below
 
@@ -438,7 +522,7 @@ def verify_lower_bound(problem: LocalProblem, config: SynthesisConfig, bound: Fr
     """
     config = replace(config, collect_all_optimal=False)
     forced = _forced_entries(problem, config)
-    search = _Search(problem, config, forced, Cost(Fraction(bound)), stop_below=True)
+    search = _Search(problem, config, forced, Fraction(bound), stop_below=True)
     search.visit(0)
     checked = search.pruned + search.evaluated
     if search.tables:
@@ -456,11 +540,15 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     The grid phase is `_Search` over the grid's probabilities, written as
     numerators over the step's denominator: the branch and bound of
     `synthesize_det` (`prune=False` gives its exhaustive decided scan),
-    with the self-loop entries forced either way. It returns the
-    lexicographically first optimal grid table. Each refinement table is
-    pushed onto a fresh `ratiocycle.ArcStack`, since its step, and so the
-    common denominator, changes every round, and decided against the
-    incumbent with ties losing; only a win is solved by `core_max_ratio`.
+    with the self-loop entries forced either way. It first searches the
+    grid's deterministic tables, the values 0 and the denominator, and
+    starts the grid search from their optimum and first optimal table; as
+    a tie with a lexicographically smaller table replaces the incumbent,
+    the grid search still returns the lexicographically first optimal
+    grid table. Each refinement table is pushed onto a fresh
+    `ratiocycle.ArcStack`, since its step, and so the common denominator,
+    changes every round, and decided against the incumbent with ties
+    losing; only a win is solved by `core_max_ratio`.
     Returns (policy, ratio); when every table tried has an infinite ratio
     that is the first grid table and +inf. No global-optimality claim is
     made.
@@ -479,12 +567,13 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     den = step.denominator
     grid = [k * step.numerator for k in range(below_one)] + [den]
 
-    search = _Search(
-        problem,
-        replace(config, collect_all_optimal=False),
-        {w: output * den for w, output in forced.items()},
-        grid=(grid, den),
-    )
+    config = replace(config, collect_all_optimal=False)
+    forced = {w: output * den for w, output in forced.items()}
+    # the deterministic tables, values 0 and den, lie in every grid: their
+    # optimum and first optimal table are the grid search's incumbent
+    start = _Search(problem, config, forced, grid=([0, den], den))
+    start.visit(0)
+    search = _Search(problem, config, forced, start.bound, start.tables, grid=(grid, den))
     search.visit(0)
     # no finite table: the first grid table, which the search restores
     best = search.tables[0] if search.tables else search.table

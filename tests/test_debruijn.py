@@ -12,6 +12,7 @@ from tlsynth.debruijn import (
     build_graph_det,
     build_graph_rand,
     cached_skeleton,
+    expected_cost,
     induced_input,
     over_common_denominator,
     serve_switch_split,
@@ -179,9 +180,21 @@ def test_q_rand_over_a_shared_denominator(name):
                 continue
             assert Fraction(q, skel.rand_unit(den)) == Fraction(q_wide, skel.rand_unit(shared))
             finite_past_inf += None in skel.rows[skel.transitions[t][0]]
-        ts = rng.sample(range(len(skel.transitions)), 3)
-        assert skel.q_rand(ones, den, ts) == [per_table[t] for t in ts]
     assert (finite_past_inf > 0) == (name == "min-dom-set")
+
+
+@pytest.mark.parametrize("name", ["file-migration", "min-dom-set"])
+def test_expected_cost_at_corners_is_the_row_entry(name):
+    """Reads of probability 0 or 1 give the deterministic row entry, in
+    the unit den ** reads: the grid's corners are its deterministic tables."""
+    skel = cached_skeleton(bundled_problem(name), 2)
+    den = 6
+    for row, codes in skel.transitions:
+        k = len(codes)
+        for y, cost in enumerate(skel.rows[row]):
+            reads = [(y >> (k - 1 - j) & 1) * den for j in range(k)]
+            expected = None if cost is None else cost * den**k
+            assert expected_cost(skel.rows[row], reads, den) == expected
 
 
 # -- induced inputs ------------------------------------------------------------

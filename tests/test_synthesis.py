@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,12 @@ import pytest
 
 from tlsynth import ratiocycle, synthesis
 from tlsynth.debruijn import cached_skeleton, over_common_denominator
-from tlsynth.errors import SearchSpaceTooLarge, ValidationError, VerificationFailed
+from tlsynth.errors import (
+    EmptyGraph,
+    SearchSpaceTooLarge,
+    ValidationError,
+    VerificationFailed,
+)
 from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem
@@ -223,27 +229,27 @@ def test_t4_alpha1_optimum_is_exactly_a1_a2_a3():
 
 
 # ratio, nodes visited, full evaluations and optimal tables of the T=4
-# search, as the search that solved every node for its ratio found them;
-# then its decision tests and parametric solves (one per incumbent)
+# search under the relaxed node bound; then its decision tests and
+# parametric solves (one per incumbent)
 T4_SEARCH_SHAPE = [
-    ("1/2", True, 3, 5209, 2512, ["0101010101010101"], 5301, 5),
-    ("1", True, 3, 597, 256, sorted(OPTIMAL_T4_TABLES), 643, 6),
+    ("1/2", True, 3, 1699, 186, ["0101010101010101"], 1791, 5),
+    ("1", True, 3, 383, 76, sorted(OPTIMAL_T4_TABLES), 423, 6),
     (
         "2",
         True,
         4,
-        515,
-        212,
+        397,
+        110,
         [
             "0000001100011111",
             "0000001100111111",
             "0000011100111111",
             *sorted(OPTIMAL_T4_TABLES),
         ],
-        570,
+        446,
         6,
     ),
-    ("1", False, 3, 475, 178, ["0001001100010111"], 477, 6),
+    ("1", False, 3, 261, 18, ["0001001100010111"], 259, 6),
 ]
 
 
@@ -253,8 +259,8 @@ T4_SEARCH_SHAPE = [
     ids=["alpha=1/2", "alpha=1", "alpha=2", "alpha=1-first-table"],
 )
 def test_t4_search_shape(alpha, collect, ratio, nodes, evaluations, tables, decisions, solves):
-    """The decision tests cut and drop exactly the nodes and leaves that
-    solving each one for its ratio did."""
+    """The nodes the relaxed bound leaves, the leaves decided, the decision
+    tests and the solves, one per incumbent, of the T=4 searches."""
     config = SynthesisConfig(horizon=4, collect_all_optimal=collect)
     res = synthesize_det(migration(alpha), config)
     assert res.best_ratio == Cost(ratio)
@@ -279,12 +285,25 @@ def test_t5_alpha2_optimum(monkeypatch):
     monkeypatch.setattr(synthesis, "DEFAULT_CANDIDATE_GUARD", 2**30)
     res = synthesize_det(migration("2"), SynthesisConfig(horizon=5, collect_all_optimal=True))
     assert res.best_ratio == Cost(Fraction(7, 2))
-    assert (res.nodes_visited, res.full_evaluations) == (31_045, 3_912)
+    assert (res.nodes_visited, res.full_evaluations) == (19_419, 516)
     assert ["".join(map(str, p.table)) for p in res.policies] == [
         "00000001000111110000001101111111",
         "00000001000111110000101101111111",
         "00000001001011110000011101111111",
         "00000001001111110000011101111111",
+    ]
+
+
+def test_t5_alpha1_first_table(monkeypatch):
+    """A large-graph known answer past the paper: at alpha=1 the best ratio
+    stays 3 at T=5, and the relaxed node bound leaves 24,103 of the
+    search's nodes."""
+    monkeypatch.setattr(synthesis, "DEFAULT_CANDIDATE_GUARD", 2**30)
+    res = synthesize_det(migration("1"), SynthesisConfig(horizon=5))
+    assert res.best_ratio == Cost(3)
+    assert res.nodes_visited == 24_103
+    assert ["".join(map(str, p.table)) for p in res.policies] == [
+        "00010011000001110001001100110111"
     ]
 
 
@@ -674,18 +693,116 @@ def test_decided_sweep_matches_the_solved_sweep(problem, horizon, step, rounds, 
 
 
 def test_randomized_sweep_shape(monkeypatch):
-    """The randomized twin of `test_t4_search_shape`: only the first table
-    and each strict improvement are solved; every other table is decided."""
-    calls = []
+    """The randomized twin of `test_t4_search_shape`: every solve is a win.
+    The deterministic start solves its incumbents 5 and 4, and the grid
+    search and refinement start below each other's result, so the solved
+    ratios fall strictly; every other table is decided."""
+    solved = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return core_max_ratio(*args, **kwargs)
+        verdict = core_max_ratio(*args, **kwargs)
+        solved.append(verdict[1])
+        return verdict
 
     config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
-    probs, lam, improvements = solved_sweep(migration(), config)
+    probs, lam, _improvements = solved_sweep(migration(), config)
     monkeypatch.setattr(synthesis, "core_max_ratio", counted)
     policy, ratio = synthesize_rand(migration(), config)
     assert (policy.table, ratio) == (probs, Cost(Fraction(7, 2))) and lam == Fraction(7, 2)
-    assert len(calls) == improvements + 1 == 34
-    assert all(kwargs == {} for kwargs in calls)  # solves, never aborted climbs
+    assert len(solved) == 15
+    assert solved[:2] == [5, 4] and solved[-1] == Fraction(7, 2)
+    assert all(later < earlier for earlier, later in zip(solved, solved[1:]))
+
+
+@pytest.mark.parametrize("alpha", ["1/10", "1/5", "3/10", "1/2", "1"])
+def test_randomized_pruning_matches_exhaustive_grid(alpha):
+    """Over the `table2` alphas and grid, the pruned grid search gives the
+    table and ratio of the exhaustive one."""
+    for horizon in (1, 2):
+        (pruned, pruned_ratio), (full, full_ratio) = (
+            synthesize_rand(
+                migration(alpha),
+                SynthesisConfig(horizon=horizon, grid_step=Fraction(1, 20), prune=prune),
+            )
+            for prune in (True, False)
+        )
+        assert (pruned.table, pruned_ratio) == (full.table, full_ratio), horizon
+
+
+RELAXED_BOUND_CASES = [
+    *(
+        ("file-migration", alpha, horizon, None)
+        for alpha in ("1/10", "1", "2")
+        for horizon in (1, 2, 3)
+    ),
+    *(("min-dom-set", None, horizon, None) for horizon in (1, 2, 3)),
+    *(("file-migration", alpha, 2, Fraction(1, 4)) for alpha in ("1/10", "1/2", "1", "2")),
+    ("min-dom-set", None, 2, Fraction(1, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,alpha,horizon,step",
+    RELAXED_BOUND_CASES,
+    ids=[
+        f"{name}-{alpha}-T{horizon}" + ("" if step is None else "-grid")
+        for name, alpha, horizon, step in RELAXED_BOUND_CASES
+    ],
+)
+def test_relaxed_node_bound_is_a_lower_bound(name, alpha, horizon, step):
+    """At every node along seeded random paths of the pruned search, the
+    maximum ratio of the stack, relaxed arcs included, is at most the exact
+    ratio of seeded random completions of the node's table, and an
+    infinite one is infinite in each. The stack's own decisions agree with
+    the ratio of its tightest arcs: looser parallel arcs change none."""
+    problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
+    forced = self_loop_constraints(problem, horizon)
+    ins, outs = problem.input_alphabet, problem.output_alphabet
+    if step is None:
+        grid = None
+
+        def policy(table):
+            return DeterministicPolicy(horizon, ins, outs, table)
+
+    else:
+        den = step.denominator
+        grid = ([k * step.numerator for k in range(math.ceil(1 / step))] + [den], den)
+        forced = {w: output * den for w, output in forced.items()}
+
+        def policy(table):
+            return RandomizedPolicy(horizon, ins, outs, tuple(Fraction(v, den) for v in table))
+
+    search = synthesis._Search(problem, SynthesisConfig(horizon=horizon), forced, grid=grid)
+    n = search.skel.n_vertices
+    rng = random.Random(f"{name}-{alpha}-{horizon}-{step}")
+    for _path in range(6):
+        entered = []
+        for depth in range(len(search.order) + 1):
+            if depth:
+                search.table[search.order[depth - 1]] = rng.choice(search.values)
+            entered.append(search.enter(depth)[:2])
+            # the last arc of an edge on the stack is its tightest
+            tightest = list({arc[0]: arc for arc in search.stack.arcs}.values())
+            try:
+                kind, lam, _w, _i = core_max_ratio(n, tightest)
+            except EmptyGraph:  # no cycle yet: no bound
+                continue
+            if kind == "infinite":
+                assert search.stack.exceeds(None)[0]
+            else:
+                assert not search.stack.exceeds(lam)[0]
+                assert search.stack.exceeds(lam, ties_lose=True)[0]
+            for _completion in range(3):
+                table = list(search.table)
+                for window in search.order[depth:]:
+                    table[window] = rng.choice(search.values)
+                ratio = evaluate_policy(problem, policy(table)).best.ratio
+                if kind == "infinite":
+                    assert ratio == POS_INF, (table, depth)
+                elif ratio.is_finite:
+                    assert lam <= ratio.as_fraction(), (table, depth)
+        for mark, raised in reversed(entered):
+            search.leave(mark, raised)
+        for window in search.order:
+            search.table[window] = 0
+        assert search.stack.arcs == [] and set(search.q) == {-1}
