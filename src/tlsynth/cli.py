@@ -241,12 +241,7 @@ def _cmd_synth(args):
 
 
 def _load_policy_arg(path, flag):
-    doc = json.loads(_read_file(path, flag))
-    if "policies" in doc:  # synthesis result document
-        if not doc["policies"]:
-            raise ValidationError("synthesis document holds no policies")
-        doc = doc["policies"][0]
-    return load_policy(doc)
+    return load_policy(_read_file(path, flag))
 
 
 def _cmd_eval(args):

@@ -12,7 +12,6 @@ behavioural table draws its coins from the seed.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .exact import parse_rational, format_rational
-from .problems import Alphabet
+from .problems import Alphabet, document_field, parse_document
 
 TABLE_GUARD = 2**24  # max |X|^T entries a dense table may hold
 
@@ -152,8 +151,13 @@ def _parse_prob(raw) -> Fraction:
 
 
 def _table_from_entries(horizon, input_alphabet, entries, convert):
+    if horizon < 1:
+        raise ValidationError(f"policy horizon must be positive, got {horizon}")
     base = len(input_alphabet)
-    size = base**horizon
+    # capping T at the guard's bit length keeps |X|^T exact below the guard
+    size = base ** min(horizon, TABLE_GUARD.bit_length())
+    if size > TABLE_GUARD:
+        raise TableTooLarge(f"|X|^{horizon} exceeds the table guard {TABLE_GUARD}")
     table = [None] * size
     single = all(len(t) == 1 for t in input_alphabet.symbols)
     for key, value in entries.items():
@@ -373,21 +377,25 @@ def policy_to_document(policy) -> dict:
 
 
 def load_policy(document):
-    if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    else:
-        doc = document
+    """Parse a policy document, or the first policy of a `synth` result
+    document (JSON text or a dict)."""
+    doc = parse_document(document)
+    if "policies" in doc:
+        if not document_field(doc, "policies", list):
+            raise ValidationError("synthesis document holds no policies")
+        doc = parse_document(doc["policies"][0])
     for fieldname in ("horizon", "inputs", "outputs", "kind", "entries"):
         if fieldname not in doc:
             raise ParseError("missing field", field=fieldname)
-    inputs = Alphabet(tuple(str(s) for s in doc["inputs"]))
-    outputs = Alphabet(tuple(str(s) for s in doc["outputs"]))
-    horizon = int(doc["horizon"])
+    inputs = Alphabet(tuple(str(s) for s in document_field(doc, "inputs", list)))
+    outputs = Alphabet(tuple(str(s) for s in document_field(doc, "outputs", list)))
+    try:
+        horizon = int(doc["horizon"])
+    except (TypeError, ValueError):
+        raise ParseError("must be an integer", field="horizon") from None
+    entries = document_field(doc, "entries", dict)
     if doc["kind"] == "deterministic":
-        return DeterministicPolicy.from_entries(horizon, inputs, outputs, doc["entries"])
+        return DeterministicPolicy.from_entries(horizon, inputs, outputs, entries)
     if doc["kind"] == "randomized":
-        return RandomizedPolicy.from_entries(horizon, inputs, outputs, doc["entries"])
+        return RandomizedPolicy.from_entries(horizon, inputs, outputs, entries)
     raise ParseError(f"unknown kind {doc['kind']!r}", field="kind")

@@ -513,40 +513,55 @@ _REQUIRED_FIELDS = (
 )
 
 
-def load_problem(document) -> LocalProblem:
-    """Parse and validate a problem document (JSON text or a dict)."""
+def parse_document(document) -> dict:
+    """The JSON object of a document given as JSON text or as a dict."""
     if isinstance(document, (str, bytes)):
         try:
-            doc = json.loads(document)
+            document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
-    else:
-        doc = document
-    if not isinstance(doc, dict):
+    if not isinstance(document, dict):
         raise ParseError("document must be a JSON object")
+    return document
+
+
+def document_field(doc, name, kind, default=None):
+    """doc[name], or `default` when absent, once it is a JSON array (kind
+    list) or object (kind dict)."""
+    value = doc.get(name, default)
+    if not isinstance(value, kind):
+        raise ParseError(f"must be a JSON {'array' if kind is list else 'object'}", field=name)
+    return value
+
+
+def load_problem(document) -> LocalProblem:
+    """Parse and validate a problem document (JSON text or a dict)."""
+    doc = parse_document(document)
     for fieldname in _REQUIRED_FIELDS:
         if fieldname not in doc:
             raise ParseError("missing field", field=fieldname)
 
-    inputs = Alphabet(tuple(str(s) for s in doc["inputs"]))
-    outputs = Alphabet(tuple(str(s) for s in doc["outputs"]))
+    inputs = Alphabet(tuple(str(s) for s in document_field(doc, "inputs", list)))
+    outputs = Alphabet(tuple(str(s) for s in document_field(doc, "outputs", list)))
     try:
         r = int(doc["r"])
     except (TypeError, ValueError):
         raise ParseError("must be an integer", field="r")
 
     parameters = {}
-    for name, value in dict(doc.get("parameters", {})).items():
+    for name, value in document_field(doc, "parameters", dict, {}).items():
         try:
             parameters[name] = parse_rational(value)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational {value!r}", field=f"parameters.{name}")
 
     rules = []
-    for k, raw in enumerate(doc["rules"]):
+    for k, raw in enumerate(document_field(doc, "rules", list)):
         loc = f"rules[{k}]"
         if not isinstance(raw, dict) or not {"x", "y", "cost"} <= set(raw):
             raise ParseError("rule needs x, y and cost", field=loc)
+        if not isinstance(raw["x"], list) or not isinstance(raw["y"], list):
+            raise ParseError("x and y must be JSON arrays", field=loc)
         x_pattern = tuple(str(t) for t in raw["x"])
         y_pattern = tuple(str(t) for t in raw["y"])
         for token in x_pattern:
@@ -577,7 +592,9 @@ def load_problem(document) -> LocalProblem:
         aggregation=str(doc["aggregation"]),
         objective=str(doc["objective"]),
         parameters=parameters,
-        initial_outputs=tuple(str(t) for t in doc.get("initial_outputs", ())),
+        initial_outputs=tuple(
+            str(t) for t in document_field(doc, "initial_outputs", list, [])
+        ),
     )
     warnings = validate_coverage(problem)
     object.__setattr__(problem, "coverage_warnings", tuple(warnings))

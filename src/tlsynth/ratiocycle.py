@@ -216,7 +216,8 @@ def _infinite_q_cycle(n, edges):
     of a cycle through one infinite-q arc closed by finite-q arcs, or None,
     and finite holds the arcs with finite q. A cycle through two or more
     infinite-q arcs is not detected here, and the table is rated on its
-    remaining cycles."""
+    remaining cycles; the synthesis search drops a table paying +inf on a
+    2-cycle of two such arcs at the leaf (`synthesis.infinite_pairs`)."""
     finite = [e for e in edges if e[4] is not None]
     if len(finite) < len(edges):
         out = _out_arcs(n, finite)

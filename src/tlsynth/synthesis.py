@@ -25,12 +25,12 @@ exact ratio over every table X^T -> Y and the tables reaching it:
   shrinks with the search, where each assignment pushes the tighter arcs
   of the transitions reading the window on top of their looser ones, and
   starts each test from an ancestor's potentials, so only the arcs pushed
-  since are queued;
-- short-cycle screening: complete tables with a cycle of at most
-  PRUNE_CYCLE_LENGTH adversary-playable edges whose ratio loses to the
-  incumbent are dropped before the decision test.
+  since are queued.
 
-A complete table is decided the same way. One that does not lose is
+A complete table is decided the same way, after the one check the
+decision cannot make: a table paying +inf on both transitions of a
+2-cycle (`infinite_pairs`) is dropped, as `ratiocycle.ArcStack.exceeds`
+closes a +inf arc with finite arcs only. A table that does not lose is
 decided again with ties losing: if a cycle then reaches the incumbent, the
 table ties it and is recorded without a solve. Only a table that beats the
 incumbent is solved for its exact ratio by `ratiocycle.core_max_ratio`,
@@ -78,7 +78,6 @@ from .problems import LocalProblem
 from .ratiocycle import ArcStack, core_max_ratio, evaluate_policy
 
 DEFAULT_CANDIDATE_GUARD = 2**26
-PRUNE_CYCLE_LENGTH = 2
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,8 @@ class SynthesisConfig:
     collect_all_optimal: bool = False
     grid_step: Fraction = Fraction(1, 20)
     refinement_rounds: int = 8
-    # self-loop forcing (always on for randomized search), node pruning and
-    # the short-cycle screen; off, the search is the exhaustive decided scan
+    # self-loop forcing (always on for randomized search) and node pruning;
+    # off, the search is the exhaustive decided scan
     prune: bool = True
 
     def __post_init__(self):
@@ -164,54 +163,22 @@ def _check_guard(total):
         raise SearchSpaceTooLarge(total, DEFAULT_CANDIDATE_GUARD)
 
 
-# -- short-cycle screening ----------------------------------------------------
-
-
-def short_cycles(skel, max_len=PRUNE_CYCLE_LENGTH):
-    """Simple cycles of at most max_len skeleton arcs (edges with w < +inf),
-    as (transition ids, scaled w sum), rooted at their smallest vertex. Of
-    the cycles through the same transitions, which share their q for every
-    table, only a lightest is kept: no other rates higher."""
-    out = [[] for _ in range(skel.n_vertices)]
-    for _k, src, dst, w, t in skel.arcs:
-        out[src].append((dst, w, t))
-    lightest = {}  # transition ids -> least w sum
-
-    def extend(root, v, ts, w_sum, on_path):
-        for dst, w, t in out[v]:
-            if dst == root:
-                cycle = ts + (t,)
-                lightest[cycle] = min(w_sum + w, lightest.get(cycle, w_sum + w))
-            elif len(ts) + 1 < max_len and dst > root and dst not in on_path:
-                extend(root, dst, ts + (t,), w_sum + w, on_path | {dst})
-
-    for root in range(skel.n_vertices):
-        extend(root, root, (), 0, {root})
-    return list(lightest.items())
-
-
-def short_cycle_hits(cycles, q, bound: Fraction, keep_ties) -> bool:
-    """True = discard: some cycle's ratio under the per-transition q is
-    >= bound (strictly greater with keep_ties); infinite q is a hit.
-    Sound: a table whose true ratio beats the bound is never discarded."""
-    a, b = bound.numerator, bound.denominator
-    for ts, w_sum in cycles:
-        qs = [q[t] for t in ts]
-        if None in qs:
-            return True
-        q_sum = sum(qs)
-        if w_sum == 0:
-            if q_sum > 0:
-                return True
-            lhs, rhs = b, a  # the 0/0 cycle has ratio 1
-        else:
-            lhs, rhs = q_sum * b, a * w_sum
-        if lhs > rhs or (not keep_ties and lhs == rhs):
-            return True
-    return False
-
-
 # -- branch and bound over partial tables ----------------------------------------
+
+
+def infinite_pairs(skel):
+    """Pairs of transitions that can pay +inf (a None in their cost row)
+    and have arcs closing a 2-cycle. A table paying +inf on both pays +inf
+    on that cycle, which `ratiocycle._infinite_q_cycle` does not see."""
+    ends = {}  # (src, dst) -> the transitions that can pay +inf on an arc src -> dst
+    for _k, src, dst, _w, t in skel.arcs:
+        if None in skel.rows[skel.transitions[t][0]]:
+            ends.setdefault((src, dst), set()).add(t)
+    pairs = set()
+    for (src, dst), ts in ends.items():
+        if src < dst:
+            pairs.update(product(ts, ends.get((dst, src), ())))
+    return sorted(pairs)
 
 
 def assignment_order(n_inputs, horizon, forced):
@@ -280,12 +247,13 @@ class _Search:
     verdict at a node holds at every completion as well. `loses` decides
     with `ArcStack.exceeds`, started from the potentials of the nearest
     ancestor decided under the same weights, without computing the bound.
-    Complete tables are screened for short cycles and then decided the
-    same way. A table that does not lose is decided again with ties
+    A complete table paying +inf on both transitions of an
+    `infinite_pairs` pair is dropped, and any other is decided the same
+    way. A table that does not lose is decided again with ties
     losing, which tells a tie (recorded as is) from a win; only a win is
     solved for its exact ratio, on its exact arcs. Without `prune` a node
-    holds only exact arcs and there is neither node pruning nor the
-    screen: a plain exhaustive scan, which still decides each table before
+    holds only exact arcs and there is neither node pruning nor the pair
+    check: a plain exhaustive scan, which still decides each table before
     solving it.
 
     Ties with the incumbent are kept with `collect_all_optimal`; otherwise
@@ -347,16 +315,14 @@ class _Search:
             max((w for _k, _s, _d, w, _t in skel.arcs), default=0) * self.unit,
             max((c for row in rows for c in row if c is not None), default=0) * self.unit,
         )
-        self.cycles = (
-            [(ts, w * self.unit) for ts, w in short_cycles(skel)] if self.prune else ()
-        )
+        self.inf_pairs = infinite_pairs(skel) if self.prune else ()
         self.keep_ties = config.collect_all_optimal
         self.bound = bound
         self.tables = list(tables)  # optimal tables found, as tuples of values
         self.stop_below = stop_below
         self.done = False
-        # tables discarded without a full evaluation, tables past the screen
-        # (each given a decision test), nodes entered, `ArcStack.exceeds`
+        # tables discarded without a full evaluation, tables past the pair
+        # check (each given a decision test), nodes entered, `ArcStack.exceeds`
         # calls, and `core_max_ratio` calls on leaves that beat the incumbent
         self.pruned = self.evaluated = self.nodes = self.decisions = self.solves = 0
 
@@ -444,8 +410,11 @@ class _Search:
 
     def leaf(self):
         tie_loses = self.tie_loses()
-        if self.bound is not None and short_cycle_hits(
-            self.cycles, self.q, self.bound, keep_ties=not tie_loses
+        q = self.q
+        if (
+            self.inf_pairs
+            and self.bound is not None
+            and any(q[a] is None and q[b] is None for a, b in self.inf_pairs)
         ):
             self.pruned += 1
             return

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -399,6 +400,71 @@ def test_missing_file_exits_2(tmp_path, capsys, flag, argv):
     assert code == 2
     assert stdout == ""
     assert err.startswith(f"error: cannot read {flag} file ")
+
+
+def policy_text(**fields):
+    problem = bundled_problem("file-migration")
+    xs, ys = problem.input_alphabet, problem.output_alphabet
+    doc = policy_to_document(DeterministicPolicy(1, xs, ys, (0, 1)))
+    return json.dumps(dict(doc, **fields))
+
+
+def problem_text(**fields):
+    text = resources.files("tlsynth.data").joinpath("file-migration.json").read_text()
+    return json.dumps(dict(json.loads(text), **fields))
+
+
+@pytest.mark.parametrize(
+    "flag,text,exit_code,message",
+    [
+        ("--policy", '{"horizon": 1,', 2, "error: invalid JSON: "),
+        ("--policy", policy_text(horizon="x"), 2, "error: horizon: must be an integer"),
+        ("--policy", policy_text(horizon=0), 2, "error: policy horizon must be positive"),
+        ("--policy", policy_text(horizon=-1), 2, "error: policy horizon must be positive"),
+        ("--policy", policy_text(horizon=64), 3, "guard: |X|^64 exceeds the table guard"),
+        ("--policy", '{"policies": 5}', 2, "error: policies: must be a JSON array"),
+        ("--policy", '{"policies": []}', 2, "error: synthesis document holds no policies"),
+        ("--problem", problem_text(rules=5), 2, "error: rules: must be a JSON array"),
+        ("--problem", problem_text(inputs=5), 2, "error: inputs: must be a JSON array"),
+        (
+            "--problem",
+            problem_text(initial_outputs=5),
+            2,
+            "error: initial_outputs: must be a JSON array",
+        ),
+        (
+            "--problem",
+            problem_text(parameters=[1]),
+            2,
+            "error: parameters: must be a JSON object",
+        ),
+    ],
+    ids=[
+        "policy-syntax",
+        "policy-horizon-x",
+        "policy-horizon-0",
+        "policy-horizon-minus-1",
+        "policy-horizon-64",
+        "synth-policies-number",
+        "synth-policies-empty",
+        "problem-rules-number",
+        "problem-inputs-number",
+        "problem-initial-outputs-number",
+        "problem-parameters-list",
+    ],
+)
+def test_malformed_document_exits_with_a_message(
+    tmp_path, capsys, flag, text, exit_code, message
+):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    if flag == "--policy":
+        argv = ("eval", "--problem", "file-migration", "--policy", str(path))
+    else:
+        argv = ("opt", "--problem", str(path), "--input", "01")
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (exit_code, "")
+    assert err.startswith(message)
 
 
 def test_negative_adversary_cost_exits_2(tmp_path, capsys):

@@ -20,13 +20,11 @@ from tlsynth.policies import DeterministicPolicy, RandomizedPolicy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem
 from tlsynth.ratiocycle import core_max_ratio, evaluate_policy
 from tlsynth.synthesis import (
-    PRUNE_CYCLE_LENGTH,
     SynthesisConfig,
     assignment_order,
     candidate_count,
+    infinite_pairs,
     self_loop_constraints,
-    short_cycle_hits,
-    short_cycles,
     synthesize_det,
     synthesize_rand,
     verify_lower_bound,
@@ -112,39 +110,24 @@ def test_guard_triggers_at_t5():
     assert err.value.count == 2**30
 
 
-# -- short-cycle pruning -------------------------------------------------------------
+# -- +inf 2-cycles -----------------------------------------------------------------
 
 
-def screen_hits(problem, policy, bound, max_len=PRUNE_CYCLE_LENGTH, keep_ties=False):
-    skel = cached_skeleton(problem, policy.horizon)
-    cycles = short_cycles(skel, max_len)
-    return short_cycle_hits(cycles, skel.q_det(policy.table), Fraction(bound), keep_ties)
-
-
-def test_prune_discards_infinite_self_loop():
-    policy = DeterministicPolicy(1, BIN, BIN, (0, 0))  # ignores 1-requests
-    assert screen_hits(migration(), policy, 100)
-    # general form: selecting no node pays +inf on a playable self-loop
+def test_infinite_pairs_drop_the_infinite_two_cycle():
+    for alpha in ("1/10", "1", "5"):
+        for horizon in (1, 2, 3, 4):
+            assert infinite_pairs(cached_skeleton(migration(alpha), horizon)) == []
     mds = bundled_problem("min-dom-set")
-    none = DeterministicPolicy(1, mds.input_alphabet, mds.output_alphabet, (0, 0))
-    assert screen_hits(mds, none, 100)
-
-
-def test_prune_keeps_better_candidate():
-    policy = DeterministicPolicy.from_entries(1, BIN, BIN, {"0": "0", "1": "1"})
-    # worst 2-cycle has ratio 4; a huge incumbent keeps the candidate
-    assert not screen_hits(migration(), policy, 100)
-    assert screen_hits(migration(), policy, 4)
-    assert not screen_hits(migration(), policy, 4, keep_ties=True)
-
-
-def test_prune_or_candidate_against_incumbent_three():
-    policy = DeterministicPolicy.from_entries(
-        2, BIN, BIN, {"00": "0", "01": "1", "10": "1", "11": "1"}
-    )
-    # its (3+2a)/1 cycle has length 3: invisible at L=2, fatal at L=3
-    assert not screen_hits(migration(), policy, 3, max_len=2)
-    assert screen_hits(migration(), policy, 3, max_len=3)
+    skel = cached_skeleton(mds, 3)
+    pairs = infinite_pairs(skel)
+    assert pairs
+    # 11010001 pays +inf on both transitions of a pair, and stage 0 of
+    # its verdict does not see that cycle
+    table = (1, 1, 0, 1, 0, 0, 0, 1)
+    q = skel.q_det(table)
+    assert any(q[a] is None and q[b] is None for a, b in pairs)
+    res = synthesize_det(mds, SynthesisConfig(horizon=3, collect_all_optimal=True))
+    assert table not in [p.table for p in res.policies]
 
 
 # -- deterministic synthesis -----------------------------------------------------------
@@ -417,7 +400,7 @@ def oracle_problem(name, alpha):
     ],
 )
 def test_branch_and_bound_matches_exhaustive_scan(name, alpha, horizons):
-    """Pruning on (forcing, node pruning, short-cycle screen) against the
+    """Pruning on (forcing, node pruning, the +inf pair check) against the
     plain scan of every table, with and without collecting ties; and
     lower-bound verification at and just above the scan's optimum."""
     problem = oracle_problem(name, alpha)
@@ -483,7 +466,8 @@ def brute_force_optimum(problem, horizon):
                 strict=True,
                 reason="core_max_ratio misses cycles made only of +inf-q edges, "
                 "so evaluate_policy rates 10001011 and 11010001 at 3; the "
-                "short-cycle screen sees the +inf 2-cycle of 11010001",
+                "search's infinite_pairs check drops 11010001, which pays +inf "
+                "on a 2-cycle",
             ),
         ),
         ("predict", 2, POS_INF, None),
