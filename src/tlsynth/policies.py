@@ -133,7 +133,7 @@ class RandomizedPolicy:
         out = []
         for x in x_seq:
             p = self.table[code]
-            out.append(symbols[1] if Fraction(rng.random()) < p else symbols[0])
+            out.append(symbols[1] if rng.random() < p else symbols[0])
             code = (code * base + index(x)) % modulus
         return tuple(out)
 
@@ -296,7 +296,7 @@ def coin_flip_step(current_location, request, alpha, variate):
     p = Fraction(1) / (2 * alpha)
     if p > 1:
         raise InvalidAlpha("move probability 1/(2*alpha) exceeds 1")
-    return MOVE if Fraction(variate) < p else SKIP
+    return MOVE if variate < p else SKIP
 
 
 def run_coin_flip(x_seq, alpha, seed):
@@ -389,10 +389,7 @@ def load_policy(document):
             raise ParseError("missing field", field=fieldname)
     inputs = Alphabet(tuple(str(s) for s in document_field(doc, "inputs", list)))
     outputs = Alphabet(tuple(str(s) for s in document_field(doc, "outputs", list)))
-    try:
-        horizon = int(doc["horizon"])
-    except (TypeError, ValueError):
-        raise ParseError("must be an integer", field="horizon") from None
+    horizon = document_field(doc, "horizon", int)
     entries = document_field(doc, "entries", dict)
     if doc["kind"] == "deterministic":
         return DeterministicPolicy.from_entries(horizon, inputs, outputs, entries)

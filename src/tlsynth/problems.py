@@ -24,7 +24,7 @@ saturates when added to one, and +inf plus -inf raises `InfinityClash`, as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -324,18 +324,7 @@ class LocalProblem:
                 raise ValidationError(
                     f"bad value {value!r} for parameter {name!r}, expected a rational"
                 ) from None
-        return LocalProblem(
-            name=self.name,
-            input_alphabet=self.input_alphabet,
-            output_alphabet=self.output_alphabet,
-            horizon_r=self.horizon_r,
-            rules=self.rules,
-            aggregation=self.aggregation,
-            objective=self.objective,
-            parameters=params,
-            initial_outputs=self.initial_outputs,
-            coverage_warnings=self.coverage_warnings,
-        )
+        return replace(self, parameters=params)
 
 
 # -- offline optimum ------------------------------------------------------
@@ -525,12 +514,15 @@ def parse_document(document) -> dict:
     return document
 
 
+_KIND_NAMES = {list: "a JSON array", dict: "a JSON object", int: "an integer"}
+
+
 def document_field(doc, name, kind, default=None):
     """doc[name], or `default` when absent, once it is a JSON array (kind
-    list) or object (kind dict)."""
+    list), object (kind dict) or integer (kind int; not true or false)."""
     value = doc.get(name, default)
-    if not isinstance(value, kind):
-        raise ParseError(f"must be a JSON {'array' if kind is list else 'object'}", field=name)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"must be {_KIND_NAMES[kind]}", field=name)
     return value
 
 
@@ -543,10 +535,7 @@ def load_problem(document) -> LocalProblem:
 
     inputs = Alphabet(tuple(str(s) for s in document_field(doc, "inputs", list)))
     outputs = Alphabet(tuple(str(s) for s in document_field(doc, "outputs", list)))
-    try:
-        r = int(doc["r"])
-    except (TypeError, ValueError):
-        raise ParseError("must be an integer", field="r")
+    r = document_field(doc, "r", int)
 
     parameters = {}
     for name, value in document_field(doc, "parameters", dict, {}).items():

@@ -50,7 +50,9 @@ deterministic tables. The self-loop entries stay forced, whatever
 `prune` says. The grid search starts from the optimum of the grid's
 deterministic tables, found by the same search first. The grid's
 lexicographically first optimal table is then refined coordinate-wise
-with a shrinking step; each refinement table is pushed onto a fresh
+with a halving step, still on numerators: each round doubles the
+denominator and every numerator, so the step stays the grid step's
+numerator. Each refinement table is pushed onto a fresh
 `ratiocycle.ArcStack` and decided against the incumbent the same way,
 ties losing, and only a win is solved, once per improvement. The result
 is the best table found, with no global-optimality claim.
@@ -58,13 +60,12 @@ is the best table found, with no global-optimality claim.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .debruijn import cached_skeleton, expected_cost, over_common_denominator
+from .debruijn import cached_skeleton, expected_cost
 from .errors import (
     InvalidHorizon,
     SearchSpaceTooLarge,
@@ -514,10 +515,11 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     starts the grid search from their optimum and first optimal table; as
     a tie with a lexicographically smaller table replaces the incumbent,
     the grid search still returns the lexicographically first optimal
-    grid table. Each refinement table is pushed onto a fresh
-    `ratiocycle.ArcStack`, since its step, and so the common denominator,
-    changes every round, and decided against the incumbent with ties
-    losing; only a win is solved by `core_max_ratio`.
+    grid table. Refinement keeps the numerators: each round doubles `den`
+    and every numerator, and moves each free window by the grid step's
+    numerator. Each such table is decided on a fresh `ratiocycle.ArcStack`
+    with ties losing; only a win, or with no finite incumbent every table,
+    is solved by `core_max_ratio`.
     Returns (policy, ratio); when every table tried has an infinite ratio
     that is the first grid table and +inf. No global-optimality claim is
     made.
@@ -531,10 +533,10 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     # grid: the multiples of the step below 1, then 1, as numerators over
     # the step's denominator; counted before built
     step = Fraction(config.grid_step)
-    below_one = math.ceil(1 / step)
-    _check_guard((below_one + 1) ** len(free))
     den = step.denominator
-    grid = [k * step.numerator for k in range(below_one)] + [den]
+    below_one = range(0, den, step.numerator)
+    _check_guard((len(below_one) + 1) ** len(free))
+    grid = [*below_one, den]
 
     config = replace(config, collect_all_optimal=False)
     forced = {w: output * den for w, output in forced.items()}
@@ -546,42 +548,33 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     search.visit(0)
     # no finite table: the first grid table, which the search restores
     best = search.tables[0] if search.tables else search.table
-    best_probs = [Fraction(value, den) for value in best]
     best_ratio = search.bound
 
+    # coordinate refinement: halving the step doubles den, and the step
+    # stays step.numerator over it
     skel = search.skel
-
-    def improvement(probs, incumbent):
-        """The exact expected ratio of the table when it beats the
-        incumbent, else None. Against a finite incumbent the table is
-        decided with ties losing, and only a win is solved; with none, it
-        is solved and wins when its ratio is finite."""
-        ones, common = over_common_denominator(probs)
-        arcs = skel.int_arcs(skel.q_rand(ones, common), skel.rand_unit(common))
-        if incumbent is not None:
-            if ArcStack.holding(skel.n_vertices, arcs).exceeds(incumbent, ties_lose=True)[0]:
-                return None
-        kind, lam, _w, _i = core_max_ratio(skel.n_vertices, arcs)
-        return lam if kind == "finite" else None
-
-    # coordinate refinement, shrinking the step each round
-    step = Fraction(config.grid_step) / 2
     for _ in range(config.refinement_rounds):
+        den *= 2
+        best = [2 * value for value in best]
         for w in free:
-            for candidate in (best_probs[w] - step, best_probs[w] + step):
-                if not 0 <= candidate <= 1:
+            for value in (best[w] - step.numerator, best[w] + step.numerator):
+                if not 0 <= value <= den:
                     continue
-                probs = list(best_probs)
-                probs[w] = candidate
-                ratio = improvement(probs, best_ratio)
-                if ratio is not None:
-                    best_ratio, best_probs = ratio, probs
-        step /= 2
+                table = list(best)
+                table[w] = value
+                arcs = skel.int_arcs(skel.q_rand(table, den), skel.rand_unit(den))
+                if best_ratio is not None:
+                    stack = ArcStack.holding(skel.n_vertices, arcs)
+                    if stack.exceeds(best_ratio, ties_lose=True)[0]:
+                        continue  # no better than the incumbent
+                kind, ratio, _w, _i = core_max_ratio(skel.n_vertices, arcs)
+                if kind == "finite":
+                    best_ratio, best = ratio, table
 
     policy = RandomizedPolicy(
         config.horizon,
         problem.input_alphabet,
         problem.output_alphabet,
-        tuple(best_probs),
+        tuple(Fraction(value, den) for value in best),
     )
     return policy, Cost(best_ratio) if best_ratio is not None else POS_INF

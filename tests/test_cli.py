@@ -438,6 +438,11 @@ def problem_text(**fields):
             2,
             "error: parameters: must be a JSON object",
         ),
+        ("--policy", policy_text(horizon=1.7), 2, "error: horizon: must be an integer"),
+        ("--policy", policy_text(horizon=True), 2, "error: horizon: must be an integer"),
+        ("--policy", policy_text(horizon="1"), 2, "error: horizon: must be an integer"),
+        ("--problem", problem_text(r=1.5), 2, "error: r: must be an integer"),
+        ("--problem", problem_text(r=True), 2, "error: r: must be an integer"),
     ],
     ids=[
         "policy-syntax",
@@ -451,6 +456,11 @@ def problem_text(**fields):
         "problem-inputs-number",
         "problem-initial-outputs-number",
         "problem-parameters-list",
+        "policy-horizon-float",
+        "policy-horizon-true",
+        "policy-horizon-string",
+        "problem-r-float",
+        "problem-r-true",
     ],
 )
 def test_malformed_document_exits_with_a_message(

@@ -452,6 +452,31 @@ def test_load_reports_unreachable_rules():
     assert "rule 1" in problem.coverage_warnings[0]
 
 
+def test_with_parameters_keeps_warnings_and_resolves_afresh():
+    doc = {
+        "name": "shadowed-parameter",
+        "inputs": ["0"],
+        "outputs": ["0"],
+        "r": 0,
+        "aggregation": "sum",
+        "objective": "min",
+        "parameters": {"beta": "1"},
+        "initial_outputs": [],
+        "rules": [
+            {"x": ["*"], "y": ["*"], "cost": "beta"},
+            {"x": ["0"], "y": ["0"], "cost": "1"},
+        ],
+    }
+    problem = load_problem(doc)
+    assert problem.lookup_cost(("0",), ("0",)) == Cost(1)
+    third = problem.with_parameters({"beta": "1/3"})
+    assert third.coverage_warnings == problem.coverage_warnings
+    assert len(third.coverage_warnings) == 1 and "rule 1" in third.coverage_warnings[0]
+    assert third.lookup_cost(("0",), ("0",)) == Cost(Fraction(1, 3))
+    assert third.lookup_scaled(("0",), ("0",)) == 1  # scale 3
+    assert problem.lookup_cost(("0",), ("0",)) == Cost(1)
+
+
 def test_parse_errors_carry_field():
     with pytest.raises(ParseError) as err:
         load_problem({"name": "x"})

@@ -649,6 +649,11 @@ RAND_ORACLE_CASES = [
     ("file-migration-1/2-T3-grid-1/2", migration("1/2"), 3, Fraction(1, 2), 2),
     ("min-dom-set-T2", bundled_problem("min-dom-set"), 2, Fraction(1, 2), 8),
     ("predict-r1-T2", load_problem(PREDICT_R1), 2, Fraction(1, 2), 8),
+    # grid steps with a numerator above 1: the multiples below 1 end at 9/10
+    # and 4/5, and refinement steps by that numerator over a doubling
+    # denominator; it improves the first, the second's rows hold +inf costs
+    ("file-migration-1-T2-grid-3/10", migration("1"), 2, Fraction(3, 10), 8),
+    ("min-dom-set-T2-grid-2/5", bundled_problem("min-dom-set"), 2, Fraction(2, 5), 8),
 ]
 
 
