@@ -187,6 +187,11 @@ def _write_out(args, text):
 
 
 def _cmd_synth(args):
+    if args.all_optimal and (args.randomized or args.verify_lower_bound is not None):
+        raise ValidationError(
+            "--all-optimal applies to deterministic synthesis only, "
+            "not with --randomized or --verify-lower-bound"
+        )
     problem = _load_problem(args)
     config = SynthesisConfig(
         horizon=args.horizon,

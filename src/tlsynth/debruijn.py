@@ -229,7 +229,8 @@ class Skeleton:
         return den ** len(self.transitions[0][1])
 
     def int_arcs(self, q, unit=1):
-        """(id, src, dst, w, q) integer arcs for `ratiocycle.core_max_ratio`."""
+        """(id, src, dst, w, q) integer arcs for `ratiocycle.core_max_ratio`
+        and `ratiocycle.ArcStack`."""
         return [(k, s, d, w * unit, q[t]) for k, s, d, w, t in self.arcs]
 
     def dual_edges(self, q, unit=1, ids=None):

@@ -14,15 +14,19 @@ oracle on small graphs.
 Edge costs must be non-negative; edges with w = +inf are ignored (an
 adversary never plays them) and a cycle through one q = +inf edge and
 otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
-works on integer arcs and is shared by analysis and synthesis; a verdict
-adds the canonical witness, or says that its capped search gave up.
+works on integer arcs, with Bellman-Ford rounds, for analysis and to
+classify a table no decision has rated; a verdict adds the canonical
+witness, or says that its capped search gave up.
 `ArcStack.exceeds` answers the question a branch and bound asks, on the
 same arcs and for every bound: does a cycle's ratio exceed a bound a/b
 (or reach it, when a tie loses)? It is one negative-cycle test on integer
 weights A*w - B*q, label correcting from the potentials of an earlier
 decision on fewer of the stack's arcs, and it agrees with the verdict
 `core_max_ratio` implies. Its potentials at the maximum ratio also give
-the canonical witness its tight subgraph.
+the canonical witness its tight subgraph. A table that beats the
+incumbent is rated on the same stack by `ArcStack.max_ratio`: the
+parametric search on that relaxation, each improving cycle read off its
+predecessor tree, with the end rules of `core_max_ratio`.
 `evaluate_policy` solves a `debruijn.Skeleton`'s arcs, in the problem's
 own scale, and reads back only the witness edges as `Cost`s for the
 report; `max_ratio_cycle` validates and scales a hand-built `DualGraph`.
@@ -262,19 +266,33 @@ def core_max_ratio(n, edges):
         witness = cycle
         iterations += 1
 
-    # a cycle consisting only of zero-cost edges pins the ratio at 1
-    zero_zero = _any_cycle(n, [(k, s, d) for k, s, d, w, q in edges if w == 0 and q == 0])
-
-    if witness is None and zero_zero is None:
-        # all cycles have q = 0 and w > 0: ratio 0
-        flat = _negative_cycle(n, [(k, s, d, -w) for k, s, d, w, q in edges])
-        if flat is None:
-            raise EmptyGraph("graph has no directed cycle")
-        return "finite", Fraction(0), flat, iterations
-    if witness is None or lam < 1:
-        if zero_zero is not None:
-            return "finite", Fraction(1), zero_zero, iterations
+    lam, witness = _settle(
+        n,
+        edges,
+        lam,
+        witness,
+        lambda: _negative_cycle(n, [(k, s, d, -w) for k, s, d, w, q in edges]),
+    )
     return "finite", lam, witness, iterations
+
+
+def _settle(n, arcs, lam, witness, flat):
+    """The end rules of a parametric search over the finite-q `arcs`, with
+    no infinite cycle among them, that raised lam to the ratio of
+    `witness`, its last improving cycle, or found none (witness None):
+    (ratio, witness). A cycle of 0/0 arcs rates 1, so it pins any lam < 1
+    at 1. With neither, every cycle has q = 0 and w > 0, and the ratio is
+    0 on the cycle `flat()` returns; when that is None the arcs hold no
+    cycle at all."""
+    zero_zero = _any_cycle(n, [(k, s, d) for k, s, d, w, q in arcs if w == 0 and q == 0])
+    if witness is None and zero_zero is None:
+        cycle = flat()
+        if cycle is None:
+            raise EmptyGraph("graph has no directed cycle")
+        return Fraction(0), cycle
+    if zero_zero is not None and (witness is None or lam < 1):
+        return Fraction(1), zero_zero
+    return lam, witness
 
 
 class ArcStack:
@@ -399,24 +417,52 @@ class ArcStack:
             if entry[0] == key:
                 _key, potentials, since = entry
                 break
-        dist = self._relax(key, list(potentials), self.arcs[since:])
+        dist, _cycle = self._relax(key, list(potentials), self.arcs[since:])
         if dist is None:
             return True, None
         self.warm.append((key, dist, len(self.arcs)))
         return False, dist
 
+    def max_ratio(self):
+        """The maximum cycle ratio of the arcs, which must hold no infinite
+        cycle (a decision that did not lose shows that), or `EmptyGraph`
+        when they hold no cycle: the parametric search of `core_max_ratio`,
+        on `_relax`. From lam = 0, each negative cycle under the weights of
+        lam raises lam to its ratio, until the arcs are feasible; the end
+        rules are `_settle`'s. A looser parallel arc (same w, smaller q)
+        rates no cycle higher, so a search's stack gives the ratio of its
+        exact arcs."""
+        n = self.n
+        finite = [arc for arc in self.arcs if arc[4] is not None]
+        lam, cycle = Fraction(0), None
+        while True:
+            key = lam.numerator, lam.denominator
+            dist, closed = self._relax(key, [0] * n, finite)
+            if dist is not None:
+                break
+            cycle = self._cycle_cost(key, *closed)
+            lam = Fraction(cycle[1], cycle[0])
+        return _settle(
+            n, finite, lam, cycle, lambda: _any_cycle(n, [arc[:3] for arc in finite])
+        )[0]
+
     def _relax(self, key, dist, fresh):
-        """Feasible potentials p, p[dst] <= p[src] + A*w - B*q on every
-        finite-q arc, reached from dist by relaxing; or None when the arcs
-        hold a negative cycle. Only the tails of the `fresh` arcs that dist
-        violates are queued at first: every other arc must satisfy dist.
+        """(p, None) with feasible potentials p, p[dst] <= p[src] + A*w - B*q
+        on every finite-q arc, reached from dist by relaxing; or (None,
+        (pred, u, v)) when the arcs hold a negative cycle: the arc u -> v
+        closes it over the predecessor path from v to u, which
+        `_cycle_cost` reads only when asked. Only the tails of the `fresh`
+        arcs that dist violates are queued at first: every other arc must
+        satisfy dist.
 
         FIFO label correcting. At each improving relaxation u -> v the
         predecessor tree is walked from u to its root: meeting v closes a
         negative cycle (walk to root; Cherkassky & Goldberg 1999,
-        "Negative-cycle detection algorithms"). Without a negative cycle
-        every label is final after n - 1 passes, so a pass beyond n also
-        proves one.
+        "Negative-cycle detection algorithms"). The predecessors stay a
+        forest, in which a label set in pass p (from 0) lies at least p + 1
+        arcs below its root, as its tail's label was set in pass p - 1 or
+        later; so no label changes in pass n - 1, and pass n finds nothing
+        queued.
         """
         a, b = key
         n = self.n
@@ -430,7 +476,7 @@ class ArcStack:
         pred = [-1] * n
         for _pass in range(n + 1):
             if not active:
-                return dist
+                return dist, None
             following = []
             for u in active:
                 queued[u] = False
@@ -441,7 +487,7 @@ class ArcStack:
                         x = u
                         while x != -1:
                             if x == v:
-                                return None
+                                return None, (pred, u, v)
                             x = pred[x]
                         dist[v] = nd
                         pred[v] = u
@@ -449,7 +495,25 @@ class ArcStack:
                             queued[v] = True
                             following.append(v)
             active = following
-        return None
+        raise RuntimeError("label correcting ran n + 1 passes")
+
+    def _cycle_cost(self, key, pred, u, v):
+        """(W, Q) of the cycle closed by u -> v over the predecessor path
+        from v to u, taking between each two of its vertices the arc
+        lightest under the weights `key`. Each tree arc x -> y weighs at
+        most p[y] - p[x], as p[x] has only fallen since pred[y] was set to
+        x, so the cycle is still negative."""
+        a, b = key
+        out = self.out
+        w_sum = q_sum = 0
+        x, y = u, v
+        while True:
+            _weight, w, q = min((a * w - b * q, w, q) for d, w, q in out[x] if d == y)
+            w_sum += w
+            q_sum += q
+            if x == v:
+                return w_sum, q_sum
+            x, y = pred[x], x
 
 
 def _solve(n, edges):

@@ -33,8 +33,8 @@ decision cannot make: a table paying +inf on both transitions of a
 closes a +inf arc with finite arcs only. A table that does not lose is
 decided again with ties losing: if a cycle then reaches the incumbent, the
 table ties it and is recorded without a solve. Only a table that beats the
-incumbent is solved for its exact ratio by `ratiocycle.core_max_ratio`,
-once per improvement.
+incumbent is solved for its exact ratio, once per improvement, on the
+stack that just decided it (`ratiocycle.ArcStack.max_ratio`).
 
 Without pruning (`prune=False`) the search is a plain exhaustive scan
 of every table, the reference the pruned search is tested against.
@@ -54,8 +54,9 @@ with a halving step, still on numerators: each round doubles the
 denominator and every numerator, so the step stays the grid step's
 numerator. Each refinement table is pushed onto a fresh
 `ratiocycle.ArcStack` and decided against the incumbent the same way,
-ties losing, and only a win is solved, once per improvement. The result
-is the best table found, with no global-optimality claim.
+ties losing, and only a win is solved, on that stack, once per
+improvement. The result is the best table found, with no
+global-optimality claim.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class SynthesisResult:
     full_evaluations: int
     nodes_visited: int  # search-tree nodes, partial tables included
     decision_tests: int  # `ArcStack.exceeds` calls: node cuts, leaf and tie verdicts
-    parametric_solves: int  # leaves that beat the incumbent, rated by `core_max_ratio`
+    parametric_solves: int  # wins over the incumbent, rated by `ArcStack.max_ratio`
     wall_seconds: float
 
 
@@ -252,10 +253,11 @@ class _Search:
     `infinite_pairs` pair is dropped, and any other is decided the same
     way. A table that does not lose is decided again with ties
     losing, which tells a tie (recorded as is) from a win; only a win is
-    solved for its exact ratio, on its exact arcs. Without `prune` a node
-    holds only exact arcs and there is neither node pruning nor the pair
-    check: a plain exhaustive scan, which still decides each table before
-    solving it.
+    solved for its exact ratio, by `ArcStack.max_ratio` on the stack that
+    decided it, whose looser arcs rate no cycle higher than its exact
+    ones. Without `prune` a node holds only exact arcs and there is
+    neither node pruning nor the pair check: a plain exhaustive scan,
+    which still decides each table before solving it.
 
     Ties with the incumbent are kept with `collect_all_optimal`; otherwise
     the lexicographically first optimal table wins, so a tie prunes only a
@@ -280,12 +282,12 @@ class _Search:
             ny = len(problem.output_alphabet)
             self.values = self.corners = range(ny)
             self.q_reads = lambda row, reads: rows[row][window_index(reads, ny)]
-            self.unit = 1
+            unit = 1
         else:
             self.values, den = grid
             self.corners = (0, den)
             self.q_reads = lambda row, reads: expected_cost(rows[row], reads, den)
-            self.unit = skel.rand_unit(den)
+            unit = skel.rand_unit(den)
         self.prune = config.prune
         self.order = assignment_order(nx, config.horizon, forced)
         position = {w: depth for depth, w in enumerate(self.order)}
@@ -304,7 +306,7 @@ class _Search:
                 self.pushed_at[d].append((t, codes, row, free, memo))
         self.arcs_of = [[] for _ in skel.transitions]
         for k, src, dst, w, t in skel.arcs:
-            self.arcs_of[t].append((k, src, dst, w * self.unit))
+            self.arcs_of[t].append((k, src, dst, w * unit))
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
         # q of each transition's last arcs on the stack, -1 when it has none
         self.q = [-1] * len(skel.transitions)
@@ -313,8 +315,8 @@ class _Search:
         # row entries, and a least q is one of them)
         self.stack = ArcStack(
             skel.n_vertices,
-            max((w for _k, _s, _d, w, _t in skel.arcs), default=0) * self.unit,
-            max((c for row in rows for c in row if c is not None), default=0) * self.unit,
+            max((w for _k, _s, _d, w, _t in skel.arcs), default=0) * unit,
+            max((c for row in rows for c in row if c is not None), default=0) * unit,
         )
         self.inf_pairs = infinite_pairs(skel) if self.prune else ()
         self.keep_ties = config.collect_all_optimal
@@ -324,7 +326,7 @@ class _Search:
         self.done = False
         # tables discarded without a full evaluation, tables past the pair
         # check (each given a decision test), nodes entered, `ArcStack.exceeds`
-        # calls, and `core_max_ratio` calls on leaves that beat the incumbent
+        # calls, and `ArcStack.max_ratio` solves of leaves that beat the incumbent
         self.pruned = self.evaluated = self.nodes = self.decisions = self.solves = 0
 
     def least_q(self, row, free, reads):
@@ -432,10 +434,7 @@ class _Search:
             return
         # a finite ratio below the incumbent
         self.solves += 1
-        skel = self.skel
-        _kind, self.bound, _w, _i = core_max_ratio(
-            skel.n_vertices, skel.int_arcs(self.q, self.unit)
-        )
+        self.bound = self.stack.max_ratio()
         self.tables = [table]
         self.done = self.stop_below
 
@@ -518,8 +517,8 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     grid table. Refinement keeps the numerators: each round doubles `den`
     and every numerator, and moves each free window by the grid step's
     numerator. Each such table is decided on a fresh `ratiocycle.ArcStack`
-    with ties losing; only a win, or with no finite incumbent every table,
-    is solved by `core_max_ratio`.
+    with ties losing, and only a win is solved, on that stack; with no
+    finite incumbent every table is classified by `core_max_ratio`.
     Returns (policy, ratio); when every table tried has an infinite ratio
     that is the first grid table and +inf. No global-optimality claim is
     made.
@@ -563,13 +562,14 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
                 table = list(best)
                 table[w] = value
                 arcs = skel.int_arcs(skel.q_rand(table, den), skel.rand_unit(den))
-                if best_ratio is not None:
-                    stack = ArcStack.holding(skel.n_vertices, arcs)
-                    if stack.exceeds(best_ratio, ties_lose=True)[0]:
-                        continue  # no better than the incumbent
-                kind, ratio, _w, _i = core_max_ratio(skel.n_vertices, arcs)
-                if kind == "finite":
-                    best_ratio, best = ratio, table
+                if best_ratio is None:  # no finite incumbent: classify the table
+                    kind, ratio, _w, _i = core_max_ratio(skel.n_vertices, arcs)
+                    if kind == "finite":
+                        best_ratio, best = ratio, table
+                    continue
+                stack = ArcStack.holding(skel.n_vertices, arcs)
+                if not stack.exceeds(best_ratio, ties_lose=True)[0]:  # a win
+                    best_ratio, best = stack.max_ratio(), table
 
     policy = RandomizedPolicy(
         config.horizon,

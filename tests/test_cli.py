@@ -387,6 +387,17 @@ def test_bad_arguments_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "mode", [("--randomized",), ("--verify-lower-bound", "3")], ids=["randomized", "verify"]
+)
+def test_all_optimal_needs_deterministic_synthesis(capsys, mode):
+    """Randomized synthesis and lower-bound verification return one table,
+    so `--all-optimal` with either is an error, not silently ignored."""
+    code, stdout, err = run_cli(capsys, *SYNTH, "--horizon", "2", "--all-optimal", *mode)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: --all-optimal applies to deterministic synthesis only")
+
+
+@pytest.mark.parametrize(
     "flag,argv",
     [
         ("--policy", ("eval", "--problem", "file-migration", "--policy", "{missing}")),

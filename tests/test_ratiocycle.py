@@ -11,6 +11,7 @@ from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem, offline_opt
 from tlsynth.ratiocycle import (
+    BRUTE_FORCE_VERTEX_GUARD,
     _TIGHT_SEARCH_CAP,
     ArcStack,
     _out_arcs,
@@ -378,6 +379,79 @@ def test_tie_decision_matches_the_ratio(infinite_q):
             assert loose.exceeds(bound, ties_lose=True)[0] == tie
             seen.add((tie, bound > 1))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def random_solvable_arcs(rng):
+    """Integer arcs (id, src, dst, w, q) on 1 to 20 vertices, with 0/0 arcs,
+    zero-w arcs and a few q = None arcs; in some graphs every q is 0, and
+    in others every arc runs to a higher vertex, so there is no cycle."""
+    n = rng.randint(1, 20)
+    shape = rng.choice(["mixed", "mixed", "mixed", "flat", "acyclic"])
+    arcs = []
+    for v in range(n):
+        for _ in range(rng.randint(1, 3)):
+            if shape != "acyclic":
+                dst = rng.randrange(n)
+            elif v + 1 < n:
+                dst = rng.randrange(v + 1, n)
+            else:
+                break
+            kind = rng.random()
+            if kind < 0.2:
+                w, q = 0, 0
+            elif kind < 0.25:
+                w, q = 0, rng.randint(1, 3)
+            else:
+                w, q = rng.randint(1, 4), rng.randint(0, 6)
+            if shape == "flat":
+                q = 0
+            elif rng.random() < 0.05:
+                q = None
+            arcs.append((len(arcs), v, dst, w, q))
+    return n, arcs
+
+
+def test_stack_solve_matches_the_oracles(migration_problem):
+    """`ArcStack.max_ratio` rates arcs with a finite verdict as
+    `core_max_ratio` does, and as the brute-force oracle does on graphs of
+    at most 14 vertices with finite q: 0/0 cycles pinning a ratio below 1
+    at 1, ratio 0, zero-w arcs, and a stack holding a looser parallel arc
+    (same w, smaller q) under each finite-q arc, as at a search leaf. On
+    arcs with no cycle it raises `EmptyGraph`."""
+    rng = random.Random(4099)
+    seen = set()
+    for _ in range(500):
+        n, arcs = random_solvable_arcs(rng)
+        try:
+            kind, lam, _w, _i = core_max_ratio(n, arcs)
+        except EmptyGraph:
+            with pytest.raises(EmptyGraph):
+                ArcStack.holding(n, arcs).max_ratio()
+            seen.add("acyclic")
+            continue
+        if kind == "infinite":
+            continue  # a decision rejects such arcs before any solve
+        assert ArcStack.holding(n, arcs).max_ratio() == lam
+        looser = [
+            (len(arcs) + k, s, d, w, rng.randint(0, q))
+            for k, s, d, w, q in arcs
+            if q is not None
+        ]
+        leaf = ArcStack(n, *maxima(arcs))
+        leaf.push(looser)
+        leaf.push(arcs)
+        assert leaf.max_ratio() == lam, (n, arcs, looser)
+        ratios = simple_cycle_ratios(n, arcs) if n <= 10 else []
+        if n <= BRUTE_FORCE_VERTEX_GUARD and all(arc[4] is not None for arc in arcs):
+            graph = make_graph(migration_problem, n, [arc[1:] for arc in arcs])
+            assert brute_force_max_ratio(graph).best.ratio == Cost(lam)
+            seen.add("brute force")
+        if lam == 1 and any(r is not None and r < 1 for r in ratios):
+            seen.add("0/0 pins")
+        seen.add("0" if lam == 0 else "1" if lam == 1 else "other")
+        if n > BRUTE_FORCE_VERTEX_GUARD:
+            seen.add("large")
+    assert seen == {"acyclic", "0", "1", "other", "0/0 pins", "brute force", "large"}
 
 
 # -- walk decomposition ----------------------------------------------------------

@@ -18,7 +18,7 @@ from tlsynth.errors import (
 from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem
-from tlsynth.ratiocycle import core_max_ratio, evaluate_policy
+from tlsynth.ratiocycle import ArcStack, core_max_ratio, evaluate_policy
 from tlsynth.synthesis import (
     SynthesisConfig,
     assignment_order,
@@ -302,24 +302,39 @@ def test_verify_lower_bound_modes():
     assert evaluate_policy(migration(), counter).best.ratio == Cost(4)
 
 
+def count_solves(monkeypatch):
+    """The ratios of the solves made from here on, in order: the search's
+    `ArcStack.max_ratio` solves and the `core_max_ratio` calls made
+    through `synthesis` or `ratiocycle`, each counted once."""
+    solved = []
+    core, stack_solve = ratiocycle.core_max_ratio, ArcStack.max_ratio
+
+    def counted_core(*args):
+        verdict = core(*args)
+        solved.append(verdict[1])
+        return verdict
+
+    def counted_stack(stack):
+        ratio = stack_solve(stack)
+        solved.append(ratio)
+        return ratio
+
+    monkeypatch.setattr(ratiocycle, "core_max_ratio", counted_core)
+    monkeypatch.setattr(synthesis, "core_max_ratio", counted_core)
+    monkeypatch.setattr(ArcStack, "max_ratio", counted_stack)
+    return solved
+
+
 @pytest.mark.parametrize("bound", [Fraction(1, 2), Fraction(1)])
 def test_bounds_up_to_one_are_decided_without_a_solve(monkeypatch, bound):
     """A bound <= 1 is decided by `ArcStack.exceeds` itself, 0/0 cycles
-    included: verifying it makes no `core_max_ratio` call."""
-    calls = []
-    original = ratiocycle.core_max_ratio
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(ratiocycle, "core_max_ratio", counted)
-    monkeypatch.setattr(synthesis, "core_max_ratio", counted)
+    included: verifying it makes no solve."""
+    solved = count_solves(monkeypatch)
     holds, counter, checked = verify_lower_bound(
         migration(), SynthesisConfig(horizon=2), bound
     )
     assert holds and counter is None and checked > 0
-    assert calls == []
+    assert solved == []
 
 
 # r=0 matching problem: the output should equal the unseen current input,
@@ -686,16 +701,9 @@ def test_randomized_sweep_shape(monkeypatch):
     The deterministic start solves its incumbents 5 and 4, and the grid
     search and refinement start below each other's result, so the solved
     ratios fall strictly; every other table is decided."""
-    solved = []
-
-    def counted(*args, **kwargs):
-        verdict = core_max_ratio(*args, **kwargs)
-        solved.append(verdict[1])
-        return verdict
-
     config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
     probs, lam, _improvements = solved_sweep(migration(), config)
-    monkeypatch.setattr(synthesis, "core_max_ratio", counted)
+    solved = count_solves(monkeypatch)
     policy, ratio = synthesize_rand(migration(), config)
     assert (policy.table, ratio) == (probs, Cost(Fraction(7, 2))) and lam == Fraction(7, 2)
     assert len(solved) == 15
