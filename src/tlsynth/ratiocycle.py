@@ -14,9 +14,9 @@ oracle on small graphs.
 Edge costs must be non-negative; edges with w = +inf are ignored (an
 adversary never plays them) and a cycle through one q = +inf edge and
 otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
-works on integer arcs, with Bellman-Ford rounds, for analysis and to
-classify a table no decision has rated; a verdict adds the canonical
-witness, or says that its capped search gave up.
+works on integer arcs, with Bellman-Ford rounds, for analysis and the
+randomized refinement's wins; a verdict adds the canonical witness, or
+says that its capped search gave up.
 `ArcStack.exceeds` answers the question a branch and bound asks, on the
 same arcs and for every bound: does a cycle's ratio exceed a bound a/b
 (or reach it, when a tie loses)? It is one negative-cycle test on integer
@@ -24,7 +24,8 @@ weights A*w - B*q, label correcting from the potentials of an earlier
 decision on fewer of the stack's arcs, and it agrees with the verdict
 `core_max_ratio` implies. Its potentials at the maximum ratio also give
 the canonical witness its tight subgraph. A table that beats the
-incumbent is rated on the same stack by `ArcStack.max_ratio`: the
+branch and bound's incumbent is rated on the same stack by
+`ArcStack.max_ratio`: the
 parametric search on that relaxation, each improving cycle read off its
 predecessor tree, with the end rules of `core_max_ratio`.
 `evaluate_policy` solves a `debruijn.Skeleton`'s arcs, in the problem's
@@ -266,33 +267,27 @@ def core_max_ratio(n, edges):
         witness = cycle
         iterations += 1
 
-    lam, witness = _settle(
-        n,
-        edges,
-        lam,
-        witness,
-        lambda: _negative_cycle(n, [(k, s, d, -w) for k, s, d, w, q in edges]),
-    )
-    return "finite", lam, witness, iterations
+    lam, cycle = _settle(n, edges, lam, witness is not None)
+    return "finite", lam, witness if cycle is None else cycle, iterations
 
 
-def _settle(n, arcs, lam, witness, flat):
+def _settle(n, arcs, lam, improved):
     """The end rules of a parametric search over the finite-q `arcs`, with
-    no infinite cycle among them, that raised lam to the ratio of
-    `witness`, its last improving cycle, or found none (witness None):
-    (ratio, witness). A cycle of 0/0 arcs rates 1, so it pins any lam < 1
-    at 1. With neither, every cycle has q = 0 and w > 0, and the ratio is
-    0 on the cycle `flat()` returns; when that is None the arcs hold no
-    cycle at all."""
+    no infinite cycle among them, that raised lam to the ratio of its last
+    improving cycle, or found none (`improved` false): (ratio, cycle),
+    where cycle is None when that last cycle keeps its ratio. A cycle of
+    0/0 arcs rates 1, so it pins any lam < 1 at 1. With neither, every
+    cycle has q = 0 and w > 0, and the ratio is 0 on a cycle that is
+    negative under -w; without one the arcs hold no cycle at all."""
     zero_zero = _any_cycle(n, [(k, s, d) for k, s, d, w, q in arcs if w == 0 and q == 0])
-    if witness is None and zero_zero is None:
-        cycle = flat()
-        if cycle is None:
+    if not improved and zero_zero is None:
+        flat = _negative_cycle(n, [(k, s, d, -w) for k, s, d, w, q in arcs])
+        if flat is None:
             raise EmptyGraph("graph has no directed cycle")
-        return Fraction(0), cycle
-    if zero_zero is not None and (witness is None or lam < 1):
+        return Fraction(0), flat
+    if zero_zero is not None and (not improved or lam < 1):
         return Fraction(1), zero_zero
-    return lam, witness
+    return lam, None
 
 
 class ArcStack:
@@ -442,9 +437,7 @@ class ArcStack:
                 break
             cycle = self._cycle_cost(key, *closed)
             lam = Fraction(cycle[1], cycle[0])
-        return _settle(
-            n, finite, lam, cycle, lambda: _any_cycle(n, [arc[:3] for arc in finite])
-        )[0]
+        return _settle(n, finite, lam, cycle is not None)[0]
 
     def _relax(self, key, dist, fresh):
         """(p, None) with feasible potentials p, p[dst] <= p[src] + A*w - B*q

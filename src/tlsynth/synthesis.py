@@ -54,8 +54,8 @@ with a halving step, still on numerators: each round doubles the
 denominator and every numerator, so the step stays the grid step's
 numerator. Each refinement table is pushed onto a fresh
 `ratiocycle.ArcStack` and decided against the incumbent the same way,
-ties losing, and only a win is solved, on that stack, once per
-improvement. The result is the best table found, with no
+ties losing, and only a win is solved, by `ratiocycle.core_max_ratio`,
+once per improvement. The result is the best table found, with no
 global-optimality claim.
 """
 
@@ -517,8 +517,8 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     grid table. Refinement keeps the numerators: each round doubles `den`
     and every numerator, and moves each free window by the grid step's
     numerator. Each such table is decided on a fresh `ratiocycle.ArcStack`
-    with ties losing, and only a win is solved, on that stack; with no
-    finite incumbent every table is classified by `core_max_ratio`.
+    with ties losing (with no finite incumbent, against an infinite
+    ratio), and only a win is solved, by `core_max_ratio`.
     Returns (policy, ratio); when every table tried has an infinite ratio
     that is the first grid table and +inf. No global-optimality claim is
     made.
@@ -562,14 +562,10 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
                 table = list(best)
                 table[w] = value
                 arcs = skel.int_arcs(skel.q_rand(table, den), skel.rand_unit(den))
-                if best_ratio is None:  # no finite incumbent: classify the table
-                    kind, ratio, _w, _i = core_max_ratio(skel.n_vertices, arcs)
-                    if kind == "finite":
-                        best_ratio, best = ratio, table
-                    continue
+                # with no finite incumbent, a win is any finite ratio
                 stack = ArcStack.holding(skel.n_vertices, arcs)
-                if not stack.exceeds(best_ratio, ties_lose=True)[0]:  # a win
-                    best_ratio, best = stack.max_ratio(), table
+                if not stack.exceeds(best_ratio, ties_lose=True)[0]:
+                    best_ratio, best = core_max_ratio(skel.n_vertices, arcs)[1], table
 
     policy = RandomizedPolicy(
         config.horizon,
