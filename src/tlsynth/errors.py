@@ -71,8 +71,9 @@ class SearchSpaceTooLarge(GuardExceeded):
 
 
 class VerificationFailed(TlsynthError):
-    """A synthesized table did not reproduce the search's ratio on exact
-    re-evaluation; the search result must not be trusted."""
+    """A table a search returned does not rate the ratio it reported (a
+    lower-bound counterexample: does not rate below the bound) on an exact
+    re-check; the search result must not be trusted."""
 
 
 class TableTooLarge(GuardExceeded):

@@ -14,9 +14,9 @@ oracle on small graphs.
 Edge costs must be non-negative; edges with w = +inf are ignored (an
 adversary never plays them) and a cycle through one q = +inf edge and
 otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
-works on integer arcs, with Bellman-Ford rounds, for analysis and the
-randomized refinement's wins; a verdict adds the canonical witness, or
-says that its capped search gave up.
+works on integer arcs, with Bellman-Ford rounds, and now serves only
+analysis and the randomized refinement's wins; a verdict adds the
+canonical witness, or says that its capped search gave up.
 `ArcStack.exceeds` answers the question a branch and bound asks, on the
 same arcs and for every bound: does a cycle's ratio exceed a bound a/b
 (or reach it, when a tie loses)? It is one negative-cycle test on integer
@@ -27,7 +27,10 @@ the canonical witness its tight subgraph. A table that beats the
 branch and bound's incumbent is rated on the same stack by
 `ArcStack.max_ratio`: the
 parametric search on that relaxation, each improving cycle read off its
-predecessor tree, with the end rules of `core_max_ratio`.
+predecessor tree, with the end rules of `core_max_ratio`. Synthesis
+checks every table it returns with two decisions on a fresh stack
+instead of a solve: no cycle exceeds the reported ratio r, and one
+reaches r when ties lose, which holds exactly when the ratio is r.
 `evaluate_policy` solves a `debruijn.Skeleton`'s arcs, in the problem's
 own scale, and reads back only the witness edges as `Cost`s for the
 report; `max_ratio_cycle` validates and scales a hand-built `DualGraph`.
@@ -393,8 +396,9 @@ class ArcStack:
         Stage 0 of `core_max_ratio` runs only when a +inf-q arc is on the
         stack. A 0/0 cycle rates 1, so when it loses (a bound below 1, or
         1 with ties losing) it is looked for first. The test starts from
-        the last feasible potentials under the same weights, or from zeros
-        (a virtual source).
+        the last feasible potentials under the same weights, a losing tie
+        with none from the same bound's strict potentials, or else from
+        zeros (`_warm_start`).
         """
         if self.infinite and _infinite_q_cycle(self.n, self.arcs)[0] is not None:
             return True, None
@@ -407,16 +411,33 @@ class ArcStack:
             if _any_cycle(self.n, zero_zero) is not None:
                 return True, None
         key = self.weights(bound, ties_lose)
-        potentials, since = [0] * self.n, 0
-        for entry in reversed(self.warm):
-            if entry[0] == key:
-                _key, potentials, since = entry
-                break
-        dist, _cycle = self._relax(key, list(potentials), self.arcs[since:])
+        dist, since = self._warm_start(key, bound, ties_lose)
+        dist, _cycle = self._relax(key, dist, self.arcs[since:])
         if dist is None:
             return True, None
         self.warm.append((key, dist, len(self.arcs)))
         return False, dist
+
+    def _warm_start(self, key, bound, ties_lose):
+        """(potentials, since) for a decision under the weights `key`: a
+        copy of the newest potentials under `key`, feasible for the arcs
+        below `since`; for a losing tie with none, the newest potentials p
+        of the same bound's strict decision times M, with every arc to be
+        scanned (since 0); otherwise zeros, a virtual source.
+
+        M*p satisfies M*(a*w - b*q) on every arc p satisfies, so under the
+        tie weights M*(a*w - b*q) - w only a tight arc with w > 0 can be
+        violated; label correcting is exact from any start."""
+        strict = self.weights(bound, False) if ties_lose and bound is not None else None
+        scaled = None
+        for entry_key, potentials, since in reversed(self.warm):
+            if entry_key == key:
+                return list(potentials), since
+            if scaled is None and entry_key == strict:
+                scaled = potentials
+        if scaled is not None:
+            return [self.tie * p for p in scaled], 0
+        return [0] * self.n, 0
 
     def max_ratio(self):
         """The maximum cycle ratio of the arcs, which must hold no infinite

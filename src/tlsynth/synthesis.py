@@ -57,6 +57,19 @@ numerator. Each refinement table is pushed onto a fresh
 ties losing, and only a win is solved, by `ratiocycle.core_max_ratio`,
 once per improvement. The result is the best table found, with no
 global-optimality claim.
+
+Every search result passes one verification closure (`_verify`) before
+it is returned: each optimal deterministic table must rate exactly the
+reported ratio, the randomized table the ratio returned with it, and a
+lower-bound counterexample below the bound. Each is decided from the
+returned policy alone, with `debruijn.policy_q`, on a fresh
+`ratiocycle.ArcStack` of its exact arcs, so no relaxed arc, warm
+potentials or q memo of the search is trusted. Equality takes two
+decisions: no cycle exceeds the ratio, and one reaches it when ties
+lose. Together they pin the exact ratio, as `ArcStack.exceeds` gives the
+verdict of the full parametric search; an infinite cycle fails the first,
+and a +inf result must exceed the absent bound. A failure raises
+`VerificationFailed`, never an `assert`.
 """
 
 from __future__ import annotations
@@ -66,7 +79,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .debruijn import cached_skeleton, expected_cost
+from .debruijn import cached_skeleton, expected_cost, policy_q
 from .errors import (
     InvalidHorizon,
     SearchSpaceTooLarge,
@@ -77,7 +90,7 @@ from .errors import (
 from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy, window_index
 from .problems import LocalProblem
-from .ratiocycle import ArcStack, core_max_ratio, evaluate_policy
+from .ratiocycle import ArcStack, core_max_ratio
 
 DEFAULT_CANDIDATE_GUARD = 2**26
 
@@ -109,7 +122,9 @@ class SynthesisResult:
     pruned_short_cycle: int  # tables discarded without a full evaluation
     full_evaluations: int
     nodes_visited: int  # search-tree nodes, partial tables included
-    decision_tests: int  # `ArcStack.exceeds` calls: node cuts, leaf and tie verdicts
+    # the search's `ArcStack.exceeds` calls: node cuts, leaf and tie verdicts,
+    # not the verification closure's
+    decision_tests: int
     parametric_solves: int  # wins over the incumbent, rated by `ArcStack.max_ratio`
     wall_seconds: float
 
@@ -439,6 +454,29 @@ class _Search:
         self.done = self.stop_below
 
 
+# -- verification closure -----------------------------------------------------------
+
+
+def _verify(problem, policy, ratio, below=False):
+    """The verification closure: raise `VerificationFailed` unless the
+    policy's exact ratio equals `ratio` (None for +inf), or with `below` is
+    below it, as decided on a fresh `ArcStack` of the policy's own arcs."""
+    skel, q, unit = policy_q(problem, policy)
+    stack = ArcStack.holding(skel.n_vertices, skel.int_arcs(q, unit))
+    if below:
+        holds = not stack.exceeds(ratio, ties_lose=True)[0]
+    elif ratio is None:
+        holds = stack.exceeds(None)[0]
+    else:
+        holds = not stack.exceeds(ratio)[0] and stack.exceeds(ratio, ties_lose=True)[0]
+    if not holds:
+        reported = "+inf" if ratio is None else ratio
+        raise VerificationFailed(
+            f"table {policy.table} does not rate {'below' if below else 'exactly'} "
+            f"{reported}, as the search reported"
+        )
+
+
 # -- deterministic synthesis ---------------------------------------------------------
 
 
@@ -451,14 +489,8 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
     best = POS_INF if search.bound is None else Cost(search.bound)
 
     policies = tuple(_policy_from_table(problem, config, t) for t in sorted(search.tables))
-    # verification closure: winners must reproduce the reported ratio exactly
     for policy in policies:
-        ratio = evaluate_policy(problem, policy).best.ratio
-        if ratio != best:
-            raise VerificationFailed(
-                f"optimal table {policy.table} re-evaluates to {ratio}, "
-                f"the search reported {best}"
-            )
+        _verify(problem, policy, search.bound)
     return SynthesisResult(
         classification="finite" if best.is_finite else "infinite",
         best_ratio=best,
@@ -487,15 +519,18 @@ def verify_lower_bound(problem: LocalProblem, config: SynthesisConfig, bound: Fr
     whose cycles reach the bound is discarded, and the search stops at the
     first table below it. Returns (holds, counterexample_policy,
     candidates_checked); a counterexample is a policy whose exact ratio is
-    below the bound.
+    below the bound, which the verification closure checks.
     """
     config = replace(config, collect_all_optimal=False)
+    bound = Fraction(bound)
     forced = _forced_entries(problem, config)
-    search = _Search(problem, config, forced, Fraction(bound), stop_below=True)
+    search = _Search(problem, config, forced, bound, stop_below=True)
     search.visit(0)
     checked = search.pruned + search.evaluated
     if search.tables:
-        return False, _policy_from_table(problem, config, search.tables[0]), checked
+        policy = _policy_from_table(problem, config, search.tables[0])
+        _verify(problem, policy, bound, below=True)
+        return False, policy, checked
     return True, None, checked
 
 
@@ -519,9 +554,9 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     numerator. Each such table is decided on a fresh `ratiocycle.ArcStack`
     with ties losing (with no finite incumbent, against an infinite
     ratio), and only a win is solved, by `core_max_ratio`.
-    Returns (policy, ratio); when every table tried has an infinite ratio
-    that is the first grid table and +inf. No global-optimality claim is
-    made.
+    Returns (policy, ratio), which the verification closure checks; when
+    every table tried has an infinite ratio that is the first grid table
+    and +inf. No global-optimality claim is made.
     """
     if len(problem.output_alphabet) != 2:
         raise ValidationError("randomized synthesis needs binary outputs")
@@ -573,4 +608,5 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
         problem.output_alphabet,
         tuple(Fraction(value, den) for value in best),
     )
+    _verify(problem, policy, best_ratio)
     return policy, Cost(best_ratio) if best_ratio is not None else POS_INF

@@ -352,7 +352,9 @@ def test_tie_decision_matches_the_ratio(infinite_q):
     arcs b; bounds at, just above and just below each ratio, <= 1 included.
     A stack whose declared w and q bounds exceed its arcs' own, as a
     search's stack holding part of a skeleton, reaches the same verdicts,
-    with no bound as well."""
+    with no bound as well; there each tie decision starts from the strict
+    decision's potentials times M, and the potentials it returns are
+    feasible under the tie weights."""
     rng = random.Random(77 + infinite_q)
     seen = set()
     for _ in range(300):
@@ -376,7 +378,12 @@ def test_tie_decision_matches_the_ratio(infinite_q):
                 continue
             tie = exceeds(n, arcs, bound, ties_lose=True)[0]
             assert tie == (kind == "finite" and lam == bound), (n, arcs, bound)
-            assert loose.exceeds(bound, ties_lose=True)[0] == tie
+            keys = [entry[0] for entry in loose.warm]
+            tie_key = loose.weights(bound, True)
+            assert loose.weights(bound, False) in keys and tie_key not in keys
+            verdict, potentials = loose.exceeds(bound, ties_lose=True)
+            assert verdict == tie
+            assert tie or feasible(arcs, tie_key, potentials)
             seen.add((tie, bound > 1))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 

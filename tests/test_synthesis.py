@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -506,15 +505,46 @@ def test_general_synthesis_matches_brute_force(problem, horizon, expected, table
 
 
 def test_reevaluation_mismatch_raises(monkeypatch):
-    exact = synthesis.evaluate_policy
+    # only the search solves on `ArcStack.max_ratio`: the closure decides
+    # each returned table on a fresh stack, so a skewed solve is caught
+    # whichever way it errs
+    exact = ArcStack.max_ratio
+    for skew in (Fraction(1, 7), Fraction(-1, 7)):
+        monkeypatch.setattr(ArcStack, "max_ratio", lambda self, skew=skew: exact(self) + skew)
+        with pytest.raises(VerificationFailed):
+            synthesize_det(migration(), SynthesisConfig(horizon=2))
 
-    def skewed(problem, policy, horizon=None):
-        verdict = exact(problem, policy, horizon)
-        return replace(verdict, best=replace(verdict.best, ratio=verdict.best.ratio + 1))
 
-    monkeypatch.setattr(synthesis, "evaluate_policy", skewed)
+@pytest.mark.parametrize("skew", [Fraction(1, 7), Fraction(-1, 7)])
+def test_randomized_grid_mismatch_raises(monkeypatch, skew):
+    exact = ArcStack.max_ratio
+    monkeypatch.setattr(ArcStack, "max_ratio", lambda self: exact(self) + skew)
     with pytest.raises(VerificationFailed):
-        synthesize_det(migration(), SynthesisConfig(horizon=2))
+        synthesize_rand(migration(), SynthesisConfig(horizon=2, refinement_rounds=0))
+
+
+@pytest.mark.parametrize("skew", [Fraction(1, 7), Fraction(-1, 7)])
+def test_randomized_refinement_mismatch_raises(monkeypatch, skew):
+    # the refinement wins of this cell (see test_randomized_t3_pin) are
+    # solved by `core_max_ratio`
+    exact = synthesis.core_max_ratio
+
+    def skewed(n, arcs):
+        kind, lam, witness, iterations = exact(n, arcs)
+        return kind, lam + skew, witness, iterations
+
+    monkeypatch.setattr(synthesis, "core_max_ratio", skewed)
+    config = SynthesisConfig(horizon=3, grid_step=Fraction(1, 4), refinement_rounds=2)
+    with pytest.raises(VerificationFailed):
+        synthesize_rand(migration(), config)
+
+
+def test_lower_bound_counterexample_mismatch_raises(monkeypatch):
+    # a search whose decisions never see a loss reports the first table,
+    # which rates 4 or more, as a counterexample to the bound 3
+    monkeypatch.setattr(synthesis._Search, "loses", lambda self, tie_loses: False)
+    with pytest.raises(VerificationFailed):
+        verify_lower_bound(migration(), SynthesisConfig(horizon=2), Fraction(3))
 
 
 # -- randomized synthesis -----------------------------------------------------------
