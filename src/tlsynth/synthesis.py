@@ -36,6 +36,19 @@ table ties it and is recorded without a solve. Only a table that beats the
 incumbent is solved for its exact ratio, once per improvement, on the
 stack that just decided it (`ratiocycle.ArcStack.max_ratio`).
 
+With pruning and T >= 2, deterministic synthesis starts from a lifted
+table. The lexicographically first optimal T-1 table is found by the same
+search, started the same way, recursively down to T=1; read as a
+horizon-T table that ignores its oldest input, it rates the same. Its
+ratio, solved on a fresh `ratiocycle.ArcStack` of its own horizon-T arcs,
+bounds the search from the first node on, and the table is the incumbent
+unless ties are kept (the search then meets it again). It also guides the
+value order: each window tries the lifted table's value first. A node's
+table is still the lexicographically first below it, whatever the order,
+so neither the optimum nor the tables returned depend on the start; the
+search only has to refute better tables, and the counters describe it
+alone.
+
 Without pruning (`prune=False`) the search is a plain exhaustive scan
 of every table, the reference the pruned search is tested against.
 Without `collect_all_optimal` the result is the lexicographically first
@@ -239,15 +252,16 @@ def assignment_order(n_inputs, horizon, forced):
 class _Search:
     """Depth-first branch and bound over partial tables.
 
-    Free windows are assigned in `assignment_order`, values ascending; a
+    Free windows are assigned in `assignment_order`, values ascending, or
+    with a `guide` table its value first and then the others ascending; a
     value is an output index, or for a behavioral grid the numerator of a
     probability over one denominator `den`. Windows not yet assigned hold
     the first value, 0, so the table at a node is the lexicographically
-    first table below it. A transition's q is known once every window it
-    reads is fixed: `rows[row][y]` of the output indices it reads, or their
-    `debruijn.expected_cost` over `den`. As `den` is fixed, so is the unit
-    of q, and every arc's w is scaled by it once. Arcs are pushed onto one
-    `ArcStack`, which `visit` grows and pops back on return.
+    first table below it, in either order. A transition's q is known once
+    every window it reads is fixed: `rows[row][y]` of the output indices it
+    reads, or their `debruijn.expected_cost` over `den`. As `den` is fixed,
+    so is the unit of q, and every arc's w is scaled by it once. Arcs are
+    pushed onto one `ArcStack`, which `visit` grows and pops back on return.
 
     With `prune`, a node also holds a relaxed arc for every transition
     whose reads are not all fixed: its q is the least over the corners of
@@ -281,14 +295,24 @@ class _Search:
     This is the one search over tables: `visit(0)` searches every table
     against the incumbent, a `bound` (None for none) reached by the
     `tables` given. With stop_below it ends at the first table that beats
-    the incumbent.
+    the incumbent. Deterministic synthesis passes the lifted T-1 optimum
+    (`_lifted_start`) as the bound, the incumbent table and the guide.
     """
 
     def __init__(
-        self, problem, config, forced, bound=None, tables=(), stop_below=False, grid=None
+        self,
+        problem,
+        config,
+        forced,
+        bound=None,
+        tables=(),
+        stop_below=False,
+        grid=None,
+        guide=None,
     ):
         """grid: (numerators, den) of a behavioral probability grid, with
-        `forced` in numerators too; None searches deterministic tables."""
+        `forced` in numerators too; None searches deterministic tables.
+        guide: a complete table whose value each window tries first."""
         skel = cached_skeleton(problem, config.horizon)
         nx = len(problem.input_alphabet)
         rows = skel.rows
@@ -306,6 +330,13 @@ class _Search:
         self.prune = config.prune
         self.order = assignment_order(nx, config.horizon, forced)
         position = {w: depth for depth, w in enumerate(self.order)}
+        # the values each depth tries, in order
+        self.tries = [
+            self.values
+            if guide is None
+            else [guide[w], *(v for v in self.values if v != guide[w])]
+            for w in self.order
+        ]
         # pushed_at[d]: (t, codes, row, free read positions, memo) of the
         # transitions whose q, or least q, is pushed at depth d. With prune,
         # every transition at depth 0 and again after each assignment of a
@@ -402,7 +433,7 @@ class _Search:
             self.pruned += len(self.values) ** (len(self.order) - depth)
         else:
             table, window = self.table, self.order[depth]
-            for value in self.values:
+            for value in self.tries[depth]:
                 table[window] = value
                 self.visit(depth + 1)
                 if self.done:
@@ -484,8 +515,7 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
     """Minimum competitive ratio over all horizon-T tables, with witnesses."""
     started = time.monotonic()
     forced = _forced_entries(problem, config)
-    search = _Search(problem, config, forced)
-    search.visit(0)
+    search = _det_search(problem, config, forced)
     best = POS_INF if search.bound is None else Cost(search.bound)
 
     policies = tuple(_policy_from_table(problem, config, t) for t in sorted(search.tables))
@@ -504,6 +534,47 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
         parametric_solves=search.solves,
         wall_seconds=time.monotonic() - started,
     )
+
+
+def _det_search(problem, config, forced):
+    """The deterministic `_Search` at the config's horizon, run to its end.
+    With a lifted start (`_lifted_start`) its table is the incumbent, its
+    ratio the bound, and it guides the value order; with ties kept the
+    search meets the table again, so it is not handed over."""
+    start = _lifted_start(problem, config, forced)
+    if start is None:
+        search = _Search(problem, config, forced)
+    else:
+        ratio, table = start
+        tables = () if config.collect_all_optimal else (table,)
+        search = _Search(problem, config, forced, ratio, tables, guide=table)
+    search.visit(0)
+    return search
+
+
+def _lifted_start(problem, config, forced):
+    """(ratio, table) of the lexicographically first optimal T-1 table,
+    itself found from a lifted start, as a horizon-T table that ignores its
+    oldest input; None without pruning, at T=1, or when that table is
+    infinite or breaks a forced entry. The ratio is the table's own, on a
+    fresh `ArcStack` of its horizon-T arcs."""
+    horizon = config.horizon
+    if not config.prune or horizon < 2:
+        return None
+    lower = replace(config, horizon=horizon - 1, collect_all_optimal=False)
+    below = _det_search(problem, lower, _forced_entries(problem, lower)).tables
+    if not below:  # every T-1 table is infinite
+        return None
+    nx = len(problem.input_alphabet)
+    oldest = nx ** (horizon - 1)  # the place value of a window's oldest input
+    table = tuple(below[0][w % oldest] for w in range(nx**horizon))
+    if any(table[w] != value for w, value in forced.items()):
+        return None
+    skel = cached_skeleton(problem, horizon)
+    stack = ArcStack.holding(skel.n_vertices, skel.int_arcs(skel.q_det(table)))
+    if stack.exceeds(None)[0]:
+        return None
+    return stack.max_ratio(), table
 
 
 def _policy_from_table(problem, config, table):

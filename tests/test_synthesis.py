@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -120,13 +121,21 @@ def test_infinite_pairs_drop_the_infinite_two_cycle():
     skel = cached_skeleton(mds, 3)
     pairs = infinite_pairs(skel)
     assert pairs
-    # 11010001 pays +inf on both transitions of a pair, and stage 0 of
-    # its verdict does not see that cycle
-    table = (1, 1, 0, 1, 0, 0, 0, 1)
-    q = skel.q_det(table)
-    assert any(q[a] is None and q[b] is None for a, b in pairs)
-    res = synthesize_det(mds, SynthesisConfig(horizon=3, collect_all_optimal=True))
-    assert table not in [p.table for p in res.policies]
+    # 11010001 and 10001011 pay +inf on both transitions of a pair, and
+    # stage 0 of their verdicts does not see that cycle
+    for table in ("11010001", "10001011"):
+        q = skel.q_det(tuple(map(int, table)))
+        assert any(q[a] is None and q[b] is None for a, b in pairs), table
+    # the lifted start gives the search an incumbent from its first leaf
+    # on, so the pair check drops both, and pruning returns the 9 tables
+    # that rate 3 without them
+    for collect in (True, False):
+        config = SynthesisConfig(horizon=3, collect_all_optimal=collect)
+        res = synthesize_det(mds, config)
+        tables = ["".join(map(str, p.table)) for p in res.policies]
+        assert "10001011" not in tables and "11010001" not in tables
+        assert res.best_ratio == Cost(3)
+        assert tables[0] == "10011101" and len(tables) == (9 if collect else 1)
 
 
 # -- deterministic synthesis -----------------------------------------------------------
@@ -166,6 +175,41 @@ def test_pruning_soundness(alpha, horizon):
         SynthesisConfig(horizon=horizon, prune=False),
     )
     assert pruned.best_ratio == bare.best_ratio
+    assert [p.table for p in pruned.policies] == [p.table for p in bare.policies]
+
+
+LIFT_CASES = [
+    *(("file-migration", alpha) for alpha in ("1/10", "1/2", "1", "2", "3")),
+    ("min-dom-set", None),
+]
+
+
+@pytest.mark.parametrize(
+    "name,alpha", LIFT_CASES, ids=[f"{n}-{a}" if a else n for n, a in LIFT_CASES]
+)
+def test_lifted_start_keeps_the_lower_optimum(name, alpha):
+    """A T-1 table that ignores its oldest input rates the same at T: the
+    lifted start's ratio, on the T skeleton, is `evaluate_policy`'s of the
+    T-1 optimum and of the lifted table. On file migration the search it
+    seeds returns the tables of the plain scan, all optimal ones."""
+    problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
+    ins, outs = problem.input_alphabet, problem.output_alphabet
+    for horizon in (2, 3, 4):
+        config = SynthesisConfig(horizon=horizon, collect_all_optimal=True)
+        lower = synthesize_det(problem, SynthesisConfig(horizon=horizon - 1)).policies[0]
+        forced = self_loop_constraints(problem, horizon)
+        ratio, table = synthesis._lifted_start(problem, config, forced)
+        n_lower = len(ins) ** (horizon - 1)
+        assert table == tuple(lower.table[w % n_lower] for w in range(len(ins) ** horizon))
+        assert Cost(ratio) == evaluate_policy(problem, lower).best.ratio, horizon
+        lifted = DeterministicPolicy(horizon, ins, outs, table)
+        assert Cost(ratio) == evaluate_policy(problem, lifted).best.ratio, horizon
+        if name == "file-migration" and horizon <= 3:
+            seeded, bare = (
+                synthesize_det(problem, replace(config, prune=prune)) for prune in (True, False)
+            )
+            assert seeded.best_ratio == bare.best_ratio <= Cost(ratio), horizon
+            assert [p.table for p in seeded.policies] == [p.table for p in bare.policies]
 
 
 def test_monotone_in_horizon():
@@ -211,27 +255,28 @@ def test_t4_alpha1_optimum_is_exactly_a1_a2_a3():
 
 
 # ratio, nodes visited, full evaluations and optimal tables of the T=4
-# search under the relaxed node bound; then its decision tests and
-# parametric solves (one per incumbent)
+# search under the relaxed node bound, started from the lifted T=3 optimum;
+# then its decision tests and parametric solves (one per win over the
+# lifted incumbent)
 T4_SEARCH_SHAPE = [
-    ("1/2", True, 3, 1699, 186, ["0101010101010101"], 1791, 5),
-    ("1", True, 3, 383, 76, sorted(OPTIMAL_T4_TABLES), 423, 6),
+    ("1/2", True, 3, 71, 2, ["0101010101010101"], 72, 0),
+    ("1", True, 3, 255, 20, sorted(OPTIMAL_T4_TABLES), 259, 2),
     (
         "2",
         True,
         4,
-        397,
-        110,
+        253,
+        26,
         [
             "0000001100011111",
             "0000001100111111",
             "0000011100111111",
             *sorted(OPTIMAL_T4_TABLES),
         ],
-        446,
-        6,
+        260,
+        2,
     ),
-    ("1", False, 3, 261, 18, ["0001001100010111"], 259, 6),
+    ("1", False, 3, 221, 14, ["0001001100010111"], 219, 2),
 ]
 
 
@@ -241,8 +286,9 @@ T4_SEARCH_SHAPE = [
     ids=["alpha=1/2", "alpha=1", "alpha=2", "alpha=1-first-table"],
 )
 def test_t4_search_shape(alpha, collect, ratio, nodes, evaluations, tables, decisions, solves):
-    """The nodes the relaxed bound leaves, the leaves decided, the decision
-    tests and the solves, one per incumbent, of the T=4 searches."""
+    """The nodes the relaxed bound and the lifted start leave, the leaves
+    decided, the decision tests and the solves, one per win over the lifted
+    incumbent, of the T=4 searches."""
     config = SynthesisConfig(horizon=4, collect_all_optimal=collect)
     res = synthesize_det(migration(alpha), config)
     assert res.best_ratio == Cost(ratio)
@@ -267,7 +313,7 @@ def test_t5_alpha2_optimum(monkeypatch):
     monkeypatch.setattr(synthesis, "DEFAULT_CANDIDATE_GUARD", 2**30)
     res = synthesize_det(migration("2"), SynthesisConfig(horizon=5, collect_all_optimal=True))
     assert res.best_ratio == Cost(Fraction(7, 2))
-    assert (res.nodes_visited, res.full_evaluations) == (19_419, 516)
+    assert (res.nodes_visited, res.full_evaluations) == (25_931, 482)
     assert ["".join(map(str, p.table)) for p in res.policies] == [
         "00000001000111110000001101111111",
         "00000001000111110000101101111111",
@@ -278,15 +324,30 @@ def test_t5_alpha2_optimum(monkeypatch):
 
 def test_t5_alpha1_first_table(monkeypatch):
     """A large-graph known answer past the paper: at alpha=1 the best ratio
-    stays 3 at T=5, and the relaxed node bound leaves 24,103 of the
-    search's nodes."""
+    stays 3 at T=5, and the relaxed node bound and the lifted start leave
+    7,765 of the search's nodes."""
     monkeypatch.setattr(synthesis, "DEFAULT_CANDIDATE_GUARD", 2**30)
     res = synthesize_det(migration("1"), SynthesisConfig(horizon=5))
     assert res.best_ratio == Cost(3)
-    assert res.nodes_visited == 24_103
+    assert res.nodes_visited == 7_765
     assert ["".join(map(str, p.table)) for p in res.policies] == [
         "00010011000001110001001100110111"
     ]
+
+
+@pytest.mark.parametrize(
+    "alpha,ratio,nodes",
+    [("1/10", 11, 61), ("1/5", 6, 61), ("3/10", Fraction(13, 3), 61), ("1/2", 3, 299)],
+)
+def test_t5_small_alpha_optimum(monkeypatch, alpha, ratio, nodes):
+    """The T=5 column at the small `table2` alphas, each ratio the same as
+    at T=4: the lifted T=4 optimum, the alternating table, is the one
+    optimal table, and the search only refutes the rest."""
+    monkeypatch.setattr(synthesis, "DEFAULT_CANDIDATE_GUARD", 2**30)
+    res = synthesize_det(migration(alpha), SynthesisConfig(horizon=5, collect_all_optimal=True))
+    assert res.best_ratio == Cost(ratio)
+    assert res.nodes_visited == nodes
+    assert ["".join(map(str, p.table)) for p in res.policies] == ["01" * 16]
 
 
 def test_verify_lower_bound_modes():
@@ -480,7 +541,7 @@ def brute_force_optimum(problem, horizon):
                 strict=True,
                 reason="core_max_ratio misses cycles made only of +inf-q edges, "
                 "so evaluate_policy rates 10001011 and 11010001 at 3; the "
-                "search's infinite_pairs check drops 11010001, which pays +inf "
+                "search's infinite_pairs check drops both, which pay +inf "
                 "on a 2-cycle",
             ),
         ),
