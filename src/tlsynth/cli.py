@@ -232,6 +232,7 @@ def _cmd_synth(args):
                 "full_evaluations": res.full_evaluations,
                 "nodes_visited": res.nodes_visited,
                 "decision_tests": res.decision_tests,
+                "remembered_cuts": res.remembered_cuts,
                 "parametric_solves": res.parametric_solves,
             },
             "wall_seconds": round(res.wall_seconds, 3),

@@ -22,8 +22,12 @@ same arcs and for every bound: does a cycle's ratio exceed a bound a/b
 (or reach it, when a tie loses)? It is one negative-cycle test on integer
 weights A*w - B*q, label correcting from the potentials of an earlier
 decision on fewer of the stack's arcs, and it agrees with the verdict
-`core_max_ratio` implies. Its potentials at the maximum ratio also give
-the canonical witness its tight subgraph. A table that beats the
+`core_max_ratio` implies. A losing verdict carries its certificate, the
+arc ids of a simple losing cycle on the stack (from stage 0, a 0/0 cycle,
+or the predecessor-tree cycle the relaxation closed), which the branch and
+bound remembers and tests again under later bounds before it relaxes. A
+feasible verdict carries its potentials; at the maximum ratio they also
+give the canonical witness its tight subgraph. A table that beats the
 branch and bound's incumbent is rated on the same stack by
 `ArcStack.max_ratio`: the
 parametric search on that relaxation, each improving cycle read off its
@@ -298,13 +302,15 @@ class ArcStack:
     a stack, with the decision a branch and bound asks of them: does a
     cycle's ratio exceed a bound a/b (or reach it, when a tie loses)?
 
-    The finite-q arcs are also kept as one adjacency of (dst, w, q), and
-    the +inf-q arcs are counted. `exceeds` is one negative-cycle test under
-    the weights A*w - B*q, computed while relaxing. It starts from the
-    potentials of the last decision under the same weights whose arcs are
-    all still on the stack, so only the arcs pushed since can be violated
-    and only their tails are queued. `pop_to` drops the arcs and the
-    potentials above a mark.
+    The finite-q arcs are also kept as one adjacency, each arc whole, so
+    with its id, and the +inf-q arcs are counted. `exceeds` is one
+    negative-cycle test under the weights A*w - B*q, computed while
+    relaxing. It starts from the potentials of the last decision under the
+    same weights whose arcs are all still on the stack, so only the arcs
+    pushed since can be violated and only their tails are queued. A
+    decision that loses names its losing cycle by arc ids, the
+    certificate a caller can test again under other weights. `pop_to`
+    drops the arcs and the potentials above a mark.
 
     w_max and q_max bound the w and the finite q of every arc the stack
     will ever hold (a search takes them from its whole skeleton), so the
@@ -316,7 +322,7 @@ class ArcStack:
         self.tie = n * w_max + 1  # M of a losing tie: above the W of every simple cycle
         self.unbounded = n * q_max + 1  # A with no bound: above the Q of every simple cycle
         self.arcs = []
-        self.out = [[] for _ in range(n)]  # (dst, w, q) of the finite-q arcs
+        self.out = [[] for _ in range(n)]  # the finite-q arcs, by their src
         self.infinite = 0  # +inf-q arcs on the stack
         self.warm = []  # ((A, B), potentials, arc count), oldest first
 
@@ -340,7 +346,7 @@ class ArcStack:
             if arc[4] is None:
                 self.infinite += 1
             else:
-                out[arc[1]].append(arc[2:])
+                out[arc[1]].append(arc)
 
     def pop_to(self, mark):
         arcs, out = self.arcs, self.out
@@ -389,32 +395,38 @@ class ArcStack:
         The verdict is the one `core_max_ratio` implies: True exactly when
         its ratio is infinite, above the bound, or equal to it with
         ties_lose; with bound None, exactly when it is infinite. Returns
-        (verdict, potentials); potentials are not None only when the
-        verdict is False and was reached by the negative-cycle test, and
-        are then feasible for these arcs under `weights`.
+        (verdict, evidence). A True verdict comes with its certificate, the
+        ids of the arcs of a simple cycle on the stack that loses, in walk
+        order. A False one comes with potentials feasible for these arcs
+        under `weights`.
 
         Stage 0 of `core_max_ratio` runs only when a +inf-q arc is on the
-        stack. A 0/0 cycle rates 1, so when it loses (a bound below 1, or
-        1 with ties losing) it is looked for first. The test starts from
-        the last feasible potentials under the same weights, a losing tie
-        with none from the same bound's strict potentials, or else from
-        zeros (`_warm_start`).
+        stack, and its cycle holds one. A 0/0 cycle rates 1, so when it
+        loses (a bound below 1, or 1 with ties losing) it is looked for
+        first. Otherwise the cycle is the one the negative-cycle test
+        closes, negative under `weights`. The test starts from the last
+        feasible potentials under the same weights, a losing tie with none
+        from the same bound's strict potentials, or else from zeros
+        (`_warm_start`).
         """
-        if self.infinite and _infinite_q_cycle(self.n, self.arcs)[0] is not None:
-            return True, None
+        if self.infinite:
+            cycle = _infinite_q_cycle(self.n, self.arcs)[0]
+            if cycle is not None:
+                return True, cycle
         # bound < 1, or bound == 1 with ties_lose, on the lowest terms
         if bound is not None and (
             bound.numerator < bound.denominator
             or (ties_lose and bound.numerator == bound.denominator)
         ):
             zero_zero = [arc[:3] for arc in self.arcs if arc[3] == arc[4] == 0]
-            if _any_cycle(self.n, zero_zero) is not None:
-                return True, None
+            cycle = _any_cycle(self.n, zero_zero)
+            if cycle is not None:
+                return True, cycle
         key = self.weights(bound, ties_lose)
         dist, since = self._warm_start(key, bound, ties_lose)
-        dist, _cycle = self._relax(key, dist, self.arcs[since:])
+        dist, closed = self._relax(key, dist, self.arcs[since:])
         if dist is None:
-            return True, None
+            return True, [arc[0] for arc in self._tree_cycle(key, *closed)]
         self.warm.append((key, dist, len(self.arcs)))
         return False, dist
 
@@ -456,8 +468,8 @@ class ArcStack:
             dist, closed = self._relax(key, [0] * n, finite)
             if dist is not None:
                 break
-            cycle = self._cycle_cost(key, *closed)
-            lam = Fraction(cycle[1], cycle[0])
+            cycle = self._tree_cycle(key, *closed)
+            lam = Fraction(sum(arc[4] for arc in cycle), sum(arc[3] for arc in cycle))
         return _settle(n, finite, lam, cycle is not None)[0]
 
     def _relax(self, key, dist, fresh):
@@ -465,9 +477,8 @@ class ArcStack:
         on every finite-q arc, reached from dist by relaxing; or (None,
         (pred, u, v)) when the arcs hold a negative cycle: the arc u -> v
         closes it over the predecessor path from v to u, which
-        `_cycle_cost` reads only when asked. Only the tails of the `fresh`
-        arcs that dist violates are queued at first: every other arc must
-        satisfy dist.
+        `_tree_cycle` reads. Only the tails of the `fresh` arcs that dist
+        violates are queued at first: every other arc must satisfy dist.
 
         FIFO label correcting. At each improving relaxation u -> v the
         predecessor tree is walked from u to its root: meeting v closes a
@@ -495,7 +506,7 @@ class ArcStack:
             for u in active:
                 queued[u] = False
                 du = dist[u]
-                for v, w, q in out[u]:
+                for _k, _u, v, w, q in out[u]:
                     nd = du + a * w - b * q
                     if nd < dist[v]:
                         x = u
@@ -511,22 +522,25 @@ class ArcStack:
             active = following
         raise RuntimeError("label correcting ran n + 1 passes")
 
-    def _cycle_cost(self, key, pred, u, v):
-        """(W, Q) of the cycle closed by u -> v over the predecessor path
-        from v to u, taking between each two of its vertices the arc
-        lightest under the weights `key`. Each tree arc x -> y weighs at
-        most p[y] - p[x], as p[x] has only fallen since pred[y] was set to
-        x, so the cycle is still negative."""
+    def _tree_cycle(self, key, pred, u, v):
+        """The arcs of the cycle closed by u -> v over the predecessor path
+        from v to u, in walk order from v, taking between each two of its
+        vertices the arc lightest under the weights `key`. Each tree arc
+        x -> y weighs at most p[y] - p[x], as p[x] has only fallen since
+        pred[y] was set to x, so the cycle is still negative."""
         a, b = key
         out = self.out
-        w_sum = q_sum = 0
+
+        def weight(arc):
+            return a * arc[3] - b * arc[4], arc[3], arc[4]
+
+        cycle = []
         x, y = u, v
         while True:
-            _weight, w, q = min((a * w - b * q, w, q) for d, w, q in out[x] if d == y)
-            w_sum += w
-            q_sum += q
+            cycle.append(min((arc for arc in out[x] if arc[2] == y), key=weight))
             if x == v:
-                return w_sum, q_sum
+                cycle.reverse()
+                return cycle
             x, y = pred[x], x
 
 

@@ -25,7 +25,14 @@ exact ratio over every table X^T -> Y and the tables reaching it:
   shrinks with the search, where each assignment pushes the tighter arcs
   of the transitions reading the window on top of their looser ones, and
   starts each test from an ancestor's potentials, so only the arcs pushed
-  since are queued.
+  since are queued;
+- cycle memory: a decision that loses names its losing cycle, and the
+  search keeps the last few the relaxation found (`REMEMBERED_CYCLES`).
+  Before each test it weighs them under the decision's weights and the
+  node's q, and one that is negative settles the decision as the test
+  would, with no relaxation: the killer heuristic of game-tree search
+  (Akl & Newborn 1977) applied to the negative-cycle test. No verdict
+  changes, so neither do the tables, ratios or other counters.
 
 A complete table is decided the same way, after the one check the
 decision cannot make: a table paying +inf on both transitions of a
@@ -106,6 +113,8 @@ from .problems import LocalProblem
 from .ratiocycle import ArcStack, core_max_ratio
 
 DEFAULT_CANDIDATE_GUARD = 2**26
+# losing cycles a search remembers and tests before each decision
+REMEMBERED_CYCLES = 4
 
 
 @dataclass(frozen=True)
@@ -135,9 +144,11 @@ class SynthesisResult:
     pruned_short_cycle: int  # tables discarded without a full evaluation
     full_evaluations: int
     nodes_visited: int  # search-tree nodes, partial tables included
-    # the search's `ArcStack.exceeds` calls: node cuts, leaf and tie verdicts,
-    # not the verification closure's
+    # the search's decisions: node cuts, leaf and tie verdicts, not the
+    # verification closure's; each is settled by a remembered cycle or by
+    # one `ArcStack.exceeds` call
     decision_tests: int
+    remembered_cuts: int  # decisions settled by a remembered cycle
     parametric_solves: int  # wins over the incumbent, rated by `ArcStack.max_ratio`
     wall_seconds: float
 
@@ -278,6 +289,11 @@ class _Search:
     verdict at a node holds at every completion as well. `loses` decides
     with `ArcStack.exceeds`, started from the potentials of the nearest
     ancestor decided under the same weights, without computing the bound.
+    Before that it tries the last `REMEMBERED_CYCLES` losing cycles the
+    relaxation closed, kept as (w, t) lists newest first: a cycle whose
+    transitions all hold finite arcs, and whose sum of A*w - B*q under the
+    decision's weights and the node's q is negative, is a cycle of the
+    stack that loses, so it settles the decision and moves to the front.
     A complete table paying +inf on both transitions of an
     `infinite_pairs` pair is dropped, and any other is decided the same
     way. A table that does not lose is decided again with ties
@@ -351,8 +367,10 @@ class _Search:
                 memo = memos.setdefault((row, free), {})
                 self.pushed_at[d].append((t, codes, row, free, memo))
         self.arcs_of = [[] for _ in skel.transitions]
+        self.w_t = {}  # arc id -> (w in q's unit, transition)
         for k, src, dst, w, t in skel.arcs:
             self.arcs_of[t].append((k, src, dst, w * unit))
+            self.w_t[k] = w * unit, t
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
         # q of each transition's last arcs on the stack, -1 when it has none
         self.q = [-1] * len(skel.transitions)
@@ -370,10 +388,14 @@ class _Search:
         self.tables = list(tables)  # optimal tables found, as tuples of values
         self.stop_below = stop_below
         self.done = False
+        # the last losing cycles of the relaxation, as (w, t) lists, newest first
+        self.remembered = []
         # tables discarded without a full evaluation, tables past the pair
-        # check (each given a decision test), nodes entered, `ArcStack.exceeds`
-        # calls, and `ArcStack.max_ratio` solves of leaves that beat the incumbent
-        self.pruned = self.evaluated = self.nodes = self.decisions = self.solves = 0
+        # check (each given a decision test), nodes entered, decisions, those
+        # settled by a remembered cycle, and `ArcStack.max_ratio` solves of
+        # leaves that beat the incumbent
+        self.pruned = self.evaluated = self.nodes = self.decisions = 0
+        self.remembered_cuts = self.solves = 0
 
     def least_q(self, row, free, reads):
         """The transition's q at `reads`, or with free read positions its
@@ -450,12 +472,41 @@ class _Search:
     def loses(self, tie_loses):
         """True when the stack holds a cycle that loses to the incumbent,
         so no table below the node is of use (an acyclic one proves
-        nothing): `ArcStack.exceeds`, started from the potentials of the
-        nearest ancestor decided under the same weights. Those stay
-        feasible for that ancestor's arcs, all of which are still on the
-        stack, so only the arcs added since can be violated."""
+        nothing): a remembered cycle, or else `ArcStack.exceeds`, started
+        from the potentials of the nearest ancestor decided under the same
+        weights. Those stay feasible for that ancestor's arcs, all of which
+        are still on the stack, so only the arcs added since can be
+        violated. A certificate negative under the decision's weights is
+        the relaxation's cycle, not stage 0's (a +inf-q arc) nor a 0/0
+        cycle (weight 0), and is remembered."""
         self.decisions += 1
-        return self.stack.exceeds(self.bound, tie_loses)[0]
+        a, b = self.stack.weights(self.bound, tie_loses)
+        remembered = self.remembered
+        for i, cycle in enumerate(remembered):
+            if self.weigh(cycle, a, b) < 0:
+                remembered.insert(0, remembered.pop(i))
+                self.remembered_cuts += 1
+                return True
+        verdict, evidence = self.stack.exceeds(self.bound, tie_loses)
+        if verdict:
+            cycle = [self.w_t[k] for k in evidence]
+            if self.weigh(cycle, a, b) < 0:
+                remembered.insert(0, cycle)
+                del remembered[REMEMBERED_CYCLES:]
+        return verdict
+
+    def weigh(self, cycle, a, b):
+        """The sum of a*w - b*q over a cycle of (w, t), with each
+        transition's q on the stack; 0 when a transition has no arcs there
+        or +inf ones, as such a cycle proves nothing here."""
+        q = self.q
+        total = 0
+        for w, t in cycle:
+            qt = q[t]
+            if qt is None or qt < 0:
+                return 0
+            total += a * w - b * qt
+        return total
 
     def leaf(self):
         tie_loses = self.tie_loses()
@@ -531,6 +582,7 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
         full_evaluations=search.evaluated,
         nodes_visited=search.nodes,
         decision_tests=search.decisions,
+        remembered_cuts=search.remembered_cuts,
         parametric_solves=search.solves,
         wall_seconds=time.monotonic() - started,
     )

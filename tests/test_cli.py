@@ -63,6 +63,8 @@ def test_synth_counters_report_nodes_visited(tmp_path, capsys):
     # that beat the incumbent are solved
     assert pruned["full_evaluations"] <= pruned["decision_tests"]
     assert pruned["decision_tests"] <= pruned["nodes_visited"] + pruned["full_evaluations"]
+    # some decisions are settled by a remembered losing cycle, without a test
+    assert pruned["remembered_cuts"] <= pruned["decision_tests"]
     assert pruned["parametric_solves"] <= pruned["full_evaluations"]
     # without pruning every node of the 8-window tree is visited
     assert bare["nodes_visited"] == 2**9 - 1

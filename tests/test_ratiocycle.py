@@ -291,19 +291,47 @@ def ratios_lose(ratios, bound, ties_lose):
     )
 
 
+def walk_ratio_of_ids(arcs, ids):
+    """The ratio of the closed walk the arc ids `ids` take over `arcs`, by
+    the oracle's rules: None (+inf) through a +inf-q arc or for zero w and
+    positive q, 1 for 0/0, q/w otherwise. Fails unless the ids name arcs
+    of `arcs` that close a walk, each arc starting where the last ended."""
+    by_id = {arc[0]: arc for arc in arcs}
+    walk = [by_id[k] for k in ids]
+    assert walk and all(a[2] == b[1] for a, b in zip(walk, walk[1:] + walk[:1])), walk
+    if any(arc[4] is None for arc in walk):
+        return None
+    w, q = sum(arc[3] for arc in walk), sum(arc[4] for arc in walk)
+    return Fraction(q, w) if w else (Fraction(1) if q == 0 else None)
+
+
+def certified(stack, bound, ties_lose):
+    """`stack.exceeds`, with its evidence checked: a True verdict names a
+    closed walk over the stack's arcs whose ratio loses to the bound."""
+    verdict, evidence = stack.exceeds(bound, ties_lose)
+    if verdict:
+        ratio = walk_ratio_of_ids(stack.arcs, evidence)
+        assert ratios_lose([ratio], bound, ties_lose), (stack.arcs, evidence, bound)
+    return verdict, evidence
+
+
 @pytest.mark.parametrize("infinite_q", [False, True])
 def test_exceeds_matches_the_cycle_oracle(infinite_q):
     """`ArcStack.exceeds` against brute-force simple cycles on finite
     graphs, and against `core_max_ratio` with +inf-q arcs (whose stage 0 it
     shares); bounds at, just above and just below each cycle ratio, <= 1
-    and none. On a fresh stack the potentials it returns are feasible. On
-    an `ArcStack` as the branch and bound uses it, the prefix is decided
-    first, the rest of the arcs is pushed and decided from the prefix's
-    potentials (queueing only the rest's tails), and popped again;
-    decisions under every bound and tie rule share the stack, whose
-    weights for a bound do not change as arcs are pushed and popped."""
+    and none. Every True verdict returns its certificate, the arc ids of a
+    closed walk on the stack whose ratio loses to the bound, found by each
+    of stage 0, the 0/0 check and the relaxation. On a fresh stack the
+    potentials a False verdict returns are feasible. On an `ArcStack` as
+    the branch and bound uses it, the prefix is decided first, the rest of
+    the arcs is pushed and decided from the prefix's potentials (queueing
+    only the rest's tails), and popped again; decisions under every bound
+    and tie rule share the stack, whose weights for a bound do not change
+    as arcs are pushed and popped."""
     rng = random.Random(2024 + infinite_q)
     decided = set()
+    certificates = set()  # the kinds of losing cycle certified
     for _ in range(250):
         n, arcs = random_int_arcs(rng, infinite_q)
         ratios = simple_cycle_ratios(n, arcs)
@@ -323,26 +351,36 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
                     expected = ratios_lose(ratios, bound, ties_lose)
                     prefix_loses = ratios_lose(prefix_ratios, bound, ties_lose)
                 key = stack.weights(bound, ties_lose)
-                assert stack.exceeds(bound, ties_lose)[0] == prefix_loses
+                assert certified(stack, bound, ties_lose)[0] == prefix_loses
                 stack.push(arcs[len(prefix) :])
                 assert stack.weights(bound, ties_lose) == key
                 from_prefix = any(entry[0] == key for entry in stack.warm)
-                assert stack.exceeds(bound, ties_lose)[0] == expected, (n, arcs, bound)
+                assert certified(stack, bound, ties_lose)[0] == expected, (n, arcs, bound)
                 stack.pop_to(len(prefix))
                 assert stack.weights(bound, ties_lose) == key
                 assert all(count <= len(prefix) for _k, _p, count in stack.warm)
-                assert stack.exceeds(bound, ties_lose)[0] == prefix_loses
+                assert certified(stack, bound, ties_lose)[0] == prefix_loses
                 decided.add((expected, None if bound is None else bound > 1, from_prefix))
-                cold, potentials = exceeds(n, arcs, bound, ties_lose)
+                cold, evidence = certified(ArcStack.holding(n, arcs), bound, ties_lose)
                 assert cold == expected, (n, arcs, bound, ties_lose)
-                if potentials is not None:
-                    assert feasible(arcs, key, potentials)
+                if cold:
+                    walk = [arcs[k] for k in evidence]
+                    if any(arc[4] is None for arc in walk):
+                        certificates.add("stage 0")
+                    elif all(arc[3] == arc[4] == 0 for arc in walk):
+                        certificates.add("0/0")
+                    else:
+                        certificates.add("relaxation")
+                else:
+                    assert feasible(arcs, key, evidence)
                 assert not prefix_loses or expected  # a cycle of the prefix stays
     # on the stack both verdicts were reached from the prefix's potentials,
     # for bounds above 1 and for bounds <= 1, and the losing one also after
     # a prefix that already lost
     assert {(v, above, True) for v in (False, True) for above in (False, True)} <= decided
     assert (True, True, False) in decided
+    # every path to a losing verdict gave its certificate
+    assert certificates == {"relaxation", "0/0", *(["stage 0"] if infinite_q else [])}
 
 
 @pytest.mark.parametrize("infinite_q", [False, True])

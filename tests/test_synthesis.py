@@ -307,6 +307,89 @@ def test_only_leaves_that_do_not_lose_are_solved():
     assert res.parametric_solves < res.full_evaluations
 
 
+def remembered_run(monkeypatch, run, memory):
+    """(result, verdicts, settled) of `run()` with a search memory of
+    `memory` cycles: every decision's (tie rule, verdict), in order, and the
+    number settled by a remembered cycle. Each of those is decided again by
+    `ArcStack.exceeds` on the same stack, and must lose there too."""
+    loses = synthesis._Search.loses
+    verdicts, settled = [], []
+
+    def checked(search, tie_loses):
+        cuts = search.remembered_cuts
+        verdict = loses(search, tie_loses)
+        if search.remembered_cuts > cuts:
+            assert verdict
+            assert search.stack.exceeds(search.bound, tie_loses)[0]
+            settled.append(tie_loses)
+        verdicts.append((tie_loses, verdict))
+        return verdict
+
+    with monkeypatch.context() as patch:
+        patch.setattr(synthesis, "REMEMBERED_CYCLES", memory)
+        patch.setattr(synthesis._Search, "loses", checked)
+        result = run()
+    if isinstance(result, synthesis.SynthesisResult):
+        # the lifted start's searches are settled too, but not counted
+        assert result.remembered_cuts <= min(len(settled), result.decision_tests)
+        result = replace(result, remembered_cuts=0, wall_seconds=0)
+    return result, verdicts, len(settled)
+
+
+def lower_bound_table(problem, horizon, bound):
+    holds, counter, checked = verify_lower_bound(problem, SynthesisConfig(horizon), bound)
+    return holds, None if counter is None else counter.table, checked
+
+
+REMEMBERED_CASES = {
+    "file-migration": [
+        lambda a=alpha, h=horizon, c=collect: synthesize_det(
+            migration(a), SynthesisConfig(horizon=h, collect_all_optimal=c)
+        )
+        for alpha in ("1/10", "1/2", "1", "2", "5")
+        for horizon in (1, 2, 3, 4)
+        for collect in (False, True)
+    ],
+    "grid": [
+        lambda a=alpha: synthesize_rand(
+            migration(a), SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
+        )
+        for alpha in ("1/10", "1/5", "3/10", "1/2", "1")
+    ],
+    "min-dom-set": [
+        lambda h=horizon, c=collect: synthesize_det(
+            bundled_problem("min-dom-set"), SynthesisConfig(horizon=h, collect_all_optimal=c)
+        )
+        for horizon in (1, 2, 3)
+        for collect in (False, True)
+    ],
+    "lower-bound": [
+        lambda a=alpha, b=bound: lower_bound_table(migration(a), 4, b)
+        for alpha, optimum in (("1/2", 3), ("1", 3), ("2", 4))
+        for bound in (Fraction(optimum), optimum + Fraction(1, 100))
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMEMBERED_CASES))
+def test_remembered_cycles_only_cut_losing_decisions(monkeypatch, case):
+    """A decision settled by a remembered cycle loses when `ArcStack.exceeds`
+    decides it again on the same stack, and the memory changes nothing
+    else: with it and without it, every search makes the same decisions
+    with the same verdicts and returns the same tables, ratios and
+    counters. File migration at T <= 4 with and without all optimal tables,
+    the T=2 grid cells of `table2`, min-dom-set at T <= 3, and lower bounds
+    at and just above the T=4 optimum."""
+    settled = 0
+    for run in REMEMBERED_CASES[case]:
+        remembered = remembered_run(monkeypatch, run, synthesis.REMEMBERED_CYCLES)
+        forgotten = remembered_run(monkeypatch, run, 0)
+        assert remembered[:2] == forgotten[:2]
+        assert forgotten[2] == 0
+        settled += remembered[2]
+    assert settled > 0
+
+
 def test_t5_alpha2_optimum(monkeypatch):
     """The first T=5 column entry, past the paper: at alpha=2 the best ratio
     falls from 4 at T=4 to 7/2, with exactly four optimal tables."""
