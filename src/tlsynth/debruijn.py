@@ -381,12 +381,10 @@ def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
     )
 
 
-def policy_q(problem: LocalProblem, policy, horizon=None):
+def policy_q(problem: LocalProblem, policy):
     """(skeleton, q, unit): the skeleton a policy's dual graph is a view of,
     after validation, and the policy's per-transition q in units of
     1/(skeleton.scale * unit), from q_det or, for a RandomizedPolicy, q_rand."""
-    if horizon is not None and horizon != policy.horizon:
-        raise ValidationError("horizon argument disagrees with the policy table")
     if (
         policy.input_alphabet.symbols != problem.input_alphabet.symbols
         or policy.output_alphabet.symbols != problem.output_alphabet.symbols
@@ -406,15 +404,15 @@ def over_common_denominator(probs):
     return [p.numerator * (den // p.denominator) for p in probs], den
 
 
-def build_graph_det(problem: LocalProblem, policy: DeterministicPolicy, horizon=None):
+def build_graph_det(problem: LocalProblem, policy: DeterministicPolicy):
     """Dual graph of a table policy (expected algorithm costs for a RandomizedPolicy)."""
-    skel, q, unit = policy_q(problem, policy, horizon)
+    skel, q, unit = policy_q(problem, policy)
     return skel.graph(q, unit)
 
 
-def build_graph_rand(problem: LocalProblem, policy: RandomizedPolicy, horizon=None):
+def build_graph_rand(problem: LocalProblem, policy: RandomizedPolicy):
     """Dual graph of a behavioral randomized policy (expected algorithm costs)."""
-    skel, q, unit = policy_q(problem, policy, horizon)
+    skel, q, unit = policy_q(problem, policy)
     return skel.graph(q, unit)
 
 

@@ -14,9 +14,11 @@ oracle on small graphs.
 Edge costs must be non-negative; edges with w = +inf are ignored (an
 adversary never plays them) and a cycle through one q = +inf edge and
 otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
-works on integer arcs, with Bellman-Ford rounds, and now serves only
-analysis and the randomized refinement's wins; a verdict adds the
-canonical witness, or says that its capped search gave up.
+works on integer arcs and now serves only analysis and the randomized
+refinement's wins. Its unbounded check is `ArcStack.exceeds` with no
+bound, and only its ratio loop still runs Bellman-Ford rounds
+(`_negative_cycle`); a verdict adds the canonical witness, or says that
+its capped search gave up.
 `ArcStack.exceeds` answers the question a branch and bound asks, on the
 same arcs and for every bound: does a cycle's ratio exceed a bound a/b
 (or reach it, when a tie loses)? It is one negative-cycle test on integer
@@ -251,10 +253,10 @@ def core_max_ratio(n, edges):
     if cycle is not None:
         return "infinite", None, cycle, 0
 
-    # stage 1: a zero-w cycle with positive q means an unbounded ratio
-    zero_w = [(k, s, d, -q) for k, s, d, w, q in edges if w == 0]
-    cycle = _negative_cycle(n, zero_w)
-    if cycle is not None:
+    # stage 1: a zero-w cycle with positive q means an unbounded ratio, which
+    # is exactly what a decision with no bound looks for
+    unbounded, cycle = ArcStack.holding(n, edges).exceeds(None)
+    if unbounded:
         return "infinite", None, cycle, 0
 
     # stage 2: raise lam through the finite set of cycle ratios
@@ -284,11 +286,11 @@ def _settle(n, arcs, lam, improved):
     improving cycle, or found none (`improved` false): (ratio, cycle),
     where cycle is None when that last cycle keeps its ratio. A cycle of
     0/0 arcs rates 1, so it pins any lam < 1 at 1. With neither, every
-    cycle has q = 0 and w > 0, and the ratio is 0 on a cycle that is
-    negative under -w; without one the arcs hold no cycle at all."""
+    cycle has q = 0 and w > 0, so any cycle rates 0, and `_any_cycle`
+    gives the first; without one the arcs hold no cycle at all."""
     zero_zero = _any_cycle(n, [(k, s, d) for k, s, d, w, q in arcs if w == 0 and q == 0])
     if not improved and zero_zero is None:
-        flat = _negative_cycle(n, [(k, s, d, -w) for k, s, d, w, q in arcs])
+        flat = _any_cycle(n, [arc[:3] for arc in arcs])
         if flat is None:
             raise EmptyGraph("graph has no directed cycle")
         return Fraction(0), flat
@@ -372,9 +374,9 @@ class ArcStack:
           zero-w cycle with positive q;
         - a tie that loses: (M*a - 1, M*b), so the weight is
           M*(a*W - b*Q) - W; the cycle's ratio is at least a/b;
-        - no bound: (n*q_max + 1, 1); a zero-w cycle with positive q, as in
-          stage 1 of `core_max_ratio`, since every other cycle weighs at
-          least 1.
+        - no bound: (n*q_max + 1, 1); a zero-w cycle with positive q, the
+          question stage 1 of `core_max_ratio` asks here, since every other
+          cycle weighs at least 1.
 
         Any M above every simple cycle's W gives the same verdicts, so M
         and A come from the stack's declared bounds and a bound's weights
@@ -673,11 +675,11 @@ def brute_force_max_ratio(graph: DualGraph) -> RatioVerdict:
     return RatioVerdict(report, classification, 0)
 
 
-def evaluate_policy(problem, policy, horizon=None) -> RatioVerdict:
+def evaluate_policy(problem, policy) -> RatioVerdict:
     """Competitive ratio of a deterministic or behavioral table policy: the
     maximum-ratio cycle of its skeleton's integer arcs. Witness edge ids are
     skeleton edge ids, as in `build_graph_det` / `build_graph_rand`."""
-    skel, q, unit = policy_q(problem, policy, horizon)
+    skel, q, unit = policy_q(problem, policy)
     kind, witness, iterations, certified = _solve(skel.n_vertices, skel.int_arcs(q, unit))
     edges = dict(zip(witness, skel.dual_edges(q, unit, witness)))
     report = _make_report(problem, edges, witness)

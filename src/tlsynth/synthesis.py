@@ -511,11 +511,7 @@ class _Search:
     def leaf(self):
         tie_loses = self.tie_loses()
         q = self.q
-        if (
-            self.inf_pairs
-            and self.bound is not None
-            and any(q[a] is None and q[b] is None for a, b in self.inf_pairs)
-        ):
+        if self.inf_pairs and any(q[a] is None and q[b] is None for a, b in self.inf_pairs):
             self.pruned += 1
             return
         self.evaluated += 1

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_graph, random_dual_graph
+from tlsynth import ratiocycle
 from tlsynth.debruijn import adversary_outputs, build_graph_det, build_graph_rand
 from tlsynth.errors import EmptyGraph, GraphTooLarge
-from tlsynth.exact import POS_INF, Cost
+from tlsynth.exact import POS_INF, Cost, cost_sum
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem, offline_opt
 from tlsynth.ratiocycle import (
     BRUTE_FORCE_VERTEX_GUARD,
     _TIGHT_SEARCH_CAP,
     ArcStack,
+    _infinite_q_cycle,
     _out_arcs,
     _prepare,
     _simple_cycles,
@@ -135,14 +137,42 @@ def test_brute_force_guard(migration_problem):
 # -- oracle equivalence ---------------------------------------------------------
 
 
+def zero_w_cycle_graph(problem, rng):
+    """A `random_dual_graph` with a cycle of zero-w arcs through one to
+    three of its vertices planted in it, one arc of positive q: a ratio
+    made infinite by stage 1 of `core_max_ratio`."""
+    graph = random_dual_graph(problem, rng)
+    quads = [(e.src, e.dst, e.w, e.q) for e in graph.edges]
+    ring = rng.sample(range(graph.n_vertices), rng.randint(1, min(3, graph.n_vertices)))
+    paid = rng.randrange(len(ring))
+    for i, v in enumerate(ring):
+        q = rng.randint(1, 3) if i == paid else rng.randint(0, 3)
+        quads.append((v, ring[(i + 1) % len(ring)], 0, q))
+    rng.shuffle(quads)
+    return make_graph(problem, graph.n_vertices, quads)
+
+
 def test_oracle_equivalence_sample(migration_problem):
+    """`max_ratio_cycle` against the brute-force oracle on random graphs,
+    and on graphs with a zero-w cycle of positive q: the witness of every
+    infinite verdict (all q are finite here) is a closed walk over the
+    graph's edges with W = 0 and Q > 0."""
     rng = random.Random(99)
-    for _ in range(120):
-        graph = random_dual_graph(migration_problem, rng)
+    graphs = [random_dual_graph(migration_problem, rng) for _ in range(120)]
+    graphs += [zero_w_cycle_graph(migration_problem, rng) for _ in range(80)]
+    unbounded = 0
+    for graph in graphs:
         fast = max_ratio_cycle(graph)
         slow = brute_force_max_ratio(graph)
         assert fast.classification == slow.classification
         assert fast.best.ratio == slow.best.ratio
+        if fast.classification == "infinite":
+            walk = [graph.edges[k] for k in fast.best.edge_ids]
+            assert all(e.dst == f.src for e, f in zip(walk, walk[1:] + walk[:1])), walk
+            assert cost_sum(e.w for e in walk) == Cost(0)
+            assert cost_sum(e.q for e in walk) > Cost(0)
+            unbounded += 1
+    assert unbounded >= 80
 
 
 def test_witness_validity(migration_problem):
@@ -272,22 +302,20 @@ def feasible(arcs, key, potentials):
     )
 
 
-def core_loses(n, arcs, bound, ties_lose):
-    """The verdict of the full parametric search, with no abort."""
-    try:
-        kind, lam, _w, _i = core_max_ratio(n, arcs)
-    except EmptyGraph:
-        return False
-    if kind == "infinite":
-        return True
-    return bound is not None and (lam > bound or (ties_lose and lam == bound))
-
-
 def ratios_lose(ratios, bound, ties_lose):
     """The verdict of a list of simple cycle ratios."""
     return any(
         r is None or (bound is not None and (r > bound or (ties_lose and r == bound)))
         for r in ratios
+    )
+
+
+def oracle_loses(n, arcs, bound, ties_lose):
+    """The verdict `core_max_ratio` implies, by brute force after its stage
+    0: a cycle through one +inf-q arc closed by finite-q arcs, or a simple
+    cycle of the finite-q arcs that loses."""
+    return _infinite_q_cycle(n, arcs)[0] is not None or ratios_lose(
+        simple_cycle_ratios(n, arcs), bound, ties_lose
     )
 
 
@@ -317,10 +345,10 @@ def certified(stack, bound, ties_lose):
 
 @pytest.mark.parametrize("infinite_q", [False, True])
 def test_exceeds_matches_the_cycle_oracle(infinite_q):
-    """`ArcStack.exceeds` against brute-force simple cycles on finite
-    graphs, and against `core_max_ratio` with +inf-q arcs (whose stage 0 it
-    shares); bounds at, just above and just below each cycle ratio, <= 1
-    and none. Every True verdict returns its certificate, the arc ids of a
+    """`ArcStack.exceeds` against brute-force simple cycles, after the
+    stage 0 it shares with `core_max_ratio` when there are +inf-q arcs;
+    bounds at, just above and just below each cycle ratio, <= 1 and none.
+    Every True verdict returns its certificate, the arc ids of a
     closed walk on the stack whose ratio loses to the bound, found by each
     of stage 0, the 0/0 check and the relaxation. On a fresh stack the
     potentials a False verdict returns are feasible. On an `ArcStack` as
@@ -339,17 +367,12 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
         bounds = {Fraction(0), Fraction(1, 2), Fraction(1), None}
         bounds |= {r + d for r in finite_ratios for d in (0, Fraction(1, 7), -Fraction(1, 7))}
         prefix = arcs[: rng.randint(0, len(arcs))]
-        prefix_ratios = simple_cycle_ratios(n, prefix)
         stack = ArcStack(n, *maxima(arcs))
         stack.push(prefix)
         for bound in bounds:
             for ties_lose in (False, True):
-                if infinite_q:
-                    expected = core_loses(n, arcs, bound, ties_lose)
-                    prefix_loses = core_loses(n, prefix, bound, ties_lose)
-                else:
-                    expected = ratios_lose(ratios, bound, ties_lose)
-                    prefix_loses = ratios_lose(prefix_ratios, bound, ties_lose)
+                expected = oracle_loses(n, arcs, bound, ties_lose)
+                prefix_loses = oracle_loses(n, prefix, bound, ties_lose)
                 key = stack.weights(bound, ties_lose)
                 assert certified(stack, bound, ties_lose)[0] == prefix_loses
                 stack.push(arcs[len(prefix) :])
@@ -390,9 +413,9 @@ def test_tie_decision_matches_the_ratio(infinite_q):
     arcs b; bounds at, just above and just below each ratio, <= 1 included.
     A stack whose declared w and q bounds exceed its arcs' own, as a
     search's stack holding part of a skeleton, reaches the same verdicts,
-    with no bound as well; there each tie decision starts from the strict
-    decision's potentials times M, and the potentials it returns are
-    feasible under the tie weights."""
+    with no bound as well, where both agree with brute force; there each
+    tie decision starts from the strict decision's potentials times M, and
+    the potentials it returns are feasible under the tie weights."""
     rng = random.Random(77 + infinite_q)
     seen = set()
     for _ in range(300):
@@ -404,7 +427,9 @@ def test_tie_decision_matches_the_ratio(infinite_q):
         w_max, q_max = maxima(arcs)
         loose = ArcStack(n, w_max + rng.randint(1, 9), 2 * q_max + rng.randint(1, 9))
         loose.push(arcs)
-        assert loose.exceeds(None)[0] == (kind == "infinite")
+        unbounded = oracle_loses(n, arcs, None, False)
+        assert (kind == "infinite") == unbounded
+        assert loose.exceeds(None)[0] == unbounded
         bounds = {Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)}
         bounds |= {r for r in simple_cycle_ratios(n, arcs) if r is not None}
         if lam is not None:
@@ -497,6 +522,41 @@ def test_stack_solve_matches_the_oracles(migration_problem):
         if n > BRUTE_FORCE_VERTEX_GUARD:
             seen.add("large")
     assert seen == {"acyclic", "0", "1", "other", "0/0 pins", "brute force", "large"}
+
+
+def test_stack_path_never_runs_bellman_ford(monkeypatch):
+    """Bellman-Ford (`_negative_cycle`) is left to the ratio loop of
+    `core_max_ratio`: decisions, `ArcStack.max_ratio` with its ratio-0 and
+    acyclic end rules, and deterministic synthesis all run with it
+    raising."""
+
+    def bellman_ford(n, arcs):
+        raise AssertionError("Bellman-Ford ran")
+
+    monkeypatch.setattr(ratiocycle, "_negative_cycle", bellman_ford)
+    rng = random.Random(4099)
+    seen = set()
+    for _ in range(300):
+        n, arcs = random_solvable_arcs(rng)
+        stack = ArcStack.holding(n, arcs)
+        if stack.exceeds(None)[0]:
+            seen.add("infinite")
+            continue
+        ratios = simple_cycle_ratios(n, arcs) if n <= 10 else None
+        try:
+            lam = stack.max_ratio()
+        except EmptyGraph:
+            assert not ratios
+            seen.add("acyclic")
+            continue
+        assert ratios is None or lam == max(ratios), (n, arcs)
+        seen.add("0" if lam == 0 else "positive")
+    assert seen == {"infinite", "acyclic", "0", "positive"}
+    for problem, horizon in (
+        (bundled_problem("file-migration"), 3),
+        (bundled_problem("min-dom-set"), 2),
+    ):
+        assert synthesize_det(problem, SynthesisConfig(horizon=horizon)).best_ratio.is_finite
 
 
 # -- walk decomposition ----------------------------------------------------------

@@ -138,6 +138,18 @@ def test_infinite_pairs_drop_the_infinite_two_cycle():
         assert tables[0] == "10011101" and len(tables) == (9 if collect else 1)
 
 
+@pytest.mark.parametrize("step", [Fraction(1), Fraction(1, 2), Fraction(1, 4)])
+def test_infinite_pairs_dropped_before_the_first_incumbent(step):
+    """The deterministic start of the randomized grid searches with no
+    incumbent, and the pair check drops 10001011, which pays +inf on both
+    transitions of a pair, from its first leaf on too; so at every grid
+    step the result is 10011101, which rates 3."""
+    mds = bundled_problem("min-dom-set")
+    policy, ratio = synthesize_rand(mds, SynthesisConfig(horizon=3, grid_step=step))
+    assert ratio == Cost(3)
+    assert "".join(map(str, policy.table)) == "10011101"
+
+
 # -- deterministic synthesis -----------------------------------------------------------
 
 
