@@ -67,7 +67,13 @@ on the free windows, each probability a numerator over the step's
 denominator, so every q shares one unit, and the corners of a free read
 are 0 and the denominator, so node pruning holds as it does for
 deterministic tables. The self-loop entries stay forced, whatever
-`prune` says. The grid search starts from the optimum of the grid's
+`prune` says. With `prune` it also cuts runs of values at the last
+window: when a leaf there loses by a cycle whose transitions each read
+the window at most once, their q, and so the cycle's weight under the
+bound, are affine in the window's numerator (the parametric argument of
+Karp & Orlin 1981), and the values after it are skipped while that
+weight is negative, as each such table holds a cycle above the bound.
+The grid search starts from the optimum of the grid's
 deterministic tables, found by the same search first. The grid's
 lexicographically first optimal table is then refined coordinate-wise
 with a halving step, still on numerators: each round doubles the
@@ -304,6 +310,12 @@ class _Search:
     neither node pruning nor the pair check: a plain exhaustive scan,
     which still decides each table before solving it.
 
+    On a grid with `prune` (`value_cut`), the node whose children are
+    leaves tries its values ascending, as a grid has no guide. A leaf that
+    loses by a cycle negative under its decision's weights gives that
+    cycle's weight as a line in the value (`cut_line`), and the values
+    after it are counted as pruned while the line is negative.
+
     Ties with the incumbent are kept with `collect_all_optimal`; otherwise
     the lexicographically first optimal table wins, so a tie prunes only a
     subtree whose first table is greater than the incumbent's.
@@ -396,6 +408,11 @@ class _Search:
         # leaves that beat the incumbent
         self.pruned = self.evaluated = self.nodes = self.decisions = 0
         self.remembered_cuts = self.solves = 0
+        # the cycle that settled the last losing decision, if negative
+        # under its weights
+        self.lost_by = None
+        # a grid search with prune cuts values by a losing leaf's cycle
+        self.value_cut = grid is not None and self.prune
 
     def least_q(self, row, free, reads):
         """The transition's q at `reads`, or with free read positions its
@@ -447,21 +464,67 @@ class _Search:
             q_all[t] = q
 
     def visit(self, depth):
+        """Search the node at `depth`; a leaf returns the cycle it lost by,
+        if a cycle negative under its decision's weights settled it."""
         self.nodes += 1
         mark, raised, pushed = self.enter(depth)
+        lost_by = None
         if depth == len(self.order):
-            self.leaf()
+            lost_by = self.leaf()
         elif self.prune and pushed and self.loses(self.tie_loses()):
             self.pruned += len(self.values) ** (len(self.order) - depth)
         else:
             table, window = self.table, self.order[depth]
+            line = None  # (C, D) of the last losing leaf's cycle (`cut_line`)
             for value in self.tries[depth]:
+                if line is not None and line[0] + line[1] * value < 0:
+                    self.pruned += 1
+                    continue
                 table[window] = value
-                self.visit(depth + 1)
+                cycle = self.visit(depth + 1)
                 if self.done:
                     break
+                if cycle is not None and self.value_cut:
+                    line = self.cut_line(cycle, window)
             table[window] = 0
         self.leave(mark, raised)
+        return lost_by
+
+    def cut_line(self, cycle, window):
+        """(C, D) such that den times the cycle's weight under the strict
+        weights of the bound is C + D*v when the last window holds v: a
+        transition that does not read it keeps its exact q, and one that
+        reads it once has q(v) = (q(0)*(den - v) + q(den)*v) / den, as q is
+        multilinear in the reads. None with no bound, or when a transition
+        reads the window twice or more, has no arcs or a +inf corner q.
+
+        Where C + D*v < 0 the cycle's ratio is above the bound, so the table
+        loses under either tie rule, and still does after a later win lowers
+        the bound (Karp & Orlin 1981: a cycle's weight is affine in one
+        parameter)."""
+        if self.bound is None:
+            return None
+        a, b = self.bound.numerator, self.bound.denominator
+        den = self.corners[1]
+        c = d = 0
+        for w, t in cycle:
+            row, codes = self.skel.transitions[t]
+            if window not in codes:
+                q0 = q1 = self.q[t]
+            elif codes.count(window) > 1:
+                return None
+            else:
+                reads = [self.table[code] for code in codes]
+                j = codes.index(window)
+                reads[j] = 0
+                q0 = self.q_reads(row, reads)
+                reads[j] = den
+                q1 = self.q_reads(row, reads)
+            if q0 is None or q1 is None or q0 < 0:
+                return None
+            c += den * (a * w - b * q0)
+            d += b * (q0 - q1)
+        return c, d
 
     def tie_loses(self):
         """True when a tie with the incumbent is of no use below this node:
@@ -478,14 +541,17 @@ class _Search:
         are still on the stack, so only the arcs added since can be
         violated. A certificate negative under the decision's weights is
         the relaxation's cycle, not stage 0's (a +inf-q arc) nor a 0/0
-        cycle (weight 0), and is remembered."""
+        cycle (weight 0), and is remembered. The cycle that settles a
+        losing verdict, either way, is kept as `lost_by`, else None."""
         self.decisions += 1
+        self.lost_by = None
         a, b = self.stack.weights(self.bound, tie_loses)
         remembered = self.remembered
         for i, cycle in enumerate(remembered):
             if self.weigh(cycle, a, b) < 0:
                 remembered.insert(0, remembered.pop(i))
                 self.remembered_cuts += 1
+                self.lost_by = cycle
                 return True
         verdict, evidence = self.stack.exceeds(self.bound, tie_loses)
         if verdict:
@@ -493,6 +559,7 @@ class _Search:
             if self.weigh(cycle, a, b) < 0:
                 remembered.insert(0, cycle)
                 del remembered[REMEMBERED_CYCLES:]
+                self.lost_by = cycle
         return verdict
 
     def weigh(self, cycle, a, b):
@@ -516,7 +583,7 @@ class _Search:
             return
         self.evaluated += 1
         if self.loses(tie_loses):
-            return
+            return self.lost_by
         table = tuple(self.table)
         if self.bound is not None and not tie_loses and self.loses(True):
             # no cycle is above the incumbent and one reaches it: a tie

@@ -391,7 +391,11 @@ def test_remembered_cycles_only_cut_losing_decisions(monkeypatch, case):
     with the same verdicts and returns the same tables, ratios and
     counters. File migration at T <= 4 with and without all optimal tables,
     the T=2 grid cells of `table2`, min-dom-set at T <= 3, and lower bounds
-    at and just above the T=4 optimum."""
+    at and just above the T=4 optimum. The grid's value cut is patched off
+    in both runs: it cuts by the cycle that settled a leaf, which the
+    memory picks, so with it the two runs decide different leaves."""
+    if case == "grid":
+        patch_off_value_cut(monkeypatch)
     settled = 0
     for run in REMEMBERED_CASES[case]:
         remembered = remembered_run(monkeypatch, run, synthesis.REMEMBERED_CYCLES)
@@ -910,6 +914,172 @@ def test_randomized_pruning_matches_exhaustive_grid(alpha):
             for prune in (True, False)
         )
         assert (pruned.table, pruned_ratio) == (full.table, full_ratio), horizon
+
+
+def patch_off_value_cut(patch):
+    """Turn off the grid's value cut at the node whose children are leaves."""
+    patch.setattr(synthesis._Search, "cut_line", lambda search, cycle, window: None)
+
+
+def grid_searches(monkeypatch, run):
+    """(run(), the `_Search`es it made, in order)."""
+    made = []
+    init = synthesis._Search.__init__
+
+    def tracked(search, *args, **kwargs):
+        init(search, *args, **kwargs)
+        made.append(search)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(synthesis._Search, "__init__", tracked)
+        result = run()
+    return result, made
+
+
+# nodes visited and leaves decided by the grid search (after its
+# deterministic start) at the T=2 `table2` cells, grid 1/20: every other
+# of the 441 grid tables is cut by the node bound, the value cut at the
+# last window or the +inf-pair check
+GRID_SEARCH_SHAPE = {
+    "1/10": (26, 4),
+    "1/5": (28, 6),
+    "3/10": (30, 8),
+    "1/2": (34, 12),
+    "1": (74, 52),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(GRID_SEARCH_SHAPE))
+def test_grid_search_shape(monkeypatch, alpha):
+    config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
+    _result, (_start, search) = grid_searches(
+        monkeypatch, lambda: synthesize_rand(migration(alpha), config)
+    )
+    assert (search.nodes, search.evaluated) == GRID_SEARCH_SHAPE[alpha]
+    assert search.pruned + search.evaluated == 21**2
+
+
+def test_exhaustive_grid_visits_every_table(monkeypatch):
+    """Without pruning the grid search is the reference scan: no node
+    bound and no value cut, so every one of the 21^2 tables is a leaf."""
+    config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20), prune=False)
+    _result, (_start, search) = grid_searches(
+        monkeypatch, lambda: synthesize_rand(migration("1"), config)
+    )
+    assert (search.nodes, search.evaluated, search.pruned) == (1 + 21 + 21**2, 21**2, 0)
+
+
+def grid_leaves(monkeypatch, problem, config, cut):
+    """((table, ratio) of `synthesize_rand`, the leaves its grid searches
+    visit in order, each as (the search's values, table, bound in force));
+    with `cut` False, the value cut is patched off."""
+    leaf = synthesis._Search.leaf
+    leaves = []
+
+    def recorded(search):
+        leaves.append((tuple(search.values), tuple(search.table), search.bound))
+        return leaf(search)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(synthesis._Search, "leaf", recorded)
+        if not cut:
+            patch_off_value_cut(patch)
+        policy, ratio = synthesize_rand(problem, config)
+    return (policy.table, ratio), leaves
+
+
+GRID_CUT_CASES = [
+    *(("file-migration", alpha, 2, Fraction(1, 20)) for alpha in GRID_SEARCH_SHAPE),
+    *(("file-migration", alpha, 3, Fraction(1, 8)) for alpha in ("1", "2")),
+    ("min-dom-set", None, 2, Fraction(1, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,alpha,horizon,step",
+    GRID_CUT_CASES,
+    ids=[f"{name}-{alpha}-T{horizon}" for name, alpha, horizon, _step in GRID_CUT_CASES],
+)
+def test_grid_value_cuts_only_skip_losing_tables(monkeypatch, name, alpha, horizon, step):
+    """Each table the value cut skips, read from the leaves the search
+    visits with and without it, rates above the bound in force when it was
+    skipped, by `evaluate_policy` on its own; with the cut off the search
+    visits the same leaves plus the skipped ones, under the same bounds, and
+    returns the same table and ratio. The `table2` cells at T=2, file
+    migration at T=3, and min-dom-set, whose grid leaves lose by +inf pairs
+    and ties rather than by a cycle, so nothing is skipped there."""
+    problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
+    config = SynthesisConfig(horizon=horizon, grid_step=step)
+    result, visited = grid_leaves(monkeypatch, problem, config, cut=True)
+    reference, every = grid_leaves(monkeypatch, problem, config, cut=False)
+    assert result == reference
+    remaining = iter(visited)
+    upcoming = next(remaining, None)
+    skipped = []
+    for leaf in every:
+        if leaf == upcoming:
+            upcoming = next(remaining, None)
+        else:
+            skipped.append(leaf)
+    assert upcoming is None  # the cut search's leaves are among the reference's, in order
+    assert bool(skipped) == (name == "file-migration")
+    ins, outs = problem.input_alphabet, problem.output_alphabet
+    for _values, table, bound in skipped:
+        probs = tuple(Fraction(value, step.denominator) for value in table)
+        ratio = evaluate_policy(problem, RandomizedPolicy(horizon, ins, outs, probs)).best.ratio
+        assert bound is not None
+        assert ratio == POS_INF or ratio.as_fraction() > bound, (table, bound)
+
+
+@pytest.mark.parametrize(
+    "name,alpha,step",
+    [("file-migration", "1", Fraction(1, 4)), ("min-dom-set", None, Fraction(1, 4))],
+)
+def test_grid_value_cut_line_is_exact_or_absent(name, alpha, step):
+    """At the node whose children are leaves, along seeded random paths,
+    `cut_line` of each single arc gives den times its weight under the
+    strict weights of the bound, at every value of the last window, as
+    `expected_cost` gives it on the full table; or None, exactly when the
+    arc's transition reads the window twice or more, or has a +inf q at a
+    value. With no bound there is no line. min-dom-set (r=2) has
+    transitions reading the window twice and +inf costs."""
+    problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
+    den = step.denominator
+    grid = ([k * step.numerator for k in range(math.ceil(1 / step))] + [den], den)
+    forced = {w: y * den for w, y in self_loop_constraints(problem, 2).items()}
+    search = synthesis._Search(problem, SynthesisConfig(horizon=2), forced, grid=grid)
+    depth, transitions = len(search.order) - 1, search.skel.transitions
+    window = search.order[depth]
+    rng = random.Random(f"{name}-{alpha}")
+    for _path in range(4):
+        entered = []
+        for d in range(depth + 1):
+            if d:
+                search.table[search.order[d - 1]] = rng.choice(search.values)
+            entered.append(search.enter(d)[:2])
+        search.bound = None
+        assert search.cut_line([next(iter(search.w_t.values()))], window) is None
+        search.bound = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        a, b = search.bound.numerator, search.bound.denominator
+        for w, t in search.w_t.values():
+            # the window holds a leaf's value when the search draws a line
+            search.table[window] = rng.choice(search.values)
+            line = search.cut_line([(w, t)], window)
+            row, codes = transitions[t]
+            qs = []
+            for value in search.values:
+                search.table[window] = value
+                qs.append(search.q_reads(row, [search.table[code] for code in codes]))
+            search.table[window] = 0
+            if codes.count(window) > 1 or None in qs:
+                assert line is None, (t, codes)
+                continue
+            for value, q in zip(search.values, qs):
+                assert line[0] + line[1] * value == den * (a * w - b * q)
+        for mark, raised in reversed(entered):
+            search.leave(mark, raised)
+        for w in search.order:
+            search.table[w] = 0
 
 
 RELAXED_BOUND_CASES = [
