@@ -30,17 +30,6 @@ class Cost:
             self.value = None
             self.sign = _sign
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def parse(text: str) -> "Cost":
-        text = text.strip()
-        if text in ("+inf", "inf"):
-            return POS_INF
-        if text == "-inf":
-            return NEG_INF
-        return Cost(parse_rational(text))
-
     # -- predicates -----------------------------------------------------
 
     @property

@@ -10,7 +10,8 @@ adaptive:L=..[,cutoff=..]  issue 1-requests until the policy's output
                            lower-bound family, with a cutoff, default
                            1000, so that never-migrating policies end).
 uniform:n=..[,p=..]        n i.i.d. coin flips with bias p in [0, 1]
-                           (default 1/2), seeded per trial.
+                           (default 1/2), seeded per trial apart from
+                           the algorithm's coins.
 fixed:seq=..               a literal sequence.
 
 `GeneratorSpec.parse` rejects unknown kinds and keys, missing keys,
@@ -60,10 +61,12 @@ def gen_adaptive(policy, phases: int, cutoff: int = 1000):
 
 
 def gen_uniform(length: int, bias, seed):
+    """`length` coin flips with bias `bias`, from a stream of their own: the
+    trial seed also draws the algorithm's coins, which must not copy them."""
     if length < 1:
         raise ValidationError("uniform generator needs n >= 1")
     bias = float(parse_rational(bias))
-    rng = random.Random(seed)
+    rng = random.Random(f"uniform:{seed}")
     return tuple("1" if rng.random() < bias else "0" for _ in range(length))
 
 

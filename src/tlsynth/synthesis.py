@@ -73,16 +73,16 @@ the window at most once, their q, and so the cycle's weight under the
 bound, are affine in the window's numerator (the parametric argument of
 Karp & Orlin 1981), and the values after it are skipped while that
 weight is negative, as each such table holds a cycle above the bound.
-The grid search starts from the optimum of the grid's
-deterministic tables, found by the same search first. The grid's
-lexicographically first optimal table is then refined coordinate-wise
-with a halving step, still on numerators: each round doubles the
-denominator and every numerator, so the step stays the grid step's
-numerator. Each refinement table is pushed onto a fresh
-`ratiocycle.ArcStack` and decided against the incumbent the same way,
-ties losing, and only a win is solved, by `ratiocycle.core_max_ratio`,
-once per improvement. The result is the best table found, with no
-global-optimality claim.
+The grid search starts from the deterministic search (`_det_search`),
+as every grid holds the deterministic tables: its optimum is the bound,
+its first optimal table times the denominator the incumbent. The grid's
+first optimal table is then refined coordinate-wise, halving the step
+`REFINEMENT_ROUNDS` times on numerators: each round doubles the
+denominator and every numerator. Each refinement table is pushed onto
+a fresh `ratiocycle.ArcStack` and decided against the incumbent the same
+way, ties losing, and only a win is solved, by
+`ratiocycle.core_max_ratio`, once per improvement. The result is the
+best table found, with no global-optimality claim.
 
 Every search result passes one verification closure (`_verify`) before
 it is returned: each optimal deterministic table must rate exactly the
@@ -121,6 +121,8 @@ from .ratiocycle import ArcStack, core_max_ratio
 DEFAULT_CANDIDATE_GUARD = 2**26
 # losing cycles a search remembers and tests before each decision
 REMEMBERED_CYCLES = 4
+# halvings of the grid step in randomized synthesis's coordinate refinement
+REFINEMENT_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,6 @@ class SynthesisConfig:
     horizon: int
     collect_all_optimal: bool = False
     grid_step: Fraction = Fraction(1, 20)
-    refinement_rounds: int = 8
     # self-loop forcing (always on for randomized search) and node pruning;
     # off, the search is the exhaustive decided scan
     prune: bool = True
@@ -730,19 +731,19 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     The grid phase is `_Search` over the grid's probabilities, written as
     numerators over the step's denominator: the branch and bound of
     `synthesize_det` (`prune=False` gives its exhaustive decided scan),
-    with the self-loop entries forced either way. It first searches the
-    grid's deterministic tables, the values 0 and the denominator, and
-    starts the grid search from their optimum and first optimal table; as
-    a tie with a lexicographically smaller table replaces the incumbent,
-    the grid search still returns the lexicographically first optimal
-    grid table. Refinement keeps the numerators: each round doubles `den`
-    and every numerator, and moves each free window by the grid step's
-    numerator. Each such table is decided on a fresh `ratiocycle.ArcStack`
-    with ties losing (with no finite incumbent, against an infinite
-    ratio), and only a win is solved, by `core_max_ratio`.
-    Returns (policy, ratio), which the verification closure checks; when
-    every table tried has an infinite ratio that is the first grid table
-    and +inf. No global-optimality claim is made.
+    with the self-loop entries forced either way. It starts from
+    `_det_search` with those entries forced: its optimum is the bound, its
+    first optimal table times the denominator the incumbent; as a tie with
+    a lexicographically smaller table replaces the incumbent, the grid
+    search still returns the lexicographically first optimal grid table.
+    Refinement keeps the numerators: each of `REFINEMENT_ROUNDS` rounds
+    doubles `den` and every numerator, and moves each free window by the
+    grid step's numerator. Each such table is decided on a fresh
+    `ratiocycle.ArcStack` with ties losing (with no finite incumbent,
+    against an infinite ratio), and only a win is solved, by
+    `core_max_ratio`. Returns (policy, ratio), which the verification
+    closure checks; when every table tried has an infinite ratio that is
+    the first grid table and +inf. No global-optimality claim is made.
     """
     if len(problem.output_alphabet) != 2:
         raise ValidationError("randomized synthesis needs binary outputs")
@@ -759,12 +760,11 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     grid = [*below_one, den]
 
     config = replace(config, collect_all_optimal=False)
+    # every grid holds the deterministic tables, output times den
+    start = _det_search(problem, config, forced)
+    tables = [tuple(den * output for output in table) for table in start.tables]
     forced = {w: output * den for w, output in forced.items()}
-    # the deterministic tables, values 0 and den, lie in every grid: their
-    # optimum and first optimal table are the grid search's incumbent
-    start = _Search(problem, config, forced, grid=([0, den], den))
-    start.visit(0)
-    search = _Search(problem, config, forced, start.bound, start.tables, grid=(grid, den))
+    search = _Search(problem, config, forced, start.bound, tables, grid=(grid, den))
     search.visit(0)
     # no finite table: the first grid table, which the search restores
     best = search.tables[0] if search.tables else search.table
@@ -773,7 +773,7 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     # coordinate refinement: halving the step doubles den, and the step
     # stays step.numerator over it
     skel = search.skel
-    for _ in range(config.refinement_rounds):
+    for _ in range(REFINEMENT_ROUNDS):
         den *= 2
         best = [2 * value for value in best]
         for w in free:

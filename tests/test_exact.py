@@ -51,8 +51,6 @@ def test_parse_and_format_round_trip():
     for text in ["3", "-2", "5/4", "0"]:
         assert format_rational(parse_rational(text)) == text
     assert parse_rational("0.25") == Fraction(1, 4)
-    assert Cost.parse("+inf") == POS_INF
-    assert Cost.parse("-inf") == NEG_INF
     assert str(Cost(Fraction(7, 2))) == "7/2"
 
 

@@ -18,6 +18,7 @@ from tlsynth.policies import (
     DeterministicPolicy,
     MixedResettingStrategy,
     SlidingWindowRule,
+    run_coin_flip,
     run_policy,
 )
 from tlsynth.problems import Alphabet, bundled_problem
@@ -103,6 +104,17 @@ def test_gen_uniform_seeded():
     assert a != gen_uniform(100, "1/2", seed=6)
     ones = sum(s == "1" for s in gen_uniform(10_000, "1/4", seed=1))
     assert abs(ones / 10_000 - 0.25) < 0.03
+
+
+def test_uniform_input_is_drawn_apart_from_the_coins():
+    """The trial seed draws both the input and the coin flip's coins. From
+    one stream, at alpha=1 the coin moves exactly when the input is 1, so
+    the file moves to the first 1 and never moves back; from separate
+    streams it moves both ways on 100 flips."""
+    spec = GeneratorSpec.parse("uniform:n=100")
+    for seed in range(20):
+        served = "".join(run_coin_flip(spec.realize(trial_seed=seed), 1, seed))
+        assert "10" in served, seed
 
 
 def test_generator_spec_parse_and_label():

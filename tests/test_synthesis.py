@@ -679,8 +679,9 @@ def test_reevaluation_mismatch_raises(monkeypatch):
 def test_randomized_grid_mismatch_raises(monkeypatch, skew):
     exact = ArcStack.max_ratio
     monkeypatch.setattr(ArcStack, "max_ratio", lambda self: exact(self) + skew)
+    monkeypatch.setattr(synthesis, "REFINEMENT_ROUNDS", 0)
     with pytest.raises(VerificationFailed):
-        synthesize_rand(migration(), SynthesisConfig(horizon=2, refinement_rounds=0))
+        synthesize_rand(migration(), SynthesisConfig(horizon=2))
 
 
 @pytest.mark.parametrize("skew", [Fraction(1, 7), Fraction(-1, 7)])
@@ -694,7 +695,8 @@ def test_randomized_refinement_mismatch_raises(monkeypatch, skew):
         return kind, lam + skew, witness, iterations
 
     monkeypatch.setattr(synthesis, "core_max_ratio", skewed)
-    config = SynthesisConfig(horizon=3, grid_step=Fraction(1, 4), refinement_rounds=2)
+    monkeypatch.setattr(synthesis, "REFINEMENT_ROUNDS", 2)
+    config = SynthesisConfig(horizon=3, grid_step=Fraction(1, 4))
     with pytest.raises(VerificationFailed):
         synthesize_rand(migration(), config)
 
@@ -729,11 +731,9 @@ def test_randomized_guard_counts_before_building_the_grid():
     assert time.monotonic() - started < 1
 
 
-def test_randomized_degenerate_grid_recovers_deterministic():
-    _, ratio = synthesize_rand(
-        migration(),
-        SynthesisConfig(horizon=2, grid_step=Fraction(1), refinement_rounds=0),
-    )
+def test_randomized_degenerate_grid_recovers_deterministic(monkeypatch):
+    monkeypatch.setattr(synthesis, "REFINEMENT_ROUNDS", 0)
+    _, ratio = synthesize_rand(migration(), SynthesisConfig(horizon=2, grid_step=Fraction(1)))
     det = synthesize_det(migration(), SynthesisConfig(horizon=2))
     assert ratio == det.best_ratio
 
@@ -782,10 +782,11 @@ def test_randomized_needs_binary_outputs():
         synthesize_rand(load_problem(three), SynthesisConfig(horizon=1))
 
 
-def test_randomized_t3_pin():
+def test_randomized_t3_pin(monkeypatch):
     """Node pruning cuts the T=3 grid of 5^6 tables: a sweep that decides
     every grid table takes about 2 s for the same answer."""
-    config = SynthesisConfig(horizon=3, grid_step=Fraction(1, 4), refinement_rounds=2)
+    monkeypatch.setattr(synthesis, "REFINEMENT_ROUNDS", 2)
+    config = SynthesisConfig(horizon=3, grid_step=Fraction(1, 4))
     started = time.monotonic()
     policy, ratio = synthesize_rand(migration("1"), config)
     assert time.monotonic() - started < 1
@@ -795,10 +796,11 @@ def test_randomized_t3_pin():
     )
 
 
-def solved_sweep(problem, config):
-    """The randomized sweep with every grid and refinement table solved by
-    `core_max_ratio`, keeping the first table and then each strict
-    improvement: (probabilities, ratio or None, improvements)."""
+def solved_sweep(problem, config, rounds=synthesis.REFINEMENT_ROUNDS):
+    """The randomized sweep with every grid table and `rounds` rounds of
+    refinement tables solved by `core_max_ratio`, keeping the first table
+    and then each strict improvement: (probabilities, ratio or None,
+    improvements)."""
     forced = self_loop_constraints(problem, config.horizon)
     n_windows = len(problem.input_alphabet) ** config.horizon
     free = [w for w in range(n_windows) if w not in forced]
@@ -830,7 +832,7 @@ def solved_sweep(problem, config):
             probs[w] = p
         consider(probs)
     step = config.grid_step / 2
-    for _ in range(config.refinement_rounds):
+    for _ in range(rounds):
         for w in free:
             for candidate in (best[0][w] - step, best[0][w] + step):
                 if 0 <= candidate <= 1:
@@ -871,34 +873,37 @@ RAND_ORACLE_CASES = [
         for prune in (True, False)
     ],
 )
-def test_decided_sweep_matches_the_solved_sweep(problem, horizon, step, rounds, prune):
+def test_decided_sweep_matches_the_solved_sweep(
+    monkeypatch, problem, horizon, step, rounds, prune
+):
     """The grid search, pruned or exhaustive, deciding each table against
     the incumbent, keeps the table and the ratio that solving every grid
     table in order finds: ties keep the first table, and min-dom-set's
     general skeleton and +inf-q arcs and an all-infinite problem are
     included."""
-    config = SynthesisConfig(
-        horizon=horizon, grid_step=step, refinement_rounds=rounds, prune=prune
-    )
-    probs, lam, _improvements = solved_sweep(problem, config)
+    monkeypatch.setattr(synthesis, "REFINEMENT_ROUNDS", rounds)
+    config = SynthesisConfig(horizon=horizon, grid_step=step, prune=prune)
+    probs, lam, _improvements = solved_sweep(problem, config, rounds)
     policy, ratio = synthesize_rand(problem, config)
     assert policy.table == probs
     assert ratio == (POS_INF if lam is None else Cost(lam))
 
 
 def test_randomized_sweep_shape(monkeypatch):
-    """The randomized twin of `test_t4_search_shape`: every solve is a win.
-    The deterministic start solves its incumbents 5 and 4, and the grid
-    search and refinement start below each other's result, so the solved
-    ratios fall strictly; every other table is decided."""
+    """The randomized twin of `test_t4_search_shape`: from the grid search
+    on, every solve is a win. The deterministic start solves the T=1
+    optimum 4 and rates its lift at 4, which is the T=2 optimum, so its
+    search solves nothing; the grid search starts below that and the
+    refinement below the grid's result, so the solved ratios fall
+    strictly; every other table is decided."""
     config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
     probs, lam, _improvements = solved_sweep(migration(), config)
     solved = count_solves(monkeypatch)
     policy, ratio = synthesize_rand(migration(), config)
     assert (policy.table, ratio) == (probs, Cost(Fraction(7, 2))) and lam == Fraction(7, 2)
     assert len(solved) == 15
-    assert solved[:2] == [5, 4] and solved[-1] == Fraction(7, 2)
-    assert all(later < earlier for earlier, later in zip(solved, solved[1:]))
+    assert solved[:2] == [4, 4] and solved[-1] == Fraction(7, 2)
+    assert all(later < earlier for earlier, later in zip(solved[1:], solved[2:]))
 
 
 @pytest.mark.parametrize("alpha", ["1/10", "1/5", "3/10", "1/2", "1"])
@@ -921,19 +926,55 @@ def patch_off_value_cut(patch):
     patch.setattr(synthesis._Search, "cut_line", lambda search, cycle, window: None)
 
 
-def grid_searches(monkeypatch, run):
-    """(run(), the `_Search`es it made, in order)."""
+def grid_search(monkeypatch, run):
+    """(run(), the grid search, which is the last `_Search` it made, and
+    that search's (bound, incumbent tables) as it was made)."""
     made = []
     init = synthesis._Search.__init__
 
     def tracked(search, *args, **kwargs):
         init(search, *args, **kwargs)
-        made.append(search)
+        made.append((search, (search.bound, list(search.tables))))
 
     with monkeypatch.context() as patch:
         patch.setattr(synthesis._Search, "__init__", tracked)
         result = run()
-    return result, made
+    return (result, *made[-1])
+
+
+START_CASES = [
+    *(("file-migration", alpha, 2, Fraction(1, 20)) for alpha in ("1/10", "1", "2")),
+    ("file-migration", "1", 3, Fraction(1, 2)),
+    ("min-dom-set", None, 2, Fraction(1, 4)),
+    ("predict-r1", None, 2, Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "exhaustive"])
+@pytest.mark.parametrize(
+    "name,alpha,horizon,step",
+    START_CASES,
+    ids=[f"{name}-{alpha}-T{horizon}" for name, alpha, horizon, _step in START_CASES],
+)
+def test_grid_search_starts_from_the_deterministic_optimum(
+    monkeypatch, name, alpha, horizon, step, prune
+):
+    """The grid search is made with `synthesize_det`'s ratio as its bound
+    and its lexicographically first optimal table, each output times the
+    grid's denominator, as its incumbent; with neither when every table is
+    infinite (PREDICT_R1). With and without pruning."""
+    if name == "predict-r1":
+        problem = load_problem(PREDICT_R1)
+    else:
+        problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
+    config = SynthesisConfig(horizon=horizon, grid_step=step, prune=prune)
+    _result, _search, start = grid_search(monkeypatch, lambda: synthesize_rand(problem, config))
+    det = synthesize_det(problem, config)
+    if det.best_ratio.is_finite:
+        first = tuple(step.denominator * output for output in det.policies[0].table)
+        assert start == (det.best_ratio.as_fraction(), [first])
+    else:
+        assert name == "predict-r1" and start == (None, [])
 
 
 # nodes visited and leaves decided by the grid search (after its
@@ -952,7 +993,7 @@ GRID_SEARCH_SHAPE = {
 @pytest.mark.parametrize("alpha", sorted(GRID_SEARCH_SHAPE))
 def test_grid_search_shape(monkeypatch, alpha):
     config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
-    _result, (_start, search) = grid_searches(
+    _result, search, _start = grid_search(
         monkeypatch, lambda: synthesize_rand(migration(alpha), config)
     )
     assert (search.nodes, search.evaluated) == GRID_SEARCH_SHAPE[alpha]
@@ -963,7 +1004,7 @@ def test_exhaustive_grid_visits_every_table(monkeypatch):
     """Without pruning the grid search is the reference scan: no node
     bound and no value cut, so every one of the 21^2 tables is a leaf."""
     config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20), prune=False)
-    _result, (_start, search) = grid_searches(
+    _result, search, _start = grid_search(
         monkeypatch, lambda: synthesize_rand(migration("1"), config)
     )
     assert (search.nodes, search.evaluated, search.pruned) == (1 + 21 + 21**2, 21**2, 0)
