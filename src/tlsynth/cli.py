@@ -296,6 +296,8 @@ def _require_horizon(args, name):
 def _named_algorithm(problem, args, strategy_k=None) -> Algorithm:
     """The algorithm `--algorithm` names, for simulate and measure."""
     name = args.algorithm
+    if strategy_k is not None and name != "mixed-resetting":
+        raise ValidationError(f"--strategy-k applies to mixed-resetting only, not {name}")
     alpha = problem.parameters.get("alpha")
     if alpha is None and name in ("coin-flip", "sliding-window"):
         raise ValidationError(f"{name} needs a problem with parameter alpha")

@@ -114,6 +114,8 @@ class RandomizedPolicy:
     table: tuple  # Fractions in [0, 1]
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise ValidationError("policy horizon must be positive")
         if len(self.output_alphabet) != 2:
             raise ValidationError("randomized policies need a binary output alphabet")
         size = len(self.input_alphabet) ** self.horizon

@@ -309,7 +309,8 @@ class ArcStack:
     negative-cycle test under the weights A*w - B*q, computed while
     relaxing. It starts from the potentials of the last decision under the
     same weights whose arcs are all still on the stack, so only the arcs
-    pushed since can be violated and only their tails are queued. A
+    pushed since can be violated and only their tails are queued, or else
+    from those of a `max_ratio` at that bound, with every arc scanned. A
     decision that loses names its losing cycle by arc ids, the
     certificate a caller can test again under other weights. `pop_to`
     drops the arcs and the potentials above a mark.
@@ -326,7 +327,9 @@ class ArcStack:
         self.arcs = []
         self.out = [[] for _ in range(n)]  # the finite-q arcs, by their src
         self.infinite = 0  # +inf-q arcs on the stack
-        self.warm = []  # ((A, B), potentials, arc count), oldest first
+        # ((A, B), potentials, arc count): `max_ratio`'s (count 0) first,
+        # then the decisions', oldest first
+        self.warm = []
 
     @classmethod
     def holding(cls, n, arcs):
@@ -461,7 +464,9 @@ class ArcStack:
         lam raises lam to its ratio, until the arcs are feasible; the end
         rules are `_settle`'s. A looser parallel arc (same w, smaller q)
         rates no cycle higher, so a search's stack gives the ratio of its
-        exact arcs."""
+        exact arcs. Its last potentials, feasible for every arc under lam's
+        weights, are kept for later decisions at lam, as a warm entry that
+        no pop drops (since 0)."""
         n = self.n
         finite = [arc for arc in self.arcs if arc[4] is not None]
         lam, cycle = Fraction(0), None
@@ -472,6 +477,7 @@ class ArcStack:
                 break
             cycle = self._tree_cycle(key, *closed)
             lam = Fraction(sum(arc[4] for arc in cycle), sum(arc[3] for arc in cycle))
+        self.warm.insert(0, (key, dist, 0))
         return _settle(n, finite, lam, cycle is not None)[0]
 
     def _relax(self, key, dist, fresh):

@@ -43,18 +43,18 @@ table ties it and is recorded without a solve. Only a table that beats the
 incumbent is solved for its exact ratio, once per improvement, on the
 stack that just decided it (`ratiocycle.ArcStack.max_ratio`).
 
-With pruning and T >= 2, deterministic synthesis starts from a lifted
+With pruning and T >= 2, deterministic synthesis is guided by a lifted
 table. The lexicographically first optimal T-1 table is found by the same
-search, started the same way, recursively down to T=1; read as a
-horizon-T table that ignores its oldest input, it rates the same. Its
-ratio, solved on a fresh `ratiocycle.ArcStack` of its own horizon-T arcs,
-bounds the search from the first node on, and the table is the incumbent
-unless ties are kept (the search then meets it again). It also guides the
-value order: each window tries the lifted table's value first. A node's
-table is still the lexicographically first below it, whatever the order,
-so neither the optimum nor the tables returned depend on the start; the
-search only has to refute better tables, and the counters describe it
-alone.
+search, guided the same way, recursively down to T=1; read as a
+horizon-T table that ignores its oldest input, it rates the same. Each
+window tries the lifted table's value first. With no incumbent yet, a
+node on that path only looks for an infinite cycle, and the finite lifted
+table's nodes hold none, so the search's first leaf is the lifted table:
+it is decided and solved like any other leaf, and bounds the rest of the
+search. A node's table is still the lexicographically first below it,
+whatever the order, so neither the optimum nor the tables returned depend
+on the guide; the search only has to refute better tables, and the
+counters describe it alone.
 
 Without pruning (`prune=False`) the search is a plain exhaustive scan
 of every table, the reference the pruned search is tested against.
@@ -325,7 +325,8 @@ class _Search:
     against the incumbent, a `bound` (None for none) reached by the
     `tables` given. With stop_below it ends at the first table that beats
     the incumbent. Deterministic synthesis passes the lifted T-1 optimum
-    (`_lifted_start`) as the bound, the incumbent table and the guide.
+    (`_lifted_guide`) as the guide alone, with no bound, so its first leaf
+    is the lifted table, rated there.
     """
 
     def __init__(
@@ -653,44 +654,27 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
 
 
 def _det_search(problem, config, forced):
-    """The deterministic `_Search` at the config's horizon, run to its end.
-    With a lifted start (`_lifted_start`) its table is the incumbent, its
-    ratio the bound, and it guides the value order; with ties kept the
-    search meets the table again, so it is not handed over."""
-    start = _lifted_start(problem, config, forced)
-    if start is None:
-        search = _Search(problem, config, forced)
-    else:
-        ratio, table = start
-        tables = () if config.collect_all_optimal else (table,)
-        search = _Search(problem, config, forced, ratio, tables, guide=table)
+    """The deterministic `_Search` at the config's horizon, guided by the
+    lifted T-1 optimum (`_lifted_guide`), run to its end."""
+    search = _Search(problem, config, forced, guide=_lifted_guide(problem, config))
     search.visit(0)
     return search
 
 
-def _lifted_start(problem, config, forced):
-    """(ratio, table) of the lexicographically first optimal T-1 table,
-    itself found from a lifted start, as a horizon-T table that ignores its
-    oldest input; None without pruning, at T=1, or when that table is
-    infinite or breaks a forced entry. The ratio is the table's own, on a
-    fresh `ArcStack` of its horizon-T arcs."""
+def _lifted_guide(problem, config):
+    """The lexicographically first optimal T-1 table, itself found from a
+    lifted guide, as a horizon-T table that ignores its oldest input; None
+    without pruning, at T=1, or when every T-1 table is infinite."""
     horizon = config.horizon
     if not config.prune or horizon < 2:
         return None
     lower = replace(config, horizon=horizon - 1, collect_all_optimal=False)
     below = _det_search(problem, lower, _forced_entries(problem, lower)).tables
-    if not below:  # every T-1 table is infinite
+    if not below:
         return None
     nx = len(problem.input_alphabet)
     oldest = nx ** (horizon - 1)  # the place value of a window's oldest input
-    table = tuple(below[0][w % oldest] for w in range(nx**horizon))
-    if any(table[w] != value for w, value in forced.items()):
-        return None
-    skel = cached_skeleton(problem, horizon)
-    stack = ArcStack.holding(skel.n_vertices, skel.int_arcs(skel.q_det(table)))
-    if stack.exceeds(None)[0]:
-        return None
-    return stack.max_ratio(), table
+    return tuple(below[0][w % oldest] for w in range(nx**horizon))
 
 
 def _policy_from_table(problem, config, table):

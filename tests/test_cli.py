@@ -146,6 +146,28 @@ def test_simulate_named_algorithms(capsys):
     assert "seed:" not in stdout  # the member is fixed, so the seed picks nothing
 
 
+@pytest.mark.parametrize("algorithm", ["coin-flip", "sliding-window", "reset-wrapper"])
+def test_simulate_rejects_strategy_k_off_mixed_resetting(capsys, algorithm):
+    """--strategy-k picks a Mixed Resetting member; any other algorithm
+    would ignore it, so it is refused."""
+    code, stdout, err = run_cli(
+        capsys,
+        "simulate",
+        "--problem",
+        "file-migration",
+        "--algorithm",
+        algorithm,
+        "--horizon",
+        "3",
+        "--strategy-k",
+        "3",
+        "--input",
+        "10111",
+    )
+    assert code == 2
+    assert "--strategy-k" in err and not stdout
+
+
 @pytest.mark.parametrize(
     "seed,outputs,total", [("0", "0000000000", "7"), ("7", "0001111111", "5")]
 )

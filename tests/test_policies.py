@@ -322,3 +322,12 @@ def test_policy_round_trip_multi_character_tokens():
 def test_policy_entries_reject_gaps():
     with pytest.raises(ValidationError):
         DeterministicPolicy.from_entries(2, BIN, BIN, {"00": "0"})
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_policies_reject_a_horizon_below_one(horizon):
+    """A horizon below 1 is refused at construction by both policy kinds,
+    before the table size |X|^T is read from it."""
+    for policy, table in ((DeterministicPolicy, (0,)), (RandomizedPolicy, (Fraction(1, 2),))):
+        with pytest.raises(ValidationError, match="policy horizon must be positive"):
+            policy(horizon, BIN, BIN, table)

@@ -486,7 +486,8 @@ def test_stack_solve_matches_the_oracles(migration_problem):
     `core_max_ratio` does, and as the brute-force oracle does on graphs of
     at most 14 vertices with finite q: 0/0 cycles pinning a ratio below 1
     at 1, ratio 0, zero-w arcs, and a stack holding a looser parallel arc
-    (same w, smaller q) under each finite-q arc, as at a search leaf. On
+    (same w, smaller q) under each finite-q arc, as at a search leaf,
+    whose last potentials are kept for later decisions at that ratio. On
     arcs with no cycle it raises `EmptyGraph`."""
     rng = random.Random(4099)
     seen = set()
@@ -511,6 +512,13 @@ def test_stack_solve_matches_the_oracles(migration_problem):
         leaf.push(looser)
         leaf.push(arcs)
         assert leaf.max_ratio() == lam, (n, arcs, looser)
+        # its last potentials outlive a pop, for a later decision at lam
+        leaf.pop_to(len(looser))
+        key, potentials, since = leaf.warm[0]
+        assert since == 0 and feasible(looser + arcs, key, potentials)
+        # under lam's own weights, unless a 0/0 cycle pinned lam at 1
+        if lam != 1 or not any(arc[3] == arc[4] == 0 for arc in looser + arcs):
+            assert key == leaf.weights(lam, False), (n, arcs, looser)
         ratios = simple_cycle_ratios(n, arcs) if n <= 10 else []
         if n <= BRUTE_FORCE_VERTEX_GUARD and all(arc[4] is not None for arc in arcs):
             graph = make_graph(migration_problem, n, [arc[1:] for arc in arcs])

@@ -199,29 +199,58 @@ LIFT_CASES = [
 @pytest.mark.parametrize(
     "name,alpha", LIFT_CASES, ids=[f"{n}-{a}" if a else n for n, a in LIFT_CASES]
 )
-def test_lifted_start_keeps_the_lower_optimum(name, alpha):
-    """A T-1 table that ignores its oldest input rates the same at T: the
-    lifted start's ratio, on the T skeleton, is `evaluate_policy`'s of the
-    T-1 optimum and of the lifted table. On file migration the search it
-    seeds returns the tables of the plain scan, all optimal ones."""
+def test_lifted_start_keeps_the_lower_optimum(monkeypatch, name, alpha):
+    """A T-1 table that ignores its oldest input rates the same at T. The
+    lifted guide is the T-1 optimum so read; it is the guided search's
+    first leaf, and that search's first `ArcStack.max_ratio` call rates it
+    at `evaluate_policy`'s ratio of the T-1 optimum and of the lifted
+    table. On file migration the search it guides returns the tables of
+    the plain scan, all optimal ones."""
     problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
     ins, outs = problem.input_alphabet, problem.output_alphabet
+
+    class FirstSolve(Exception):
+        pass
+
+    leaves = []  # the tables of the guided search's leaves, in order
+    leaf, max_ratio = synthesis._Search.leaf, ArcStack.max_ratio
+
+    def entered(search):
+        if len(search.table) == n_windows:
+            leaves.append(tuple(search.table))
+        return leaf(search)
+
+    def rated(stack):
+        ratio = max_ratio(stack)
+        if leaves:
+            raise FirstSolve(ratio)
+        return ratio
+
+    monkeypatch.setattr(synthesis._Search, "leaf", entered)
+    monkeypatch.setattr(ArcStack, "max_ratio", rated)
     for horizon in (2, 3, 4):
+        n_windows, n_lower = len(ins) ** horizon, len(ins) ** (horizon - 1)
         config = SynthesisConfig(horizon=horizon, collect_all_optimal=True)
+        leaves.clear()
         lower = synthesize_det(problem, SynthesisConfig(horizon=horizon - 1)).policies[0]
-        forced = self_loop_constraints(problem, horizon)
-        ratio, table = synthesis._lifted_start(problem, config, forced)
-        n_lower = len(ins) ** (horizon - 1)
-        assert table == tuple(lower.table[w % n_lower] for w in range(len(ins) ** horizon))
-        assert Cost(ratio) == evaluate_policy(problem, lower).best.ratio, horizon
+        table = synthesis._lifted_guide(problem, config)
+        assert table == tuple(lower.table[w % n_lower] for w in range(n_windows))
+        with pytest.raises(FirstSolve) as first:
+            synthesize_det(problem, config)
+        assert leaves == [table], horizon
+        ratio = Cost(first.value.args[0])
+        assert ratio == evaluate_policy(problem, lower).best.ratio, horizon
         lifted = DeterministicPolicy(horizon, ins, outs, table)
-        assert Cost(ratio) == evaluate_policy(problem, lifted).best.ratio, horizon
+        assert ratio == evaluate_policy(problem, lifted).best.ratio, horizon
         if name == "file-migration" and horizon <= 3:
-            seeded, bare = (
-                synthesize_det(problem, replace(config, prune=prune)) for prune in (True, False)
-            )
-            assert seeded.best_ratio == bare.best_ratio <= Cost(ratio), horizon
-            assert [p.table for p in seeded.policies] == [p.table for p in bare.policies]
+            with monkeypatch.context() as patch:
+                patch.setattr(ArcStack, "max_ratio", max_ratio)
+                seeded, bare = (
+                    synthesize_det(problem, replace(config, prune=prune))
+                    for prune in (True, False)
+                )
+                assert seeded.best_ratio == bare.best_ratio <= ratio, horizon
+                assert [p.table for p in seeded.policies] == [p.table for p in bare.policies]
 
 
 def test_monotone_in_horizon():
@@ -267,12 +296,12 @@ def test_t4_alpha1_optimum_is_exactly_a1_a2_a3():
 
 
 # ratio, nodes visited, full evaluations and optimal tables of the T=4
-# search under the relaxed node bound, started from the lifted T=3 optimum;
-# then its decision tests and parametric solves (one per win over the
-# lifted incumbent)
+# search under the relaxed node bound, guided by the lifted T=3 optimum;
+# then its decision tests and parametric solves (the first leaf, the
+# lifted table, and one per win over it)
 T4_SEARCH_SHAPE = [
-    ("1/2", True, 3, 71, 2, ["0101010101010101"], 72, 0),
-    ("1", True, 3, 255, 20, sorted(OPTIMAL_T4_TABLES), 259, 2),
+    ("1/2", True, 3, 71, 2, ["0101010101010101"], 71, 1),
+    ("1", True, 3, 255, 20, sorted(OPTIMAL_T4_TABLES), 258, 3),
     (
         "2",
         True,
@@ -285,10 +314,10 @@ T4_SEARCH_SHAPE = [
             "0000011100111111",
             *sorted(OPTIMAL_T4_TABLES),
         ],
-        260,
-        2,
+        259,
+        3,
     ),
-    ("1", False, 3, 221, 14, ["0001001100010111"], 219, 2),
+    ("1", False, 3, 221, 14, ["0001001100010111"], 218, 3),
 ]
 
 
@@ -298,9 +327,9 @@ T4_SEARCH_SHAPE = [
     ids=["alpha=1/2", "alpha=1", "alpha=2", "alpha=1-first-table"],
 )
 def test_t4_search_shape(alpha, collect, ratio, nodes, evaluations, tables, decisions, solves):
-    """The nodes the relaxed bound and the lifted start leave, the leaves
-    decided, the decision tests and the solves, one per win over the lifted
-    incumbent, of the T=4 searches."""
+    """The nodes the relaxed bound and the lifted guide leave, the leaves
+    decided, the decision tests and the solves, of the lifted table and of
+    each win over it, of the T=4 searches."""
     config = SynthesisConfig(horizon=4, collect_all_optimal=collect)
     res = synthesize_det(migration(alpha), config)
     assert res.best_ratio == Cost(ratio)
