@@ -298,6 +298,10 @@ def _named_algorithm(problem, args, strategy_k=None) -> Algorithm:
     name = args.algorithm
     if strategy_k is not None and name != "mixed-resetting":
         raise ValidationError(f"--strategy-k applies to mixed-resetting only, not {name}")
+    # the coin flip has no horizon, and a policy file carries its own
+    takes_horizon = name in ("sliding-window", "mixed-resetting", "reset-wrapper")
+    if args.horizon is not None and not takes_horizon:
+        raise ValidationError(f"--horizon does not apply to {name}")
     alpha = problem.parameters.get("alpha")
     if alpha is None and name in ("coin-flip", "sliding-window"):
         raise ValidationError(f"{name} needs a problem with parameter alpha")

@@ -219,7 +219,11 @@ def _trial_seed(base_seed, trial):
 
 def emit_table2(problem, alphas, horizons, randomized=False, config_kwargs=None) -> str:
     """CSV of best ratios per (alpha, horizon) cell; guard-tripped cells are
-    emitted as "skipped". Byte-identical across invocations."""
+    emitted as "skipped". Byte-identical across invocations.
+
+    A `rand` cell starts from its `det` cell's result (`synthesize_rand`'s
+    `start`) rather than searching the deterministic tables again; when
+    the `det` cell tripped a guard, it runs on its own."""
     config_kwargs = dict(config_kwargs or {})
     out = io.StringIO()
     out.write("alpha,T,kind,ratio_exact,ratio_decimal\n")
@@ -227,12 +231,14 @@ def emit_table2(problem, alphas, horizons, randomized=False, config_kwargs=None)
         cell_problem = problem.with_parameters({"alpha": alpha})
         for horizon in horizons:
             config = SynthesisConfig(horizon=horizon, **config_kwargs)
+            det = None
             for kind in ["det"] + (["rand"] if randomized else []):
                 try:
                     if kind == "det":
-                        ratio = synthesize_det(cell_problem, config).best_ratio
+                        det = synthesize_det(cell_problem, config)
+                        ratio = det.best_ratio
                     else:
-                        _pol, ratio = synthesize_rand(cell_problem, config)
+                        _pol, ratio = synthesize_rand(cell_problem, config, start=det)
                     exact, dec = ratio_texts(ratio)
                 except GuardExceeded:
                     exact = dec = "skipped"

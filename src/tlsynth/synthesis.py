@@ -73,14 +73,20 @@ the window at most once, their q, and so the cycle's weight under the
 bound, are affine in the window's numerator (the parametric argument of
 Karp & Orlin 1981), and the values after it are skipped while that
 weight is negative, as each such table holds a cycle above the bound.
-The grid search starts from the deterministic search (`_det_search`),
-as every grid holds the deterministic tables: its optimum is the bound,
-its first optimal table times the denominator the incumbent. The grid's
-first optimal table is then refined coordinate-wise, halving the step
+The grid search starts from the deterministic optimum, as every grid
+holds the deterministic tables: its ratio is the bound, its first optimal
+table times the denominator the incumbent. A caller that has just run
+`synthesize_det` on the same problem and horizon hands its result over
+(`start`, as `measure.emit_table2` does for each `rand` cell); otherwise
+the deterministic search runs again (`_det_search`). The grid's first
+optimal table is then refined coordinate-wise, halving the step
 `REFINEMENT_ROUNDS` times on numerators: each round doubles the
-denominator and every numerator. Each refinement table is pushed onto
-a fresh `ratiocycle.ArcStack` and decided against the incumbent the same
-way, ties losing, and only a win is solved, by
+denominator and every numerator. A move changes the q of the transitions
+reading its window only. It is first weighed on the refinement's own
+last losing cycles, the cycle memory of the search, and one that loses
+settles it; nearly every move loses so. Otherwise its arcs go on the
+round's `ratiocycle.ArcStack` and are decided against the incumbent the
+same way, ties losing, and only a win is solved, by
 `ratiocycle.core_max_ratio`, once per improvement. The result is the
 best table found, with no global-optimality claim.
 
@@ -143,6 +149,7 @@ class SynthesisConfig:
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    horizon: int  # T of every table searched
     classification: str  # "finite" | "infinite"
     best_ratio: Cost
     policies: tuple  # lexicographically sorted optimal tables
@@ -388,14 +395,8 @@ class _Search:
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
         # q of each transition's last arcs on the stack, -1 when it has none
         self.q = [-1] * len(skel.transitions)
-        # integer arcs of the node, exact and relaxed, bounded by the
-        # skeleton's largest w and row entry in q's unit (a q is a mean of
-        # row entries, and a least q is one of them)
-        self.stack = ArcStack(
-            skel.n_vertices,
-            max((w for _k, _s, _d, w, _t in skel.arcs), default=0) * unit,
-            max((c for row in rows for c in row if c is not None), default=0) * unit,
-        )
+        # integer arcs of the node, exact and relaxed
+        self.stack = _skeleton_stack(skel, unit)
         self.inf_pairs = infinite_pairs(skel) if self.prune else ()
         self.keep_ties = config.collect_all_optimal
         self.bound = bound
@@ -546,36 +547,16 @@ class _Search:
         cycle (weight 0), and is remembered. The cycle that settles a
         losing verdict, either way, is kept as `lost_by`, else None."""
         self.decisions += 1
-        self.lost_by = None
         a, b = self.stack.weights(self.bound, tie_loses)
-        remembered = self.remembered
-        for i, cycle in enumerate(remembered):
-            if self.weigh(cycle, a, b) < 0:
-                remembered.insert(0, remembered.pop(i))
-                self.remembered_cuts += 1
-                self.lost_by = cycle
-                return True
+        self.lost_by = _recall(self.remembered, self.q, a, b)
+        if self.lost_by is not None:
+            self.remembered_cuts += 1
+            return True
         verdict, evidence = self.stack.exceeds(self.bound, tie_loses)
         if verdict:
             cycle = [self.w_t[k] for k in evidence]
-            if self.weigh(cycle, a, b) < 0:
-                remembered.insert(0, cycle)
-                del remembered[REMEMBERED_CYCLES:]
-                self.lost_by = cycle
+            self.lost_by = _remember(self.remembered, cycle, self.q, a, b)
         return verdict
-
-    def weigh(self, cycle, a, b):
-        """The sum of a*w - b*q over a cycle of (w, t), with each
-        transition's q on the stack; 0 when a transition has no arcs there
-        or +inf ones, as such a cycle proves nothing here."""
-        q = self.q
-        total = 0
-        for w, t in cycle:
-            qt = q[t]
-            if qt is None or qt < 0:
-                return 0
-            total += a * w - b * qt
-        return total
 
     def leaf(self):
         tie_loses = self.tie_loses()
@@ -599,6 +580,50 @@ class _Search:
         self.bound = self.stack.max_ratio()
         self.tables = [table]
         self.done = self.stop_below
+
+
+def _skeleton_stack(skel, unit):
+    """An empty `ArcStack` for any table's arcs on the skeleton, q in the
+    unit `unit`: bounded by the skeleton's largest w and row entry in that
+    unit (a q is a mean of row entries, and a least q is one of them)."""
+    return ArcStack(
+        skel.n_vertices,
+        max((w for _k, _s, _d, w, _t in skel.arcs), default=0) * unit,
+        max((c for row in skel.rows for c in row if c is not None), default=0) * unit,
+    )
+
+
+def _weigh(cycle, q, a, b):
+    """The sum of a*w - b*q over a cycle of (w, t), with each transition's
+    q from `q`; 0 when a transition has no arcs (q -1) or +inf ones, as
+    such a cycle proves nothing there."""
+    total = 0
+    for w, t in cycle:
+        qt = q[t]
+        if qt is None or qt < 0:
+            return 0
+        total += a * w - b * qt
+    return total
+
+
+def _recall(remembered, q, a, b):
+    """The first remembered cycle negative under a*w - b*q, moved to the
+    front; None when none is."""
+    for i, cycle in enumerate(remembered):
+        if _weigh(cycle, q, a, b) < 0:
+            remembered.insert(0, remembered.pop(i))
+            return cycle
+    return None
+
+
+def _remember(remembered, cycle, q, a, b):
+    """Keep a losing cycle, the newest of `REMEMBERED_CYCLES`, and return
+    it if it is negative under a*w - b*q (not a +inf-q or 0/0 cycle)."""
+    if _weigh(cycle, q, a, b) >= 0:
+        return None
+    remembered.insert(0, cycle)
+    del remembered[REMEMBERED_CYCLES:]
+    return cycle
 
 
 # -- verification closure -----------------------------------------------------------
@@ -638,6 +663,7 @@ def synthesize_det(problem: LocalProblem, config: SynthesisConfig) -> SynthesisR
     for policy in policies:
         _verify(problem, policy, search.bound)
     return SynthesisResult(
+        horizon=config.horizon,
         classification="finite" if best.is_finite else "infinite",
         best_ratio=best,
         policies=policies,
@@ -708,29 +734,46 @@ def verify_lower_bound(problem: LocalProblem, config: SynthesisConfig, bound: Fr
 # -- randomized synthesis -------------------------------------------------------
 
 
-def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
+def synthesize_rand(
+    problem: LocalProblem, config: SynthesisConfig, *, start: SynthesisResult | None = None
+):
     """Best-effort randomized table search: a grid search over the free
     windows, then coordinate refinement with a halving step.
 
     The grid phase is `_Search` over the grid's probabilities, written as
     numerators over the step's denominator: the branch and bound of
     `synthesize_det` (`prune=False` gives its exhaustive decided scan),
-    with the self-loop entries forced either way. It starts from
-    `_det_search` with those entries forced: its optimum is the bound, its
-    first optimal table times the denominator the incumbent; as a tie with
-    a lexicographically smaller table replaces the incumbent, the grid
-    search still returns the lexicographically first optimal grid table.
+    with the self-loop entries forced either way. It starts from the
+    deterministic optimum: its ratio is the bound, its first optimal table
+    times the denominator the incumbent; as a tie with a lexicographically
+    smaller table replaces the incumbent, the grid search still returns the
+    lexicographically first optimal grid table. That optimum is `start`,
+    the `synthesize_det` result of the same problem at the same horizon,
+    when the caller has one (`ValidationError` at another horizon), and
+    otherwise comes from `_det_search` with the self-loop entries forced;
+    every finite table obeys them, so both give the same bound and table.
+
     Refinement keeps the numerators: each of `REFINEMENT_ROUNDS` rounds
     doubles `den` and every numerator, and moves each free window by the
-    grid step's numerator. Each such table is decided on a fresh
-    `ratiocycle.ArcStack` with ties losing (with no finite incumbent,
-    against an infinite ratio), and only a win is solved, by
-    `core_max_ratio`. Returns (policy, ratio), which the verification
-    closure checks; when every table tried has an infinite ratio that is
-    the first grid table and +inf. No global-optimality claim is made.
+    grid step's numerator. Such a move changes the q of the transitions
+    reading the window only; the others keep the incumbent's. The move is
+    first weighed on the last `REMEMBERED_CYCLES` cycles it lost by, and a
+    cycle that loses under the weights of the incumbent with ties losing
+    settles it, as `_Search.loses` does. Otherwise its arcs go on the
+    round's `ratiocycle.ArcStack`, bounded by the skeleton in the round's
+    unit, for one `exceeds` test with ties losing (with no finite
+    incumbent, against an infinite ratio), whose losing cycle is
+    remembered; only a win is solved, by `core_max_ratio`. Returns
+    (policy, ratio), which the verification closure checks; when every
+    table tried has an infinite ratio that is the first grid table and
+    +inf. No global-optimality claim is made.
     """
     if len(problem.output_alphabet) != 2:
         raise ValidationError("randomized synthesis needs binary outputs")
+    if start is not None and start.horizon != config.horizon:
+        raise ValidationError(
+            f"the deterministic start has horizon {start.horizon}, not {config.horizon}"
+        )
     forced = self_loop_constraints(problem, config.horizon)
     n_windows = len(problem.input_alphabet) ** config.horizon
     free = [w for w in range(n_windows) if w not in forced]
@@ -745,10 +788,15 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
 
     config = replace(config, collect_all_optimal=False)
     # every grid holds the deterministic tables, output times den
-    start = _det_search(problem, config, forced)
-    tables = [tuple(den * output for output in table) for table in start.tables]
+    if start is None:
+        det = _det_search(problem, config, forced)
+        bound, tables = det.bound, det.tables
+    else:
+        bound = start.best_ratio.as_fraction() if start.best_ratio.is_finite else None
+        tables = [policy.table for policy in start.policies[:1]]
+    tables = [tuple(den * output for output in table) for table in tables]
     forced = {w: output * den for w, output in forced.items()}
-    search = _Search(problem, config, forced, start.bound, tables, grid=(grid, den))
+    search = _Search(problem, config, forced, bound, tables, grid=(grid, den))
     search.visit(0)
     # no finite table: the first grid table, which the search restores
     best = search.tables[0] if search.tables else search.table
@@ -757,20 +805,42 @@ def synthesize_rand(problem: LocalProblem, config: SynthesisConfig):
     # coordinate refinement: halving the step doubles den, and the step
     # stays step.numerator over it
     skel = search.skel
+    # the transitions reading each free window
+    readers = {w: [t for t, (_r, cs) in enumerate(skel.transitions) if w in cs] for w in free}
+    w_t = {k: (w, t) for k, _src, _dst, w, t in skel.arcs}
+    remembered = []  # the last losing cycles, as (w, t) lists, newest first
     for _ in range(REFINEMENT_ROUNDS):
         den *= 2
         best = [2 * value for value in best]
+        best_q = skel.q_rand(best, den)
+        unit = skel.rand_unit(den)
+        # the round's stack holds one move's arcs at a time and gives the
+        # weights; a remembered cycle keeps the skeleton's w, so `a * unit`
+        # weighs it in the round's unit
+        stack = _skeleton_stack(skel, unit)
         for w in free:
             for value in (best[w] - step.numerator, best[w] + step.numerator):
                 if not 0 <= value <= den:
                     continue
                 table = list(best)
                 table[w] = value
-                arcs = skel.int_arcs(skel.q_rand(table, den), skel.rand_unit(den))
+                q = list(best_q)
+                for t in readers[w]:
+                    row, codes = skel.transitions[t]
+                    q[t] = expected_cost(skel.rows[row], [table[c] for c in codes], den)
+                a, b = stack.weights(best_ratio, True)
+                if _recall(remembered, q, a * unit, b) is not None:
+                    continue
+                arcs = skel.int_arcs(q, unit)
+                stack.push(arcs)
                 # with no finite incumbent, a win is any finite ratio
-                stack = ArcStack.holding(skel.n_vertices, arcs)
-                if not stack.exceeds(best_ratio, ties_lose=True)[0]:
-                    best_ratio, best = core_max_ratio(skel.n_vertices, arcs)[1], table
+                verdict, evidence = stack.exceeds(best_ratio, ties_lose=True)
+                stack.pop_to(0)
+                if verdict:
+                    _remember(remembered, [w_t[k] for k in evidence], q, a * unit, b)
+                else:
+                    best_ratio = core_max_ratio(skel.n_vertices, arcs)[1]
+                    best, best_q = table, q
 
     policy = RandomizedPolicy(
         config.horizon,

@@ -168,6 +168,31 @@ def test_simulate_rejects_strategy_k_off_mixed_resetting(capsys, algorithm):
     assert "--strategy-k" in err and not stdout
 
 
+@pytest.mark.parametrize("command", ["simulate", "measure"])
+@pytest.mark.parametrize("algorithm", ["coin-flip", "policy-file"])
+def test_horizon_refused_where_it_would_be_ignored(tmp_path, capsys, command, algorithm):
+    """The coin flip has no horizon and a policy file carries its own, so
+    --horizon, which either would ignore, is refused, even when it is 0."""
+    if algorithm == "policy-file":
+        path = tmp_path / "pol.json"
+        path.write_text(policy_text())
+        algorithm = str(path)
+    source = ("--input", "10111") if command == "simulate" else ("--generator", "uniform:n=5")
+    code, stdout, err = run_cli(
+        capsys,
+        command,
+        "--problem",
+        "file-migration",
+        "--algorithm",
+        algorithm,
+        "--horizon",
+        "0",
+        *source,
+    )
+    assert code == 2
+    assert "--horizon" in err and not stdout
+
+
 @pytest.mark.parametrize(
     "seed,outputs,total", [("0", "0000000000", "7"), ("7", "0001111111", "5")]
 )

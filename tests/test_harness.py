@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from tlsynth import synthesis
 from tlsynth.errors import ValidationError
 from tlsynth.generators import GeneratorSpec, gen_adaptive, gen_blocks, gen_uniform
 from tlsynth.measure import (
@@ -208,20 +209,41 @@ def test_emit_table2_deterministic_and_exact():
     assert "1,2,det,4,4.0000" in lines
 
 
+TABLE2_GRID = {
+    "alphas": ("1/10", "1/5", "3/10", "1/2", "1"),
+    "horizons": (1, 2),
+    "randomized": True,
+    "config_kwargs": {"grid_step": Fraction(1, 20)},
+}
+
+
 def test_emit_table2_reproduces_the_benchmark_reference():
     # the benchmark's table2 operation and gate; the reference is only read
     reference = Path(__file__).resolve().parents[1] / "bench" / "ref" / "table2.csv"
-    csv_text = emit_table2(
-        bundled_problem("file-migration"),
-        ("1/10", "1/5", "3/10", "1/2", "1"),
-        (1, 2),
-        randomized=True,
-        config_kwargs={"grid_step": Fraction(1, 20)},
-    )
+    csv_text = emit_table2(bundled_problem("file-migration"), **TABLE2_GRID)
     assert csv_text.encode() == reference.read_bytes()
+
+
+def test_emit_table2_hands_each_rand_cell_its_det_result(monkeypatch):
+    """Each `rand` cell starts from its `det` cell's result, so the only
+    searches are the det cells' (one at T=1, two at T=2 with the lifted
+    T=1 guide) and one grid search per rand cell: 15 + 10, where searching
+    the deterministic tables again would make 40."""
+    made = []
+    init = synthesis._Search.__init__
+
+    def tracked(search, *args, **kwargs):
+        init(search, *args, **kwargs)
+        made.append(search)
+
+    monkeypatch.setattr(synthesis._Search, "__init__", tracked)
+    emit_table2(bundled_problem("file-migration"), **TABLE2_GRID)
+    assert len(made) == 25
 
 
 def test_emit_table2_skips_guarded_cells():
     problem = bundled_problem("file-migration")
-    csv_text = emit_table2(problem, ["1"], [5])
+    csv_text = emit_table2(problem, ["1"], [5], randomized=True)
+    # a det cell past the guard hands no start on; its rand cell runs alone
     assert "1,5,det,skipped,skipped" in csv_text
+    assert "1,5,rand,skipped,skipped" in csv_text

@@ -894,28 +894,77 @@ RAND_ORACLE_CASES = [
 
 
 @pytest.mark.parametrize(
-    "problem,horizon,step,rounds,prune",
-    [(*case[1:], prune) for case in RAND_ORACLE_CASES for prune in (True, False)],
-    ids=[
-        case[0] + ("" if prune else "-exhaustive")
+    "problem,horizon,step,rounds,prune,handoff",
+    [
+        (*case[1:], prune, handoff)
         for case in RAND_ORACLE_CASES
         for prune in (True, False)
+        for handoff in (False, True)
+    ],
+    ids=[
+        case[0] + ("" if prune else "-exhaustive") + ("-start" if handoff else "")
+        for case in RAND_ORACLE_CASES
+        for prune in (True, False)
+        for handoff in (False, True)
     ],
 )
 def test_decided_sweep_matches_the_solved_sweep(
-    monkeypatch, problem, horizon, step, rounds, prune
+    monkeypatch, problem, horizon, step, rounds, prune, handoff
 ):
     """The grid search, pruned or exhaustive, deciding each table against
     the incumbent, keeps the table and the ratio that solving every grid
     table in order finds: ties keep the first table, and min-dom-set's
     general skeleton and +inf-q arcs and an all-infinite problem are
-    included."""
+    included. With `handoff` the grid search starts from the result of
+    `synthesize_det` on the same config (`start`), pruned or exhaustive
+    like the sweep, instead of a deterministic search of its own."""
     monkeypatch.setattr(synthesis, "REFINEMENT_ROUNDS", rounds)
     config = SynthesisConfig(horizon=horizon, grid_step=step, prune=prune)
     probs, lam, _improvements = solved_sweep(problem, config, rounds)
-    policy, ratio = synthesize_rand(problem, config)
+    start = synthesize_det(problem, config) if handoff else None
+    policy, ratio = synthesize_rand(problem, config, start=start)
     assert policy.table == probs
     assert ratio == (POS_INF if lam is None else Cost(lam))
+
+
+@pytest.mark.parametrize("other", [1, 3])
+def test_randomized_start_at_another_horizon_is_refused(other):
+    start = synthesize_det(migration(), SynthesisConfig(horizon=other))
+    with pytest.raises(ValidationError, match="horizon"):
+        synthesize_rand(migration(), SynthesisConfig(horizon=2), start=start)
+
+
+def test_refinement_settles_moves_by_remembered_cycles(monkeypatch):
+    """At alpha=1, T=2 (grid 1/20) the refinement tries 32 moves and none
+    wins. Each is weighed on the cycles earlier moves lost by, and only 2
+    reach the round's stack for an `ArcStack.exceeds` test (all 32 with no
+    memory); no move gets a stack of its own, so the verification
+    closure's is the one `ArcStack.holding` builds."""
+    config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
+    start = synthesize_det(migration(), config)
+    exceeds, holding = ArcStack.exceeds, ArcStack.holding.__func__
+    calls = {"exceeds": 0, "holding": 0}
+
+    def counted_exceeds(stack, *args, **kwargs):
+        calls["exceeds"] += 1
+        return exceeds(stack, *args, **kwargs)
+
+    def counted_holding(cls, *args):
+        calls["holding"] += 1
+        return holding(cls, *args)
+
+    monkeypatch.setattr(ArcStack, "exceeds", counted_exceeds)
+    monkeypatch.setattr(ArcStack, "holding", classmethod(counted_holding))
+    for memory, tested in ((synthesis.REMEMBERED_CYCLES, 2), (0, 32)):
+        monkeypatch.setattr(synthesis, "REMEMBERED_CYCLES", memory)
+        decisions = []
+        for rounds in (0, synthesis.REFINEMENT_ROUNDS):
+            monkeypatch.setattr(synthesis, "REFINEMENT_ROUNDS", rounds)
+            calls.update(exceeds=0, holding=0)
+            _policy, ratio = synthesize_rand(migration(), config, start=start)
+            assert ratio == Cost(Fraction(7, 2)) and calls["holding"] == 1
+            decisions.append(calls["exceeds"])
+        assert decisions[1] - decisions[0] == tested
 
 
 def test_randomized_sweep_shape(monkeypatch):
@@ -991,7 +1040,8 @@ def test_grid_search_starts_from_the_deterministic_optimum(
     """The grid search is made with `synthesize_det`'s ratio as its bound
     and its lexicographically first optimal table, each output times the
     grid's denominator, as its incumbent; with neither when every table is
-    infinite (PREDICT_R1). With and without pruning."""
+    infinite (PREDICT_R1). With and without pruning, and the same when
+    that result is handed over as `start`."""
     if name == "predict-r1":
         problem = load_problem(PREDICT_R1)
     else:
@@ -999,6 +1049,8 @@ def test_grid_search_starts_from_the_deterministic_optimum(
     config = SynthesisConfig(horizon=horizon, grid_step=step, prune=prune)
     _result, _search, start = grid_search(monkeypatch, lambda: synthesize_rand(problem, config))
     det = synthesize_det(problem, config)
+    handed = grid_search(monkeypatch, lambda: synthesize_rand(problem, config, start=det))
+    assert handed[2] == start
     if det.best_ratio.is_finite:
         first = tuple(step.denominator * output for output in det.policies[0].table)
         assert start == (det.best_ratio.as_fraction(), [first])
