@@ -192,6 +192,8 @@ def _cmd_synth(args):
             "--all-optimal applies to deterministic synthesis only, "
             "not with --randomized or --verify-lower-bound"
         )
+    if args.randomized and args.verify_lower_bound is not None:
+        raise ValidationError("--verify-lower-bound checks deterministic tables, not --randomized")
     problem = _load_problem(args)
     config = SynthesisConfig(
         horizon=args.horizon,
@@ -343,9 +345,10 @@ def _cmd_simulate(args):
 
 
 def _parse_check(text):
-    parts = dict(item.partition("=")[::2] for item in text.split(","))
-    if sorted(parts) != ["c", "d"]:
+    items = [item.partition("=")[::2] for item in text.split(",")]
+    if sorted(key for key, _value in items) != ["c", "d"]:
         raise ValidationError(f"bad --check {text!r}, expected c=..,d=..")
+    parts = dict(items)
     return _rational(parts["c"], "--check c"), _rational(parts["d"], "--check d")
 
 

@@ -112,6 +112,8 @@ class GeneratorSpec:
                     raise ValidationError(f"bad generator parameter {item!r}")
                 if key not in keys:
                     raise ValidationError(f"unknown {kind} generator parameter {key!r}")
+                if key in params:
+                    raise ValidationError(f"repeated {kind} generator parameter {key!r}")
                 try:
                     keys[key](value)
                 except (ValueError, ZeroDivisionError):

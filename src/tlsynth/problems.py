@@ -133,14 +133,6 @@ class CostExpr:
             total += coeff * parameters[name]
         return Cost(total)
 
-    def __str__(self):
-        if self.infinity:
-            return "+inf" if self.infinity > 0 else "-inf"
-        parts = [str(self.const)] if self.const or not self.terms else []
-        for name, coeff in self.terms:
-            parts.append(name if coeff == 1 else f"{coeff}*{name}")
-        return "+".join(parts)
-
 
 @dataclass(frozen=True)
 class CostRule:

@@ -63,32 +63,29 @@ optimal table. `verify_lower_bound` is the same search with the bound as
 the incumbent, stopping at the first table below it.
 
 Randomized search runs the same branch and bound over a probability grid
-on the free windows, each probability a numerator over the step's
-denominator, so every q shares one unit, and the corners of a free read
-are 0 and the denominator, so node pruning holds as it does for
-deterministic tables. The self-loop entries stay forced, whatever
-`prune` says. With `prune` it also cuts runs of values at the last
-window: when a leaf there loses by a cycle whose transitions each read
-the window at most once, their q, and so the cycle's weight under the
-bound, are affine in the window's numerator (the parametric argument of
-Karp & Orlin 1981), and the values after it are skipped while that
-weight is negative, as each such table holds a cycle above the bound.
-The grid search starts from the deterministic optimum, as every grid
-holds the deterministic tables: its ratio is the bound, its first optimal
-table times the denominator the incumbent. A caller that has just run
-`synthesize_det` on the same problem and horizon hands its result over
-(`start`, as `measure.emit_table2` does for each `rand` cell); otherwise
-the deterministic search runs again (`_det_search`). The grid's first
-optimal table is then refined coordinate-wise, halving the step
-`REFINEMENT_ROUNDS` times on numerators: each round doubles the
-denominator and every numerator. A move changes the q of the transitions
-reading its window only. It is first weighed on the refinement's own
-last losing cycles, the cycle memory of the search, and one that loses
-settles it; nearly every move loses so. Otherwise its arcs go on the
-round's `ratiocycle.ArcStack` and are decided against the incumbent the
-same way, ties losing, and only a win is solved, by
-`ratiocycle.core_max_ratio`, once per improvement. The result is the
-best table found, with no global-optimality claim.
+on the free windows, each probability a numerator over one denominator,
+the step's shifted left by `REFINEMENT_ROUNDS`, so every q shares one
+unit, and the corners of a free read are 0 and the denominator, so node
+pruning holds as it does for deterministic tables. The self-loop entries
+stay forced, whatever `prune` says. With `prune` it also cuts runs of
+values at the last window: when a leaf there loses by a cycle whose
+transitions each read the window at most once, their q, and so the
+cycle's weight under the bound, are affine in the window's numerator
+(the parametric argument of Karp & Orlin 1981), and the values after it
+are skipped while that weight is negative, as each such table holds a
+cycle above the bound. The grid search starts from the deterministic
+optimum, as every grid holds the deterministic tables: its ratio is the
+bound, its first optimal table times the denominator the incumbent. A
+caller that has just run `synthesize_det` on the same problem and horizon
+hands its result over (`start`, as `measure.emit_table2` does for each
+`rand` cell); otherwise the deterministic search runs again
+(`_det_search`). The grid's first optimal table is then refined
+coordinate-wise on the same search, its move halved each round
+(`_Search.move`): a move recomputes q only for the transitions reading
+its window, and is decided like a leaf, ties losing, on the search's
+stack and cycle memory, which settles nearly every move. Only a win is
+solved, by `ratiocycle.core_max_ratio`. The result is the best table
+found, with no global-optimality claim.
 
 Every search result passes one verification closure (`_verify`) before
 it is returned: each optimal deterministic table must rate exactly the
@@ -333,7 +330,9 @@ class _Search:
     `tables` given. With stop_below it ends at the first table that beats
     the incumbent. Deterministic synthesis passes the lifted T-1 optimum
     (`_lifted_guide`) as the guide alone, with no bound, so its first leaf
-    is the lifted table, rated there.
+    is the lifted table, rated there. After a grid's `visit(0)`, `move`
+    decides moves of one window of a complete table on the same stack and
+    memory: randomized synthesis's refinement.
     """
 
     def __init__(
@@ -387,16 +386,24 @@ class _Search:
                 free = tuple(j for j, f in enumerate(fixed_from) if f > d)
                 memo = memos.setdefault((row, free), {})
                 self.pushed_at[d].append((t, codes, row, free, memo))
+        # the skeleton's arcs in its order, w in q's unit
+        self.arcs = [(k, src, dst, w * unit, t) for k, src, dst, w, t in skel.arcs]
         self.arcs_of = [[] for _ in skel.transitions]
-        self.w_t = {}  # arc id -> (w in q's unit, transition)
-        for k, src, dst, w, t in skel.arcs:
-            self.arcs_of[t].append((k, src, dst, w * unit))
-            self.w_t[k] = w * unit, t
+        self.w_t = {}  # arc id -> (w, transition)
+        for k, src, dst, w, t in self.arcs:
+            self.arcs_of[t].append((k, src, dst, w))
+            self.w_t[k] = w, t
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
         # q of each transition's last arcs on the stack, -1 when it has none
         self.q = [-1] * len(skel.transitions)
-        # integer arcs of the node, exact and relaxed
-        self.stack = _skeleton_stack(skel, unit)
+        # integer arcs of the node, exact and relaxed, bounded by the
+        # skeleton's largest w and row entry in q's unit (a q is a mean of
+        # row entries, and a least q is one of them)
+        self.stack = ArcStack(
+            skel.n_vertices,
+            max((w for w, _t in self.w_t.values()), default=0),
+            max((c for row in rows for c in row if c is not None), default=0) * unit,
+        )
         self.inf_pairs = infinite_pairs(skel) if self.prune else ()
         self.keep_ties = config.collect_all_optimal
         self.bound = bound
@@ -535,27 +542,49 @@ class _Search:
         before this node's first table."""
         return not self.keep_ties and (not self.tables or tuple(self.table) > self.tables[0])
 
-    def loses(self, tie_loses):
+    def weigh(self, cycle, a, b):
+        """The sum of a*w - b*q over a cycle of (w, t) at the node's q; 0
+        when a transition has no arcs (q -1) or +inf ones, as such a cycle
+        proves nothing here."""
+        total = 0
+        for w, t in cycle:
+            q = self.q[t]
+            if q is None or q < 0:
+                return 0
+            total += a * w - b * q
+        return total
+
+    def loses(self, tie_loses, arcs=()):
         """True when the stack holds a cycle that loses to the incumbent,
         so no table below the node is of use (an acyclic one proves
-        nothing): a remembered cycle, or else `ArcStack.exceeds`, started
-        from the potentials of the nearest ancestor decided under the same
-        weights. Those stay feasible for that ancestor's arcs, all of which
-        are still on the stack, so only the arcs added since can be
-        violated. A certificate negative under the decision's weights is
-        the relaxation's cycle, not stage 0's (a +inf-q arc) nor a 0/0
-        cycle (weight 0), and is remembered. The cycle that settles a
+        nothing): a remembered cycle, moved to the front, or else
+        `ArcStack.exceeds`, started from the potentials of the nearest
+        ancestor decided under the same weights. Those stay feasible for
+        that ancestor's arcs, all of which are still on the stack, so only
+        the arcs added since can be violated. `arcs`, those of a table not
+        yet on the stack, are pushed for the test only when no remembered
+        cycle settles it. A certificate negative under the decision's
+        weights is the relaxation's cycle, not stage 0's (a +inf-q arc) nor
+        a 0/0 cycle (weight 0), and is remembered. The cycle that settles a
         losing verdict, either way, is kept as `lost_by`, else None."""
         self.decisions += 1
         a, b = self.stack.weights(self.bound, tie_loses)
-        self.lost_by = _recall(self.remembered, self.q, a, b)
-        if self.lost_by is not None:
-            self.remembered_cuts += 1
-            return True
+        remembered = self.remembered
+        for i, cycle in enumerate(remembered):
+            if self.weigh(cycle, a, b) < 0:
+                remembered.insert(0, remembered.pop(i))
+                self.remembered_cuts += 1
+                self.lost_by = cycle
+                return True
+        self.lost_by = None
+        self.stack.push(arcs)
         verdict, evidence = self.stack.exceeds(self.bound, tie_loses)
         if verdict:
             cycle = [self.w_t[k] for k in evidence]
-            self.lost_by = _remember(self.remembered, cycle, self.q, a, b)
+            if self.weigh(cycle, a, b) < 0:
+                remembered.insert(0, cycle)
+                del remembered[REMEMBERED_CYCLES:]
+                self.lost_by = cycle
         return verdict
 
     def leaf(self):
@@ -581,49 +610,28 @@ class _Search:
         self.tables = [table]
         self.done = self.stop_below
 
-
-def _skeleton_stack(skel, unit):
-    """An empty `ArcStack` for any table's arcs on the skeleton, q in the
-    unit `unit`: bounded by the skeleton's largest w and row entry in that
-    unit (a q is a mean of row entries, and a least q is one of them)."""
-    return ArcStack(
-        skel.n_vertices,
-        max((w for _k, _s, _d, w, _t in skel.arcs), default=0) * unit,
-        max((c for row in skel.rows for c in row if c is not None), default=0) * unit,
-    )
-
-
-def _weigh(cycle, q, a, b):
-    """The sum of a*w - b*q over a cycle of (w, t), with each transition's
-    q from `q`; 0 when a transition has no arcs (q -1) or +inf ones, as
-    such a cycle proves nothing there."""
-    total = 0
-    for w, t in cycle:
-        qt = q[t]
-        if qt is None or qt < 0:
-            return 0
-        total += a * w - b * qt
-    return total
-
-
-def _recall(remembered, q, a, b):
-    """The first remembered cycle negative under a*w - b*q, moved to the
-    front; None when none is."""
-    for i, cycle in enumerate(remembered):
-        if _weigh(cycle, q, a, b) < 0:
-            remembered.insert(0, remembered.pop(i))
-            return cycle
-    return None
-
-
-def _remember(remembered, cycle, q, a, b):
-    """Keep a losing cycle, the newest of `REMEMBERED_CYCLES`, and return
-    it if it is negative under a*w - b*q (not a +inf-q or 0/0 cycle)."""
-    if _weigh(cycle, q, a, b) >= 0:
-        return None
-    remembered.insert(0, cycle)
-    del remembered[REMEMBERED_CYCLES:]
-    return cycle
+    def move(self, window, value):
+        """Decide the complete `table`, with every exact q in `q`, moved to
+        `value` at `window`, against the incumbent with ties losing (with
+        none, against an infinite ratio). Only the q of the transitions
+        reading the window is recomputed. Unless a remembered cycle settles
+        the move, `loses` pushes the table's arcs, in skeleton order, on
+        the empty stack; they are popped after. A win is solved by
+        `core_max_ratio` and becomes the bound, and the table and q keep
+        the move; otherwise both are restored. Returns whether it won."""
+        table, before, stack = self.table, self.q, self.stack
+        old, table[window] = table[window], value
+        self.q = q = list(before)
+        for t, (row, codes) in enumerate(self.skel.transitions):
+            if window in codes:
+                q[t] = self.q_reads(row, [table[c] for c in codes])
+        won = not self.loses(True, ((k, s, d, w, q[t]) for k, s, d, w, t in self.arcs))
+        if won:
+            self.bound = core_max_ratio(stack.n, stack.arcs)[1]
+        else:
+            table[window], self.q = old, before
+        stack.pop_to(0)
+        return won
 
 
 # -- verification closure -----------------------------------------------------------
@@ -741,7 +749,7 @@ def synthesize_rand(
     windows, then coordinate refinement with a halving step.
 
     The grid phase is `_Search` over the grid's probabilities, written as
-    numerators over the step's denominator: the branch and bound of
+    numerators over one denominator: the branch and bound of
     `synthesize_det` (`prune=False` gives its exhaustive decided scan),
     with the self-loop entries forced either way. It starts from the
     deterministic optimum: its ratio is the bound, its first optimal table
@@ -753,17 +761,12 @@ def synthesize_rand(
     otherwise comes from `_det_search` with the self-loop entries forced;
     every finite table obeys them, so both give the same bound and table.
 
-    Refinement keeps the numerators: each of `REFINEMENT_ROUNDS` rounds
-    doubles `den` and every numerator, and moves each free window by the
-    grid step's numerator. Such a move changes the q of the transitions
-    reading the window only; the others keep the incumbent's. The move is
-    first weighed on the last `REMEMBERED_CYCLES` cycles it lost by, and a
-    cycle that loses under the weights of the incumbent with ties losing
-    settles it, as `_Search.loses` does. Otherwise its arcs go on the
-    round's `ratiocycle.ArcStack`, bounded by the skeleton in the round's
-    unit, for one `exceeds` test with ties losing (with no finite
-    incumbent, against an infinite ratio), whose losing cycle is
-    remembered; only a win is solved, by `core_max_ratio`. Returns
+    That denominator is the step's times 2^`REFINEMENT_ROUNDS`, the last
+    refinement round's, so refinement runs on the grid search itself, in
+    its q unit: each round halves the move, from half the step to the step
+    over 2^`REFINEMENT_ROUNDS`, and moves each free window down and up by
+    it (`_Search.move`), decided on the search's stack and cycle memory;
+    only a win is solved. Returns
     (policy, ratio), which the verification closure checks; when every
     table tried has an infinite ratio that is the first grid table and
     +inf. No global-optimality claim is made.
@@ -779,10 +782,11 @@ def synthesize_rand(
     free = [w for w in range(n_windows) if w not in forced]
 
     # grid: the multiples of the step below 1, then 1, as numerators over
-    # the step's denominator; counted before built
+    # the last refinement round's denominator; counted before built
     step = Fraction(config.grid_step)
-    den = step.denominator
-    below_one = range(0, den, step.numerator)
+    den = step.denominator << REFINEMENT_ROUNDS
+    move = step.numerator << REFINEMENT_ROUNDS
+    below_one = range(0, den, move)
     _check_guard((len(below_one) + 1) ** len(free))
     grid = [*below_one, den]
 
@@ -798,55 +802,25 @@ def synthesize_rand(
     forced = {w: output * den for w, output in forced.items()}
     search = _Search(problem, config, forced, bound, tables, grid=(grid, den))
     search.visit(0)
-    # no finite table: the first grid table, which the search restores
-    best = search.tables[0] if search.tables else search.table
-    best_ratio = search.bound
 
-    # coordinate refinement: halving the step doubles den, and the step
-    # stays step.numerator over it
-    skel = search.skel
-    # the transitions reading each free window
-    readers = {w: [t for t, (_r, cs) in enumerate(skel.transitions) if w in cs] for w in free}
-    w_t = {k: (w, t) for k, _src, _dst, w, t in skel.arcs}
-    remembered = []  # the last losing cycles, as (w, t) lists, newest first
+    # coordinate refinement from the grid's first optimal table, or with no
+    # finite table the first grid table, which the search restores; each
+    # round halves the move
+    if search.tables:
+        search.table = list(search.tables[0])
+    search.q = search.skel.q_rand(search.table, den)
     for _ in range(REFINEMENT_ROUNDS):
-        den *= 2
-        best = [2 * value for value in best]
-        best_q = skel.q_rand(best, den)
-        unit = skel.rand_unit(den)
-        # the round's stack holds one move's arcs at a time and gives the
-        # weights; a remembered cycle keeps the skeleton's w, so `a * unit`
-        # weighs it in the round's unit
-        stack = _skeleton_stack(skel, unit)
+        move >>= 1
         for w in free:
-            for value in (best[w] - step.numerator, best[w] + step.numerator):
-                if not 0 <= value <= den:
-                    continue
-                table = list(best)
-                table[w] = value
-                q = list(best_q)
-                for t in readers[w]:
-                    row, codes = skel.transitions[t]
-                    q[t] = expected_cost(skel.rows[row], [table[c] for c in codes], den)
-                a, b = stack.weights(best_ratio, True)
-                if _recall(remembered, q, a * unit, b) is not None:
-                    continue
-                arcs = skel.int_arcs(q, unit)
-                stack.push(arcs)
-                # with no finite incumbent, a win is any finite ratio
-                verdict, evidence = stack.exceeds(best_ratio, ties_lose=True)
-                stack.pop_to(0)
-                if verdict:
-                    _remember(remembered, [w_t[k] for k in evidence], q, a * unit, b)
-                else:
-                    best_ratio = core_max_ratio(skel.n_vertices, arcs)[1]
-                    best, best_q = table, q
+            for value in (search.table[w] - move, search.table[w] + move):
+                if 0 <= value <= den:
+                    search.move(w, value)
 
     policy = RandomizedPolicy(
         config.horizon,
         problem.input_alphabet,
         problem.output_alphabet,
-        tuple(Fraction(value, den) for value in best),
+        tuple(Fraction(value, den) for value in search.table),
     )
-    _verify(problem, policy, best_ratio)
-    return policy, Cost(best_ratio) if best_ratio is not None else POS_INF
+    _verify(problem, policy, search.bound)
+    return policy, POS_INF if search.bound is None else Cost(search.bound)

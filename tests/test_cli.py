@@ -426,6 +426,9 @@ MEASURE_SW = ("measure", "--problem", "file-migration", "--algorithm", "sliding-
             )
         ),
         ("simulate", "--problem", "min-dom-set", "--algorithm", "coin-flip", "--input", "12"),
+        # a key given twice, not overwritten by its last value
+        (*MEASURE_SW, "--horizon", "6", "--generator", "uniform:n=5,n=7"),
+        (*MEASURE_SW, "--horizon", "6", "--generator", "blocks:T=6,L=10", "--check", "c=6,d=6,c=9"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):
@@ -444,6 +447,17 @@ def test_all_optimal_needs_deterministic_synthesis(capsys, mode):
     code, stdout, err = run_cli(capsys, *SYNTH, "--horizon", "2", "--all-optimal", *mode)
     assert (code, stdout) == (2, "")
     assert err.startswith("error: --all-optimal applies to deterministic synthesis only")
+
+
+def test_lower_bound_verification_needs_deterministic_synthesis(capsys):
+    """`--verify-lower-bound` checks the deterministic tables, so with
+    `--randomized` it is an error: at alpha=1, T=2 the bound 4 holds for
+    every table, while randomized synthesis reaches 7/2."""
+    code, stdout, err = run_cli(
+        capsys, *SYNTH, "--horizon", "2", "--randomized", "--verify-lower-bound", "4"
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: --verify-lower-bound checks deterministic tables")
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,8 @@ def test_generator_spec_parse_and_label():
     assert spec.label() == "blocks:L=50,T=6"
     with pytest.raises(ValidationError):
         GeneratorSpec.parse("bogus:x=1")
+    with pytest.raises(ValidationError, match="repeated uniform generator parameter 'n'"):
+        GeneratorSpec.parse("uniform:n=5,n=7")
 
 
 # -- measure ---------------------------------------------------------------------

@@ -352,15 +352,18 @@ def remembered_run(monkeypatch, run, memory):
     """(result, verdicts, settled) of `run()` with a search memory of
     `memory` cycles: every decision's (tie rule, verdict), in order, and the
     number settled by a remembered cycle. Each of those is decided again by
-    `ArcStack.exceeds` on the same stack, and must lose there too."""
+    `ArcStack.exceeds` on the same stack, with a refinement move's arcs,
+    which a remembered cycle leaves unpushed, pushed, and must lose there
+    too."""
     loses = synthesis._Search.loses
     verdicts, settled = [], []
 
-    def checked(search, tie_loses):
+    def checked(search, tie_loses, arcs=()):
         cuts = search.remembered_cuts
-        verdict = loses(search, tie_loses)
+        verdict = loses(search, tie_loses, arcs)
         if search.remembered_cuts > cuts:
             assert verdict
+            search.stack.push(arcs)
             assert search.stack.exceeds(search.bound, tie_loses)[0]
             settled.append(tie_loses)
         verdicts.append((tie_loses, verdict))
@@ -936,14 +939,19 @@ def test_randomized_start_at_another_horizon_is_refused(other):
 
 def test_refinement_settles_moves_by_remembered_cycles(monkeypatch):
     """At alpha=1, T=2 (grid 1/20) the refinement tries 32 moves and none
-    wins. Each is weighed on the cycles earlier moves lost by, and only 2
-    reach the round's stack for an `ArcStack.exceeds` test (all 32 with no
-    memory); no move gets a stack of its own, so the verification
-    closure's is the one `ArcStack.holding` builds."""
+    wins. Each is decided on the grid search's stack with its cycle memory,
+    which settles all 32; with no memory each gets an `ArcStack.exceeds`
+    test. Either way `synthesize_rand` builds two stacks: the grid
+    search's, and the verification closure's, the one `ArcStack.holding`
+    builds."""
     config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
     start = synthesize_det(migration(), config)
-    exceeds, holding = ArcStack.exceeds, ArcStack.holding.__func__
-    calls = {"exceeds": 0, "holding": 0}
+    init, exceeds, holding = ArcStack.__init__, ArcStack.exceeds, ArcStack.holding.__func__
+    calls = {"init": 0, "exceeds": 0, "holding": 0}
+
+    def counted_init(stack, *args):
+        calls["init"] += 1
+        init(stack, *args)
 
     def counted_exceeds(stack, *args, **kwargs):
         calls["exceeds"] += 1
@@ -953,16 +961,18 @@ def test_refinement_settles_moves_by_remembered_cycles(monkeypatch):
         calls["holding"] += 1
         return holding(cls, *args)
 
+    monkeypatch.setattr(ArcStack, "__init__", counted_init)
     monkeypatch.setattr(ArcStack, "exceeds", counted_exceeds)
     monkeypatch.setattr(ArcStack, "holding", classmethod(counted_holding))
-    for memory, tested in ((synthesis.REMEMBERED_CYCLES, 2), (0, 32)):
+    for memory, tested in ((synthesis.REMEMBERED_CYCLES, 0), (0, 32)):
         monkeypatch.setattr(synthesis, "REMEMBERED_CYCLES", memory)
         decisions = []
         for rounds in (0, synthesis.REFINEMENT_ROUNDS):
             monkeypatch.setattr(synthesis, "REFINEMENT_ROUNDS", rounds)
-            calls.update(exceeds=0, holding=0)
+            calls.update(init=0, exceeds=0, holding=0)
             _policy, ratio = synthesize_rand(migration(), config, start=start)
-            assert ratio == Cost(Fraction(7, 2)) and calls["holding"] == 1
+            assert ratio == Cost(Fraction(7, 2))
+            assert (calls["init"], calls["holding"]) == (2, 1)
             decisions.append(calls["exceeds"])
         assert decisions[1] - decisions[0] == tested
 
@@ -1039,7 +1049,7 @@ def test_grid_search_starts_from_the_deterministic_optimum(
 ):
     """The grid search is made with `synthesize_det`'s ratio as its bound
     and its lexicographically first optimal table, each output times the
-    grid's denominator, as its incumbent; with neither when every table is
+    search's denominator, as its incumbent; with neither when every table is
     infinite (PREDICT_R1). With and without pruning, and the same when
     that result is handed over as `start`."""
     if name == "predict-r1":
@@ -1047,12 +1057,12 @@ def test_grid_search_starts_from_the_deterministic_optimum(
     else:
         problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
     config = SynthesisConfig(horizon=horizon, grid_step=step, prune=prune)
-    _result, _search, start = grid_search(monkeypatch, lambda: synthesize_rand(problem, config))
+    _result, search, start = grid_search(monkeypatch, lambda: synthesize_rand(problem, config))
     det = synthesize_det(problem, config)
     handed = grid_search(monkeypatch, lambda: synthesize_rand(problem, config, start=det))
     assert handed[2] == start
     if det.best_ratio.is_finite:
-        first = tuple(step.denominator * output for output in det.policies[0].table)
+        first = tuple(search.corners[1] * output for output in det.policies[0].table)
         assert start == (det.best_ratio.as_fraction(), [first])
     else:
         assert name == "predict-r1" and start == (None, [])
@@ -1092,14 +1102,14 @@ def test_exhaustive_grid_visits_every_table(monkeypatch):
 
 
 def grid_leaves(monkeypatch, problem, config, cut):
-    """((table, ratio) of `synthesize_rand`, the leaves its grid searches
-    visit in order, each as (the search's values, table, bound in force));
+    """((table, ratio) of `synthesize_rand`, the leaves its searches visit
+    in order, each as (the search's denominator, table, bound in force));
     with `cut` False, the value cut is patched off."""
     leaf = synthesis._Search.leaf
     leaves = []
 
     def recorded(search):
-        leaves.append((tuple(search.values), tuple(search.table), search.bound))
+        leaves.append((search.corners[1], tuple(search.table), search.bound))
         return leaf(search)
 
     with monkeypatch.context() as patch:
@@ -1146,8 +1156,8 @@ def test_grid_value_cuts_only_skip_losing_tables(monkeypatch, name, alpha, horiz
     assert upcoming is None  # the cut search's leaves are among the reference's, in order
     assert bool(skipped) == (name == "file-migration")
     ins, outs = problem.input_alphabet, problem.output_alphabet
-    for _values, table, bound in skipped:
-        probs = tuple(Fraction(value, step.denominator) for value in table)
+    for den, table, bound in skipped:
+        probs = tuple(Fraction(value, den) for value in table)
         ratio = evaluate_policy(problem, RandomizedPolicy(horizon, ins, outs, probs)).best.ratio
         assert bound is not None
         assert ratio == POS_INF or ratio.as_fraction() > bound, (table, bound)
