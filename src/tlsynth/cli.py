@@ -134,10 +134,12 @@ def _load_problem(args):
         problem = load_problem(_read_file(name, "--problem"))
     overrides = {}
     for item in args.param:
-        key, eq, value = item.partition("=")
+        key, eq, value = (part.strip() for part in item.partition("="))
         if not eq:
             raise ValidationError(f"bad --param {item!r}, expected NAME=VALUE")
-        overrides[key.strip()] = value.strip()
+        if key in overrides:
+            raise ValidationError(f"repeated --param {key!r}")
+        overrides[key] = value
     if overrides:
         problem = problem.with_parameters(overrides)
     for warning in problem.coverage_warnings:

@@ -10,9 +10,9 @@ statistics (mean, standard error) are floats. `offline_opt` and
 `LocalProblem.evaluate` add a trial's step costs as ints scaled by the lcm
 of the problem's rule denominators, with +inf / -inf as sentinels, and
 divide by the scale once, so their totals are the exact rational sums.
-The offline optimum of a sequence is computed once and cached, which
-matches the oblivious adversary: inputs are fixed before any coins are
-flipped.
+`offline_opt` computes each distinct (input window, shifted slot totals)
+step once per call, and runs once per sequence (cached), which matches
+the oblivious adversary: inputs are fixed before any coins are flipped.
 """
 
 from __future__ import annotations

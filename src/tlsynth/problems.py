@@ -344,9 +344,17 @@ def offline_opt(problem: LocalProblem, x_seq):
     One total per state is exact unless a sum can clash: a finite total
     dominates +inf, but -inf does not dominate a finite total, which a
     later +inf step turns into +inf where -inf clashes. So when rule costs
-    of both infinities exist, each state has two slots, each with its own
-    back code: the -inf total first, then the best other total. A step
-    lands in the -inf slot exactly when it comes from one or costs -inf.
+    of both infinities exist, each state has two slots: the -inf total
+    first, then the best other total. A step lands in the -inf slot exactly
+    when it comes from one or costs -inf.
+
+    The steps run on an automaton built lazily within the call: nodes
+    number the distinct vectors of slot totals, and `moves[node][x window]`
+    is (shift, next node, back row), so a step repeated from a node at a
+    window costs one lookup. A sum's vector is kept less its least finite
+    total, the shift, which no comparison or clash sees; these normalized
+    work functions take few values. Max and min are not shift-invariant, so
+    their totals stay whole. A back row holds (previous slot, output).
     """
     if not x_seq:
         raise ValidationError("offline_opt requires a non-empty input")
@@ -375,40 +383,39 @@ def offline_opt(problem: LocalProblem, x_seq):
     for y in problem.initial_outputs:
         start = start * ny + rank[y]
 
-    ids = {}
-    bases = [ids.setdefault(xw, len(ids)) * n_slots for xw in problem._x_windows(x_seq)]
-    x_wins = list(ids)
-    # rows[base + slot]: (next slot, signed scaled cost, back code slot*|Y| +
-    # output index) per output, built the first time the slot is reached at
-    # that window, since a pair that is never reached need not match any rule
-    rows = [None] * (len(ids) * n_slots)
+    # rows[x window, slot]: (next slot, signed scaled cost, back entry) per
+    # output, built the first time the slot is reached at that window, since
+    # a pair that is never reached need not match any rule
+    rows = {}
 
-    def row(index):
-        w, slot = divmod(index, n_slots)
+    def row(xw, slot):
         # other: 1 in the second of two slots, which holds the totals above -inf
         s, other = divmod(slot, slots)
         entries = []
-        for k, y in enumerate(outputs):
-            scaled = problem.lookup_scaled(x_wins[w], states[s] + (y,))
+        for y in outputs:
+            scaled = problem.lookup_scaled(xw, states[s] + (y,))
             if sign < 0:
                 scaled = _negated(scaled)
             nxt = (s * ny + rank[y]) % n_states * slots
             if other and scaled is not NEG_INF:
                 nxt += 1
-            entries.append((nxt, scaled, slot * ny + k))
-        rows[index] = entries
+            entries.append((nxt, scaled, (slot, y)))
+        rows[xw, slot] = entries
         return entries
 
-    prev = [None] * n_slots
-    prev[start * slots + slots - 1] = identity
-    backs = []
-    for base in bases:
+    first = [None] * n_slots
+    first[start * slots + slots - 1] = identity
+    vectors = [tuple(first)]  # node -> its (shifted) slot totals
+    nodes = {vectors[0]: 0}
+    moves = [{}]
+
+    def step(node, xw):
         cur = [None] * n_slots
         back = [None] * n_slots
-        for slot, acc in enumerate(prev):
+        for slot, acc in enumerate(vectors[node]):
             if acc is None:
                 continue
-            for nxt, cost, code in rows[base + slot] or row(base + slot):
+            for nxt, cost, entry in rows.get((xw, slot)) or row(xw, slot):
                 if combine is None:
                     try:
                         total = acc + cost
@@ -419,21 +426,36 @@ def offline_opt(problem: LocalProblem, x_seq):
                 old = cur[nxt]
                 if old is None or total < old:
                     cur[nxt] = total
-                    back[nxt] = code
+                    back[nxt] = entry
+        shift = 0
+        if combine is None:
+            shift = min((t for t in cur if type(t) is int), default=0)
+            cur = [t - shift if type(t) is int else t for t in cur]
+        vector = tuple(cur)
+        if vector not in nodes:
+            nodes[vector] = len(vectors)
+            vectors.append(vector)
+            moves.append({})
+        moves[node][xw] = move = (shift, nodes[vector], back)
+        return move
+
+    node, offset, backs = 0, 0, []
+    for xw in problem._x_windows(x_seq):
+        shift, node, back = moves[node].get(xw) or step(node, xw)
+        offset += shift
         backs.append(back)
-        prev = cur
 
     best_slot, best = None, None
-    for slot, total in enumerate(prev):
+    for slot, total in enumerate(vectors[node]):
         if total is not None and (best is None or total < best):
             best_slot, best = slot, total
     if best is None:
         raise InfinityClash("every output sequence meets both +inf and -inf")
-    ys = []
-    slot = best_slot
+    best += offset  # a sentinel saturates
+    ys, slot = [], best_slot
     for back in reversed(backs):
-        slot, k = divmod(back[slot], ny)
-        ys.append(outputs[k])
+        slot, y = back[slot]
+        ys.append(y)
     ys.reverse()
     return problem._unscale(best if sign > 0 else _negated(best)), tuple(ys)
 

@@ -429,6 +429,8 @@ MEASURE_SW = ("measure", "--problem", "file-migration", "--algorithm", "sliding-
         # a key given twice, not overwritten by its last value
         (*MEASURE_SW, "--horizon", "6", "--generator", "uniform:n=5,n=7"),
         (*MEASURE_SW, "--horizon", "6", "--generator", "blocks:T=6,L=10", "--check", "c=6,d=6,c=9"),
+        (*SYNTH, "--param", "alpha=1", "--param", "alpha=5", "--horizon", "1"),
+        (*SYNTH, "--param", "alpha=1", "--param", " alpha =1", "--horizon", "1"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):
@@ -436,6 +438,8 @@ def test_bad_arguments_exit_2(capsys, argv):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ")
+    if argv.count("--param") > 1:
+        assert "'alpha'" in err
 
 
 @pytest.mark.parametrize(

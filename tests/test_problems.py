@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from tlsynth.errors import InfinityClash, NoMatchingRule, ParseError, ValidationError
 from tlsynth.exact import NEG_INF, POS_INF, Cost, cost_sum
+from tlsynth.generators import GeneratorSpec
 from tlsynth.problems import (
     bundled_problem,
+    bundled_problem_names,
     brute_force_opt,
     load_problem,
     offline_opt,
@@ -355,6 +357,84 @@ def test_sum_opt_under_both_infinities_equals_brute_force(objective):
                 dp_total, dp_ys = offline_opt(problem, xs)
                 assert dp_total == expected, (r, xs)
                 assert problem.evaluate(xs, dp_ys).total == dp_total, (r, xs)
+
+
+def oracle_problems():
+    """Every bundled problem, the clash document under both objectives and
+    the seeded two-infinity documents of the test above."""
+    problems = [bundled_problem(name) for name in bundled_problem_names()]
+    for objective in ("min", "max"):
+        problems.append(load_problem(dict(CLASH_DOC, objective=objective)))
+        rng = random.Random(6)
+        problems += [load_problem(random_clash_doc(rng, r, objective)) for r in (1, 1, 1, 2, 2)]
+    return problems
+
+
+def assert_opt_is_the_oracle_optimum(problem, xs):
+    expected = brute_force_opt(problem, xs)[0]
+    if expected is None:
+        with pytest.raises(InfinityClash):
+            offline_opt(problem, xs)
+        return
+    total, ys = offline_opt(problem, xs)
+    assert total == expected, (problem.name, xs)
+    # ties may pick another optimal sequence than the depth-first oracle
+    assert problem.evaluate(xs, ys).total == total, (problem.name, xs)
+
+
+def test_opt_equals_brute_force_on_longer_inputs():
+    # at lengths 10 to 12 the steps revisit (input window, shifted totals)
+    # pairs, so most of them are answered by the optimizer's memo
+    rng = random.Random(12)
+    for problem in oracle_problems():
+        symbols = problem.input_alphabet.symbols
+        for _ in range(4):
+            xs = tuple(rng.choice(symbols) for _ in range(rng.randint(10, 12)))
+            assert_opt_is_the_oracle_optimum(problem, xs)
+
+
+# staying on "b" costs 1 more than staying on "a" at every step, and a
+# switch costs +inf (-inf when maximizing), so the gap between the two
+# totals grows by one a step and no vector of shifted totals is met twice
+DRIFT_DOC = {
+    "name": "drift",
+    "inputs": ["0", "1"],
+    "outputs": ["a", "b"],
+    "r": 1,
+    "aggregation": "sum",
+    "objective": "min",
+    "initial_outputs": ["a"],
+    "rules": [
+        {"x": ["_|_", "*"], "y": ["*", "a"], "cost": "0"},
+        {"x": ["_|_", "*"], "y": ["*", "b"], "cost": "1"},
+        {"x": ["*", "0"], "y": ["a", "a"], "cost": "0"},
+        {"x": ["*", "1"], "y": ["a", "a"], "cost": "1/2"},
+        {"x": ["*", "0"], "y": ["b", "b"], "cost": "1"},
+        {"x": ["*", "1"], "y": ["b", "b"], "cost": "3/2"},
+        {"x": ["*", "*"], "y": ["*", "*"], "cost": "+inf"},
+    ],
+}
+
+
+@pytest.mark.parametrize("objective", ["min", "max"])
+def test_opt_equals_brute_force_when_totals_drift_apart(objective):
+    switch = {"x": ["*", "*"], "y": ["*", "*"], "cost": "+inf" if objective == "min" else "-inf"}
+    rules = DRIFT_DOC["rules"][:-1] + [switch]
+    problem = load_problem(dict(DRIFT_DOC, objective=objective, rules=rules))
+    rng = random.Random(4)
+    for n in (1, 2, 5, 10, 11, 12):
+        xs = tuple(rng.choice("01") for _ in range(n))
+        assert_opt_is_the_oracle_optimum(problem, xs)
+        assert offline_opt(problem, xs)[1] == ("a" if objective == "min" else "b",) * n
+
+
+@pytest.mark.parametrize("alpha", ["1", "5"])
+def test_opt_outputs_evaluate_to_the_optimum_on_long_inputs(alpha):
+    problem = bundled_problem("file-migration", {"alpha": alpha})
+    xs = GeneratorSpec.parse("uniform:n=2000,p=1/2").realize(trial_seed=9)
+    total, ys = offline_opt(problem, xs)
+    assert len(ys) == 2000
+    assert problem.evaluate(xs, ys).total == total
 
 
 def product_scan_opt(problem, x_seq):
