@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .debruijn import build_graph_det
 from .errors import GuardExceeded, ValidationFailure, ValidationError
@@ -61,7 +62,7 @@ def _build_parser():
     _problem_args(p)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--randomized", action="store_true")
-    p.add_argument("--grid-step", default="1/20")
+    p.add_argument("--grid-step", default=None)
     p.add_argument("--all-optimal", action="store_true")
     p.add_argument("--no-pruning", action="store_true")
     p.add_argument("--verify-lower-bound", metavar="R", default=None)
@@ -196,13 +197,16 @@ def _cmd_synth(args):
         )
     if args.randomized and args.verify_lower_bound is not None:
         raise ValidationError("--verify-lower-bound checks deterministic tables, not --randomized")
+    if args.grid_step is not None and not args.randomized:
+        raise ValidationError("--grid-step applies to --randomized synthesis only")
     problem = _load_problem(args)
     config = SynthesisConfig(
         horizon=args.horizon,
         collect_all_optimal=args.all_optimal,
-        grid_step=_rational(args.grid_step, "--grid-step"),
         prune=not args.no_pruning,
     )
+    if args.grid_step is not None:
+        config = replace(config, grid_step=_rational(args.grid_step, "--grid-step"))
     if args.verify_lower_bound is not None:
         bound = _rational(args.verify_lower_bound, "--verify-lower-bound")
         holds, counter, checked = verify_lower_bound(problem, config, bound)

@@ -9,6 +9,7 @@ silently producing a value.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import InfinityClash
 
@@ -17,6 +18,7 @@ _POS = 1
 _NEG = -1
 
 
+@total_ordering
 class Cost:
     """An exact rational, +inf, or -inf, with saturating addition."""
 
@@ -80,15 +82,6 @@ class Cost:
         if not isinstance(other, Cost):
             other = Cost(other)
         return self._key() < other._key()
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
 
     def __repr__(self):
         return f"Cost({self})"

@@ -307,13 +307,13 @@ class ArcStack:
     The finite-q arcs are also kept as one adjacency, each arc whole, so
     with its id, and the +inf-q arcs are counted. `exceeds` is one
     negative-cycle test under the weights A*w - B*q, computed while
-    relaxing. It starts from the potentials of the last decision under the
-    same weights whose arcs are all still on the stack, so only the arcs
-    pushed since can be violated and only their tails are queued, or else
-    from those of a `max_ratio` at that bound, with every arc scanned. A
-    decision that loses names its losing cycle by arc ids, the
-    certificate a caller can test again under other weights. `pop_to`
-    drops the arcs and the potentials above a mark.
+    relaxing. It starts from the newest feasible potentials under the same
+    weights, which `warm` keeps in push order with the count of arcs they
+    hold for, so only the arcs pushed since can be violated and only their
+    tails are queued; with none, it starts from zeros. A decision that
+    loses names its losing cycle by arc ids, the certificate a caller can
+    test again under other weights. `pop_to` drops the arcs and the
+    potentials above a mark.
 
     w_max and q_max bound the w and the finite q of every arc the stack
     will ever hold (a search takes them from its whole skeleton), so the
@@ -327,8 +327,7 @@ class ArcStack:
         self.arcs = []
         self.out = [[] for _ in range(n)]  # the finite-q arcs, by their src
         self.infinite = 0  # +inf-q arcs on the stack
-        # ((A, B), potentials, arc count): `max_ratio`'s (count 0) first,
-        # then the decisions', oldest first
+        # ((A, B), potentials, arc count) of each feasible decision, oldest first
         self.warm = []
 
     @classmethod
@@ -409,10 +408,10 @@ class ArcStack:
         stack, and its cycle holds one. A 0/0 cycle rates 1, so when it
         loses (a bound below 1, or 1 with ties losing) it is looked for
         first. Otherwise the cycle is the one the negative-cycle test
-        closes, negative under `weights`. The test starts from the last
-        feasible potentials under the same weights, a losing tie with none
-        from the same bound's strict potentials, or else from zeros
-        (`_warm_start`).
+        closes, negative under `weights`. The test starts from the newest
+        feasible potentials under the same weights, queueing only the tails
+        of the arcs pushed since, or else from zeros, a virtual source:
+        label correcting is exact from any start.
         """
         if self.infinite:
             cycle = _infinite_q_cycle(self.n, self.arcs)[0]
@@ -428,33 +427,15 @@ class ArcStack:
             if cycle is not None:
                 return True, cycle
         key = self.weights(bound, ties_lose)
-        dist, since = self._warm_start(key, bound, ties_lose)
+        dist, since = next(
+            ((list(p), count) for k, p, count in reversed(self.warm) if k == key),
+            ([0] * self.n, 0),
+        )
         dist, closed = self._relax(key, dist, self.arcs[since:])
         if dist is None:
             return True, [arc[0] for arc in self._tree_cycle(key, *closed)]
         self.warm.append((key, dist, len(self.arcs)))
         return False, dist
-
-    def _warm_start(self, key, bound, ties_lose):
-        """(potentials, since) for a decision under the weights `key`: a
-        copy of the newest potentials under `key`, feasible for the arcs
-        below `since`; for a losing tie with none, the newest potentials p
-        of the same bound's strict decision times M, with every arc to be
-        scanned (since 0); otherwise zeros, a virtual source.
-
-        M*p satisfies M*(a*w - b*q) on every arc p satisfies, so under the
-        tie weights M*(a*w - b*q) - w only a tight arc with w > 0 can be
-        violated; label correcting is exact from any start."""
-        strict = self.weights(bound, False) if ties_lose and bound is not None else None
-        scaled = None
-        for entry_key, potentials, since in reversed(self.warm):
-            if entry_key == key:
-                return list(potentials), since
-            if scaled is None and entry_key == strict:
-                scaled = potentials
-        if scaled is not None:
-            return [self.tie * p for p in scaled], 0
-        return [0] * self.n, 0
 
     def max_ratio(self):
         """The maximum cycle ratio of the arcs, which must hold no infinite
@@ -464,9 +445,7 @@ class ArcStack:
         lam raises lam to its ratio, until the arcs are feasible; the end
         rules are `_settle`'s. A looser parallel arc (same w, smaller q)
         rates no cycle higher, so a search's stack gives the ratio of its
-        exact arcs. Its last potentials, feasible for every arc under lam's
-        weights, are kept for later decisions at lam, as a warm entry that
-        no pop drops (since 0)."""
+        exact arcs. A pure solve: it leaves `warm` as it found it."""
         n = self.n
         finite = [arc for arc in self.arcs if arc[4] is not None]
         lam, cycle = Fraction(0), None
@@ -477,7 +456,6 @@ class ArcStack:
                 break
             cycle = self._tree_cycle(key, *closed)
             lam = Fraction(sum(arc[4] for arc in cycle), sum(arc[3] for arc in cycle))
-        self.warm.insert(0, (key, dist, 0))
         return _settle(n, finite, lam, cycle is not None)[0]
 
     def _relax(self, key, dist, fresh):

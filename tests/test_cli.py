@@ -3,9 +3,14 @@ from importlib import resources
 
 import pytest
 
+from tlsynth import debruijn
 from tlsynth.cli import main
-from tlsynth.policies import DeterministicPolicy, policy_to_document
+from tlsynth.debruijn import cached_skeleton
+from tlsynth.errors import GraphTooLarge
+from tlsynth.exact import Cost
+from tlsynth.policies import DeterministicPolicy, load_policy, policy_to_document
 from tlsynth.problems import bundled_problem
+from tlsynth.ratiocycle import evaluate_policy
 
 
 def run_cli(capsys, *argv):
@@ -393,8 +398,10 @@ MEASURE_SW = ("measure", "--problem", "file-migration", "--algorithm", "sliding-
     [
         (*SYNTH, "--horizon", "0"),
         (*SYNTH, "--horizon", "-1"),
-        (*SYNTH, "--horizon", "2", "--grid-step", "abc"),
-        (*SYNTH, "--horizon", "2", "--grid-step", "0"),
+        (*SYNTH, "--horizon", "2", "--randomized", "--grid-step", "abc"),
+        (*SYNTH, "--horizon", "2", "--randomized", "--grid-step", "0"),
+        # deterministic synthesis searches no grid, so the step is refused
+        (*SYNTH, "--horizon", "2", "--grid-step", "1/4"),
         (*SYNTH, "--horizon", "2", "--verify-lower-bound", "x"),
         ("table2", "--alphas", "1", "--horizons", "x"),
         (
@@ -431,6 +438,8 @@ MEASURE_SW = ("measure", "--problem", "file-migration", "--algorithm", "sliding-
         (*MEASURE_SW, "--horizon", "6", "--generator", "blocks:T=6,L=10", "--check", "c=6,d=6,c=9"),
         (*SYNTH, "--param", "alpha=1", "--param", "alpha=5", "--horizon", "1"),
         (*SYNTH, "--param", "alpha=1", "--param", " alpha =1", "--horizon", "1"),
+        # self-loop forcing needs sum aggregation; load balancing takes a max
+        ("synth", "--problem", "load-balancing", "--horizon", "1"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):
@@ -462,6 +471,82 @@ def test_lower_bound_verification_needs_deterministic_synthesis(capsys):
     )
     assert (code, stdout) == (2, "")
     assert err.startswith("error: --verify-lower-bound checks deterministic tables")
+
+
+def test_lower_bound_counterexample_reads_back(capsys):
+    """A bound above the optimum fails: the counterexample printed after
+    the verdict is a policy document that rates below the bound (4 < 9/2
+    at alpha=1, T=2)."""
+    code, stdout, _ = run_cli(capsys, *SYNTH, "--horizon", "2", "--verify-lower-bound", "9/2")
+    assert code == 0
+    verdict, document = stdout.split("\n", 1)
+    assert verdict == "lower bound 9/2 FAILS; counterexample found"
+    policy = load_policy(document)
+    assert policy.horizon == 2
+    assert evaluate_policy(bundled_problem("file-migration"), policy).best.ratio == Cost(4)
+
+
+def test_eval_reports_an_infinite_ratio(tmp_path, capsys):
+    """The T=1 table that always answers 0 pays on a free adversary loop."""
+    path = tmp_path / "zero.json"
+    path.write_text(policy_text(entries={"0": "0", "1": "0"}))
+    code, stdout, _ = run_cli(capsys, "eval", "--problem", "file-migration", "--policy", str(path))
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[:2] == ["classification: infinite", "ratio: inf"]
+
+
+def test_eval_refuses_a_policy_of_other_alphabets(tmp_path, capsys):
+    path = tmp_path / "migration.json"
+    path.write_text(policy_text())
+    code, stdout, err = run_cli(capsys, "eval", "--problem", "min-dom-set", "--policy", str(path))
+    assert (code, stdout) == (2, "")
+    assert err == "error: policy and problem alphabets differ\n"
+
+
+def test_graph_guard_exits_3(tmp_path, capsys, monkeypatch):
+    """Past `debruijn.VERTEX_GUARD` the skeleton is not built: the build
+    raises `GraphTooLarge`, and the CLI exits 3."""
+    monkeypatch.setattr(debruijn, "VERTEX_GUARD", 3)
+    with pytest.raises(GraphTooLarge):
+        cached_skeleton(bundled_problem("file-migration"), 1)
+    path = tmp_path / "pol.json"
+    path.write_text(policy_text())
+    code, stdout, err = run_cli(capsys, "eval", "--problem", "file-migration", "--policy", str(path))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("guard: ") and "exceed guard 3" in err
+
+
+def test_reset_wrapper_simulates_and_measures_alike(capsys):
+    """`--algorithm reset-wrapper` restarts the threshold migrator every
+    T steps, in simulate and in measure alike."""
+    common = ("--problem", "file-migration", "--algorithm", "reset-wrapper", "--horizon", "2")
+    code, stdout, _ = run_cli(capsys, "simulate", *common, "--input", "0110111")
+    assert code == 0
+    assert stdout.splitlines()[0] == "outputs: 0001010"
+    assert "total cost: 9" in stdout
+    code, stdout, _ = run_cli(capsys, "measure", *common, "--generator", "fixed:seq=0110111")
+    assert code == 0
+    assert stdout.splitlines()[1].startswith("fixed:seq=0110111,7,1,9.000000,2.000000,4.500000,")
+
+
+def test_measure_reports_a_violated_check(capsys):
+    """A check the run breaks marks the row and warns, but is no error:
+    the sliding window pays 31 against an optimum of 10 on these blocks."""
+    code, stdout, err = run_cli(
+        capsys,
+        *MEASURE_SW,
+        "--horizon",
+        "6",
+        "--generator",
+        "blocks:T=6,L=5",
+        "--check",
+        "c=1,d=0",
+    )
+    assert code == 0
+    row = stdout.splitlines()[1]
+    assert row.startswith("blocks:L=5,T=6,60,1,31.000000,10.000000,") and row.endswith(",VIOLATED")
+    assert err == "guarantee check violated\n"
 
 
 @pytest.mark.parametrize(

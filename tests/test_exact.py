@@ -34,9 +34,28 @@ def test_opposite_infinities_clash():
 
 
 def test_total_order():
+    """< and == order the costs; <=, > and >= agree with them between the
+    infinities and finite costs, with Cost, int and Fraction operands on
+    either side."""
     assert NEG_INF < Cost(-1000) < Cost(0) < Cost(Fraction(1, 10)) < POS_INF
     assert not POS_INF < POS_INF
     assert max([Cost(3), POS_INF, Cost(7)]) == POS_INF
+    for inf in (NEG_INF, POS_INF):
+        assert inf <= inf and inf >= inf and not inf > inf
+    assert NEG_INF <= POS_INF and POS_INF >= NEG_INF and POS_INF > NEG_INF
+    assert not POS_INF <= NEG_INF and not NEG_INF >= POS_INF and not NEG_INF > POS_INF
+    for value in (-2, 0, 3, Fraction(-1, 2), Fraction(7, 3)):
+        for operand in (value, Cost(value)):
+            assert NEG_INF <= operand and not NEG_INF >= operand and not NEG_INF > operand
+            assert not POS_INF <= operand and POS_INF >= operand and POS_INF > operand
+            assert operand <= POS_INF and not operand >= POS_INF and not operand > POS_INF
+            assert not operand <= NEG_INF and operand >= NEG_INF and operand > NEG_INF
+            assert Cost(value) <= operand and Cost(value) >= operand
+            assert not Cost(value) > operand and not operand > Cost(value)
+        larger = value + Fraction(1, 3)
+        for low, high in ((Cost(value), larger), (value, Cost(larger)), (Cost(value), Cost(larger))):
+            assert low <= high and not low >= high and not low > high
+            assert high > low and high >= low and not high <= low
 
 
 def test_hash_agrees_with_equality():

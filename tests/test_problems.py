@@ -12,6 +12,7 @@ from tlsynth.errors import InfinityClash, NoMatchingRule, ParseError, Validation
 from tlsynth.exact import NEG_INF, POS_INF, Cost, cost_sum
 from tlsynth.generators import GeneratorSpec
 from tlsynth.problems import (
+    CostExpr,
     bundled_problem,
     bundled_problem_names,
     brute_force_opt,
@@ -555,6 +556,17 @@ def test_with_parameters_keeps_warnings_and_resolves_afresh():
     assert third.lookup_cost(("0",), ("0",)) == Cost(Fraction(1, 3))
     assert third.lookup_scaled(("0",), ("0",)) == 1  # scale 3
     assert problem.lookup_cost(("0",), ("0",)) == Cost(1)
+
+
+def test_cost_expr_parses_coefficients_and_json_numbers():
+    """A term may carry a rational coefficient, and a JSON number is a
+    constant, read as its decimal literal."""
+    assert CostExpr.parse("2*alpha") == CostExpr(terms=(("alpha", Fraction(2)),))
+    twice = CostExpr.parse(" 1/2*alpha + 1 + alpha ")
+    assert twice.terms == (("alpha", Fraction(3, 2)),)
+    assert twice.resolve({"alpha": Fraction(3)}) == Cost(Fraction(11, 2))
+    assert CostExpr.parse(3) == CostExpr(const=Fraction(3))
+    assert CostExpr.parse(0.1) == CostExpr(const=Fraction(1, 10))
 
 
 def test_parse_errors_carry_field():

@@ -414,8 +414,8 @@ def test_tie_decision_matches_the_ratio(infinite_q):
     A stack whose declared w and q bounds exceed its arcs' own, as a
     search's stack holding part of a skeleton, reaches the same verdicts,
     with no bound as well, where both agree with brute force; there each
-    tie decision starts from the strict decision's potentials times M, and
-    the potentials it returns are feasible under the tie weights."""
+    tie decision starts from zeros, as no earlier decision shares its
+    weights, and the potentials it returns are feasible under them."""
     rng = random.Random(77 + infinite_q)
     seen = set()
     for _ in range(300):
@@ -486,8 +486,7 @@ def test_stack_solve_matches_the_oracles(migration_problem):
     `core_max_ratio` does, and as the brute-force oracle does on graphs of
     at most 14 vertices with finite q: 0/0 cycles pinning a ratio below 1
     at 1, ratio 0, zero-w arcs, and a stack holding a looser parallel arc
-    (same w, smaller q) under each finite-q arc, as at a search leaf,
-    whose last potentials are kept for later decisions at that ratio. On
+    (same w, smaller q) under each finite-q arc, as at a search leaf. On
     arcs with no cycle it raises `EmptyGraph`."""
     rng = random.Random(4099)
     seen = set()
@@ -512,13 +511,6 @@ def test_stack_solve_matches_the_oracles(migration_problem):
         leaf.push(looser)
         leaf.push(arcs)
         assert leaf.max_ratio() == lam, (n, arcs, looser)
-        # its last potentials outlive a pop, for a later decision at lam
-        leaf.pop_to(len(looser))
-        key, potentials, since = leaf.warm[0]
-        assert since == 0 and feasible(looser + arcs, key, potentials)
-        # under lam's own weights, unless a 0/0 cycle pinned lam at 1
-        if lam != 1 or not any(arc[3] == arc[4] == 0 for arc in looser + arcs):
-            assert key == leaf.weights(lam, False), (n, arcs, looser)
         ratios = simple_cycle_ratios(n, arcs) if n <= 10 else []
         if n <= BRUTE_FORCE_VERTEX_GUARD and all(arc[4] is not None for arc in arcs):
             graph = make_graph(migration_problem, n, [arc[1:] for arc in arcs])
@@ -530,6 +522,32 @@ def test_stack_solve_matches_the_oracles(migration_problem):
         if n > BRUTE_FORCE_VERTEX_GUARD:
             seen.add("large")
     assert seen == {"acyclic", "0", "1", "other", "0/0 pins", "brute force", "large"}
+
+
+def test_max_ratio_leaves_warm_as_it_found_it():
+    """`ArcStack.max_ratio` is a pure solve: the feasible potentials that
+    earlier decisions left in `warm`, or its emptiness, are all that later
+    decisions start from, whatever the solve found."""
+    rng = random.Random(5003)
+    kept = 0
+    for _ in range(200):
+        n, arcs = random_solvable_arcs(rng)
+        try:
+            kind, lam, _w, _i = core_max_ratio(n, arcs)
+        except EmptyGraph:
+            continue
+        if kind == "infinite":
+            continue
+        stack = ArcStack.holding(n, arcs)
+        stack.max_ratio()
+        assert stack.warm == []
+        for bound in (lam, lam + Fraction(1, 7), None):
+            stack.exceeds(bound)
+        before = [(key, list(p), count) for key, p, count in stack.warm]
+        kept += len(before)
+        assert stack.max_ratio() == lam
+        assert stack.warm == before, (n, arcs)
+    assert kept
 
 
 def test_stack_path_never_runs_bellman_ford(monkeypatch):
