@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .debruijn import build_graph_det
 from .errors import GuardExceeded, ValidationFailure, ValidationError
-from .exact import decimal4, format_rational, parse_rational, ratio_texts
+from .exact import format_rational, parse_rational, ratio_texts
 from .generators import GeneratorSpec
 from .measure import (
     Algorithm,
@@ -178,10 +178,17 @@ def _rational(text, flag):
         raise ValidationError(f"bad {flag} {text!r}, expected a rational") from None
 
 
+def _write_file(path, flag, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {flag} file {path!r}: {exc.strerror}") from None
+
+
 def _write_out(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, "--out", text)
     else:
         sys.stdout.write(text)
 
@@ -254,25 +261,17 @@ def _cmd_synth(args):
 # -- eval ----------------------------------------------------------------------
 
 
-def _load_policy_arg(path, flag):
-    return load_policy(_read_file(path, flag))
-
-
 def _cmd_eval(args):
     problem = _load_problem(args)
-    policy = _load_policy_arg(args.policy, "--policy")
+    policy = load_policy(_read_file(args.policy, "--policy"))
     if args.dump_graph:
         graph = build_graph_det(problem, policy)
-        with open(args.dump_graph, "w") as fh:
-            fh.write(graph.dump() + "\n")
+        _write_file(args.dump_graph, "--dump-graph", graph.dump() + "\n")
     verdict = evaluate_policy(problem, policy)
     report = verdict.best
     print(f"classification: {verdict.classification}")
-    if report.ratio.is_finite:
-        ratio = report.ratio.as_fraction()
-        print(f"ratio: {format_rational(ratio)} ({decimal4(ratio)})")
-    else:
-        print("ratio: inf")
+    exact, dec = ratio_texts(report.ratio)
+    print(f"ratio: {exact} ({dec})" if report.ratio.is_finite else "ratio: inf")
     print(f"witness cycle q: {report.q}")
     print(f"witness cycle w: {report.w}")
     print(f"witness vertices: {' -> '.join(map(str, report.vertices))}")
@@ -325,7 +324,7 @@ def _named_algorithm(problem, args, strategy_k=None) -> Algorithm:
     if name == "reset-wrapper":
         T = _require_horizon(args, name)
         return policy_algorithm(ResetWrapper(ThresholdMigrator(alpha or 1), T))
-    return policy_algorithm(_load_policy_arg(name, "--algorithm"))
+    return policy_algorithm(load_policy(_read_file(name, "--algorithm")))
 
 
 # -- simulate --------------------------------------------------------------------
@@ -388,6 +387,8 @@ def _cmd_table2(args):
         horizons = [int(t) for t in args.horizons.split(",") if t.strip()]
     except ValueError:
         raise ValidationError(f"bad --horizons {args.horizons!r}, expected integers") from None
+    if not alphas or not horizons:
+        raise ValidationError("--alphas and --horizons each need at least one value")
     csv_text = emit_table2(problem, alphas, horizons, randomized=args.randomized)
     _write_out(args, csv_text)
     return 0

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GuardExceeded, ValidationError
+from .errors import GuardExceeded, InvalidHorizon, ValidationError
 from .exact import format_rational, parse_rational, ratio_texts
 from .generators import GeneratorSpec
 from .policies import (
@@ -90,6 +90,8 @@ def sliding_window_algorithm(horizon, alpha) -> Algorithm:
 
 def mixed_resetting_algorithm(horizon) -> Algorithm:
     """The Mixed Resetting family: the seed picks the member k."""
+    if horizon < 1:
+        raise InvalidHorizon(f"mixed resetting needs a positive horizon, got {horizon}")
     return Algorithm(lambda xs, seed: run_policy(sample_mixed_resetting(horizon, seed), xs))
 
 

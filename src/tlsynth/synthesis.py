@@ -78,14 +78,13 @@ optimum, as every grid holds the deterministic tables: its ratio is the
 bound, its first optimal table times the denominator the incumbent. A
 caller that has just run `synthesize_det` on the same problem and horizon
 hands its result over (`start`, as `measure.emit_table2` does for each
-`rand` cell); otherwise the deterministic search runs again
-(`_det_search`). The grid's first optimal table is then refined
-coordinate-wise on the same search, its move halved each round
-(`_Search.move`): a move recomputes q only for the transitions reading
-its window, and is decided like a leaf, ties losing, on the search's
-stack and cycle memory, which settles nearly every move. Only a win is
-solved, by `ratiocycle.core_max_ratio`. The result is the best table
-found, with no global-optimality claim.
+`rand` cell); otherwise `synthesize_det` runs first. The grid's first
+optimal table is then refined coordinate-wise on the same search, its
+move halved each round (`_Search.move`): a move recomputes q only for the
+transitions reading its window, and is decided like a leaf, ties losing,
+on the search's stack and cycle memory, which settles nearly every move.
+Only a win is solved, by `ratiocycle.core_max_ratio`. The result is the
+best table found, with no global-optimality claim.
 
 Every search result passes one verification closure (`_verify`) before
 it is returned: each optimal deterministic table must rate exactly the
@@ -756,10 +755,9 @@ def synthesize_rand(
     times the denominator the incumbent; as a tie with a lexicographically
     smaller table replaces the incumbent, the grid search still returns the
     lexicographically first optimal grid table. That optimum is `start`,
-    the `synthesize_det` result of the same problem at the same horizon,
-    when the caller has one (`ValidationError` at another horizon), and
-    otherwise comes from `_det_search` with the self-loop entries forced;
-    every finite table obeys them, so both give the same bound and table.
+    the `synthesize_det` result of the same problem at the same horizon
+    (`ValidationError` at another), run here when the caller has none; its
+    finite optimal tables obey the forced entries, so the grid holds them.
 
     That denominator is the step's times 2^`REFINEMENT_ROUNDS`, the last
     refinement round's, so refinement runs on the grid search itself, in
@@ -793,12 +791,9 @@ def synthesize_rand(
     config = replace(config, collect_all_optimal=False)
     # every grid holds the deterministic tables, output times den
     if start is None:
-        det = _det_search(problem, config, forced)
-        bound, tables = det.bound, det.tables
-    else:
-        bound = start.best_ratio.as_fraction() if start.best_ratio.is_finite else None
-        tables = [policy.table for policy in start.policies[:1]]
-    tables = [tuple(den * output for output in table) for table in tables]
+        start = synthesize_det(problem, config)
+    bound = start.best_ratio.as_fraction() if start.best_ratio.is_finite else None
+    tables = [tuple(den * output for output in p.table) for p in start.policies[:1]]
     forced = {w: output * den for w, output in forced.items()}
     search = _Search(problem, config, forced, bound, tables, grid=(grid, den))
     search.visit(0)

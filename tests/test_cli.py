@@ -1,5 +1,7 @@
 import json
+from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +326,141 @@ def test_table2_command(capsys):
     assert "1/2,1,det,3,3.0000" in first
 
 
+@dataclass(frozen=True)
+class SynthPin:
+    """What a pinned synth run compares, as its JSON also holds
+    `wall_seconds`: the exact ratio, and each policy's entries in window
+    order joined by `sep`, or, given as an int, the number of policies."""
+
+    ratio_exact: str
+    policies: object
+    sep: str = ","
+
+
+FM = ("--problem", "file-migration")
+OPT_INPUT = (
+    "01101110001010111010011011101101111010101010111101010011010100010000000110000110"
+    "00000100001000110101110110101110110001110101010010100010110010100000011100100101"
+    "11111100001000000111010111011010001010100111000111101000000110010011110000010011"
+    "010010001010011010011001100101011001010001011010011001000101"
+)
+OPT_OUTPUTS = (
+    "01111111111111111111111111111111111111111111111100000000000000000000000000000000"
+    "00000000000000111111111111111111110000000000000000000000000000000000000000000001"
+    "11111100000000000111111111111000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000"
+)
+
+# The exact answers the CLI must keep, run under plain Python and `python -O`
+# alike. Each case is a sequence of (argv, expected) runs, every one exiting
+# 0; expected is the exact stdout, a `SynthPin`, or a file holding the exact
+# stdout. `{tmp}` in an argument is the test's temporary directory. A new
+# pin is a new case.
+PINNED_CLI_OUTPUTS = {
+    "t4-synthesis": [(("synth", *FM, "--horizon", "4", "--all-optimal"), SynthPin("3", 3))],
+    "lifted-start-synthesis": [
+        (
+            ("synth", *FM, "--param", "alpha=1/2", "--horizon", "4", "--all-optimal"),
+            SynthPin("3", ["0101010101010101"], sep=""),
+        )
+    ],
+    "guided-min-dom-set-drops-inf-pairs": [
+        (
+            ("synth", "--problem", "min-dom-set", "--horizon", "3", "--all-optimal"),
+            SynthPin("3", 9),
+        )
+    ],
+    "randomized-min-dom-set-drops-inf-pairs": [
+        (
+            ("synth", "--problem", "min-dom-set", "--horizon", "3", "--randomized",
+             "--grid-step", "1/2"),
+            SynthPin("3", ["10011101"], sep=""),
+        )
+    ],
+    "randomized-t3-grid-value-cut": [
+        (
+            ("synth", *FM, "--param", "alpha=1", "--horizon", "3", "--randomized",
+             "--grid-step", "1/10"),
+            SynthPin("27/10", ["0,1/10,2/5,1,0,9/10,1/2,1"]),
+        )
+    ],
+    "randomized-t3-refinement-win": [
+        (
+            ("synth", *FM, "--param", "alpha=1", "--horizon", "3", "--randomized",
+             "--grid-step", "1/2"),
+            SynthPin("2735/1024", ["0,55/512,239/512,1,0,1,115/256,1"]),
+        )
+    ],
+    "randomized-t3-refinement-four-wins": [
+        (
+            ("synth", *FM, "--param", "alpha=2", "--horizon", "3", "--randomized",
+             "--grid-step", "1/2"),
+            SynthPin("3789/1024", ["0,17/256,1/2,1,0,1,239/512,1"]),
+        )
+    ],
+    "unpruned-randomized-keeps-self-loops-forced": [
+        (
+            ("synth", *FM, "--horizon", "2", "--randomized", "--no-pruning"),
+            SynthPin("7/2", ["0,1/2,1/2,1"]),
+        )
+    ],
+    "table2-matches-benchmark-reference": [
+        (
+            ("table2", *FM, "--alphas", "1/10,1/5,3/10,1/2,1", "--horizons", "1,2",
+             "--randomized"),
+            Path(__file__).resolve().parents[1] / "bench" / "ref" / "table2.csv",
+        )
+    ],
+    "offline-optimum-and-measure": [
+        (
+            ("opt", *FM, "--param", "alpha=2", "--input", OPT_INPUT),
+            f"opt cost: 122\nopt outputs: {OPT_OUTPUTS}\n",
+        ),
+        (
+            ("measure", *FM, "--algorithm", "sliding-window", "--horizon", "6",
+             "--generator", "uniform:n=500,p=1/2", "--trials", "20", "--seed", "1",
+             "--check", "c=6,d=6"),
+            "generator,length,trials,alg_cost,opt_cost,ratio,mean_ratio,stderr,seed,check\n"
+            "uniform:n=500,p=1/2,500,20,368.200000,164.200000,2.241704,2.241704,0.020932,1,ok\n",
+        ),
+    ],
+    "synthesis-then-eval": [
+        (("synth", *FM, "--horizon", "4", "--out", "{tmp}/fm.json"), ""),
+        (
+            ("eval", *FM, "--policy", "{tmp}/fm.json"),
+            "classification: finite\nratio: 3 (3.0000)\nwitness cycle q: 6\n"
+            "witness cycle w: 2\nwitness vertices: 0 -> 2 -> 6 -> 12 -> 24 -> 16 -> 0\n"
+            "witness induced input: 110000\n",
+        ),
+        (("synth", "--problem", "min-dom-set", "--horizon", "3", "--out", "{tmp}/mds.json"), ""),
+        (
+            ("eval", "--problem", "min-dom-set", "--policy", "{tmp}/mds.json"),
+            "classification: finite\nratio: 3 (3.0000)\nwitness cycle q: 3\n"
+            "witness cycle w: 1\nwitness vertices: 0 -> 1 -> 2 -> 0\n"
+            "witness induced input: 111\n",
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("runs", PINNED_CLI_OUTPUTS.values(), ids=PINNED_CLI_OUTPUTS.keys())
+def test_pinned_cli_outputs(tmp_path, capsys, runs):
+    for argv, expected in runs:
+        code, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 0, err
+        if isinstance(expected, SynthPin):
+            doc = json.loads(stdout)
+            policies = [
+                expected.sep.join(v for _, v in sorted(p["entries"].items()))
+                for p in doc["policies"]
+            ]
+            if isinstance(expected.policies, int):
+                policies = len(policies)
+            assert (doc["ratio_exact"], policies) == (expected.ratio_exact, expected.policies)
+        else:
+            assert stdout == (expected.read_text() if isinstance(expected, Path) else expected)
+
+
 def test_verify_lower_bound_mode(capsys):
     code, stdout, _ = run_cli(
         capsys,
@@ -391,6 +528,7 @@ def test_exit_code_2_on_bad_param(capsys):
 
 SYNTH = ("synth", "--problem", "file-migration")
 MEASURE_SW = ("measure", "--problem", "file-migration", "--algorithm", "sliding-window")
+MEASURE_MR = ("measure", "--problem", "file-migration", "--algorithm", "mixed-resetting")
 
 
 @pytest.mark.parametrize(
@@ -440,6 +578,13 @@ MEASURE_SW = ("measure", "--problem", "file-migration", "--algorithm", "sliding-
         (*SYNTH, "--param", "alpha=1", "--param", " alpha =1", "--horizon", "1"),
         # self-loop forcing needs sum aggregation; load balancing takes a max
         ("synth", "--problem", "load-balancing", "--horizon", "1"),
+        # Mixed Resetting draws its member from [1, T], empty for T < 1
+        ("simulate", *FM, "--algorithm", "mixed-resetting", "--horizon", "0", "--input", "01"),
+        (*MEASURE_MR, "--horizon", "-2", "--generator", "uniform:n=5"),
+        # a table2 with no alphas or no horizons has no cells
+        ("table2", "--alphas", "1", "--horizons", ","),
+        ("table2", "--alphas", "", "--horizons", ""),
+        ("table2", "--alphas", ",", "--horizons", "1"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):
@@ -555,14 +700,25 @@ def test_measure_reports_a_violated_check(capsys):
         ("--policy", ("eval", "--problem", "file-migration", "--policy", "{missing}")),
         ("--problem", ("opt", "--problem", "{missing}", "--input", "0110")),
         ("--input", ("opt", "--problem", "file-migration", "--input", "@{missing}")),
+        # a write into a missing directory
+        ("--out", (*SYNTH, "--horizon", "2", "--out", "{missing}/x.json")),
+        ("--out", (*MEASURE_SW, "--horizon", "6", "--generator", "fixed:seq=01",
+                   "--out", "{missing}/x.csv")),
+        ("--out", ("table2", "--alphas", "1", "--horizons", "1", "--out", "{missing}/x.csv")),
+        ("--dump-graph", ("eval", *FM, "--policy", "{policy}", "--dump-graph", "{missing}/g")),
     ],
 )
 def test_missing_file_exits_2(tmp_path, capsys, flag, argv):
     missing = str(tmp_path / "missing.json")
-    code, stdout, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    policy = tmp_path / "policy.json"
+    policy.write_text(policy_text())
+    code, stdout, err = run_cli(
+        capsys, *(a.format(missing=missing, policy=policy) for a in argv)
+    )
     assert code == 2
     assert stdout == ""
-    assert err.startswith(f"error: cannot read {flag} file ")
+    verb = "write" if flag in ("--out", "--dump-graph") else "read"
+    assert err.startswith(f"error: cannot {verb} {flag} file ")
 
 
 def policy_text(**fields):
