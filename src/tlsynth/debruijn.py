@@ -230,7 +230,7 @@ class Skeleton:
 
     def int_arcs(self, q, unit=1):
         """(id, src, dst, w, q) integer arcs for `ratiocycle.core_max_ratio`
-        and `ratiocycle.ArcStack`."""
+        and `ratiocycle.ArcStack.holding`."""
         return [(k, s, d, w * unit, q[t]) for k, s, d, w, t in self.arcs]
 
     def dual_edges(self, q, unit=1, ids=None):

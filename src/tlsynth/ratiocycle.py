@@ -14,16 +14,17 @@ oracle on small graphs.
 Edge costs must be non-negative; edges with w = +inf are ignored (an
 adversary never plays them) and a cycle through one q = +inf edge and
 otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
-works on integer arcs and now serves only analysis and the randomized
-refinement's wins. Its unbounded check is `ArcStack.exceeds` with no
-bound, and only its ratio loop still runs Bellman-Ford rounds
-(`_negative_cycle`); a verdict adds the canonical witness, or says that
-its capped search gave up.
-`ArcStack.exceeds` answers the question a branch and bound asks, on the
-same arcs and for every bound: does a cycle's ratio exceed a bound a/b
-(or reach it, when a tie loses)? It is one negative-cycle test on integer
-weights A*w - B*q, label correcting from the potentials of an earlier
-decision on fewer of the stack's arcs, and it agrees with the verdict
+works on integer arcs and now serves only analysis. Its unbounded check
+is `ArcStack.exceeds` with no bound, and only its ratio loop still runs
+Bellman-Ford rounds (`_negative_cycle`); a verdict adds the canonical
+witness, or says that its capped search gave up.
+`ArcStack` holds a skeleton's fixed arcs and one q per transition, which
+a branch and bound raises as it descends and pops back as it returns.
+`ArcStack.exceeds` answers the question that search asks, for every
+bound: does a cycle's ratio exceed a bound a/b (or reach it, when a tie
+loses)? It is one negative-cycle test on integer weights A*w - B*q,
+label correcting from the potentials of an earlier decision under the
+same weights, and it agrees with the verdict
 `core_max_ratio` implies. A losing verdict carries its certificate, the
 arc ids of a simple losing cycle on the stack (from stage 0, a 0/0 cycle,
 or the predecessor-tree cycle the relaxation closed), which the branch and
@@ -300,69 +301,78 @@ def _settle(n, arcs, lam, improved):
 
 
 class ArcStack:
-    """Arcs (id, src, dst, w, q) of `core_max_ratio`, pushed and popped like
-    a stack, with the decision a branch and bound asks of them: does a
-    cycle's ratio exceed a bound a/b (or reach it, when a tie loses)?
+    """Fixed arcs (id, src, dst, w, t), each paying the q of its transition
+    t, with the decision a branch and bound asks of them: does a cycle's
+    ratio exceed a bound a/b (or reach it, when a tie loses)?
 
-    The finite-q arcs are also kept as one adjacency, each arc whole, so
-    with its id, and the +inf-q arcs are counted. `exceeds` is one
-    negative-cycle test under the weights A*w - B*q, computed while
-    relaxing. It starts from the newest feasible potentials under the same
-    weights, which `warm` keeps in push order with the count of arcs they
-    hold for, so only the arcs pushed since can be violated and only their
-    tails are queued; with none, it starts from zeros. A decision that
-    loses names its losing cycle by arc ids, the certificate a caller can
-    test again under other weights. `pop_to` drops the arcs and the
-    potentials above a mark.
+    The state is one q per transition, -1 while it has no arcs and None
+    for +inf, and a count of the +inf ones. `raise_q` is one entry of an
+    undo log, and `pop_to` restores q above a mark; `out` lists the arcs
+    by src in the order given, and `_relax` reads each one's q, so a
+    raised transition replaces its looser arcs. `exceeds` is one
+    negative-cycle test under the weights A*w - B*q. It starts from the
+    potentials `warm` keeps per weights with the log length they are
+    feasible at, queueing only the tails of the arcs of the transitions
+    raised since, or else from zeros. A decision that loses names its
+    losing cycle by arc ids, the certificate a caller can test again
+    under other weights.
+
+    Above any mark the log only tightens: a raise lifts a finite q, or
+    gives arcs to a transition with none. As B > 0, potentials feasible
+    for the tighter arcs stay feasible for the looser ones, so `pop_to`
+    clamps each warm entry's log length to the mark and keeps it.
 
     w_max and q_max bound the w and the finite q of every arc the stack
-    will ever hold (a search takes them from its whole skeleton), so the
-    weights of a bound stay the same as arcs come and go.
+    will ever hold (a search takes them from its whole skeleton; by
+    default the arcs' largest w and q's largest finite value), so the
+    weights of a bound stay the same as q rises and falls.
     """
 
-    def __init__(self, n, w_max, q_max):
+    def __init__(self, n, arcs, q, w_max=None, q_max=None):
         self.n = n
+        self.arcs = arcs
+        self.q = list(q)
+        w_max = max((arc[3] for arc in arcs), default=0) if w_max is None else w_max
+        q_max = max([0, *(c for c in q if c is not None)]) if q_max is None else q_max
         self.tie = n * w_max + 1  # M of a losing tie: above the W of every simple cycle
         self.unbounded = n * q_max + 1  # A with no bound: above the Q of every simple cycle
-        self.arcs = []
-        self.out = [[] for _ in range(n)]  # the finite-q arcs, by their src
-        self.infinite = 0  # +inf-q arcs on the stack
-        # ((A, B), potentials, arc count) of each feasible decision, oldest first
-        self.warm = []
+        self.out = out = [[] for _ in range(n)]  # the arcs by their src
+        for arc in arcs:
+            out[arc[1]].append(arc)
+        self.arcs_of = None  # each transition's arcs, once a raise is relaxed
+        self.infinite = self.q.count(None)  # +inf transitions
+        self.log = []  # (t, q before) of each raise, oldest first
+        self.warm = {}  # (A, B) -> [feasible potentials, log length]
 
     @classmethod
     def holding(cls, n, arcs):
-        """A stack holding the arcs of one table, bounded by their own
-        largest w and finite q."""
-        finite = [arc for arc in arcs if arc[4] is not None]
-        stack = cls(
-            n,
-            max((arc[3] for arc in finite), default=0),
-            max((arc[4] for arc in finite), default=0),
-        )
-        stack.push(arcs)
-        return stack
+        """A stack holding the arcs (id, src, dst, w, q) of one table, one
+        transition per arc, bounded by their own largest w and finite q."""
+        fixed = [(k, s, d, w, t) for t, (k, s, d, w, _q) in enumerate(arcs)]
+        return cls(n, fixed, [arc[4] for arc in arcs])
 
-    def push(self, arcs):
-        own, out = self.arcs, self.out
-        for arc in arcs:
-            own.append(arc)
-            if arc[4] is None:
-                self.infinite += 1
-            else:
-                out[arc[1]].append(arc)
+    def raise_q(self, t, q):
+        """Tighten transition t to q: above its q, or None (+inf) from -1."""
+        self.log.append((t, self.q[t]))
+        self.q[t] = q
+        if q is None:
+            self.infinite += 1
 
     def pop_to(self, mark):
-        arcs, out = self.arcs, self.out
-        for arc in arcs[mark:]:  # each vertex's arcs above the mark end its list
-            if arc[4] is None:
+        q, log = self.q, self.log
+        while len(log) > mark:
+            t, before = log.pop()
+            if q[t] is None:
                 self.infinite -= 1
-            else:
-                out[arc[1]].pop()
-        del arcs[mark:]
-        warm = self.warm
-        while warm and warm[-1][2] > mark:
-            warm.pop()
+            q[t] = before
+        for entry in self.warm.values():
+            if entry[1] > mark:
+                entry[1] = mark
+
+    def held(self):
+        """The arcs the stack holds, (id, src, dst, w, q), q None for +inf."""
+        q = self.q
+        return [(k, s, d, w, q[t]) for k, s, d, w, t in self.arcs if q[t] != -1]
 
     def weights(self, bound, ties_lose):
         """(A, B) such that a simple cycle of the finite-q arcs other than a
@@ -404,17 +414,16 @@ class ArcStack:
         order. A False one comes with potentials feasible for these arcs
         under `weights`.
 
-        Stage 0 of `core_max_ratio` runs only when a +inf-q arc is on the
-        stack, and its cycle holds one. A 0/0 cycle rates 1, so when it
+        Stage 0 of `core_max_ratio` runs only when a +inf transition holds
+        arcs, and its cycle holds one. A 0/0 cycle rates 1, so when it
         loses (a bound below 1, or 1 with ties losing) it is looked for
         first. Otherwise the cycle is the one the negative-cycle test
-        closes, negative under `weights`. The test starts from the newest
-        feasible potentials under the same weights, queueing only the tails
-        of the arcs pushed since, or else from zeros, a virtual source:
-        label correcting is exact from any start.
+        closes, negative under `weights`, started from the warm potentials
+        under the same weights or else from zeros, a virtual source: label
+        correcting is exact from any start.
         """
         if self.infinite:
-            cycle = _infinite_q_cycle(self.n, self.arcs)[0]
+            cycle = _infinite_q_cycle(self.n, self.held())[0]
             if cycle is not None:
                 return True, cycle
         # bound < 1, or bound == 1 with ties_lose, on the lowest terms
@@ -422,19 +431,16 @@ class ArcStack:
             bound.numerator < bound.denominator
             or (ties_lose and bound.numerator == bound.denominator)
         ):
-            zero_zero = [arc[:3] for arc in self.arcs if arc[3] == arc[4] == 0]
+            zero_zero = [arc[:3] for arc in self.held() if arc[3] == arc[4] == 0]
             cycle = _any_cycle(self.n, zero_zero)
             if cycle is not None:
                 return True, cycle
         key = self.weights(bound, ties_lose)
-        dist, since = next(
-            ((list(p), count) for k, p, count in reversed(self.warm) if k == key),
-            ([0] * self.n, 0),
-        )
-        dist, closed = self._relax(key, dist, self.arcs[since:])
+        dist, since = self.warm.get(key, ([0] * self.n, None))
+        dist, closed = self._relax(key, list(dist), since)
         if dist is None:
-            return True, [arc[0] for arc in self._tree_cycle(key, *closed)]
-        self.warm.append((key, dist, len(self.arcs)))
+            return True, [arc[3] for arc in self._tree_cycle(key, *closed)]
+        self.warm[key] = [dist, len(self.log)]
         return False, dist
 
     def max_ratio(self):
@@ -443,28 +449,30 @@ class ArcStack:
         when they hold no cycle: the parametric search of `core_max_ratio`,
         on `_relax`. From lam = 0, each negative cycle under the weights of
         lam raises lam to its ratio, until the arcs are feasible; the end
-        rules are `_settle`'s. A looser parallel arc (same w, smaller q)
-        rates no cycle higher, so a search's stack gives the ratio of its
-        exact arcs. A pure solve: it leaves `warm` as it found it."""
+        rules are `_settle`'s. The potentials of the last lam become the
+        warm entry under its weights: the ratio's strict weights, unless a
+        0/0 cycle pins the ratio at 1."""
         n = self.n
-        finite = [arc for arc in self.arcs if arc[4] is not None]
         lam, cycle = Fraction(0), None
         while True:
             key = lam.numerator, lam.denominator
-            dist, closed = self._relax(key, [0] * n, finite)
+            dist, closed = self._relax(key, [0] * n)
             if dist is not None:
                 break
             cycle = self._tree_cycle(key, *closed)
-            lam = Fraction(sum(arc[4] for arc in cycle), sum(arc[3] for arc in cycle))
+            lam = Fraction(sum(arc[2] for arc in cycle), sum(arc[1] for arc in cycle))
+        self.warm[key] = [dist, len(self.log)]
+        finite = [arc for arc in self.held() if arc[4] is not None]
         return _settle(n, finite, lam, cycle is not None)[0]
 
-    def _relax(self, key, dist, fresh):
+    def _relax(self, key, dist, since=None):
         """(p, None) with feasible potentials p, p[dst] <= p[src] + A*w - B*q
-        on every finite-q arc, reached from dist by relaxing; or (None,
-        (pred, u, v)) when the arcs hold a negative cycle: the arc u -> v
-        closes it over the predecessor path from v to u, which
-        `_tree_cycle` reads. Only the tails of the `fresh` arcs that dist
-        violates are queued at first: every other arc must satisfy dist.
+        on every arc of a finite q, reached from dist by relaxing; or
+        (None, (pred, u, v)) when the arcs hold a negative cycle: the arc
+        u -> v closes it over the predecessor path from v to u, which
+        `_tree_cycle` reads. Only the tails of the arcs that dist violates
+        are queued at first, of all arcs or, from log length `since`, of the
+        transitions raised since: every other arc must satisfy dist.
 
         FIFO label correcting. At each improving relaxation u -> v the
         predecessor tree is walked from u to its root: meeting v closes a
@@ -476,11 +484,21 @@ class ArcStack:
         queued.
         """
         a, b = key
-        n = self.n
+        n, q = self.n, self.q
         queued = [False] * n
         active = []
-        for _k, src, dst, w, q in fresh:
-            if q is not None and not queued[src] and dist[src] + a * w - b * q < dist[dst]:
+        fresh = self.arcs
+        if since is not None:
+            if self.arcs_of is None:
+                self.arcs_of = [[] for _ in q]
+                for arc in self.arcs:
+                    self.arcs_of[arc[4]].append(arc)
+            fresh = [arc for t, _q in self.log[since:] for arc in self.arcs_of[t]]
+        for _k, src, dst, w, t in fresh:
+            c = q[t]
+            if c is None or c < 0 or queued[src]:
+                continue
+            if dist[src] + a * w - b * c < dist[dst]:
                 queued[src] = True
                 active.append(src)
         out = self.out
@@ -492,8 +510,11 @@ class ArcStack:
             for u in active:
                 queued[u] = False
                 du = dist[u]
-                for _k, _u, v, w, q in out[u]:
-                    nd = du + a * w - b * q
+                for _k, _u, v, w, t in out[u]:
+                    c = q[t]
+                    if c is None or c < 0:
+                        continue
+                    nd = du + a * w - b * c
                     if nd < dist[v]:
                         x = u
                         while x != -1:
@@ -509,21 +530,19 @@ class ArcStack:
         raise RuntimeError("label correcting ran n + 1 passes")
 
     def _tree_cycle(self, key, pred, u, v):
-        """The arcs of the cycle closed by u -> v over the predecessor path
-        from v to u, in walk order from v, taking between each two of its
-        vertices the arc lightest under the weights `key`. Each tree arc
-        x -> y weighs at most p[y] - p[x], as p[x] has only fallen since
-        pred[y] was set to x, so the cycle is still negative."""
+        """The arcs (A*w - B*q, w, q, id) of the cycle closed by u -> v over
+        the predecessor path from v to u, in walk order from v, taking
+        between each two of its vertices the arc lightest under the weights
+        `key`. Each tree arc x -> y weighs at most p[y] - p[x], as p[x] has
+        only fallen since pred[y] was set to x, so the cycle is still
+        negative."""
         a, b = key
-        out = self.out
-
-        def weight(arc):
-            return a * arc[3] - b * arc[4], arc[3], arc[4]
-
+        q, out = self.q, self.out
         cycle = []
         x, y = u, v
         while True:
-            cycle.append(min((arc for arc in out[x] if arc[2] == y), key=weight))
+            held = [(w, q[t], k) for k, _x, d, w, t in out[x] if d == y and q[t] not in (None, -1)]
+            cycle.append(min((a * w - b * c, w, c, k) for w, c, k in held))
             if x == v:
                 cycle.reverse()
                 return cycle

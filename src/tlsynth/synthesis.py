@@ -21,11 +21,11 @@ exact ratio over every table X^T -> Y and the tables reaching it:
   reads, so a cycle's ratio at the node is at most its ratio in every
   completion, and a subtree is dropped as soon as a cycle of the node
   loses to the incumbent. Whether a cycle loses is a decision, not a
-  ratio: one negative-cycle test on a `ratiocycle.ArcStack` that grows and
-  shrinks with the search, where each assignment pushes the tighter arcs
-  of the transitions reading the window on top of their looser ones, and
-  starts each test from an ancestor's potentials, so only the arcs pushed
-  since are queued;
+  ratio: one negative-cycle test on one `ratiocycle.ArcStack` over the
+  skeleton's arcs, where each assignment raises the q of the transitions
+  reading the window and a return pops it back, and each test starts
+  from the warm potentials under its weights, so only the arcs of the
+  transitions raised since are queued;
 - cycle memory: a decision that loses names its losing cycle, and the
   search keeps the last few the relaxation found (`REMEMBERED_CYCLES`).
   Before each test it weighs them under the decision's weights and the
@@ -83,7 +83,7 @@ optimal table is then refined coordinate-wise on the same search, its
 move halved each round (`_Search.move`): a move recomputes q only for the
 transitions reading its window, and is decided like a leaf, ties losing,
 on the search's stack and cycle memory, which settles nearly every move.
-Only a win is solved, by `ratiocycle.core_max_ratio`. The result is the
+Only a win is solved, on the stack that decided it. The result is the
 best table found, with no global-optimality claim.
 
 Every search result passes one verification closure (`_verify`) before
@@ -91,8 +91,8 @@ it is returned: each optimal deterministic table must rate exactly the
 reported ratio, the randomized table the ratio returned with it, and a
 lower-bound counterexample below the bound. Each is decided from the
 returned policy alone, with `debruijn.policy_q`, on a fresh
-`ratiocycle.ArcStack` of its exact arcs, so no relaxed arc, warm
-potentials or q memo of the search is trusted. Equality takes two
+`ratiocycle.ArcStack` of the skeleton's arcs and the policy's q, so no
+relaxed q, warm potentials or q memo of the search is trusted. Equality takes two
 decisions: no cycle exceeds the ratio, and one reaches it when ties
 lose. Together they pin the exact ratio, as `ArcStack.exceeds` gives the
 verdict of the full parametric search; an infinite cycle fails the first,
@@ -118,7 +118,7 @@ from .errors import (
 from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy, window_index
 from .problems import LocalProblem
-from .ratiocycle import ArcStack, core_max_ratio
+from .ratiocycle import ArcStack
 
 DEFAULT_CANDIDATE_GUARD = 2**26
 # losing cycles a search remembers and tests before each decision
@@ -281,24 +281,24 @@ class _Search:
     first table below it, in either order. A transition's q is known once
     every window it reads is fixed: `rows[row][y]` of the output indices it
     reads, or their `debruijn.expected_cost` over `den`. As `den` is fixed,
-    so is the unit of q, and every arc's w is scaled by it once. Arcs are
-    pushed onto one `ArcStack`, which `visit` grows and pops back on return.
+    so is the unit of q, and every arc's w is scaled by it once. One
+    `ArcStack` holds the skeleton's arcs and the node's q of each
+    transition (-1 while it has none), which `enter` raises and `visit`
+    pops back on return.
 
-    With `prune`, a node also holds a relaxed arc for every transition
-    whose reads are not all fixed: its q is the least over the corners of
-    its free reads, each read its own variable taking every output index,
-    or 0 and `den` on a grid. q is multilinear in the reads, so that is its
-    least value on every table below the node. Depth 0 pushes every
-    transition so, and each assignment pushes the transitions reading the
-    window again, on top of their looser arcs, when their least q rises;
-    the last one gives the exact q. A parallel arc with the same w and a
-    smaller q changes no verdict, so every cycle's ratio at the node is at
-    most its ratio in every completion, and the subtree is pruned when the
-    stack already holds a cycle that loses to the incumbent. A transition
-    with a +inf corner is kept out until its q is exact, so an infinite
-    verdict at a node holds at every completion as well. `loses` decides
-    with `ArcStack.exceeds`, started from the potentials of the nearest
-    ancestor decided under the same weights, without computing the bound.
+    With `prune`, a node also gives a relaxed q to every transition whose
+    reads are not all fixed: the least over the corners of its free reads,
+    each read its own variable taking every output index, or 0 and `den`
+    on a grid. q is multilinear in the reads, so that is its least value
+    on every table below the node. Depth 0 raises every transition so, and
+    each assignment raises the transitions reading the window again when
+    their least q rises; the last one gives the exact q. So every cycle's
+    ratio at the node is at most its ratio in every completion, and the
+    subtree is pruned when the stack already holds a cycle that loses to
+    the incumbent. A transition with a +inf corner is kept out until its q
+    is exact, so an infinite verdict at a node holds at every completion
+    as well. `loses` decides with `ArcStack.exceeds`, started from the
+    warm potentials under the same weights, without computing the bound.
     Before that it tries the last `REMEMBERED_CYCLES` losing cycles the
     relaxation closed, kept as (w, t) lists newest first: a cycle whose
     transitions all hold finite arcs, and whose sum of A*w - B*q under the
@@ -309,8 +309,8 @@ class _Search:
     way. A table that does not lose is decided again with ties
     losing, which tells a tie (recorded as is) from a win; only a win is
     solved for its exact ratio, by `ArcStack.max_ratio` on the stack that
-    decided it, whose looser arcs rate no cycle higher than its exact
-    ones. Without `prune` a node holds only exact arcs and there is
+    decided it, which holds its exact q. Without `prune` a node holds only
+    exact q and there is
     neither node pruning nor the pair check: a plain exhaustive scan,
     which still decides each table before solving it.
 
@@ -372,37 +372,30 @@ class _Search:
             else [guide[w], *(v for v in self.values if v != guide[w])]
             for w in self.order
         ]
-        # pushed_at[d]: (t, codes, row, free read positions, memo) of the
-        # transitions whose q, or least q, is pushed at depth d. With prune,
+        # raised_at[d]: (t, codes, row, free read positions, memo) of the
+        # transitions whose q, or least q, is raised at depth d. With prune,
         # every transition at depth 0 and again after each assignment of a
         # window it reads; without, each one once, after its last read is
         # assigned (at depth 0 when it reads forced windows only)
-        self.pushed_at = [[] for _ in range(len(self.order) + 1)]
+        self.raised_at = [[] for _ in range(len(self.order) + 1)]
         memos = {}  # (row, free) -> {reads: q, least q or None}
         for t, (row, codes) in enumerate(skel.transitions):
             fixed_from = [position.get(c, -1) + 1 for c in codes]
             for d in {0, *fixed_from} if self.prune else {max(fixed_from)}:
                 free = tuple(j for j, f in enumerate(fixed_from) if f > d)
                 memo = memos.setdefault((row, free), {})
-                self.pushed_at[d].append((t, codes, row, free, memo))
+                self.raised_at[d].append((t, codes, row, free, memo))
         # the skeleton's arcs in its order, w in q's unit
-        self.arcs = [(k, src, dst, w * unit, t) for k, src, dst, w, t in skel.arcs]
-        self.arcs_of = [[] for _ in skel.transitions]
-        self.w_t = {}  # arc id -> (w, transition)
-        for k, src, dst, w, t in self.arcs:
-            self.arcs_of[t].append((k, src, dst, w))
-            self.w_t[k] = w, t
+        arcs = [(k, src, dst, w * unit, t) for k, src, dst, w, t in skel.arcs]
+        self.w_t = {k: (w, t) for k, _s, _d, w, t in arcs}
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
-        # q of each transition's last arcs on the stack, -1 when it has none
-        self.q = [-1] * len(skel.transitions)
-        # integer arcs of the node, exact and relaxed, bounded by the
-        # skeleton's largest w and row entry in q's unit (a q is a mean of
-        # row entries, and a least q is one of them)
-        self.stack = ArcStack(
-            skel.n_vertices,
-            max((w for w, _t in self.w_t.values()), default=0),
-            max((c for row in rows for c in row if c is not None), default=0) * unit,
-        )
+        # the node's q of each transition, exact or least, -1 while it has
+        # no arcs, bounded by the skeleton's largest w and row entry in q's
+        # unit (a q is a mean of row entries, and a least q is one of them)
+        q_max = max((c for row in rows for c in row if c is not None), default=0) * unit
+        w_max = max((w for w, _t in self.w_t.values()), default=0)
+        self.stack = ArcStack(skel.n_vertices, arcs, [-1] * len(skel.transitions), w_max, q_max)
+        self.q = self.stack.q
         self.inf_pairs = infinite_pairs(skel) if self.prune else ()
         self.keep_ties = config.collect_all_optimal
         self.bound = bound
@@ -441,15 +434,12 @@ class _Search:
         return least
 
     def enter(self, depth):
-        """Push the arcs of the transitions whose q, or least q, rises at
-        `depth` under the current table. Returns (mark, raised, pushed)
-        for `leave`: the stack's length before, each raised transition
-        with its q before, and whether any arc was pushed."""
-        stack, table, q_all, arcs_of = self.stack, self.table, self.q, self.arcs_of
-        mark = len(stack.arcs)
-        raised = []
-        arcs = []
-        for t, codes, row, free, memo in self.pushed_at[depth]:
+        """Raise the q of the transitions whose q, or least q, rises at
+        `depth` under the current table. Returns the stack's mark before,
+        which `ArcStack.pop_to` undoes it to."""
+        stack, table, q_all = self.stack, self.table, self.q
+        mark = len(stack.log)
+        for t, codes, row, free, memo in self.raised_at[depth]:
             reads = tuple(map(table.__getitem__, codes))
             q = memo.get(reads, -1)  # -1: not seen, as every q is >= 0
             if q == -1:
@@ -458,29 +448,19 @@ class _Search:
                 if free:
                     continue  # a +inf corner: kept out until q is exact
             elif q <= q_all[t]:
-                continue  # no tighter than its arcs on the stack
-            raised.append((t, q_all[t]))
-            q_all[t] = q
-            arcs.extend((k, src, dst, w, q) for k, src, dst, w in arcs_of[t])
-        stack.push(arcs)
-        return mark, raised, bool(arcs)
-
-    def leave(self, mark, raised):
-        """Undo an `enter`."""
-        self.stack.pop_to(mark)
-        q_all = self.q
-        for t, q in raised:
-            q_all[t] = q
+                continue  # no tighter than its q on the stack
+            stack.raise_q(t, q)
+        return mark
 
     def visit(self, depth):
         """Search the node at `depth`; a leaf returns the cycle it lost by,
         if a cycle negative under its decision's weights settled it."""
         self.nodes += 1
-        mark, raised, pushed = self.enter(depth)
+        mark = self.enter(depth)
         lost_by = None
         if depth == len(self.order):
             lost_by = self.leaf()
-        elif self.prune and pushed and self.loses(self.tie_loses()):
+        elif self.prune and len(self.stack.log) > mark and self.loses(self.tie_loses()):
             self.pruned += len(self.values) ** (len(self.order) - depth)
         else:
             table, window = self.table, self.order[depth]
@@ -496,7 +476,7 @@ class _Search:
                 if cycle is not None and self.value_cut:
                     line = self.cut_line(cycle, window)
             table[window] = 0
-        self.leave(mark, raised)
+        self.stack.pop_to(mark)
         return lost_by
 
     def cut_line(self, cycle, window):
@@ -553,19 +533,17 @@ class _Search:
             total += a * w - b * q
         return total
 
-    def loses(self, tie_loses, arcs=()):
+    def loses(self, tie_loses, q=()):
         """True when the stack holds a cycle that loses to the incumbent,
         so no table below the node is of use (an acyclic one proves
         nothing): a remembered cycle, moved to the front, or else
-        `ArcStack.exceeds`, started from the potentials of the nearest
-        ancestor decided under the same weights. Those stay feasible for
-        that ancestor's arcs, all of which are still on the stack, so only
-        the arcs added since can be violated. `arcs`, those of a table not
-        yet on the stack, are pushed for the test only when no remembered
-        cycle settles it. A certificate negative under the decision's
-        weights is the relaxation's cycle, not stage 0's (a +inf-q arc) nor
-        a 0/0 cycle (weight 0), and is remembered. The cycle that settles a
-        losing verdict, either way, is kept as `lost_by`, else None."""
+        `ArcStack.exceeds`, started from the warm potentials under the same
+        weights. `q`, that of a table not yet on the empty stack, is raised
+        for the test only when no remembered cycle settles it. A
+        certificate negative under the decision's weights is the
+        relaxation's cycle, not stage 0's (a +inf-q arc) nor a 0/0 cycle
+        (weight 0), and is remembered. The cycle that settles a losing
+        verdict, either way, is kept as `lost_by`, else None."""
         self.decisions += 1
         a, b = self.stack.weights(self.bound, tie_loses)
         remembered = self.remembered
@@ -576,7 +554,8 @@ class _Search:
                 self.lost_by = cycle
                 return True
         self.lost_by = None
-        self.stack.push(arcs)
+        for t, c in enumerate(q):
+            self.stack.raise_q(t, c)
         verdict, evidence = self.stack.exceeds(self.bound, tie_loses)
         if verdict:
             cycle = [self.w_t[k] for k in evidence]
@@ -614,19 +593,20 @@ class _Search:
         `value` at `window`, against the incumbent with ties losing (with
         none, against an infinite ratio). Only the q of the transitions
         reading the window is recomputed. Unless a remembered cycle settles
-        the move, `loses` pushes the table's arcs, in skeleton order, on
-        the empty stack; they are popped after. A win is solved by
-        `core_max_ratio` and becomes the bound, and the table and q keep
-        the move; otherwise both are restored. Returns whether it won."""
+        the move, `loses` raises every transition to that q on the empty
+        stack, which is popped to 0 after. A win is solved by
+        `ArcStack.max_ratio` on the stack that decided it and becomes the
+        bound, and the table and q keep the move; otherwise both are
+        restored. Returns whether it won."""
         table, before, stack = self.table, self.q, self.stack
         old, table[window] = table[window], value
         self.q = q = list(before)
         for t, (row, codes) in enumerate(self.skel.transitions):
             if window in codes:
                 q[t] = self.q_reads(row, [table[c] for c in codes])
-        won = not self.loses(True, ((k, s, d, w, q[t]) for k, s, d, w, t in self.arcs))
+        won = not self.loses(True, q)
         if won:
-            self.bound = core_max_ratio(stack.n, stack.arcs)[1]
+            self.bound = stack.max_ratio()
         else:
             table[window], self.q = old, before
         stack.pop_to(0)
@@ -641,7 +621,7 @@ def _verify(problem, policy, ratio, below=False):
     policy's exact ratio equals `ratio` (None for +inf), or with `below` is
     below it, as decided on a fresh `ArcStack` of the policy's own arcs."""
     skel, q, unit = policy_q(problem, policy)
-    stack = ArcStack.holding(skel.n_vertices, skel.int_arcs(q, unit))
+    stack = ArcStack(skel.n_vertices, [(k, s, d, w * unit, t) for k, s, d, w, t in skel.arcs], q)
     if below:
         holds = not stack.exceeds(ratio, ties_lose=True)[0]
     elif ratio is None:

@@ -292,6 +292,21 @@ def maxima(arcs):
     return max((a[3] for a in finite), default=0), max((a[4] for a in finite), default=0)
 
 
+def unraised(n, arcs, w_max=None, q_max=None):
+    """A stack over `arcs` (id, src, dst, w, q), one transition per arc, none
+    raised yet, bounded by w_max and q_max or else by the arcs' own."""
+    if w_max is None:
+        w_max, q_max = maxima(arcs)
+    fixed = [(k, s, d, w, t) for t, (k, s, d, w, _q) in enumerate(arcs)]
+    return ArcStack(n, fixed, [-1] * len(arcs), w_max, q_max)
+
+
+def raise_arcs(stack, arcs, first=0):
+    """Raise transitions first, first + 1, ... to the q of `arcs`."""
+    for t, arc in enumerate(arcs, first):
+        stack.raise_q(t, arc[4])
+
+
 def feasible(arcs, key, potentials):
     """True when `potentials` satisfy every finite-q arc under weights `key`."""
     a, b = key
@@ -338,8 +353,8 @@ def certified(stack, bound, ties_lose):
     closed walk over the stack's arcs whose ratio loses to the bound."""
     verdict, evidence = stack.exceeds(bound, ties_lose)
     if verdict:
-        ratio = walk_ratio_of_ids(stack.arcs, evidence)
-        assert ratios_lose([ratio], bound, ties_lose), (stack.arcs, evidence, bound)
+        ratio = walk_ratio_of_ids(stack.held(), evidence)
+        assert ratios_lose([ratio], bound, ties_lose), (stack.held(), evidence, bound)
     return verdict, evidence
 
 
@@ -352,11 +367,11 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
     closed walk on the stack whose ratio loses to the bound, found by each
     of stage 0, the 0/0 check and the relaxation. On a fresh stack the
     potentials a False verdict returns are feasible. On an `ArcStack` as
-    the branch and bound uses it, the prefix is decided first, the rest of
-    the arcs is pushed and decided from the prefix's potentials (queueing
-    only the rest's tails), and popped again; decisions under every bound
-    and tie rule share the stack, whose weights for a bound do not change
-    as arcs are pushed and popped."""
+    the branch and bound uses it, the prefix's transitions are raised and
+    decided first, the rest's are raised and decided from the prefix's
+    potentials (queueing only the rest's tails), and popped again;
+    decisions under every bound and tie rule share the stack, whose
+    weights for a bound do not change as q rises and falls."""
     rng = random.Random(2024 + infinite_q)
     decided = set()
     certificates = set()  # the kinds of losing cycle certified
@@ -367,21 +382,21 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
         bounds = {Fraction(0), Fraction(1, 2), Fraction(1), None}
         bounds |= {r + d for r in finite_ratios for d in (0, Fraction(1, 7), -Fraction(1, 7))}
         prefix = arcs[: rng.randint(0, len(arcs))]
-        stack = ArcStack(n, *maxima(arcs))
-        stack.push(prefix)
+        stack = unraised(n, arcs)
+        raise_arcs(stack, prefix)
         for bound in bounds:
             for ties_lose in (False, True):
                 expected = oracle_loses(n, arcs, bound, ties_lose)
                 prefix_loses = oracle_loses(n, prefix, bound, ties_lose)
                 key = stack.weights(bound, ties_lose)
                 assert certified(stack, bound, ties_lose)[0] == prefix_loses
-                stack.push(arcs[len(prefix) :])
+                raise_arcs(stack, arcs[len(prefix) :], len(prefix))
                 assert stack.weights(bound, ties_lose) == key
-                from_prefix = any(entry[0] == key for entry in stack.warm)
+                from_prefix = key in stack.warm
                 assert certified(stack, bound, ties_lose)[0] == expected, (n, arcs, bound)
                 stack.pop_to(len(prefix))
                 assert stack.weights(bound, ties_lose) == key
-                assert all(count <= len(prefix) for _k, _p, count in stack.warm)
+                assert all(count <= len(prefix) for _p, count in stack.warm.values())
                 assert certified(stack, bound, ties_lose)[0] == prefix_loses
                 decided.add((expected, None if bound is None else bound > 1, from_prefix))
                 cold, evidence = certified(ArcStack.holding(n, arcs), bound, ties_lose)
@@ -425,8 +440,8 @@ def test_tie_decision_matches_the_ratio(infinite_q):
         except EmptyGraph:
             kind, lam = "acyclic", None
         w_max, q_max = maxima(arcs)
-        loose = ArcStack(n, w_max + rng.randint(1, 9), 2 * q_max + rng.randint(1, 9))
-        loose.push(arcs)
+        loose = unraised(n, arcs, w_max + rng.randint(1, 9), 2 * q_max + rng.randint(1, 9))
+        raise_arcs(loose, arcs)
         unbounded = oracle_loses(n, arcs, None, False)
         assert (kind == "infinite") == unbounded
         assert loose.exceeds(None)[0] == unbounded
@@ -441,7 +456,7 @@ def test_tie_decision_matches_the_ratio(infinite_q):
                 continue
             tie = exceeds(n, arcs, bound, ties_lose=True)[0]
             assert tie == (kind == "finite" and lam == bound), (n, arcs, bound)
-            keys = [entry[0] for entry in loose.warm]
+            keys = list(loose.warm)
             tie_key = loose.weights(bound, True)
             assert loose.weights(bound, False) in keys and tie_key not in keys
             verdict, potentials = loose.exceeds(bound, ties_lose=True)
@@ -485,9 +500,10 @@ def test_stack_solve_matches_the_oracles(migration_problem):
     """`ArcStack.max_ratio` rates arcs with a finite verdict as
     `core_max_ratio` does, and as the brute-force oracle does on graphs of
     at most 14 vertices with finite q: 0/0 cycles pinning a ratio below 1
-    at 1, ratio 0, zero-w arcs, and a stack holding a looser parallel arc
-    (same w, smaller q) under each finite-q arc, as at a search leaf. On
-    arcs with no cycle it raises `EmptyGraph`."""
+    at 1, ratio 0, zero-w arcs, a stack holding a looser parallel arc (same
+    w, smaller q) beside each finite-q arc, and one whose transitions were
+    each raised from a looser q to their own, as at a search leaf. On arcs
+    with no cycle it raises `EmptyGraph`."""
     rng = random.Random(4099)
     seen = set()
     for _ in range(500):
@@ -502,14 +518,18 @@ def test_stack_solve_matches_the_oracles(migration_problem):
         if kind == "infinite":
             continue  # a decision rejects such arcs before any solve
         assert ArcStack.holding(n, arcs).max_ratio() == lam
+        looser_q = [None if q is None else rng.randint(0, q) for *_arc, q in arcs]
         looser = [
-            (len(arcs) + k, s, d, w, rng.randint(0, q))
-            for k, s, d, w, q in arcs
-            if q is not None
+            (len(arcs) + k, s, d, w, c)
+            for (k, s, d, w, _q), c in zip(arcs, looser_q)
+            if c is not None
         ]
-        leaf = ArcStack(n, *maxima(arcs))
-        leaf.push(looser)
-        leaf.push(arcs)
+        assert ArcStack.holding(n, looser + arcs).max_ratio() == lam, (n, arcs, looser)
+        leaf = unraised(n, arcs)
+        for t, c in enumerate(looser_q):
+            if c is not None:
+                leaf.raise_q(t, c)
+        raise_arcs(leaf, arcs)
         assert leaf.max_ratio() == lam, (n, arcs, looser)
         ratios = simple_cycle_ratios(n, arcs) if n <= 10 else []
         if n <= BRUTE_FORCE_VERTEX_GUARD and all(arc[4] is not None for arc in arcs):
@@ -524,12 +544,14 @@ def test_stack_solve_matches_the_oracles(migration_problem):
     assert seen == {"acyclic", "0", "1", "other", "0/0 pins", "brute force", "large"}
 
 
-def test_max_ratio_leaves_warm_as_it_found_it():
-    """`ArcStack.max_ratio` is a pure solve: the feasible potentials that
-    earlier decisions left in `warm`, or its emptiness, are all that later
-    decisions start from, whatever the solve found."""
+def test_max_ratio_leaves_feasible_potentials():
+    """`ArcStack.max_ratio` keeps the potentials of its last relaxation in
+    `warm`, feasible under the strict weights of the ratio it returns (or
+    of the lower ratio it relaxed at, when a 0/0 cycle pins the ratio at
+    1), and leaves every earlier entry feasible; a decision at that ratio
+    then starts from them, with nothing to queue."""
     rng = random.Random(5003)
-    kept = 0
+    seen = set()
     for _ in range(200):
         n, arcs = random_solvable_arcs(rng)
         try:
@@ -539,15 +561,100 @@ def test_max_ratio_leaves_warm_as_it_found_it():
         if kind == "infinite":
             continue
         stack = ArcStack.holding(n, arcs)
-        stack.max_ratio()
-        assert stack.warm == []
-        for bound in (lam, lam + Fraction(1, 7), None):
+        for bound in rng.sample([lam, lam + Fraction(1, 7), None], rng.randint(0, 3)):
             stack.exceeds(bound)
-        before = [(key, list(p), count) for key, p, count in stack.warm]
-        kept += len(before)
         assert stack.max_ratio() == lam
-        assert stack.warm == before, (n, arcs)
-    assert kept
+        key = stack.weights(lam, False)
+        assert all(feasible(arcs, k, p) for k, (p, _count) in stack.warm.items()), (n, arcs)
+        if key in stack.warm:
+            potentials = stack.warm[key][0]
+            assert stack.exceeds(lam) == (False, potentials)
+            seen.add("at its ratio")
+        else:
+            assert lam == 1 and any(arc[3] == arc[4] == 0 for arc in arcs), (n, arcs)
+            seen.add("pinned at 1")
+    assert seen == {"at its ratio", "pinned at 1"}
+
+
+def random_transition_arcs(rng):
+    """(n, arcs, rows) on at most 8 vertices: arcs (id, src, dst, w, t) of
+    up to 5 transitions, several arcs sharing a transition, and each
+    transition's ascending q values, finite or ending in None (+inf)."""
+    n = rng.randint(1, 8)
+    n_transitions = rng.randint(1, 5)
+    arcs = []
+    for v in range(n):
+        for _ in range(rng.randint(1, 3)):
+            w = 0 if rng.random() < 0.25 else rng.randint(1, 4)
+            arcs.append((len(arcs), v, rng.randrange(n), w, rng.randrange(n_transitions)))
+    rows = []
+    for _t in range(n_transitions):
+        row = sorted(rng.sample(range(7), rng.randint(1, 4)))
+        rows.append(row + [None] if rng.random() < 0.15 else row)
+    return n, arcs, rows
+
+
+def test_raises_and_pops_keep_verdicts_and_warm_potentials():
+    """Random sequences of tightening raises, marks and pops on one stack,
+    with decisions under random bounds and tie rules in between, each
+    started from the stack's warm entries as `pop_to` clamped them. Every
+    verdict equals that of a fresh `ArcStack.holding` of the arcs held and
+    of the brute-force cycle oracle. After every pop every warm entry holds
+    for at most the mark, and is feasible for the arcs held but those of
+    the transitions raised since its log length, which is all that
+    `exceeds` assumes of it. A transition's q only rises above a
+    mark, from -1 (no arcs) to a finite q or +inf, or from a finite q to a
+    larger one, as in the branch and bound: a finite q never becomes +inf,
+    which would take its arcs out of the relaxation."""
+    rng = random.Random(3301)
+    seen = set()
+    for _ in range(150):
+        n, arcs, rows = random_transition_arcs(rng)
+        w_max = max(arc[3] for arc in arcs)
+        q_max = max(c for row in rows for c in row if c is not None)
+        stack = ArcStack(n, arcs, [-1] * len(rows), w_max, q_max)
+        bounds = [None, Fraction(0), Fraction(1)]
+        bounds += [Fraction(a, b) for a in (1, 3, 5, 9) for b in (1, 2, 4)]
+        marks = []
+        for _step in range(30):
+            op = rng.random()
+            if op < 0.4:
+                t = rng.randrange(len(rows))
+                before = stack.q[t]
+                if before is None:
+                    continue
+                higher = [c for c in rows[t] if (before == -1 if c is None else c > before)]
+                if higher:
+                    stack.raise_q(t, rng.choice(higher))
+            elif op < 0.55:
+                marks.append(len(stack.log))
+            elif op < 0.7 and marks:
+                i = rng.randrange(len(marks))
+                mark = marks[i]
+                del marks[i:]
+                clamped = any(count > mark for _p, count in stack.warm.values())
+                stack.pop_to(mark)
+                for key, (potentials, count) in stack.warm.items():
+                    since = {t for t, _q in stack.log[count:]}
+                    kept = [
+                        (k, s, d, w, stack.q[t])
+                        for k, s, d, w, t in arcs
+                        if t not in since and stack.q[t] != -1
+                    ]
+                    assert count <= mark and feasible(kept, key, potentials), (n, arcs)
+                assert stack.infinite == stack.q.count(None)
+                seen.add("clamped" if clamped else "popped")
+            else:
+                bound, ties_lose = rng.choice(bounds), rng.random() < 0.5
+                key = stack.weights(bound, ties_lose)
+                entry = stack.warm.get(key)
+                held = stack.held()
+                verdict = certified(stack, bound, ties_lose)[0]
+                assert verdict == ArcStack.holding(n, held).exceeds(bound, ties_lose)[0]
+                assert verdict == oracle_loses(n, held, bound, ties_lose), (n, held, bound)
+                if entry is not None and entry[1] < len(stack.log):
+                    seen.add(("warm", verdict))
+    assert seen >= {"clamped", "popped", ("warm", False), ("warm", True)}
 
 
 def test_stack_path_never_runs_bellman_ford(monkeypatch):

@@ -352,18 +352,18 @@ def remembered_run(monkeypatch, run, memory):
     """(result, verdicts, settled) of `run()` with a search memory of
     `memory` cycles: every decision's (tie rule, verdict), in order, and the
     number settled by a remembered cycle. Each of those is decided again by
-    `ArcStack.exceeds` on the same stack, with a refinement move's arcs,
-    which a remembered cycle leaves unpushed, pushed, and must lose there
-    too."""
+    `ArcStack.exceeds` on the same stack, with a refinement move's q, which
+    a remembered cycle leaves unraised, raised, and must lose there too."""
     loses = synthesis._Search.loses
     verdicts, settled = [], []
 
-    def checked(search, tie_loses, arcs=()):
+    def checked(search, tie_loses, q=()):
         cuts = search.remembered_cuts
-        verdict = loses(search, tie_loses, arcs)
+        verdict = loses(search, tie_loses, q)
         if search.remembered_cuts > cuts:
             assert verdict
-            search.stack.push(arcs)
+            for t, c in enumerate(q):
+                search.stack.raise_q(t, c)
             assert search.stack.exceeds(search.bound, tie_loses)[0]
             settled.append(tie_loses)
         verdicts.append((tie_loses, verdict))
@@ -494,9 +494,9 @@ def test_verify_lower_bound_modes():
 
 
 def count_solves(monkeypatch):
-    """The ratios of the solves made from here on, in order: the search's
-    `ArcStack.max_ratio` solves and the `core_max_ratio` calls made
-    through `synthesis` or `ratiocycle`, each counted once."""
+    """The ratios of the solves made from here on, in order: the
+    `ArcStack.max_ratio` solves and the `core_max_ratio` calls, each
+    counted once."""
     solved = []
     core, stack_solve = ratiocycle.core_max_ratio, ArcStack.max_ratio
 
@@ -511,7 +511,6 @@ def count_solves(monkeypatch):
         return ratio
 
     monkeypatch.setattr(ratiocycle, "core_max_ratio", counted_core)
-    monkeypatch.setattr(synthesis, "core_max_ratio", counted_core)
     monkeypatch.setattr(ArcStack, "max_ratio", counted_stack)
     return solved
 
@@ -719,14 +718,22 @@ def test_randomized_grid_mismatch_raises(monkeypatch, skew):
 @pytest.mark.parametrize("skew", [Fraction(1, 7), Fraction(-1, 7)])
 def test_randomized_refinement_mismatch_raises(monkeypatch, skew):
     # the refinement wins of this cell (see test_randomized_t3_pin) are
-    # solved by `core_max_ratio`
-    exact = synthesis.core_max_ratio
+    # solved by `ArcStack.max_ratio`, skewed here only inside `_Search.move`
+    exact, move = ArcStack.max_ratio, synthesis._Search.move
+    moving = []
 
-    def skewed(n, arcs):
-        kind, lam, witness, iterations = exact(n, arcs)
-        return kind, lam + skew, witness, iterations
+    def skewed(stack):
+        return exact(stack) + (skew if moving else 0)
 
-    monkeypatch.setattr(synthesis, "core_max_ratio", skewed)
+    def flagged(search, window, value):
+        moving.append(window)
+        try:
+            return move(search, window, value)
+        finally:
+            moving.pop()
+
+    monkeypatch.setattr(ArcStack, "max_ratio", skewed)
+    monkeypatch.setattr(synthesis._Search, "move", flagged)
     monkeypatch.setattr(synthesis, "REFINEMENT_ROUNDS", 2)
     config = SynthesisConfig(horizon=3, grid_step=Fraction(1, 4))
     with pytest.raises(VerificationFailed):
@@ -942,8 +949,8 @@ def test_refinement_settles_moves_by_remembered_cycles(monkeypatch):
     wins. Each is decided on the grid search's stack with its cycle memory,
     which settles all 32; with no memory each gets an `ArcStack.exceeds`
     test. Either way `synthesize_rand` builds two stacks: the grid
-    search's, and the verification closure's, the one `ArcStack.holding`
-    builds."""
+    search's, and the verification closure's, built from the skeleton's
+    arcs and the table's q, not by `ArcStack.holding`."""
     config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
     start = synthesize_det(migration(), config)
     init, exceeds, holding = ArcStack.__init__, ArcStack.exceeds, ArcStack.holding.__func__
@@ -972,7 +979,7 @@ def test_refinement_settles_moves_by_remembered_cycles(monkeypatch):
             calls.update(init=0, exceeds=0, holding=0)
             _policy, ratio = synthesize_rand(migration(), config, start=start)
             assert ratio == Cost(Fraction(7, 2))
-            assert (calls["init"], calls["holding"]) == (2, 1)
+            assert (calls["init"], calls["holding"]) == (2, 0)
             decisions.append(calls["exceeds"])
         assert decisions[1] - decisions[0] == tested
 
@@ -1188,7 +1195,7 @@ def test_grid_value_cut_line_is_exact_or_absent(name, alpha, step):
         for d in range(depth + 1):
             if d:
                 search.table[search.order[d - 1]] = rng.choice(search.values)
-            entered.append(search.enter(d)[:2])
+            entered.append(search.enter(d))
         search.bound = None
         assert search.cut_line([next(iter(search.w_t.values()))], window) is None
         search.bound = Fraction(rng.randint(1, 12), rng.randint(1, 4))
@@ -1208,8 +1215,8 @@ def test_grid_value_cut_line_is_exact_or_absent(name, alpha, step):
                 continue
             for value, q in zip(search.values, qs):
                 assert line[0] + line[1] * value == den * (a * w - b * q)
-        for mark, raised in reversed(entered):
-            search.leave(mark, raised)
+        for mark in reversed(entered):
+            search.stack.pop_to(mark)
         for w in search.order:
             search.table[w] = 0
 
@@ -1239,7 +1246,7 @@ def test_relaxed_node_bound_is_a_lower_bound(name, alpha, horizon, step):
     maximum ratio of the stack, relaxed arcs included, is at most the exact
     ratio of seeded random completions of the node's table, and an
     infinite one is infinite in each. The stack's own decisions agree with
-    the ratio of its tightest arcs: looser parallel arcs change none."""
+    the ratio of the arcs it holds, one q per transition, its tightest."""
     problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
     forced = self_loop_constraints(problem, horizon)
     ins, outs = problem.input_alphabet, problem.output_alphabet
@@ -1265,9 +1272,9 @@ def test_relaxed_node_bound_is_a_lower_bound(name, alpha, horizon, step):
         for depth in range(len(search.order) + 1):
             if depth:
                 search.table[search.order[depth - 1]] = rng.choice(search.values)
-            entered.append(search.enter(depth)[:2])
-            # the last arc of an edge on the stack is its tightest
-            tightest = list({arc[0]: arc for arc in search.stack.arcs}.values())
+            entered.append(search.enter(depth))
+            # the stack holds each transition's tightest arcs only
+            tightest = search.stack.held()
             try:
                 kind, lam, _w, _i = core_max_ratio(n, tightest)
             except EmptyGraph:  # no cycle yet: no bound
@@ -1286,8 +1293,8 @@ def test_relaxed_node_bound_is_a_lower_bound(name, alpha, horizon, step):
                     assert ratio == POS_INF, (table, depth)
                 elif ratio.is_finite:
                     assert lam <= ratio.as_fraction(), (table, depth)
-        for mark, raised in reversed(entered):
-            search.leave(mark, raised)
+        for mark in reversed(entered):
+            search.stack.pop_to(mark)
         for window in search.order:
             search.table[window] = 0
-        assert search.stack.arcs == [] and set(search.q) == {-1}
+        assert search.stack.log == [] and set(search.q) == {-1}
