@@ -320,7 +320,7 @@ class ArcStack:
     gives arcs to a transition with none. As B > 0, potentials feasible
     for the tighter arcs stay feasible for the looser ones. So `pop_to`
     drops the entries above the mark, but when no entry under some
-    weights would be left, keeps the newest, clamped to the mark.
+    weights would be left, keeps the oldest, clamped to the mark.
 
     w_max and q_max bound the w and the finite q of every arc the stack
     will ever hold (a search takes them from its whole skeleton; by
@@ -366,9 +366,10 @@ class ArcStack:
                 self.infinite -= 1
             q[t] = before
         for entries in self.warm.values():
+            while len(entries) > 1 and entries[-1][1] > mark:
+                entries.pop()
             if entries[-1][1] > mark:
-                kept = [entry for entry in entries if entry[1] <= mark]
-                entries[:] = kept or [[entries[-1][0], mark]]
+                entries[-1][1] = mark
 
     def held(self):
         """The arcs the stack holds, (id, src, dst, w, q), q None for +inf."""

@@ -24,8 +24,8 @@ exact ratio over every table X^T -> Y and the tables reaching it:
   ratio: one negative-cycle test on one `ratiocycle.ArcStack` over the
   skeleton's arcs, where each assignment raises the q of the transitions
   reading the window and a return pops it back, and each test starts
-  from the warm potentials under its weights, so only the arcs of the
-  transitions raised since are queued;
+  from an ancestor's potentials under its weights (or a win's), so only
+  the arcs of the transitions raised since are queued;
 - cycle memory: a decision that loses names its losing cycle, and the
   search keeps the last few the relaxation found (`REMEMBERED_CYCLES`).
   Before each test it weighs them under the decision's weights and the
@@ -297,8 +297,8 @@ class _Search:
     subtree is pruned when the stack already holds a cycle that loses to
     the incumbent. A transition with a +inf corner is kept out until its q
     is exact, so an infinite verdict at a node holds at every completion
-    as well. `loses` decides with `ArcStack.exceeds`, started from the
-    warm potentials under the same weights, without computing the bound.
+    as well. `loses` decides with `ArcStack.exceeds` from the newest warm
+    potentials under the same weights, without computing the bound.
     Before that it tries the last `REMEMBERED_CYCLES` losing cycles the
     relaxation closed, kept as (w, t) lists newest first: a cycle whose
     transitions all hold finite arcs, and whose sum of A*w - B*q under the
@@ -534,16 +534,15 @@ class _Search:
         return total
 
     def loses(self, tie_loses, q=()):
-        """True when the stack holds a cycle that loses to the incumbent,
-        so no table below the node is of use (an acyclic one proves
-        nothing): a remembered cycle, moved to the front, or else
-        `ArcStack.exceeds`, started from the warm potentials under the same
-        weights. `q`, that of a table not yet on the empty stack, is raised
-        for the test only when no remembered cycle settles it. A
-        certificate negative under the decision's weights is the
-        relaxation's cycle, not stage 0's (a +inf-q arc) nor a 0/0 cycle
-        (weight 0), and is remembered. The cycle that settles a losing
-        verdict, either way, is kept as `lost_by`, else None."""
+        """True when the stack holds a cycle that loses to the incumbent, so no
+        table below the node is of use (an acyclic one proves nothing): a
+        remembered cycle, moved to the front, or else `ArcStack.exceeds`,
+        started from the newest warm potentials under the same weights. `q`,
+        that of a table not yet on the empty stack, is raised for the test only
+        when no remembered cycle settles it. A certificate negative under the
+        decision's weights is the relaxation's cycle, not stage 0's (a +inf-q
+        arc) nor a 0/0 cycle (weight 0), and is remembered. The cycle that
+        settles a losing verdict, either way, is kept as `lost_by`, else None."""
         self.decisions += 1
         a, b = self.stack.weights(self.bound, tie_loses)
         remembered = self.remembered
