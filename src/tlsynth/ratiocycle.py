@@ -24,16 +24,17 @@ a branch and bound raises as it descends and pops back as it returns.
 bound: does a cycle's ratio exceed a bound a/b (or reach it, when a tie
 loses)? It is one negative-cycle test on integer weights A*w - B*q,
 label correcting from the potentials of an earlier decision under the
-same weights, and it agrees with the verdict `core_max_ratio` implies. A
-losing verdict carries its certificate, the arc ids of a simple losing
-cycle on the stack (from stage 0, a 0/0 cycle, or the predecessor-tree
-cycle the relaxation closed), which the branch and bound remembers and
-tests again under later bounds before it relaxes. A feasible verdict
-carries its potentials; at the maximum ratio they also give the
-canonical witness its tight subgraph. A table that beats the branch and
-bound's incumbent is rated on the same stack by `ArcStack.max_ratio`:
-the parametric search on that relaxation, each improving cycle read off
-its predecessor tree, with the end rules of `core_max_ratio`. Synthesis
+same weights, and it agrees with the verdict
+`core_max_ratio` implies. A losing verdict carries its certificate, the
+arc ids of a simple losing cycle on the stack (from stage 0, a 0/0 cycle,
+or the predecessor-tree cycle the relaxation closed), which the branch and
+bound remembers and tests again under later bounds before it relaxes. A
+feasible verdict carries its potentials; at the maximum ratio they also
+give the canonical witness its tight subgraph. A table that beats the
+branch and bound's incumbent is rated on the same stack by
+`ArcStack.max_ratio`: the
+parametric search on that relaxation, each improving cycle read off its
+predecessor tree, with the end rules of `core_max_ratio`. Synthesis
 checks every table it returns with two decisions on a fresh stack
 instead of a solve: no cycle exceeds the reported ratio r, and one
 reaches r when ties lose, which holds exactly when the ratio is r.
@@ -310,17 +311,16 @@ class ArcStack:
     by src in the order given, and `_relax` reads each one's q, so a
     raised transition replaces its looser arcs. `exceeds` is one
     negative-cycle test under the weights A*w - B*q. It starts from the
-    newest potentials `warm` keeps under the same weights, each with the
-    log length it is feasible at, queueing only the tails of the arcs of
-    the transitions raised since, or else from zeros. A decision that
-    loses names its losing cycle by arc ids, the certificate a caller can
-    test again under other weights.
+    potentials `warm` keeps per weights with the log length they are
+    feasible at, queueing only the tails of the arcs of the transitions
+    raised since, or else from zeros. A decision that loses names its
+    losing cycle by arc ids, the certificate a caller can test again
+    under other weights.
 
     Above any mark the log only tightens: a raise lifts a finite q, or
     gives arcs to a transition with none. As B > 0, potentials feasible
-    for the tighter arcs stay feasible for the looser ones. So `pop_to`
-    drops the entries above the mark, but when no entry under some
-    weights would be left, keeps the oldest, clamped to the mark.
+    for the tighter arcs stay feasible for the looser ones, so `pop_to`
+    clamps each warm entry's log length to the mark and keeps it.
 
     w_max and q_max bound the w and the finite q of every arc the stack
     will ever hold (a search takes them from its whole skeleton; by
@@ -342,7 +342,7 @@ class ArcStack:
         self.arcs_of = None  # each transition's arcs, once a raise is relaxed
         self.infinite = self.q.count(None)  # +inf transitions
         self.log = []  # (t, q before) of each raise, oldest first
-        self.warm = {}  # (A, B) -> [[feasible potentials, log length], ...], oldest first
+        self.warm = {}  # (A, B) -> [feasible potentials, log length]
 
     @classmethod
     def holding(cls, n, arcs):
@@ -365,11 +365,9 @@ class ArcStack:
             if q[t] is None:
                 self.infinite -= 1
             q[t] = before
-        for entries in self.warm.values():
-            while len(entries) > 1 and entries[-1][1] > mark:
-                entries.pop()
-            if entries[-1][1] > mark:
-                entries[-1][1] = mark
+        for entry in self.warm.values():
+            if entry[1] > mark:
+                entry[1] = mark
 
     def held(self):
         """The arcs the stack holds, (id, src, dst, w, q), q None for +inf."""
@@ -438,12 +436,11 @@ class ArcStack:
             if cycle is not None:
                 return True, cycle
         key = self.weights(bound, ties_lose)
-        entries = self.warm.get(key)
-        dist, since = entries[-1] if entries else ([0] * self.n, None)
+        dist, since = self.warm.get(key, ([0] * self.n, None))
         dist, closed = self._relax(key, list(dist), since)
         if dist is None:
             return True, [arc[3] for arc in self._tree_cycle(key, *closed)]
-        self.warm.setdefault(key, []).append([dist, len(self.log)])
+        self.warm[key] = [dist, len(self.log)]
         return False, dist
 
     def max_ratio(self):
@@ -453,8 +450,8 @@ class ArcStack:
         on `_relax`. From lam = 0, each negative cycle under the weights of
         lam raises lam to its ratio, until the arcs are feasible; the end
         rules are `_settle`'s. The potentials of the last lam become the
-        newest warm entry under its weights: the ratio's strict weights,
-        unless a 0/0 cycle pins the ratio at 1."""
+        warm entry under its weights: the ratio's strict weights, unless a
+        0/0 cycle pins the ratio at 1."""
         n = self.n
         lam, cycle = Fraction(0), None
         while True:
@@ -464,7 +461,7 @@ class ArcStack:
                 break
             cycle = self._tree_cycle(key, *closed)
             lam = Fraction(sum(arc[2] for arc in cycle), sum(arc[1] for arc in cycle))
-        self.warm.setdefault(key, []).append([dist, len(self.log)])
+        self.warm[key] = [dist, len(self.log)]
         finite = [arc for arc in self.held() if arc[4] is not None]
         return _settle(n, finite, lam, cycle is not None)[0]
 
@@ -499,7 +496,9 @@ class ArcStack:
             fresh = [arc for t, _q in self.log[since:] for arc in self.arcs_of[t]]
         for _k, src, dst, w, t in fresh:
             c = q[t]
-            if c not in (None, -1) and not queued[src] and dist[src] + a * w - b * c < dist[dst]:
+            if c is None or c < 0 or queued[src]:
+                continue
+            if dist[src] + a * w - b * c < dist[dst]:
                 queued[src] = True
                 active.append(src)
         out = self.out

@@ -24,8 +24,8 @@ exact ratio over every table X^T -> Y and the tables reaching it:
   ratio: one negative-cycle test on one `ratiocycle.ArcStack` over the
   skeleton's arcs, where each assignment raises the q of the transitions
   reading the window and a return pops it back, and each test starts
-  from an ancestor's potentials under its weights (or a win's), so only
-  the arcs of the transitions raised since are queued;
+  from the warm potentials under its weights, so only the arcs of the
+  transitions raised since are queued;
 - cycle memory: a decision that loses names its losing cycle, and the
   search keeps the last few the relaxation found (`REMEMBERED_CYCLES`).
   Before each test it weighs them under the decision's weights and the
@@ -83,7 +83,7 @@ optimal table is then refined coordinate-wise on the same search, its
 move halved each round (`_Search.move`): a move recomputes q only for the
 transitions reading its window, and is decided like a leaf, ties losing,
 on the search's stack and cycle memory, which settles nearly every move.
-Only a win is solved, on the stack that decided it. The result is the
+Only a win is solved, by `ratiocycle.core_max_ratio`. The result is the
 best table found, with no global-optimality claim.
 
 Every search result passes one verification closure (`_verify`) before
@@ -92,11 +92,11 @@ reported ratio, the randomized table the ratio returned with it, and a
 lower-bound counterexample below the bound. Each is decided from the
 returned policy alone, with `debruijn.policy_q`, on a fresh
 `ratiocycle.ArcStack` of the skeleton's arcs and the policy's q, so no
-relaxed q, warm potentials or q memo of the search is trusted. Equality takes two
-decisions: no cycle exceeds the ratio, and one reaches it when ties
-lose. Together they pin the exact ratio, as `ArcStack.exceeds` gives the
-verdict of the full parametric search; an infinite cycle fails the first,
-and a +inf result must exceed the absent bound. A failure raises
+relaxed q, warm potentials or q memo of the search is trusted. Equality
+takes two decisions: no cycle exceeds the ratio, and one reaches it when
+ties lose. Together they pin the exact ratio, as `ArcStack.exceeds` gives
+the verdict of the full parametric search; an infinite cycle fails the
+first, and a +inf result must exceed the absent bound. A failure raises
 `VerificationFailed`, never an `assert`.
 """
 
@@ -118,7 +118,7 @@ from .errors import (
 from .exact import POS_INF, Cost
 from .policies import DeterministicPolicy, RandomizedPolicy, window_index
 from .problems import LocalProblem
-from .ratiocycle import ArcStack
+from .ratiocycle import ArcStack, core_max_ratio
 
 DEFAULT_CANDIDATE_GUARD = 2**26
 # losing cycles a search remembers and tests before each decision
@@ -297,8 +297,8 @@ class _Search:
     subtree is pruned when the stack already holds a cycle that loses to
     the incumbent. A transition with a +inf corner is kept out until its q
     is exact, so an infinite verdict at a node holds at every completion
-    as well. `loses` decides with `ArcStack.exceeds` from the newest warm
-    potentials under the same weights, without computing the bound.
+    as well. `loses` decides with `ArcStack.exceeds`, started from the
+    warm potentials under the same weights, without computing the bound.
     Before that it tries the last `REMEMBERED_CYCLES` losing cycles the
     relaxation closed, kept as (w, t) lists newest first: a cycle whose
     transitions all hold finite arcs, and whose sum of A*w - B*q under the
@@ -309,10 +309,10 @@ class _Search:
     way. A table that does not lose is decided again with ties
     losing, which tells a tie (recorded as is) from a win; only a win is
     solved for its exact ratio, by `ArcStack.max_ratio` on the stack that
-    decided it, which holds its exact q. Without `prune` a node holds only
-    exact q and there is
-    neither node pruning nor the pair check: a plain exhaustive scan,
-    which still decides each table before solving it.
+    decided it, which holds its exact q. Without `prune` a node holds
+    only exact q and there is neither node pruning nor the pair check: a
+    plain exhaustive scan, which still decides each table before solving
+    it.
 
     On a grid with `prune` (`value_cut`), the node whose children are
     leaves tries its values ascending, as a grid has no guide. A leaf that
@@ -534,15 +534,16 @@ class _Search:
         return total
 
     def loses(self, tie_loses, q=()):
-        """True when the stack holds a cycle that loses to the incumbent, so no
-        table below the node is of use (an acyclic one proves nothing): a
-        remembered cycle, moved to the front, or else `ArcStack.exceeds`,
-        started from the newest warm potentials under the same weights. `q`,
-        that of a table not yet on the empty stack, is raised for the test only
-        when no remembered cycle settles it. A certificate negative under the
-        decision's weights is the relaxation's cycle, not stage 0's (a +inf-q
-        arc) nor a 0/0 cycle (weight 0), and is remembered. The cycle that
-        settles a losing verdict, either way, is kept as `lost_by`, else None."""
+        """True when the stack holds a cycle that loses to the incumbent,
+        so no table below the node is of use (an acyclic one proves
+        nothing): a remembered cycle, moved to the front, or else
+        `ArcStack.exceeds`, started from the warm potentials under the same
+        weights. `q`, that of a table not yet on the empty stack, is raised
+        for the test only when no remembered cycle settles it. A
+        certificate negative under the decision's weights is the
+        relaxation's cycle, not stage 0's (a +inf-q arc) nor a 0/0 cycle
+        (weight 0), and is remembered. The cycle that settles a losing
+        verdict, either way, is kept as `lost_by`, else None."""
         self.decisions += 1
         a, b = self.stack.weights(self.bound, tie_loses)
         remembered = self.remembered
@@ -594,9 +595,9 @@ class _Search:
         reading the window is recomputed. Unless a remembered cycle settles
         the move, `loses` raises every transition to that q on the empty
         stack, which is popped to 0 after. A win is solved by
-        `ArcStack.max_ratio` on the stack that decided it and becomes the
-        bound, and the table and q keep the move; otherwise both are
-        restored. Returns whether it won."""
+        `core_max_ratio` on the arcs the stack holds and becomes the bound,
+        and the table and q keep the move; otherwise both are restored.
+        Returns whether it won."""
         table, before, stack = self.table, self.q, self.stack
         old, table[window] = table[window], value
         self.q = q = list(before)
@@ -605,7 +606,7 @@ class _Search:
                 q[t] = self.q_reads(row, [table[c] for c in codes])
         won = not self.loses(True, q)
         if won:
-            self.bound = stack.max_ratio()
+            self.bound = core_max_ratio(stack.n, stack.held())[1]
         else:
             table[window], self.q = old, before
         stack.pop_to(0)

@@ -307,11 +307,6 @@ def raise_arcs(stack, arcs, first=0):
         stack.raise_q(t, arc[4])
 
 
-def warm_entries(stack):
-    """Every (weights, potentials, log length) the stack keeps in `warm`."""
-    return [(key, p, count) for key, entries in stack.warm.items() for p, count in entries]
-
-
 def feasible(arcs, key, potentials):
     """True when `potentials` satisfy every finite-q arc under weights `key`."""
     a, b = key
@@ -401,7 +396,7 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
                 assert certified(stack, bound, ties_lose)[0] == expected, (n, arcs, bound)
                 stack.pop_to(len(prefix))
                 assert stack.weights(bound, ties_lose) == key
-                assert all(count <= len(prefix) for _k, _p, count in warm_entries(stack))
+                assert all(count <= len(prefix) for _p, count in stack.warm.values())
                 assert certified(stack, bound, ties_lose)[0] == prefix_loses
                 decided.add((expected, None if bound is None else bound > 1, from_prefix))
                 cold, evidence = certified(ArcStack.holding(n, arcs), bound, ties_lose)
@@ -550,11 +545,11 @@ def test_stack_solve_matches_the_oracles(migration_problem):
 
 
 def test_max_ratio_leaves_feasible_potentials():
-    """`ArcStack.max_ratio` keeps the potentials of its last relaxation as
-    the newest entry in `warm`, feasible under the strict weights of the
-    ratio it returns (or of the lower ratio it relaxed at, when a 0/0
-    cycle pins the ratio at 1), and leaves every earlier entry feasible; a
-    decision at that ratio then starts from them, with nothing to queue."""
+    """`ArcStack.max_ratio` keeps the potentials of its last relaxation in
+    `warm`, feasible under the strict weights of the ratio it returns (or
+    of the lower ratio it relaxed at, when a 0/0 cycle pins the ratio at
+    1), and leaves every earlier entry feasible; a decision at that ratio
+    then starts from them, with nothing to queue."""
     rng = random.Random(5003)
     seen = set()
     for _ in range(200):
@@ -570,9 +565,9 @@ def test_max_ratio_leaves_feasible_potentials():
             stack.exceeds(bound)
         assert stack.max_ratio() == lam
         key = stack.weights(lam, False)
-        assert all(feasible(arcs, k, p) for k, p, _count in warm_entries(stack)), (n, arcs)
+        assert all(feasible(arcs, k, p) for k, (p, _count) in stack.warm.items()), (n, arcs)
         if key in stack.warm:
-            potentials = stack.warm[key][-1][0]
+            potentials = stack.warm[key][0]
             assert stack.exceeds(lam) == (False, potentials)
             seen.add("at its ratio")
         else:
@@ -602,13 +597,12 @@ def random_transition_arcs(rng):
 def test_raises_and_pops_keep_verdicts_and_warm_potentials():
     """Random sequences of tightening raises, marks and pops on one stack,
     with decisions under random bounds and tie rules in between, each
-    started from the newest warm entry under its weights as `pop_to` left
-    it, dropped to an older one or clamped. Every verdict equals that of a
-    fresh `ArcStack.holding` of the arcs held and of the brute-force cycle
-    oracle. After every pop every weights key keeps an entry, every entry
-    holds for at most the mark, and is feasible for the arcs held but
-    those of the transitions raised since its log length, which is all
-    that `exceeds` assumes of it. A transition's q only rises above a
+    started from the stack's warm entries as `pop_to` clamped them. Every
+    verdict equals that of a fresh `ArcStack.holding` of the arcs held and
+    of the brute-force cycle oracle. After every pop every warm entry holds
+    for at most the mark, and is feasible for the arcs held but those of
+    the transitions raised since its log length, which is all that
+    `exceeds` assumes of it. A transition's q only rises above a
     mark, from -1 (no arcs) to a finite q or +inf, or from a finite q to a
     larger one, as in the branch and bound: a finite q never becomes +inf,
     which would take its arcs out of the relaxation."""
@@ -638,12 +632,9 @@ def test_raises_and_pops_keep_verdicts_and_warm_potentials():
                 i = rng.randrange(len(marks))
                 mark = marks[i]
                 del marks[i:]
-                entries = stack.warm.values()
-                clamped = any(all(count > mark for _p, count in e) for e in entries)
-                dropped = any(e[0][1] <= mark < e[-1][1] for e in entries)
+                clamped = any(count > mark for _p, count in stack.warm.values())
                 stack.pop_to(mark)
-                assert all(stack.warm.values())
-                for key, potentials, count in warm_entries(stack):
+                for key, (potentials, count) in stack.warm.items():
                     since = {t for t, _q in stack.log[count:]}
                     kept = [
                         (k, s, d, w, stack.q[t])
@@ -652,22 +643,18 @@ def test_raises_and_pops_keep_verdicts_and_warm_potentials():
                     ]
                     assert count <= mark and feasible(kept, key, potentials), (n, arcs)
                 assert stack.infinite == stack.q.count(None)
-                seen.add("popped")
-                if clamped:
-                    seen.add("clamped")
-                if dropped:
-                    seen.add("dropped")
+                seen.add("clamped" if clamped else "popped")
             else:
                 bound, ties_lose = rng.choice(bounds), rng.random() < 0.5
                 key = stack.weights(bound, ties_lose)
-                entry = stack.warm[key][-1] if key in stack.warm else None
+                entry = stack.warm.get(key)
                 held = stack.held()
                 verdict = certified(stack, bound, ties_lose)[0]
                 assert verdict == ArcStack.holding(n, held).exceeds(bound, ties_lose)[0]
                 assert verdict == oracle_loses(n, held, bound, ties_lose), (n, held, bound)
                 if entry is not None and entry[1] < len(stack.log):
                     seen.add(("warm", verdict))
-    assert seen >= {"clamped", "dropped", "popped", ("warm", False), ("warm", True)}
+    assert seen >= {"clamped", "popped", ("warm", False), ("warm", True)}
 
 
 def test_stack_path_never_runs_bellman_ford(monkeypatch):

@@ -494,9 +494,9 @@ def test_verify_lower_bound_modes():
 
 
 def count_solves(monkeypatch):
-    """The ratios of the solves made from here on, in order: the
-    `ArcStack.max_ratio` solves and the `core_max_ratio` calls, each
-    counted once."""
+    """The ratios of the solves made from here on, in order: the search's
+    `ArcStack.max_ratio` solves and the `core_max_ratio` calls made
+    through `synthesis` or `ratiocycle`, each counted once."""
     solved = []
     core, stack_solve = ratiocycle.core_max_ratio, ArcStack.max_ratio
 
@@ -511,6 +511,7 @@ def count_solves(monkeypatch):
         return ratio
 
     monkeypatch.setattr(ratiocycle, "core_max_ratio", counted_core)
+    monkeypatch.setattr(synthesis, "core_max_ratio", counted_core)
     monkeypatch.setattr(ArcStack, "max_ratio", counted_stack)
     return solved
 
@@ -718,22 +719,14 @@ def test_randomized_grid_mismatch_raises(monkeypatch, skew):
 @pytest.mark.parametrize("skew", [Fraction(1, 7), Fraction(-1, 7)])
 def test_randomized_refinement_mismatch_raises(monkeypatch, skew):
     # the refinement wins of this cell (see test_randomized_t3_pin) are
-    # solved by `ArcStack.max_ratio`, skewed here only inside `_Search.move`
-    exact, move = ArcStack.max_ratio, synthesis._Search.move
-    moving = []
+    # solved by `core_max_ratio`
+    exact = synthesis.core_max_ratio
 
-    def skewed(stack):
-        return exact(stack) + (skew if moving else 0)
+    def skewed(n, arcs):
+        kind, lam, witness, iterations = exact(n, arcs)
+        return kind, lam + skew, witness, iterations
 
-    def flagged(search, window, value):
-        moving.append(window)
-        try:
-            return move(search, window, value)
-        finally:
-            moving.pop()
-
-    monkeypatch.setattr(ArcStack, "max_ratio", skewed)
-    monkeypatch.setattr(synthesis._Search, "move", flagged)
+    monkeypatch.setattr(synthesis, "core_max_ratio", skewed)
     monkeypatch.setattr(synthesis, "REFINEMENT_ROUNDS", 2)
     config = SynthesisConfig(horizon=3, grid_step=Fraction(1, 4))
     with pytest.raises(VerificationFailed):
