@@ -182,7 +182,8 @@ class Skeleton:
     (row, codes): the policy's q on every edge of t is rows[row][y], where
     y encodes (oldest first, base |Y|) the table outputs at the window
     codes `codes`. Row entries are ints, or None for +inf. arcs lists the
-    edges an adversary can play (w < +inf) as (k, src, dst, w, t).
+    edges an adversary can play (w < +inf) as (k, src, dst, w, t), and
+    arcs_from[v] the arcs from v, in arcs order.
     """
 
     problem: LocalProblem
@@ -195,6 +196,7 @@ class Skeleton:
     rows: tuple
     scale: int
     arcs: tuple
+    arcs_from: tuple
 
     def q_det(self, table):
         """Per-transition q of a deterministic table (output indices)."""
@@ -358,6 +360,7 @@ def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
     general row entry is also some edge's w, so this rejects every such
     cost a policy could pay; split rows are >= 0."""
     out = [[] for _ in range(n_vertices)]
+    arcs_from = [[] for _ in range(n_vertices)]
     arcs = []
     for k, (src, dst, _x, _b, w, t) in enumerate(edges):
         out[src].append(k)
@@ -366,6 +369,7 @@ def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
         if w is NEG_INF or w < 0:
             raise InvalidCost(f"edge {k}: adversary cost {problem._unscale(w)} must be >= 0")
         arcs.append((k, src, dst, w, t))
+        arcs_from[src].append(arcs[-1])
     int_rows = tuple(tuple(None if c is POS_INF else c for c in row) for row in rows)
     return Skeleton(
         problem=problem,
@@ -378,6 +382,7 @@ def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
         rows=int_rows,
         scale=problem._scale,
         arcs=tuple(arcs),
+        arcs_from=tuple(map(tuple, arcs_from)),
     )
 
 

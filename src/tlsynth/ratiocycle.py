@@ -2,45 +2,39 @@
 
 The cost ratio of a closed walk is q/w when w > 0, exactly 1 when
 q = w = 0, and +inf otherwise; the maximum over directed cycles is the
-competitive ratio of the policy the graph encodes.
+competitive ratio of the policy the graph encodes. Edge costs must be
+non-negative; an edge with w = +inf is ignored (an adversary never
+plays it).
 
-The production solver runs an exact parametric search: maintain a
-candidate ratio lam and look for a cycle with q - lam*w > 0 via
-negative-cycle detection on integer-scaled weights lam*w - q, raising
-lam to the found cycle's exact ratio until no improving cycle exists.
-A brute-force enumeration of all simple cycles serves as the independent
-oracle on small graphs.
+Every verdict starts with stage 0 (`_infinite_q_cycle`): a cycle through
+one q = +inf arc, closed by finite-q arcs, makes it infinite. Stage 0
+reads an adjacency and one q per transition, so `evaluate_policy` runs
+it on a `debruijn.Skeleton`'s `arcs_from` and the policy's q before any
+per-table arcs exist. Only a table it leaves open gets its integer arcs,
+in the problem's own scale, for `core_max_ratio`: an exact parametric
+search that raises a candidate ratio lam to the ratio of each cycle with
+q - lam*w > 0, found by Bellman-Ford negative-cycle detection on integer
+weights lam*w - q (`_negative_cycle`). Its unbounded check (stage 1) and
+the canonical witness's tight subgraph come from one `ArcStack` of those
+arcs; a verdict says when its capped witness search gave up, and reads
+back only the witness edges as `Cost`s. `max_ratio_cycle` validates and
+scales a hand-built `DualGraph`. A brute-force enumeration of all simple
+cycles is the independent oracle on small graphs.
 
-Edge costs must be non-negative; edges with w = +inf are ignored (an
-adversary never plays them) and a cycle through one q = +inf edge and
-otherwise finite-q edges makes the verdict infinite. `core_max_ratio`
-works on integer arcs and now serves only analysis. Its unbounded check
-is `ArcStack.exceeds` with no bound, and only its ratio loop still runs
-Bellman-Ford rounds (`_negative_cycle`); a verdict adds the canonical
-witness, or says that its capped search gave up.
 `ArcStack` holds a skeleton's fixed arcs and one q per transition, which
 a branch and bound raises as it descends and pops back as it returns.
-`ArcStack.exceeds` answers the question that search asks, for every
-bound: does a cycle's ratio exceed a bound a/b (or reach it, when a tie
-loses)? It is one negative-cycle test on integer weights A*w - B*q,
-label correcting from the potentials of an earlier decision under the
-same weights, and it agrees with the verdict
-`core_max_ratio` implies. A losing verdict carries its certificate, the
-arc ids of a simple losing cycle on the stack (from stage 0, a 0/0 cycle,
-or the predecessor-tree cycle the relaxation closed), which the branch and
-bound remembers and tests again under later bounds before it relaxes. A
-feasible verdict carries its potentials; at the maximum ratio they also
-give the canonical witness its tight subgraph. A table that beats the
-branch and bound's incumbent is rated on the same stack by
-`ArcStack.max_ratio`: the
-parametric search on that relaxation, each improving cycle read off its
-predecessor tree, with the end rules of `core_max_ratio`. Synthesis
-checks every table it returns with two decisions on a fresh stack
-instead of a solve: no cycle exceeds the reported ratio r, and one
-reaches r when ties lose, which holds exactly when the ratio is r.
-`evaluate_policy` solves a `debruijn.Skeleton`'s arcs, in the problem's
-own scale, and reads back only the witness edges as `Cost`s for the
-report; `max_ratio_cycle` validates and scales a hand-built `DualGraph`.
+`ArcStack.exceeds` decides, for any bound a/b, whether a cycle's ratio
+exceeds it (or reaches it, when a tie loses): one negative-cycle test on
+integer weights A*w - B*q, label correcting from the potentials of an
+earlier decision under the same weights. A losing verdict carries its
+certificate, the arc ids of a simple losing cycle on the stack (from
+stage 0, a 0/0 cycle or the relaxation's predecessor tree), which the
+branch and bound tests again under later bounds; a feasible one carries
+its potentials. A table that beats the incumbent is rated on the same
+stack by `ArcStack.max_ratio`, the parametric search on that
+relaxation. Synthesis checks every table it returns with two decisions
+on a fresh stack: no cycle exceeds the reported ratio r, and one reaches
+r when ties lose, which holds exactly when the ratio is r.
 """
 
 from __future__ import annotations
@@ -226,39 +220,55 @@ def _out_arcs(n, arcs):
     return out
 
 
-def _infinite_q_cycle(n, edges):
-    """Stage 0 of every verdict: (cycle, finite), where cycle is the edge ids
-    of a cycle through one infinite-q arc closed by finite-q arcs, or None,
-    and finite holds the arcs with finite q. A cycle through two or more
-    infinite-q arcs is not detected here, and the table is rated on its
-    remaining cycles; the synthesis search drops a table paying +inf on a
+def _infinite_q_cycle(arcs, out, q):
+    """Stage 0 of every verdict: the edge ids of a cycle through one +inf-q
+    arc closed by finite-q arcs, or None. Arcs (id, src, dst, w, t) pay
+    q[t] (None for +inf, -1 for no arcs); out[v] lists the arcs from v in
+    arcs order (a skeleton's `arcs_from`, an `ArcStack`'s `out`). Each
+    +inf arc, in arcs order, is closed by the shortest path from its head
+    to its tail over the finite-q arcs of out, breadth first. A cycle
+    through two or more +inf-q arcs is missed, and the table is rated on
+    its other cycles; the synthesis search drops a table paying +inf on a
     2-cycle of two such arcs at the leaf (`synthesis.infinite_pairs`)."""
-    finite = [e for e in edges if e[4] is not None]
-    if len(finite) < len(edges):
-        out = _out_arcs(n, finite)
-        for k, src, dst, _w, q in edges:
-            if q is None:
-                path = _bfs_path(out, dst, src)
-                if path is not None:
-                    return path + [k], finite
-    return None, finite
+    for k, src, dst, _w, t in arcs:
+        if q[t] is not None:
+            continue
+        seen = {dst: None}  # vertex -> the arc that first reached it
+        queue = [dst]
+        for v in queue:
+            if src in seen:
+                break
+            for arc in out[v]:
+                c, d = q[arc[4]], arc[2]
+                if c is not None and c >= 0 and d not in seen:
+                    seen[d] = arc
+                    queue.append(d)
+        if src in seen:
+            cycle = [k]
+            while seen[src] is not None:
+                cycle.append(seen[src][0])
+                src = seen[src][1]
+            return cycle[::-1]
+    return None
 
 
-def core_max_ratio(n, edges):
+def core_max_ratio(n, edges, stack=None):
     """Parametric search over integer-scaled arcs (id, src, dst, w, q).
 
     q is None for an infinite algorithm cost. Returns (kind, ratio,
     witness_edge_ids, iterations) with kind "infinite" or "finite".
+    Stages 0 and 1 are one decision with no bound on `stack`, which holds
+    the edges (`ArcStack.holding`, built here unless the caller keeps it).
     """
-    cycle, edges = _infinite_q_cycle(n, edges)
-    if cycle is not None:
-        return "infinite", None, cycle, 0
-
-    # stage 1: a zero-w cycle with positive q means an unbounded ratio, which
-    # is exactly what a decision with no bound looks for
-    unbounded, cycle = ArcStack.holding(n, edges).exceeds(None)
+    if stack is None:
+        stack = ArcStack.holding(n, edges)
+    # stage 0, then stage 1: a zero-w cycle with positive q means an
+    # unbounded ratio, which a decision with no bound looks for
+    unbounded, cycle = stack.exceeds(None)
     if unbounded:
         return "infinite", None, cycle, 0
+    if stack.infinite:
+        edges = [e for e in edges if e[4] is not None]
 
     # stage 2: raise lam through the finite set of cycle ratios
     by_id = {k: (w, q) for k, s, d, w, q in edges}
@@ -414,8 +424,8 @@ class ArcStack:
         order. A False one comes with potentials feasible for these arcs
         under `weights`.
 
-        Stage 0 of `core_max_ratio` runs only when a +inf transition holds
-        arcs, and its cycle holds one. A 0/0 cycle rates 1, so when it
+        Stage 0, on the stack's own `out` and q, runs only when a +inf
+        transition holds arcs, and its cycle holds one. A 0/0 cycle rates 1, so when it
         loses (a bound below 1, or 1 with ties losing) it is looked for
         first. Otherwise the cycle is the one the negative-cycle test
         closes, negative under `weights`, started from the warm potentials
@@ -423,7 +433,7 @@ class ArcStack:
         correcting is exact from any start.
         """
         if self.infinite:
-            cycle = _infinite_q_cycle(self.n, self.held())[0]
+            cycle = _infinite_q_cycle(self.arcs, self.out, self.q)
             if cycle is not None:
                 return True, cycle
         # bound < 1, or bound == 1 with ties_lose, on the lowest terms
@@ -431,7 +441,7 @@ class ArcStack:
             bound.numerator < bound.denominator
             or (ties_lose and bound.numerator == bound.denominator)
         ):
-            zero_zero = [arc[:3] for arc in self.held() if arc[3] == arc[4] == 0]
+            zero_zero = [(k, s, d) for k, s, d, w, t in self.arcs if w == self.q[t] == 0]
             cycle = _any_cycle(self.n, zero_zero)
             if cycle is not None:
                 return True, cycle
@@ -550,17 +560,17 @@ class ArcStack:
 
 
 def _solve(n, edges):
-    """`core_max_ratio`, then the canonical witness: (classification,
-    witness edge ids, iterations, certified)."""
-    kind, lam, witness, iterations = core_max_ratio(n, edges)
+    """`core_max_ratio`, then the canonical witness, on one `ArcStack` of
+    the edges: (classification, witness edge ids, iterations, certified)."""
+    stack = ArcStack.holding(n, edges)
+    kind, lam, witness, iterations = core_max_ratio(n, edges, stack)
     if kind == "infinite":
         return kind, witness, 0, True
-    edges = [e for e in edges if e[4] is not None]
     certified = True
-    if lam > 0 and any(w > 0 for _k, _s, _d, w, _q in edges):
+    if lam > 0 and any(w > 0 for _k, _s, _d, w, q in edges if q is not None):
         # prefer the canonical first witness among all max-ratio cycles
         try:
-            tight = _canonical_tight_cycle(n, edges, lam)
+            tight = _canonical_tight_cycle(stack, lam)
         except GraphTooLarge:
             tight, certified = None, False
         if tight is not None:
@@ -573,33 +583,6 @@ def max_ratio_cycle(graph: DualGraph) -> RatioVerdict:
     kind, witness, iterations, certified = _solve(graph.n_vertices, _prepare(graph))
     report = _make_report(graph.problem, graph.edges, witness)
     return RatioVerdict(report, kind, iterations, certified)
-
-
-def _bfs_path(out, start, goal):
-    """Shortest edge-id path start -> goal over the adjacency `out` of
-    `_out_arcs` (None if unreachable); start == goal gives the empty path."""
-    if start == goal:
-        return []
-    seen = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for edge_id, dst in out[v]:
-                if dst not in seen:
-                    seen[dst] = (v, edge_id)
-                    if dst == goal:
-                        path = []
-                        cur = dst
-                        while seen[cur] is not None:
-                            prev, eid = seen[cur]
-                            path.append(eid)
-                            cur = prev
-                        path.reverse()
-                        return path
-                    nxt.append(dst)
-        frontier = nxt
-    return None
 
 
 def _any_cycle(n, arcs3):
@@ -637,21 +620,24 @@ def _any_cycle(n, arcs3):
     return None
 
 
-def _canonical_tight_cycle(n, edges, lam):
-    """First simple cycle achieving ratio exactly lam, in canonical order.
+def _canonical_tight_cycle(stack, lam):
+    """First simple cycle of `stack`'s arcs of ratio exactly lam, in canonical order.
 
-    No cycle of the finite-q `edges` exceeds lam, so `ArcStack.exceeds`
-    returns potentials: shortest distances from a virtual source under
-    weights lam*w - q. Every edge then has non-negative reduced weight,
-    and a cycle has ratio lam exactly when all its edges are reduced-weight
-    zero and its w is positive.
+    No cycle of its finite-q arcs exceeds lam, so relaxing from zeros
+    under weights lam*w - q gives potentials: shortest distances from a
+    virtual source. Every arc then has non-negative reduced weight, and a
+    cycle has ratio lam exactly when all its arcs are reduced-weight zero
+    and its w is positive.
     """
     a, b = lam.numerator, lam.denominator
-    dist = ArcStack.holding(n, edges).exceeds(lam)[1]
+    n, q = stack.n, stack.q
+    dist = stack._relax((a, b), [0] * n)[0]
     tight = [
-        (k, s, d, w, q) for k, s, d, w, q in edges if dist[s] + a * w - b * q == dist[d]
+        (k, s, d, w)
+        for k, s, d, w, t in stack.arcs
+        if q[t] is not None and dist[s] + a * w - b * q[t] == dist[d]
     ]
-    weight = {k: w for k, _s, _d, w, _q in tight}
+    weight = {k: w for k, _s, _d, w in tight}
     for cycle in _simple_cycles(n, _out_arcs(n, tight), visit_cap=_TIGHT_SEARCH_CAP):
         if sum(weight[k] for k in cycle) > 0:
             return cycle
@@ -681,9 +667,17 @@ def brute_force_max_ratio(graph: DualGraph) -> RatioVerdict:
 def evaluate_policy(problem, policy) -> RatioVerdict:
     """Competitive ratio of a deterministic or behavioral table policy: the
     maximum-ratio cycle of its skeleton's integer arcs. Witness edge ids are
-    skeleton edge ids, as in `build_graph_det` / `build_graph_rand`."""
+    skeleton edge ids, as in `build_graph_det` / `build_graph_rand`.
+    Stage 0 runs once, on the skeleton's `arcs_from` and the policy's q;
+    only a table it leaves open gets its finite-q integer arcs, solved
+    on one `ArcStack` (`_solve`)."""
     skel, q, unit = policy_q(problem, policy)
-    kind, witness, iterations, certified = _solve(skel.n_vertices, skel.int_arcs(q, unit))
+    witness = _infinite_q_cycle(skel.arcs, skel.arcs_from, q)
+    if witness is None:
+        finite = [arc for arc in skel.int_arcs(q, unit) if arc[4] is not None]
+        kind, witness, iterations, certified = _solve(skel.n_vertices, finite)
+    else:
+        kind, iterations, certified = "infinite", 0, True
     edges = dict(zip(witness, skel.dual_edges(q, unit, witness)))
     report = _make_report(problem, edges, witness)
     return RatioVerdict(report, kind, iterations, certified)

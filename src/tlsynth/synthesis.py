@@ -220,7 +220,8 @@ def _check_guard(total):
 def infinite_pairs(skel):
     """Pairs of transitions that can pay +inf (a None in their cost row)
     and have arcs closing a 2-cycle. A table paying +inf on both pays +inf
-    on that cycle, which `ratiocycle._infinite_q_cycle` does not see."""
+    on that cycle, which stage 0 (`ratiocycle._infinite_q_cycle`) misses:
+    it closes each +inf arc by finite-q arcs only."""
     ends = {}  # (src, dst) -> the transitions that can pay +inf on an arc src -> dst
     for _k, src, dst, _w, t in skel.arcs:
         if None in skel.rows[skel.transitions[t][0]]:

@@ -15,7 +15,6 @@ from tlsynth.ratiocycle import (
     BRUTE_FORCE_VERTEX_GUARD,
     _TIGHT_SEARCH_CAP,
     ArcStack,
-    _infinite_q_cycle,
     _out_arcs,
     _prepare,
     _simple_cycles,
@@ -326,12 +325,15 @@ def ratios_lose(ratios, bound, ties_lose):
 
 
 def oracle_loses(n, arcs, bound, ties_lose):
-    """The verdict `core_max_ratio` implies, by brute force after its stage
-    0: a cycle through one +inf-q arc closed by finite-q arcs, or a simple
-    cycle of the finite-q arcs that loses."""
-    return _infinite_q_cycle(n, arcs)[0] is not None or ratios_lose(
-        simple_cycle_ratios(n, arcs), bound, ties_lose
-    )
+    """The verdict `core_max_ratio` implies, by brute force: a simple cycle
+    of all the arcs holding exactly one +inf-q arc (its stage 0: a +inf-q
+    arc closed by a path of finite-q arcs), or a simple cycle of the
+    finite-q arcs that loses."""
+    infinite = {arc[0] for arc in arcs if arc[4] is None}
+    return any(
+        len(infinite.intersection(cycle)) == 1
+        for cycle in _simple_cycles(n, _out_arcs(n, arcs))
+    ) or ratios_lose(simple_cycle_ratios(n, arcs), bound, ties_lose)
 
 
 def walk_ratio_of_ids(arcs, ids):
@@ -404,6 +406,7 @@ def test_exceeds_matches_the_cycle_oracle(infinite_q):
                 if cold:
                     walk = [arcs[k] for k in evidence]
                     if any(arc[4] is None for arc in walk):
+                        assert sum(arc[4] is None for arc in walk) == 1, (n, arcs, evidence)
                         certificates.add("stage 0")
                     elif all(arc[3] == arc[4] == 0 for arc in walk):
                         certificates.add("0/0")
