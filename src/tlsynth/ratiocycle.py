@@ -425,12 +425,12 @@ class ArcStack:
         under `weights`.
 
         Stage 0, on the stack's own `out` and q, runs only when a +inf
-        transition holds arcs, and its cycle holds one. A 0/0 cycle rates 1, so when it
-        loses (a bound below 1, or 1 with ties losing) it is looked for
-        first. Otherwise the cycle is the one the negative-cycle test
-        closes, negative under `weights`, started from the warm potentials
-        under the same weights or else from zeros, a virtual source: label
-        correcting is exact from any start.
+        transition holds arcs, and its cycle holds one. A 0/0 cycle rates
+        1, so when it loses (a bound below 1, or 1 with ties losing) it is
+        looked for first. Otherwise the cycle is the one the negative-cycle
+        test closes, negative under `weights`, started from the warm
+        potentials under the same weights or else from zeros, a virtual
+        source: label correcting is exact from any start.
         """
         if self.infinite:
             cycle = _infinite_q_cycle(self.arcs, self.out, self.q)
