@@ -29,10 +29,10 @@ behavioral tables (`Skeleton.q_rand`, the expectation over independent
 per-step draws, on probabilities written as numerators over one
 denominator). All costs are ints in the problem's own scale
 (`Skeleton.scale`), read as they are from the problem's scaled view
-(`LocalProblem.lookup_scaled`). Analysis and synthesis solve these integer
-arcs (`Skeleton.int_arcs`); the exact `Cost` view of the same edges is
-built in one place (`Skeleton.dual_edges`), only for witness reports,
-dumps and the oracle (`build_graph_det` / `build_graph_rand`).
+(`LocalProblem.lookup_scaled`). Analysis and synthesis solve the arcs as
+they are (`ratiocycle.ArcStack.over`); the exact `Cost` view of the same
+edges is built in one place (`Skeleton.dual_edges`), only for witness
+reports, dumps and the oracle (`build_graph_det` / `build_graph_rand`).
 """
 
 from __future__ import annotations
@@ -229,11 +229,6 @@ class Skeleton:
         den to the number of windows a transition reads, the same for every
         transition."""
         return den ** len(self.transitions[0][1])
-
-    def int_arcs(self, q, unit=1):
-        """(id, src, dst, w, q) integer arcs for `ratiocycle.core_max_ratio`
-        and `ratiocycle.ArcStack.holding`."""
-        return [(k, s, d, w * unit, q[t]) for k, s, d, w, t in self.arcs]
 
     def dual_edges(self, q, unit=1, ids=None):
         """Exact DualEdges with per-transition q from q_det / q_rand: every

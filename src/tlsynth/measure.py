@@ -54,8 +54,8 @@ class Algorithm:
     `outputs(xs, seed)` are the algorithm's outputs on xs; the seed picks
     the coins of a randomized algorithm and is ignored by a deterministic
     one. `cost_on(problem, xs, seed)` is the exact total cost of those
-    outputs. `policy` is the one policy the algorithm runs, which
-    `gen_adaptive` plays against; it is None when the seed picks the
+    outputs, or math.inf. `policy` is the one policy the algorithm runs,
+    which `gen_adaptive` plays against; it is None when the seed picks the
     outputs some other way (the coin flip, a drawn Mixed Resetting member).
     """
 
@@ -64,7 +64,10 @@ class Algorithm:
         self.policy = policy
 
     def cost_on(self, problem, xs, seed) -> Fraction:
-        return problem.evaluate(xs, self.outputs(xs, seed)).total.as_fraction()
+        total = problem.evaluate(xs, self.outputs(xs, seed)).total
+        if not total.is_finite and total < 0:
+            raise ValidationError("the algorithm's total cost is -inf, which has no ratio")
+        return total.as_fraction() if total.is_finite else math.inf
 
 
 def policy_algorithm(policy) -> Algorithm:
@@ -162,6 +165,8 @@ def measure_ratio(
     def opt_of(xs) -> Fraction:
         if xs not in opt_cache:
             total, _ = offline_opt(problem, xs)
+            if not total.is_finite:
+                raise ValidationError(f"the offline optimum is {total}, which has no ratio")
             opt_cache[xs] = total.as_fraction()
         return opt_cache[xs]
 
@@ -182,7 +187,7 @@ def measure_ratio(
         costs.append(cost)
         opts.append(opt)
         ratios.append(
-            Fraction(cost, opt) if opt > 0 else (math.inf if cost > 0 else Fraction(1))
+            cost / opt if opt > 0 else (math.inf if cost > 0 else Fraction(1))
         )
         if check is not None and cost > c_bound * opt + d_bound:
             violations += 1

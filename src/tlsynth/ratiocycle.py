@@ -10,19 +10,19 @@ Every verdict starts with stage 0 (`_infinite_q_cycle`): a cycle through
 one q = +inf arc, closed by finite-q arcs, makes it infinite. Stage 0
 reads an adjacency and one q per transition, so `evaluate_policy` runs
 it on a `debruijn.Skeleton`'s `arcs_from` and the policy's q before any
-per-table arcs exist. Only a table it leaves open gets its integer arcs,
-in the problem's own scale, for `core_max_ratio`: an exact parametric
-search that raises a candidate ratio lam to the ratio of each cycle with
+stack exists. Only a table it leaves open is solved, by `core_max_ratio`
+on one `ArcStack` over the skeleton: an exact parametric search that
+raises a candidate ratio lam to the ratio of each cycle with
 q - lam*w > 0, found by Bellman-Ford negative-cycle detection on integer
 weights lam*w - q (`_negative_cycle`). Its unbounded check (stage 1) and
-the canonical witness's tight subgraph come from one `ArcStack` of those
-arcs; a verdict says when its capped witness search gave up, and reads
-back only the witness edges as `Cost`s. `max_ratio_cycle` validates and
-scales a hand-built `DualGraph`. A brute-force enumeration of all simple
-cycles is the independent oracle on small graphs.
+the canonical witness's tight subgraph come from that stack; a verdict
+says when its capped witness search gave up, and reads back only the
+witness edges as `Cost`s. `max_ratio_cycle` validates and scales a
+hand-built `DualGraph`. A brute-force enumeration of all simple cycles
+is the independent oracle on small graphs.
 
-`ArcStack` holds a skeleton's fixed arcs and one q per transition, which
-a branch and bound raises as it descends and pops back as it returns.
+`ArcStack` holds one q per transition, which a branch and bound raises
+and pops back, over a skeleton's own arcs and adjacency (`ArcStack.over`).
 `ArcStack.exceeds` decides, for any bound a/b, whether a cycle's ratio
 exceeds it (or reaches it, when a tie loses): one negative-cycle test on
 integer weights A*w - B*q, label correcting from the potentials of an
@@ -257,8 +257,8 @@ def core_max_ratio(n, edges, stack=None):
 
     q is None for an infinite algorithm cost. Returns (kind, ratio,
     witness_edge_ids, iterations) with kind "infinite" or "finite".
-    Stages 0 and 1 are one decision with no bound on `stack`, which holds
-    the edges (`ArcStack.holding`, built here unless the caller keeps it).
+    Stages 0 and 1 are one decision with no bound on `stack`, whose `held`
+    arcs are the edges: the caller's, or else one `ArcStack.holding` them.
     """
     if stack is None:
         stack = ArcStack.holding(n, edges)
@@ -267,8 +267,7 @@ def core_max_ratio(n, edges, stack=None):
     unbounded, cycle = stack.exceeds(None)
     if unbounded:
         return "infinite", None, cycle, 0
-    if stack.infinite:
-        edges = [e for e in edges if e[4] is not None]
+    edges = [e for e in edges if e[4] is not None]
 
     # stage 2: raise lam through the finite set of cycle ratios
     by_id = {k: (w, q) for k, s, d, w, q in edges}
@@ -332,34 +331,41 @@ class ArcStack:
     for the tighter arcs stay feasible for the looser ones, so `pop_to`
     clamps each warm entry's log length to the mark and keeps it.
 
-    w_max and q_max bound the w and the finite q of every arc the stack
-    will ever hold (a search takes them from its whole skeleton; by
-    default the arcs' largest w and q's largest finite value), so the
-    weights of a bound stay the same as q rises and falls.
+    q counts 1/`unit` of w, a scale the stack applies, not its callers.
+    The arcs' largest w and q_max (q's largest finite value, unless a
+    search declares its skeleton's largest row entry) bound every arc the
+    stack will ever hold, so a bound's weights stay the same as q moves.
     """
 
-    def __init__(self, n, arcs, q, w_max=None, q_max=None):
+    def __init__(self, n, arcs, out, q, unit=1, q_max=None):
         self.n = n
         self.arcs = arcs
+        self.out = out  # the arcs by src, in arcs order
         self.q = list(q)
-        w_max = max((arc[3] for arc in arcs), default=0) if w_max is None else w_max
+        self.unit = unit
+        w_max = max((arc[3] for arc in arcs), default=0)
         q_max = max([0, *(c for c in q if c is not None)]) if q_max is None else q_max
-        self.tie = n * w_max + 1  # M of a losing tie: above the W of every simple cycle
-        self.unbounded = n * q_max + 1  # A with no bound: above the Q of every simple cycle
-        self.out = out = [[] for _ in range(n)]  # the arcs by their src
-        for arc in arcs:
-            out[arc[1]].append(arc)
+        self.tie = n * w_max * unit + 1  # M of a losing tie: above the W of every simple cycle
+        self.unbounded = (n * q_max + 1) * unit  # A with no bound: above every cycle's Q
         self.arcs_of = None  # each transition's arcs, once a raise is relaxed
         self.infinite = self.q.count(None)  # +inf transitions
         self.log = []  # (t, q before) of each raise, oldest first
         self.warm = {}  # (A, B) -> [feasible potentials, log length]
 
     @classmethod
+    def over(cls, skel, q, unit=1, q_max=None):
+        """A stack sharing a `debruijn.Skeleton`'s arcs and `arcs_from`."""
+        return cls(skel.n_vertices, skel.arcs, skel.arcs_from, q, unit, q_max)
+
+    @classmethod
     def holding(cls, n, arcs):
         """A stack holding the arcs (id, src, dst, w, q) of one table, one
         transition per arc, bounded by their own largest w and finite q."""
         fixed = [(k, s, d, w, t) for t, (k, s, d, w, _q) in enumerate(arcs)]
-        return cls(n, fixed, [arc[4] for arc in arcs])
+        out = [[] for _ in range(n)]
+        for arc in fixed:
+            out[arc[1]].append(arc)
+        return cls(n, fixed, out, [arc[4] for arc in arcs])
 
     def raise_q(self, t, q):
         """Tighten transition t to q: above its q, or None (+inf) from -1."""
@@ -380,17 +386,17 @@ class ArcStack:
                 entry[1] = mark
 
     def held(self):
-        """The arcs the stack holds, (id, src, dst, w, q), q None for +inf."""
-        q = self.q
-        return [(k, s, d, w, q[t]) for k, s, d, w, t in self.arcs if q[t] != -1]
+        """The arcs the stack holds, (id, src, dst, w * unit, q), q None for +inf."""
+        q, unit = self.q, self.unit
+        return [(k, s, d, w * unit, q[t]) for k, s, d, w, t in self.arcs if q[t] != -1]
 
     def weights(self, bound, ties_lose):
         """(A, B) such that a simple cycle of the finite-q arcs other than a
         0/0 cycle is negative under A*w - B*q exactly when it loses, by the
         verdict `core_max_ratio` implies after its stage 0, for any bound
-        a/b or none. A 0/0 cycle weighs 0 under any (A, B). A simple
-        cycle has at most n arcs, so its W and Q are below M = n*w_max + 1
-        and n*q_max + 1, and W, Q and a*W - b*Q are integers:
+        a/b or none, each A times `unit` (so A*w is in q's unit). A 0/0
+        cycle weighs 0. A simple cycle has at most n arcs, so its integer
+        W (in q's unit) and Q are below M = n*w_max*unit + 1 and n*q_max + 1:
 
         - a strict bound: (a, b); the cycle's ratio is above a/b, or it is a
           zero-w cycle with positive q;
@@ -408,8 +414,8 @@ class ArcStack:
         if bound is None:
             return self.unbounded, 1
         if not ties_lose:
-            return bound.numerator, bound.denominator
-        return self.tie * bound.numerator - 1, self.tie * bound.denominator
+            return bound.numerator * self.unit, bound.denominator
+        return (self.tie * bound.numerator - 1) * self.unit, self.tie * bound.denominator
 
     def exceeds(self, bound, ties_lose=False):
         """Decide whether the arcs hold a cycle whose ratio is above
@@ -465,12 +471,12 @@ class ArcStack:
         n = self.n
         lam, cycle = Fraction(0), None
         while True:
-            key = lam.numerator, lam.denominator
+            key = self.weights(lam, False)
             dist, closed = self._relax(key, [0] * n)
             if dist is not None:
                 break
             cycle = self._tree_cycle(key, *closed)
-            lam = Fraction(sum(arc[2] for arc in cycle), sum(arc[1] for arc in cycle))
+            lam = Fraction(sum(arc[2] for arc in cycle), sum(arc[1] for arc in cycle) * self.unit)
         self.warm[key] = [dist, len(self.log)]
         finite = [arc for arc in self.held() if arc[4] is not None]
         return _settle(n, finite, lam, cycle is not None)[0]
@@ -559,11 +565,11 @@ class ArcStack:
             x, y = pred[x], x
 
 
-def _solve(n, edges):
-    """`core_max_ratio`, then the canonical witness, on one `ArcStack` of
-    the edges: (classification, witness edge ids, iterations, certified)."""
-    stack = ArcStack.holding(n, edges)
-    kind, lam, witness, iterations = core_max_ratio(n, edges, stack)
+def _solve(stack):
+    """`core_max_ratio`, then the canonical witness, on one `ArcStack`:
+    (classification, witness edge ids, iterations, certified)."""
+    edges = stack.held()
+    kind, lam, witness, iterations = core_max_ratio(stack.n, edges, stack)
     if kind == "infinite":
         return kind, witness, 0, True
     certified = True
@@ -580,7 +586,8 @@ def _solve(n, edges):
 
 def max_ratio_cycle(graph: DualGraph) -> RatioVerdict:
     """Exact maximum-ratio cycle via parametric search; see module docstring."""
-    kind, witness, iterations, certified = _solve(graph.n_vertices, _prepare(graph))
+    stack = ArcStack.holding(graph.n_vertices, _prepare(graph))
+    kind, witness, iterations, certified = _solve(stack)
     report = _make_report(graph.problem, graph.edges, witness)
     return RatioVerdict(report, kind, iterations, certified)
 
@@ -629,7 +636,7 @@ def _canonical_tight_cycle(stack, lam):
     cycle has ratio lam exactly when all its arcs are reduced-weight zero
     and its w is positive.
     """
-    a, b = lam.numerator, lam.denominator
+    a, b = stack.weights(lam, False)
     n, q = stack.n, stack.q
     dist = stack._relax((a, b), [0] * n)[0]
     tight = [
@@ -668,14 +675,13 @@ def evaluate_policy(problem, policy) -> RatioVerdict:
     """Competitive ratio of a deterministic or behavioral table policy: the
     maximum-ratio cycle of its skeleton's integer arcs. Witness edge ids are
     skeleton edge ids, as in `build_graph_det` / `build_graph_rand`.
-    Stage 0 runs once, on the skeleton's `arcs_from` and the policy's q;
-    only a table it leaves open gets its finite-q integer arcs, solved
-    on one `ArcStack` (`_solve`)."""
+    Stage 0 runs first, on the skeleton's `arcs_from` and the policy's q;
+    only a table it leaves open is solved (`_solve`), on the stack the
+    verification closure builds: `ArcStack.over` the skeleton."""
     skel, q, unit = policy_q(problem, policy)
     witness = _infinite_q_cycle(skel.arcs, skel.arcs_from, q)
     if witness is None:
-        finite = [arc for arc in skel.int_arcs(q, unit) if arc[4] is not None]
-        kind, witness, iterations, certified = _solve(skel.n_vertices, finite)
+        kind, witness, iterations, certified = _solve(ArcStack.over(skel, q, unit))
     else:
         kind, iterations, certified = "infinite", 0, True
     edges = dict(zip(witness, skel.dual_edges(q, unit, witness)))

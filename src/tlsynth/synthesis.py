@@ -2,8 +2,8 @@
 
 Every search runs on the problem's `debruijn.Skeleton`: a table becomes a
 per-transition q (the row entry of the outputs a transition reads, or
-`debruijn.expected_cost` of their probabilities) and then integer arcs
-for `ratiocycle`. Every search over tables is one depth-first
+`debruijn.expected_cost` of their probabilities) on a `ratiocycle.ArcStack`
+over the skeleton's arcs. Every search over tables is one depth-first
 branch and bound over partial tables, `_Search`, which `synthesize_det`,
 `verify_lower_bound` and the grid phase of `synthesize_rand` run in one
 process, whatever the problem. Deterministic synthesis finds the minimum
@@ -91,7 +91,7 @@ it is returned: each optimal deterministic table must rate exactly the
 reported ratio, the randomized table the ratio returned with it, and a
 lower-bound counterexample below the bound. Each is decided from the
 returned policy alone, with `debruijn.policy_q`, on a fresh
-`ratiocycle.ArcStack` of the skeleton's arcs and the policy's q, so no
+`ratiocycle.ArcStack` over the skeleton and the policy's q, so no
 relaxed q, warm potentials or q memo of the search is trusted. Equality
 takes two decisions: no cycle exceeds the ratio, and one reaches it when
 ties lose. Together they pin the exact ratio, as `ArcStack.exceeds` gives
@@ -282,10 +282,9 @@ class _Search:
     first table below it, in either order. A transition's q is known once
     every window it reads is fixed: `rows[row][y]` of the output indices it
     reads, or their `debruijn.expected_cost` over `den`. As `den` is fixed,
-    so is the unit of q, and every arc's w is scaled by it once. One
-    `ArcStack` holds the skeleton's arcs and the node's q of each
-    transition (-1 while it has none), which `enter` raises and `visit`
-    pops back on return.
+    so is the unit of q, which the one `ArcStack.over` the skeleton takes
+    into its weights; it holds the node's q of each transition (-1 while
+    it has none), which `enter` raises and `visit` pops back on return.
 
     With `prune`, a node also gives a relaxed q to every transition whose
     reads are not all fixed: the least over the corners of its free reads,
@@ -386,16 +385,12 @@ class _Search:
                 free = tuple(j for j, f in enumerate(fixed_from) if f > d)
                 memo = memos.setdefault((row, free), {})
                 self.raised_at[d].append((t, codes, row, free, memo))
-        # the skeleton's arcs in its order, w in q's unit
-        arcs = [(k, src, dst, w * unit, t) for k, src, dst, w, t in skel.arcs]
-        self.w_t = {k: (w, t) for k, _s, _d, w, t in arcs}
         self.table = [forced.get(w, 0) for w in range(nx**config.horizon)]
         # the node's q of each transition, exact or least, -1 while it has
-        # no arcs, bounded by the skeleton's largest w and row entry in q's
-        # unit (a q is a mean of row entries, and a least q is one of them)
+        # no arcs, bounded by the skeleton's largest row entry in q's unit
+        # (a q is a mean of row entries, and a least q is one of them)
         q_max = max((c for row in rows for c in row if c is not None), default=0) * unit
-        w_max = max((w for w, _t in self.w_t.values()), default=0)
-        self.stack = ArcStack(skel.n_vertices, arcs, [-1] * len(skel.transitions), w_max, q_max)
+        self.stack = ArcStack.over(skel, [-1] * len(skel.transitions), unit, q_max)
         self.q = self.stack.q
         self.inf_pairs = infinite_pairs(skel) if self.prune else ()
         self.keep_ties = config.collect_all_optimal
@@ -494,7 +489,7 @@ class _Search:
         parameter)."""
         if self.bound is None:
             return None
-        a, b = self.bound.numerator, self.bound.denominator
+        a, b = self.stack.weights(self.bound, False)
         den = self.corners[1]
         c = d = 0
         for w, t in cycle:
@@ -559,7 +554,7 @@ class _Search:
             self.stack.raise_q(t, c)
         verdict, evidence = self.stack.exceeds(self.bound, tie_loses)
         if verdict:
-            cycle = [self.w_t[k] for k in evidence]
+            cycle = [self.skel.edges[k][4:] for k in evidence]  # each edge's (w, t)
             if self.weigh(cycle, a, b) < 0:
                 remembered.insert(0, cycle)
                 del remembered[REMEMBERED_CYCLES:]
@@ -620,9 +615,8 @@ class _Search:
 def _verify(problem, policy, ratio, below=False):
     """The verification closure: raise `VerificationFailed` unless the
     policy's exact ratio equals `ratio` (None for +inf), or with `below` is
-    below it, as decided on a fresh `ArcStack` of the policy's own arcs."""
-    skel, q, unit = policy_q(problem, policy)
-    stack = ArcStack(skel.n_vertices, [(k, s, d, w * unit, t) for k, s, d, w, t in skel.arcs], q)
+    below it, as decided on a fresh `ArcStack.over` the policy's skeleton."""
+    stack = ArcStack.over(*policy_q(problem, policy))
     if below:
         holds = not stack.exceeds(ratio, ties_lose=True)[0]
     elif ratio is None:

@@ -694,6 +694,65 @@ def test_measure_reports_a_violated_check(capsys):
     assert err == "guarantee check violated\n"
 
 
+def table_file(path, problem_name, table):
+    """`path`, holding the T=1 table `table` of the bundled problem's alphabets."""
+    problem = bundled_problem(problem_name)
+    xs, ys = problem.input_alphabet, problem.output_alphabet
+    path.write_text(json.dumps(policy_to_document(DeterministicPolicy(1, xs, ys, table))))
+    return str(path)
+
+
+def test_measure_rates_an_infinite_cost_inf(tmp_path, capsys):
+    """The min-dom-set table that always answers 0 pays +inf (three 0
+    outputs in a row) against an optimum of 2 on 121212: its ratio is inf,
+    as a positive cost against a zero optimum is, and so is its cost."""
+    policy = table_file(tmp_path / "zero.json", "min-dom-set", (0, 0))
+    code, stdout, err = run_cli(
+        capsys,
+        "measure",
+        "--problem",
+        "min-dom-set",
+        "--algorithm",
+        policy,
+        "--generator",
+        "fixed:seq=121212",
+    )
+    assert (code, err) == (0, "")
+    assert stdout.splitlines()[1] == "fixed:seq=121212,6,1,inf,2.000000,inf,inf,0.000000,0,"
+
+
+@pytest.mark.parametrize(
+    "one_rule,name,table,seq,message",
+    [
+        (True, "file-migration", (0, 1), "0110", "the offline optimum is +inf"),
+        (False, "max-ind-set", (1, 1), "5757", "the algorithm's total cost is -inf"),
+    ],
+)
+def test_measure_without_a_ratio_exits_2(tmp_path, capsys, one_rule, name, table, seq, message):
+    """A document whose one rule costs +inf everywhere has no finite
+    optimum, and a max-ind-set table paying -inf (two 1 outputs in a row)
+    has no ratio against its finite optimum: measure exits 2 with a
+    message."""
+    problem = name
+    if one_rule:
+        problem = tmp_path / "infinite.json"
+        rule = {"x": ["*", "*"], "y": ["*", "*"], "cost": "+inf"}
+        problem.write_text(problem_text(rules=[rule]))
+    policy = table_file(tmp_path / "policy.json", name, table)
+    code, stdout, err = run_cli(
+        capsys,
+        "measure",
+        "--problem",
+        str(problem),
+        "--algorithm",
+        policy,
+        "--generator",
+        f"fixed:seq={seq}",
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {message}, which has no ratio\n"
+
+
 @pytest.mark.parametrize(
     "flag,argv",
     [

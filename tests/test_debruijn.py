@@ -310,10 +310,11 @@ def test_serve_switch_skeleton_matches_general_skeleton(alpha):
         split = _split_skeleton(problem, horizon, *serve_switch_split(problem))
         general = _general_skeleton(problem, horizon)
         for table in itertools.product((0, 1), repeat=2**horizon):
-            verdicts = [
-                core_max_ratio(s.n_vertices, s.int_arcs(s.q_det(table)))[:2]
-                for s in (split, general)
-            ]
+            verdicts = []
+            for s in (split, general):
+                q = s.q_det(table)
+                arcs = [(k, src, dst, w, q[t]) for k, src, dst, w, t in s.arcs]
+                verdicts.append(core_max_ratio(s.n_vertices, arcs)[:2])
             assert verdicts[0] == verdicts[1], (horizon, table)
 
 

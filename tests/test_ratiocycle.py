@@ -1,12 +1,19 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import make_graph, random_dual_graph
 from tlsynth import ratiocycle
-from tlsynth.debruijn import adversary_outputs, build_graph_det, build_graph_rand
+from tlsynth.debruijn import (
+    adversary_outputs,
+    build_graph_det,
+    build_graph_rand,
+    cached_skeleton,
+    over_common_denominator,
+)
 from tlsynth.errors import EmptyGraph, GraphTooLarge
 from tlsynth.exact import POS_INF, Cost, cost_sum
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
@@ -24,7 +31,7 @@ from tlsynth.ratiocycle import (
     max_ratio_cycle,
     walk_ratio,
 )
-from tlsynth.synthesis import SynthesisConfig, synthesize_det
+from tlsynth.synthesis import SynthesisConfig, self_loop_constraints, synthesize_det
 
 BIN = Alphabet(("0", "1"))
 
@@ -286,18 +293,32 @@ def exceeds(n, arcs, bound, ties_lose=False):
 
 
 def maxima(arcs):
-    """The largest w and finite q of `arcs`, as `ArcStack.holding` takes them."""
+    """The largest w and q of the finite-q arcs of `arcs`."""
     finite = [arc for arc in arcs if arc[4] is not None]
     return max((a[3] for a in finite), default=0), max((a[4] for a in finite), default=0)
 
 
-def unraised(n, arcs, w_max=None, q_max=None):
+def stack_over(n, arcs, q, q_max=None):
+    """`ArcStack.over` a skeleton of the arcs (id, src, dst, w, t) on n
+    vertices, and of their adjacency by src, paying q per transition."""
+    out = [[] for _ in range(n)]
+    for arc in arcs:
+        out[arc[1]].append(arc)
+    skel = SimpleNamespace(n_vertices=n, arcs=arcs, arcs_from=out)
+    return ArcStack.over(skel, q, q_max=q_max)
+
+
+def unraised(n, arcs, spare_w=None, q_max=None):
     """A stack over `arcs` (id, src, dst, w, q), one transition per arc, none
-    raised yet, bounded by w_max and q_max or else by the arcs' own."""
-    if w_max is None:
-        w_max, q_max = maxima(arcs)
+    raised yet, bounded by the arcs' own largest w and finite q; or, as a
+    search's stack holding part of a skeleton, by q_max and by one more
+    arc, of w spare_w, on a transition never raised."""
     fixed = [(k, s, d, w, t) for t, (k, s, d, w, _q) in enumerate(arcs)]
-    return ArcStack(n, fixed, [-1] * len(arcs), w_max, q_max)
+    if spare_w is None:
+        q_max = maxima(arcs)[1]
+    else:
+        fixed.append((len(arcs), 0, 0, spare_w, len(arcs)))
+    return stack_over(n, fixed, [-1] * len(fixed), q_max)
 
 
 def raise_arcs(stack, arcs, first=0):
@@ -616,9 +637,8 @@ def test_raises_and_pops_keep_verdicts_and_warm_potentials():
     seen = set()
     for _ in range(150):
         n, arcs, rows = random_transition_arcs(rng)
-        w_max = max(arc[3] for arc in arcs)
         q_max = max(c for row in rows for c in row if c is not None)
-        stack = ArcStack(n, arcs, [-1] * len(rows), w_max, q_max)
+        stack = stack_over(n, arcs, [-1] * len(rows), q_max)
         bounds = [None, Fraction(0), Fraction(1)]
         bounds += [Fraction(a, b) for a in (1, 3, 5, 9) for b in (1, 2, 4)]
         marks = []
@@ -696,6 +716,48 @@ def test_stack_path_never_runs_bellman_ford(monkeypatch):
         (bundled_problem("min-dom-set"), 2),
     ):
         assert synthesize_det(problem, SynthesisConfig(horizon=horizon)).best_ratio.is_finite
+
+
+@pytest.mark.parametrize("name,alpha", [("file-migration", "1"), ("min-dom-set", None)])
+def test_skeleton_stack_matches_explicitly_scaled_arcs(name, alpha):
+    """`ArcStack.over` a skeleton, with q from `q_rand` in units of
+    1/(scale * unit), shares the skeleton's arcs and adjacency and puts
+    unit into its weights. It decides and rates as a stack holding the
+    arcs with w scaled by unit here, (k, s, d, w * unit, q[t]): the same
+    verdicts and evidence, certificates or potentials, under no bound,
+    bounds below, at and above 1 and both tie rules, from the same warm
+    potentials, and the same `max_ratio`. Tables obey the self-loop
+    entries, so file migration's rate finite with unit > 1; min-dom-set's
+    +inf-q transitions reach stage 0."""
+    problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
+    rng = random.Random(f"unit-{name}")
+    bounds = [None, *map(Fraction, (0, "1/2", 1, 3, "7/2", 99))]
+    seen = set()
+    for horizon in (1, 2):
+        skel = cached_skeleton(problem, horizon)
+        forced = self_loop_constraints(problem, horizon)
+        for _ in range(12):
+            dens = rng.choices((1, 2, 3, 4), k=2**horizon)
+            probs = [Fraction(rng.randint(0, d), d) for d in dens]
+            probs = [Fraction(forced.get(w, p)) for w, p in enumerate(probs)]
+            ones, den = over_common_denominator(probs)
+            q, unit = skel.q_rand(ones, den), skel.rand_unit(den)
+            stack = ArcStack.over(skel, q, unit)
+            assert stack.arcs is skel.arcs and stack.out is skel.arcs_from
+            scaled = [(k, s, d, w * unit, q[t]) for k, s, d, w, t in skel.arcs]
+            reference = ArcStack.holding(skel.n_vertices, scaled)
+            for bound in rng.sample(bounds, len(bounds)):
+                for ties_lose in (False, True):
+                    decided = stack.exceeds(bound, ties_lose)
+                    assert decided == reference.exceeds(bound, ties_lose), (probs, bound)
+                    seen.add((decided[0], bound is None))
+                    if decided[0] and any(q[skel.edges[k][5]] is None for k in decided[1]):
+                        seen.add("stage 0")
+            if not stack.exceeds(None)[0]:
+                assert stack.max_ratio() == reference.max_ratio(), probs
+                seen.add(("rated", unit > 1))
+    assert seen >= {(False, True), (False, False), (True, False)}
+    assert ("stage 0" if name == "min-dom-set" else ("rated", True)) in seen
 
 
 # -- walk decomposition ----------------------------------------------------------

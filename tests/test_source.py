@@ -84,3 +84,22 @@ def test_no_unreferenced_private_definitions():
             if private and node.name not in read:
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_only_ratiocycle_calls_the_arc_stack_constructor():
+    # every other module takes a stack from `ArcStack.over` (a skeleton's
+    # own arcs and adjacency) or `ArcStack.holding` (hand-built arcs), so
+    # no caller keeps its own copy of the arcs or of their adjacency
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "ratiocycle.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "ArcStack":
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []

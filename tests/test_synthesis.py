@@ -842,7 +842,8 @@ def solved_sweep(problem, config, rounds=synthesis.REFINEMENT_ROUNDS):
 
     def ratio(probs):
         ones, den = over_common_denominator(probs)
-        arcs = skel.int_arcs(skel.q_rand(ones, den), skel.rand_unit(den))
+        q, unit = skel.q_rand(ones, den), skel.rand_unit(den)
+        arcs = [(k, s, d, w * unit, q[t]) for k, s, d, w, t in skel.arcs]
         kind, lam, _w, _i = core_max_ratio(skel.n_vertices, arcs)
         return lam if kind == "finite" else None
 
@@ -942,8 +943,8 @@ def test_refinement_settles_moves_by_remembered_cycles(monkeypatch):
     wins. Each is decided on the grid search's stack with its cycle memory,
     which settles all 32; with no memory each gets an `ArcStack.exceeds`
     test. Either way `synthesize_rand` builds two stacks: the grid
-    search's, and the verification closure's, built from the skeleton's
-    arcs and the table's q, not by `ArcStack.holding`."""
+    search's, and the verification closure's, both `ArcStack.over` the
+    skeleton, not `ArcStack.holding`."""
     config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
     start = synthesize_det(migration(), config)
     init, exceeds, holding = ArcStack.__init__, ArcStack.exceeds, ArcStack.holding.__func__
@@ -1071,13 +1072,15 @@ def test_grid_search_starts_from_the_deterministic_optimum(
 # nodes visited and leaves decided by the grid search (after its
 # deterministic start) at the T=2 `table2` cells, grid 1/20: every other
 # of the 441 grid tables is cut by the node bound, the value cut at the
-# last window or the +inf-pair check
+# last window or the +inf-pair check; then its decisions, remembered cuts
+# and solves after refinement, which decides its moves on the same stack,
+# where q's unit meets the weights
 GRID_SEARCH_SHAPE = {
-    "1/10": (26, 4),
-    "1/5": (28, 6),
-    "3/10": (30, 8),
-    "1/2": (34, 12),
-    "1": (74, 52),
+    "1/10": (26, 4, 43, 37, 0),
+    "1/5": (28, 6, 45, 37, 0),
+    "3/10": (30, 8, 47, 37, 0),
+    "1/2": (34, 12, 51, 37, 0),
+    "1": (74, 52, 107, 69, 13),
 }
 
 
@@ -1087,8 +1090,10 @@ def test_grid_search_shape(monkeypatch, alpha):
     _result, search, _start = grid_search(
         monkeypatch, lambda: synthesize_rand(migration(alpha), config)
     )
-    assert (search.nodes, search.evaluated) == GRID_SEARCH_SHAPE[alpha]
+    assert (search.nodes, search.evaluated) == GRID_SEARCH_SHAPE[alpha][:2]
     assert search.pruned + search.evaluated == 21**2
+    after = (search.decisions, search.remembered_cuts, search.solves)
+    assert after == GRID_SEARCH_SHAPE[alpha][2:]
 
 
 def test_exhaustive_grid_visits_every_table(monkeypatch):
@@ -1190,10 +1195,10 @@ def test_grid_value_cut_line_is_exact_or_absent(name, alpha, step):
                 search.table[search.order[d - 1]] = rng.choice(search.values)
             entered.append(search.enter(d))
         search.bound = None
-        assert search.cut_line([next(iter(search.w_t.values()))], window) is None
+        assert search.cut_line([search.skel.arcs[0][3:]], window) is None
         search.bound = Fraction(rng.randint(1, 12), rng.randint(1, 4))
-        a, b = search.bound.numerator, search.bound.denominator
-        for w, t in search.w_t.values():
+        a, b = search.stack.weights(search.bound, False)
+        for _k, _s, _d, w, t in search.skel.arcs:
             # the window holds a leaf's value when the search draws a line
             search.table[window] = rng.choice(search.values)
             line = search.cut_line([(w, t)], window)
