@@ -45,7 +45,6 @@ from math import lcm
 from .errors import (
     GraphTooLarge,
     InvalidCost,
-    NotAWalk,
     UnsupportedAggregation,
     ValidationError,
 )
@@ -414,22 +413,3 @@ def build_graph_rand(problem: LocalProblem, policy: RandomizedPolicy):
     """Dual graph of a behavioral randomized policy (expected algorithm costs)."""
     skel, q, unit = policy_q(problem, policy)
     return skel.graph(q, unit)
-
-
-def induced_input(graph: DualGraph, cycle_edges):
-    """Per-edge new-input symbols of a closed walk, oldest first."""
-    if not cycle_edges:
-        raise NotAWalk("empty edge sequence")
-    edges = [graph.edges[k] if isinstance(k, int) else k for k in cycle_edges]
-    for e, nxt in zip(edges, edges[1:] + edges[:1]):
-        if e.dst != nxt.src:
-            raise NotAWalk(f"edge into {e.dst} followed by edge from {nxt.src}")
-    symbols = graph.problem.input_alphabet.symbols
-    return tuple(symbols[e.x] for e in edges)
-
-
-def adversary_outputs(graph: DualGraph, cycle_edges):
-    """Per-edge adversary output symbols of a closed walk."""
-    edges = [graph.edges[k] if isinstance(k, int) else k for k in cycle_edges]
-    symbols = graph.problem.output_alphabet.symbols
-    return tuple(symbols[e.b] for e in edges)

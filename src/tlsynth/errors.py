@@ -44,10 +44,6 @@ class UnsupportedAggregation(ValidationFailure):
     """Operation requires sum aggregation."""
 
 
-class NotAWalk(TlsynthError):
-    """Edge sequence does not respect window successorship."""
-
-
 class InvalidCost(ValidationFailure, ValueError):
     """A cost the cycle-ratio analysis cannot take: a negative or -inf
     adversary cost, or a negative or -inf algorithm cost."""

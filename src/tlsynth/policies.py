@@ -292,13 +292,19 @@ MOVE = "MOVE"
 SKIP = "SKIP"
 
 
+def _move_probability(alpha):
+    """The coin flip's move probability 1/(2*alpha), which lies in (0, 1]
+    exactly when alpha >= 1/2; any other alpha, 0 and below included, is
+    refused with `InvalidAlpha`."""
+    alpha = parse_rational(alpha)
+    if alpha < Fraction(1, 2):
+        raise InvalidAlpha(f"move probability 1/(2*alpha) needs alpha >= 1/2, got {alpha}")
+    return 1 / (2 * alpha)
+
+
 def coin_flip_step(current_location, request, alpha, variate):
     """One step of the coin-flip rule: MOVE to the requester w.p. 1/(2*alpha)."""
-    alpha = parse_rational(alpha)
-    p = Fraction(1) / (2 * alpha)
-    if p > 1:
-        raise InvalidAlpha("move probability 1/(2*alpha) exceeds 1")
-    return MOVE if variate < p else SKIP
+    return MOVE if variate < _move_probability(alpha) else SKIP
 
 
 def run_coin_flip(x_seq, alpha, seed):
@@ -310,13 +316,13 @@ def run_coin_flip(x_seq, alpha, seed):
     costs the served locations like any other outputs, so a move after
     the last request, which serves nothing, is never charged.
     """
-    alpha = parse_rational(alpha)
+    p = _move_probability(alpha)
     rng = random.Random(seed)
     loc = "0"
     served_at = []
     for x in x_seq:
         served_at.append(loc)
-        if coin_flip_step(loc, x, alpha, rng.random()) == MOVE and x != loc:
+        if rng.random() < p and x != loc:
             loc = x
     return tuple(served_at)
 

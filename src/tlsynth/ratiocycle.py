@@ -11,15 +11,15 @@ one q = +inf arc, closed by finite-q arcs, makes it infinite. Stage 0
 reads an adjacency and one q per transition, so `evaluate_policy` runs
 it on a `debruijn.Skeleton`'s `arcs_from` and the policy's q before any
 stack exists. Only a table it leaves open is solved, by `core_max_ratio`
-on one `ArcStack` over the skeleton: an exact parametric search that
-raises a candidate ratio lam to the ratio of each cycle with
-q - lam*w > 0, found by Bellman-Ford negative-cycle detection on integer
-weights lam*w - q (`_negative_cycle`). Its unbounded check (stage 1) and
-the canonical witness's tight subgraph come from that stack; a verdict
-says when its capped witness search gave up, and reads back only the
-witness edges as `Cost`s. `max_ratio_cycle` validates and scales a
-hand-built `DualGraph`. A brute-force enumeration of all simple cycles
-is the independent oracle on small graphs.
+on its one input, an `ArcStack` over the skeleton: an exact parametric
+search that raises a candidate ratio lam to the ratio of each cycle with
+q - lam*w > 0, found by Bellman-Ford negative-cycle detection on the
+stack's integer weights of lam (`_negative_cycle`). Its stage 1, end
+rules and the canonical witness's tight subgraph read that stack; a
+verdict says when its capped witness search gave up, and reads back only
+the witness edges as `Cost`s. `max_ratio_cycle` validates and scales a
+hand-built `DualGraph` into one `ArcStack.holding`. A brute-force
+enumeration of all simple cycles is the oracle on small graphs.
 
 `ArcStack` holds one q per transition, which a branch and bound raises
 and pops back, over a skeleton's own arcs and adjacency (`ArcStack.over`).
@@ -32,7 +32,8 @@ stage 0, a 0/0 cycle or the relaxation's predecessor tree), which the
 branch and bound tests again under later bounds; a feasible one carries
 its potentials. A table that beats the incumbent is rated on the same
 stack by `ArcStack.max_ratio`, the parametric search on that
-relaxation. Synthesis checks every table it returns with two decisions
+relaxation, and a refinement move that wins by `core_max_ratio` on that
+stack too. Synthesis checks every table it returns with two decisions
 on a fresh stack: no cycle exceeds the reported ratio r, and one reaches
 r when ties lose, which holds exactly when the ratio is r.
 """
@@ -252,55 +253,51 @@ def _infinite_q_cycle(arcs, out, q):
     return None
 
 
-def core_max_ratio(n, edges, stack=None):
-    """Parametric search over integer-scaled arcs (id, src, dst, w, q).
+def core_max_ratio(stack):
+    """The parametric search on the arcs an `ArcStack` holds: (kind,
+    ratio, witness_edge_ids, iterations) with kind "infinite" or "finite".
 
-    q is None for an infinite algorithm cost. Returns (kind, ratio,
-    witness_edge_ids, iterations) with kind "infinite" or "finite".
-    Stages 0 and 1 are one decision with no bound on `stack`, whose `held`
-    arcs are the edges: the caller's, or else one `ArcStack.holding` them.
+    Stages 0 and 1 are one decision with no bound on the stack. Stage 2
+    raises lam from 0 to the ratio of each cycle negative under the
+    stack's weights of lam, found by Bellman-Ford (`_negative_cycle`) on
+    the finite-q arcs, until none is; the end rules are `_settle`'s.
     """
-    if stack is None:
-        stack = ArcStack.holding(n, edges)
     # stage 0, then stage 1: a zero-w cycle with positive q means an
     # unbounded ratio, which a decision with no bound looks for
     unbounded, cycle = stack.exceeds(None)
     if unbounded:
         return "infinite", None, cycle, 0
-    edges = [e for e in edges if e[4] is not None]
 
     # stage 2: raise lam through the finite set of cycle ratios
-    by_id = {k: (w, q) for k, s, d, w, q in edges}
-    lam = Fraction(0)
-    witness = None
-    iterations = 0
+    finite = stack._finite()
+    by_id = {k: (w, c) for k, _s, _d, w, c in finite}
+    lam, witness, iterations = Fraction(0), None, 0
     while True:
-        a, b = lam.numerator, lam.denominator
-        arcs = [(k, s, d, a * w - b * q) for k, s, d, w, q in edges]
-        cycle = _negative_cycle(n, arcs)
+        a, b = stack.weights(lam, False)
+        cycle = _negative_cycle(stack.n, [(k, s, d, a * w - b * c) for k, s, d, w, c in finite])
         if cycle is None:
             break
         w_sum = sum(by_id[k][0] for k in cycle)
         q_sum = sum(by_id[k][1] for k in cycle)
-        lam = Fraction(q_sum, w_sum)
+        lam = Fraction(q_sum, w_sum * stack.unit)
         witness = cycle
         iterations += 1
 
-    lam, cycle = _settle(n, edges, lam, witness is not None)
+    lam, cycle = _settle(stack, lam, witness is not None)
     return "finite", lam, witness if cycle is None else cycle, iterations
 
 
-def _settle(n, arcs, lam, improved):
-    """The end rules of a parametric search over the finite-q `arcs`, with
-    no infinite cycle among them, that raised lam to the ratio of its last
+def _settle(stack, lam, improved):
+    """The end rules of a parametric search over the stack's finite-q arcs,
+    which hold no infinite cycle, that raised lam to the ratio of its last
     improving cycle, or found none (`improved` false): (ratio, cycle),
     where cycle is None when that last cycle keeps its ratio. A cycle of
     0/0 arcs rates 1, so it pins any lam < 1 at 1. With neither, every
     cycle has q = 0 and w > 0, so any cycle rates 0, and `_any_cycle`
     gives the first; without one the arcs hold no cycle at all."""
-    zero_zero = _any_cycle(n, [(k, s, d) for k, s, d, w, q in arcs if w == 0 and q == 0])
+    zero_zero = stack._zero_zero_cycle()
     if not improved and zero_zero is None:
-        flat = _any_cycle(n, [arc[:3] for arc in arcs])
+        flat = _any_cycle(stack.n, [arc[:3] for arc in stack._finite()])
         if flat is None:
             raise EmptyGraph("graph has no directed cycle")
         return Fraction(0), flat
@@ -335,6 +332,7 @@ class ArcStack:
     The arcs' largest w and q_max (q's largest finite value, unless a
     search declares its skeleton's largest row entry) bound every arc the
     stack will ever hold, so a bound's weights stay the same as q moves.
+    Every exact solve (`max_ratio`, `core_max_ratio`) reads one stack.
     """
 
     def __init__(self, n, arcs, out, q, unit=1, q_max=None):
@@ -384,11 +382,6 @@ class ArcStack:
         for entry in self.warm.values():
             if entry[1] > mark:
                 entry[1] = mark
-
-    def held(self):
-        """The arcs the stack holds, (id, src, dst, w * unit, q), q None for +inf."""
-        q, unit = self.q, self.unit
-        return [(k, s, d, w * unit, q[t]) for k, s, d, w, t in self.arcs if q[t] != -1]
 
     def weights(self, bound, ties_lose):
         """(A, B) such that a simple cycle of the finite-q arcs other than a
@@ -447,8 +440,7 @@ class ArcStack:
             bound.numerator < bound.denominator
             or (ties_lose and bound.numerator == bound.denominator)
         ):
-            zero_zero = [(k, s, d) for k, s, d, w, t in self.arcs if w == self.q[t] == 0]
-            cycle = _any_cycle(self.n, zero_zero)
+            cycle = self._zero_zero_cycle()
             if cycle is not None:
                 return True, cycle
         key = self.weights(bound, ties_lose)
@@ -478,8 +470,16 @@ class ArcStack:
             cycle = self._tree_cycle(key, *closed)
             lam = Fraction(sum(arc[2] for arc in cycle), sum(arc[1] for arc in cycle) * self.unit)
         self.warm[key] = [dist, len(self.log)]
-        finite = [arc for arc in self.held() if arc[4] is not None]
-        return _settle(n, finite, lam, cycle is not None)[0]
+        return _settle(self, lam, cycle is not None)[0]
+
+    def _finite(self):
+        """The arcs of a finite q, (id, src, dst, w, q), w not in q's unit."""
+        q = self.q
+        return [(k, s, d, w, q[t]) for k, s, d, w, t in self.arcs if q[t] not in (None, -1)]
+
+    def _zero_zero_cycle(self):
+        """The first cycle (`_any_cycle`) of the 0/0 arcs, which rates 1, or None."""
+        return _any_cycle(self.n, [arc[:3] for arc in self._finite() if arc[3] == arc[4] == 0])
 
     def _relax(self, key, dist, since=None):
         """(p, None) with feasible potentials p, p[dst] <= p[src] + A*w - B*q
@@ -566,14 +566,13 @@ class ArcStack:
 
 
 def _solve(stack):
-    """`core_max_ratio`, then the canonical witness, on one `ArcStack`:
+    """`core_max_ratio`, then the canonical witness, both on `stack`:
     (classification, witness edge ids, iterations, certified)."""
-    edges = stack.held()
-    kind, lam, witness, iterations = core_max_ratio(stack.n, edges, stack)
+    kind, lam, witness, iterations = core_max_ratio(stack)
     if kind == "infinite":
         return kind, witness, 0, True
     certified = True
-    if lam > 0 and any(w > 0 for _k, _s, _d, w, q in edges if q is not None):
+    if lam > 0 and any(arc[3] > 0 for arc in stack._finite()):
         # prefer the canonical first witness among all max-ratio cycles
         try:
             tight = _canonical_tight_cycle(stack, lam)

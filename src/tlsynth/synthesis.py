@@ -83,8 +83,10 @@ optimal table is then refined coordinate-wise on the same search, its
 move halved each round (`_Search.move`): a move recomputes q only for the
 transitions reading its window, and is decided like a leaf, ties losing,
 on the search's stack and cycle memory, which settles nearly every move.
-Only a win is solved, by `ratiocycle.core_max_ratio`. The result is the
-best table found, with no global-optimality claim.
+Only a win is solved, by `ratiocycle.core_max_ratio` on the search's own
+stack, which holds the moved table's q at that point, so a win builds no
+stack. The result is the best table found, with no global-optimality
+claim.
 
 Every search result passes one verification closure (`_verify`) before
 it is returned: each optimal deterministic table must rate exactly the
@@ -591,9 +593,9 @@ class _Search:
         reading the window is recomputed. Unless a remembered cycle settles
         the move, `loses` raises every transition to that q on the empty
         stack, which is popped to 0 after. A win is solved by
-        `core_max_ratio` on the arcs the stack holds and becomes the bound,
-        and the table and q keep the move; otherwise both are restored.
-        Returns whether it won."""
+        `core_max_ratio` on that stack, which then holds the moved table's
+        q; its ratio becomes the bound, and the table and q keep the move.
+        Otherwise both are restored. Returns whether it won."""
         table, before, stack = self.table, self.q, self.stack
         old, table[window] = table[window], value
         self.q = q = list(before)
@@ -602,7 +604,7 @@ class _Search:
                 q[t] = self.q_reads(row, [table[c] for c in codes])
         won = not self.loses(True, q)
         if won:
-            self.bound = core_max_ratio(stack.n, stack.held())[1]
+            self.bound = core_max_ratio(stack)[1]
         else:
             table[window], self.q = old, before
         stack.pop_to(0)

@@ -32,6 +32,12 @@ def make_graph(problem, n_vertices, quads):
     )
 
 
+def held(stack):
+    """The arcs an `ArcStack` holds, (id, src, dst, w * unit, q), q None for +inf."""
+    q, unit = stack.q, stack.unit
+    return [(k, s, d, w * unit, q[t]) for k, s, d, w, t in stack.arcs if q[t] != -1]
+
+
 def random_dual_graph(problem, rng, max_vertices=12):
     """Sparse random dual graph with mixed zero/positive adversary costs.
 

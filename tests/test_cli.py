@@ -571,6 +571,22 @@ MEASURE_MR = ("measure", "--problem", "file-migration", "--algorithm", "mixed-re
             )
         ),
         ("simulate", "--problem", "min-dom-set", "--algorithm", "coin-flip", "--input", "12"),
+        # the coin flip moves w.p. 1/(2*alpha), a probability only for alpha >= 1/2;
+        # it is checked once per run, so before an empty input too
+        *(
+            ("simulate", *FM, "--param", alpha, "--algorithm", "coin-flip", "--input", xs)
+            for alpha, xs in (("alpha=0", "0101"), ("alpha=-1", "0101"), ("alpha=0", ""))
+        ),
+        (
+            "measure",
+            *FM,
+            "--param",
+            "alpha=0",
+            "--algorithm",
+            "coin-flip",
+            "--generator",
+            "uniform:n=5",
+        ),
         # a key given twice, not overwritten by its last value
         (*MEASURE_SW, "--horizon", "6", "--generator", "uniform:n=5,n=7"),
         (*MEASURE_SW, "--horizon", "6", "--generator", "blocks:T=6,L=10", "--check", "c=6,d=6,c=9"),

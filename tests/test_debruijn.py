@@ -13,15 +13,14 @@ from tlsynth.debruijn import (
     build_graph_rand,
     cached_skeleton,
     expected_cost,
-    induced_input,
     over_common_denominator,
     serve_switch_split,
 )
-from tlsynth.errors import NotAWalk, UnsupportedAggregation
+from tlsynth.errors import UnsupportedAggregation
 from tlsynth.exact import POS_INF, Cost
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem, offline_opt
-from tlsynth.ratiocycle import brute_force_max_ratio, core_max_ratio, evaluate_policy
+from tlsynth.ratiocycle import ArcStack, brute_force_max_ratio, core_max_ratio, evaluate_policy
 
 BIN = Alphabet(("0", "1"))
 
@@ -197,33 +196,6 @@ def test_expected_cost_at_corners_is_the_row_entry(name):
             assert expected_cost(skel.rows[row], reads, den) == expected
 
 
-# -- induced inputs ------------------------------------------------------------
-
-
-def test_induced_input_self_loop(migration):
-    policy = always_zero(1)
-    graph = build_graph_det(migration, policy)
-    v = 0
-    loop = next(
-        k
-        for k in graph.out_edges[v]
-        if graph.edges[k].dst == v and graph.edges[k].x == 0 and graph.edges[k].b == 0
-    )
-    assert induced_input(graph, [loop]) == ("0",)
-
-
-def test_induced_input_two_cycle(migration):
-    policy = det_policy(2, {"00": "0", "01": "1", "10": "0", "11": "1"})
-    graph = build_graph_det(migration, policy)
-    v01 = (0b01) * 2 + 0
-    v10 = (0b10) * 2 + 0
-    e1 = next(k for k in graph.out_edges[v01] if graph.edges[k].dst == v10)
-    e2 = next(k for k in graph.out_edges[v10] if graph.edges[k].dst == v01)
-    assert induced_input(graph, [e1, e2]) == ("0", "1")
-    with pytest.raises(NotAWalk):
-        induced_input(graph, [e1, e1])
-
-
 # -- cycle-cost realization -----------------------------------------------------
 
 
@@ -252,7 +224,7 @@ def test_cycle_cost_realization(migration):
         if cycle is None:
             continue
         checked += 1
-        xs = induced_input(graph, cycle)
+        xs = tuple(graph.problem.input_alphabet.symbols[graph.edges[k].x] for k in cycle)
         q = sum(graph.edges[k].q.as_fraction() for k in cycle)
         w = sum(graph.edges[k].w.as_fraction() for k in cycle)
         reps = 30
@@ -281,7 +253,7 @@ def test_general_path_cycle_realization():
         if cycle is None:
             continue
         q = sum(graph.edges[k].q.as_fraction() for k in cycle)
-        xs = induced_input(graph, cycle)
+        xs = tuple(graph.problem.input_alphabet.symbols[graph.edges[k].x] for k in cycle)
         reps = 25
         seq = xs * reps
         alg = problem.evaluate(seq, run_policy(select_all, seq)).total.as_fraction()
@@ -314,7 +286,7 @@ def test_serve_switch_skeleton_matches_general_skeleton(alpha):
             for s in (split, general):
                 q = s.q_det(table)
                 arcs = [(k, src, dst, w, q[t]) for k, src, dst, w, t in s.arcs]
-                verdicts.append(core_max_ratio(s.n_vertices, arcs)[:2])
+                verdicts.append(core_max_ratio(ArcStack.holding(s.n_vertices, arcs))[:2])
             assert verdicts[0] == verdicts[1], (horizon, table)
 
 

@@ -5,10 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import make_graph, random_dual_graph
+from conftest import held, make_graph, random_dual_graph
 from tlsynth import ratiocycle
 from tlsynth.debruijn import (
-    adversary_outputs,
     build_graph_det,
     build_graph_rand,
     cached_skeleton,
@@ -203,7 +202,7 @@ def reference_witness(graph):
     parametric search's witness, replaced by the first simple cycle of
     positive w over the tight arcs when the capped search finds one."""
     n, arcs = graph.n_vertices, _prepare(graph)
-    kind, lam, witness, _i = core_max_ratio(n, arcs)
+    kind, lam, witness, _i = core_max_ratio(ArcStack.holding(n, arcs))
     finite = [arc for arc in arcs if arc[4] is not None]
     if kind == "infinite" or lam == 0 or not any(arc[3] > 0 for arc in finite):
         return tuple(witness), True
@@ -377,11 +376,11 @@ def certified(stack, bound, ties_lose):
     holds at most one +inf-q arc (exactly one when stage 0 found it)."""
     verdict, evidence = stack.exceeds(bound, ties_lose)
     if verdict:
-        held = stack.held()
-        ratio = walk_ratio_of_ids(held, evidence)
-        assert ratios_lose([ratio], bound, ties_lose), (held, evidence, bound)
-        infinite = {arc[0] for arc in held if arc[4] is None}
-        assert len(infinite.intersection(evidence)) <= 1, (held, evidence)
+        on_stack = held(stack)
+        ratio = walk_ratio_of_ids(on_stack, evidence)
+        assert ratios_lose([ratio], bound, ties_lose), (on_stack, evidence, bound)
+        infinite = {arc[0] for arc in on_stack if arc[4] is None}
+        assert len(infinite.intersection(evidence)) <= 1, (on_stack, evidence)
     return verdict, evidence
 
 
@@ -463,7 +462,7 @@ def test_tie_decision_matches_the_ratio(infinite_q):
     for _ in range(300):
         n, arcs = random_int_arcs(rng, infinite_q)
         try:
-            kind, lam, _w, _i = core_max_ratio(n, arcs)
+            kind, lam, _w, _i = core_max_ratio(ArcStack.holding(n, arcs))
         except EmptyGraph:
             kind, lam = "acyclic", None
         w_max, q_max = maxima(arcs)
@@ -536,7 +535,7 @@ def test_stack_solve_matches_the_oracles(migration_problem):
     for _ in range(500):
         n, arcs = random_solvable_arcs(rng)
         try:
-            kind, lam, _w, _i = core_max_ratio(n, arcs)
+            kind, lam, _w, _i = core_max_ratio(ArcStack.holding(n, arcs))
         except EmptyGraph:
             with pytest.raises(EmptyGraph):
                 ArcStack.holding(n, arcs).max_ratio()
@@ -582,7 +581,7 @@ def test_max_ratio_leaves_feasible_potentials():
     for _ in range(200):
         n, arcs = random_solvable_arcs(rng)
         try:
-            kind, lam, _w, _i = core_max_ratio(n, arcs)
+            kind, lam, _w, _i = core_max_ratio(ArcStack.holding(n, arcs))
         except EmptyGraph:
             continue
         if kind == "infinite":
@@ -674,10 +673,10 @@ def test_raises_and_pops_keep_verdicts_and_warm_potentials():
                 bound, ties_lose = rng.choice(bounds), rng.random() < 0.5
                 key = stack.weights(bound, ties_lose)
                 entry = stack.warm.get(key)
-                held = stack.held()
+                on_stack = held(stack)
                 verdict = certified(stack, bound, ties_lose)[0]
-                assert verdict == ArcStack.holding(n, held).exceeds(bound, ties_lose)[0]
-                assert verdict == oracle_loses(n, held, bound, ties_lose), (n, held, bound)
+                assert verdict == ArcStack.holding(n, on_stack).exceeds(bound, ties_lose)[0]
+                assert verdict == oracle_loses(n, on_stack, bound, ties_lose), (n, on_stack, bound)
                 if entry is not None and entry[1] < len(stack.log):
                     seen.add(("warm", verdict))
     assert seen >= {"clamped", "popped", ("warm", False), ("warm", True)}
@@ -726,9 +725,10 @@ def test_skeleton_stack_matches_explicitly_scaled_arcs(name, alpha):
     arcs with w scaled by unit here, (k, s, d, w * unit, q[t]): the same
     verdicts and evidence, certificates or potentials, under no bound,
     bounds below, at and above 1 and both tie rules, from the same warm
-    potentials, and the same `max_ratio`. Tables obey the self-loop
-    entries, so file migration's rate finite with unit > 1; min-dom-set's
-    +inf-q transitions reach stage 0."""
+    potentials, and the same `max_ratio`; and on fresh stacks the same
+    `core_max_ratio` kind, ratio, witness and iterations. Tables obey the
+    self-loop entries, so file migration's rate finite with unit > 1;
+    min-dom-set's +inf-q transitions reach stage 0."""
     problem = bundled_problem(name, {"alpha": alpha} if alpha else None)
     rng = random.Random(f"unit-{name}")
     bounds = [None, *map(Fraction, (0, "1/2", 1, 3, "7/2", 99))]
@@ -746,6 +746,9 @@ def test_skeleton_stack_matches_explicitly_scaled_arcs(name, alpha):
             assert stack.arcs is skel.arcs and stack.out is skel.arcs_from
             scaled = [(k, s, d, w * unit, q[t]) for k, s, d, w, t in skel.arcs]
             reference = ArcStack.holding(skel.n_vertices, scaled)
+            solved = core_max_ratio(ArcStack.over(skel, q, unit))
+            assert solved == core_max_ratio(ArcStack.holding(skel.n_vertices, scaled)), probs
+            seen.add((solved[0], unit > 1))
             for bound in rng.sample(bounds, len(bounds)):
                 for ties_lose in (False, True):
                     decided = stack.exceeds(bound, ties_lose)
@@ -758,6 +761,7 @@ def test_skeleton_stack_matches_explicitly_scaled_arcs(name, alpha):
                 seen.add(("rated", unit > 1))
     assert seen >= {(False, True), (False, False), (True, False)}
     assert ("stage 0" if name == "min-dom-set" else ("rated", True)) in seen
+    assert ("infinite" if name == "min-dom-set" else "finite", True) in seen
 
 
 # -- walk decomposition ----------------------------------------------------------
@@ -819,7 +823,8 @@ def test_or_candidate_pays_three_plus_two_alpha(alpha, expected):
     assert brute_force_max_ratio(graph).best.ratio == verdict.best.ratio
     # the witness pattern has two quiet steps and one remote request
     assert sorted(verdict.best.induced) == ["0", "0", "1"]
-    assert set(adversary_outputs(graph, verdict.best.edge_ids)) == {"0"}
+    outputs = graph.problem.output_alphabet.symbols
+    assert {outputs[graph.edges[k].b] for k in verdict.best.edge_ids} == {"0"}
 
 
 def test_empirical_consistency_of_witness(migration_problem):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import held
 from tlsynth import ratiocycle, synthesis
 from tlsynth.debruijn import cached_skeleton, over_common_denominator
 from tlsynth.errors import (
@@ -722,8 +723,8 @@ def test_randomized_refinement_mismatch_raises(monkeypatch, skew):
     # solved by `core_max_ratio`
     exact = synthesis.core_max_ratio
 
-    def skewed(n, arcs):
-        kind, lam, witness, iterations = exact(n, arcs)
+    def skewed(stack):
+        kind, lam, witness, iterations = exact(stack)
         return kind, lam + skew, witness, iterations
 
     monkeypatch.setattr(synthesis, "core_max_ratio", skewed)
@@ -844,7 +845,7 @@ def solved_sweep(problem, config, rounds=synthesis.REFINEMENT_ROUNDS):
         ones, den = over_common_denominator(probs)
         q, unit = skel.q_rand(ones, den), skel.rand_unit(den)
         arcs = [(k, s, d, w * unit, q[t]) for k, s, d, w, t in skel.arcs]
-        kind, lam, _w, _i = core_max_ratio(skel.n_vertices, arcs)
+        kind, lam, _w, _i = core_max_ratio(ArcStack.holding(skel.n_vertices, arcs))
         return lam if kind == "finite" else None
 
     best = None  # [probabilities, ratio]
@@ -944,9 +945,13 @@ def test_refinement_settles_moves_by_remembered_cycles(monkeypatch):
     which settles all 32; with no memory each gets an `ArcStack.exceeds`
     test. Either way `synthesize_rand` builds two stacks: the grid
     search's, and the verification closure's, both `ArcStack.over` the
-    skeleton, not `ArcStack.holding`."""
+    skeleton, not `ArcStack.holding`. So it does at T=3 (grid 1/4), where
+    the refinement wins below the grid's 11/4: each win is solved on the
+    grid search's own stack."""
     config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 20))
     start = synthesize_det(migration(), config)
+    wins = SynthesisConfig(horizon=3, grid_step=Fraction(1, 4))
+    wins_start = synthesize_det(migration(), wins)
     init, exceeds, holding = ArcStack.__init__, ArcStack.exceeds, ArcStack.holding.__func__
     calls = {"init": 0, "exceeds": 0, "holding": 0}
 
@@ -965,6 +970,9 @@ def test_refinement_settles_moves_by_remembered_cycles(monkeypatch):
     monkeypatch.setattr(ArcStack, "__init__", counted_init)
     monkeypatch.setattr(ArcStack, "exceeds", counted_exceeds)
     monkeypatch.setattr(ArcStack, "holding", classmethod(counted_holding))
+    _policy, ratio = synthesize_rand(migration(), wins, start=wins_start)
+    assert ratio == Cost(Fraction(5469, 2048))
+    assert (calls["init"], calls["holding"]) == (2, 0)
     for memory, tested in ((synthesis.REMEMBERED_CYCLES, 0), (0, 32)):
         monkeypatch.setattr(synthesis, "REMEMBERED_CYCLES", memory)
         decisions = []
@@ -1272,9 +1280,9 @@ def test_relaxed_node_bound_is_a_lower_bound(name, alpha, horizon, step):
                 search.table[search.order[depth - 1]] = rng.choice(search.values)
             entered.append(search.enter(depth))
             # the stack holds each transition's tightest arcs only
-            tightest = search.stack.held()
+            tightest = held(search.stack)
             try:
-                kind, lam, _w, _i = core_max_ratio(n, tightest)
+                kind, lam, _w, _i = core_max_ratio(ArcStack.holding(n, tightest))
             except EmptyGraph:  # no cycle yet: no bound
                 continue
             if kind == "infinite":
