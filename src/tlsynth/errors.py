@@ -57,23 +57,47 @@ class GraphTooLarge(GuardExceeded):
     """Brute-force cycle enumeration guard tripped."""
 
 
-class SearchSpaceTooLarge(GuardExceeded):
-    """Candidate enumeration guard tripped; carries the exact count."""
-
-    def __init__(self, count, guard):
-        self.count = count
-        self.guard = guard
-        super().__init__(f"search space has {count} candidates (guard {guard})")
-
-
 class VerificationFailed(TlsynthError):
     """A table a search returned does not rate the ratio it reported (a
     lower-bound counterexample: does not rate below the bound) on an exact
     re-check; the search result must not be trusted."""
 
 
-class TableTooLarge(GuardExceeded):
-    """Rule-policy tabulation guard tripped."""
+class SizeGuardExceeded(GuardExceeded):
+    """A size of `base ** exponent` items passed its guard; `count` is that
+    size, exact, computed only when read."""
+
+    def __init__(self, base, exponent, guard):
+        self.base, self.exponent, self.guard = base, exponent, guard
+        # Python prints no int of over 4,300 digits: a longer exponent is
+        # named by its bit length
+        if exponent.bit_length() > 64:
+            exponent = f"(at least 2^{exponent.bit_length() - 1})"
+        super().__init__(self.message.format(base=base, exponent=exponent, guard=guard))
+
+    @property
+    def count(self):
+        return self.base**self.exponent
+
+    @classmethod
+    def check(cls, base, exponent, guard):
+        """Raise `cls` when `base ** exponent` passes `guard`. The exponent
+        is capped at the guard's bit length, which keeps the power exact up
+        to the guard and builds none far above it."""
+        if base ** min(exponent, guard.bit_length()) > guard:
+            raise cls(base, exponent, guard)
+
+
+class SearchSpaceTooLarge(SizeGuardExceeded):
+    """Candidate enumeration guard tripped: `base` values per free entry."""
+
+    message = "search space has {base}^{exponent} candidates (guard {guard})"
+
+
+class TableTooLarge(SizeGuardExceeded):
+    """Dense table guard tripped: `base` inputs per window of `exponent`."""
+
+    message = "|X|^{exponent} exceeds the table guard {guard}"
 
 
 class InvalidHorizon(ValidationFailure):

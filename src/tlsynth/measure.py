@@ -165,7 +165,7 @@ def measure_ratio(
     def opt_of(xs) -> Fraction:
         if xs not in opt_cache:
             total, _ = offline_opt(problem, xs)
-            if not total.is_finite:
+            if not total.is_finite or total < 0:
                 raise ValidationError(f"the offline optimum is {total}, which has no ratio")
             opt_cache[xs] = total.as_fraction()
         return opt_cache[xs]

@@ -156,11 +156,8 @@ def _table_from_entries(horizon, input_alphabet, entries, convert):
     if horizon < 1:
         raise ValidationError(f"policy horizon must be positive, got {horizon}")
     base = len(input_alphabet)
-    # capping T at the guard's bit length keeps |X|^T exact below the guard
-    size = base ** min(horizon, TABLE_GUARD.bit_length())
-    if size > TABLE_GUARD:
-        raise TableTooLarge(f"|X|^{horizon} exceeds the table guard {TABLE_GUARD}")
-    table = [None] * size
+    TableTooLarge.check(base, horizon, TABLE_GUARD)
+    table = [None] * base**horizon
     single = all(len(t) == 1 for t in input_alphabet.symbols)
     for key, value in entries.items():
         tokens = tuple(key) if single else tuple(key.split(","))
@@ -286,37 +283,24 @@ def sample_mixed_resetting(horizon, seed) -> MixedResettingStrategy:
     return MixedResettingStrategy(k, horizon)
 
 
-# -- behavioral coin flip (SKIP answer set; simulation only) ----------------
-
-MOVE = "MOVE"
-SKIP = "SKIP"
-
-
-def _move_probability(alpha):
-    """The coin flip's move probability 1/(2*alpha), which lies in (0, 1]
-    exactly when alpha >= 1/2; any other alpha, 0 and below included, is
-    refused with `InvalidAlpha`."""
-    alpha = parse_rational(alpha)
-    if alpha < Fraction(1, 2):
-        raise InvalidAlpha(f"move probability 1/(2*alpha) needs alpha >= 1/2, got {alpha}")
-    return 1 / (2 * alpha)
-
-
-def coin_flip_step(current_location, request, alpha, variate):
-    """One step of the coin-flip rule: MOVE to the requester w.p. 1/(2*alpha)."""
-    return MOVE if variate < _move_probability(alpha) else SKIP
+# -- behavioral coin flip (simulation only) ---------------------------------
 
 
 def run_coin_flip(x_seq, alpha, seed):
     """Simulate the coin-flip algorithm from location "0"; returns the
     location that served each request.
 
-    After serving a request from elsewhere, the file MOVEs to it with
-    probability 1/(2*alpha); a coin is drawn at every step. The problem
-    costs the served locations like any other outputs, so a move after
-    the last request, which serves nothing, is never charged.
+    After serving a request from elsewhere, the file moves to it with
+    probability 1/(2*alpha), which lies in (0, 1] exactly when alpha >= 1/2;
+    any other alpha, 0 and below included, is refused with `InvalidAlpha`.
+    A coin is drawn at every step. The problem costs the served locations
+    like any other outputs, so a move after the last request, which serves
+    nothing, is never charged.
     """
-    p = _move_probability(alpha)
+    alpha = parse_rational(alpha)
+    if alpha < Fraction(1, 2):
+        raise InvalidAlpha(f"move probability 1/(2*alpha) needs alpha >= 1/2, got {alpha}")
+    p = 1 / (2 * alpha)
     rng = random.Random(seed)
     loc = "0"
     served_at = []
@@ -349,11 +333,9 @@ def run_policy(policy, x_seq, seed=0):
 def compile_to_table(rule_policy, horizon, input_alphabet, output_alphabet):
     """Tabulate an unclocked rule on every full window."""
     base = len(input_alphabet)
-    size = base**horizon
-    if size > TABLE_GUARD:
-        raise TableTooLarge(f"|X|^T = {size} exceeds the table guard {TABLE_GUARD}")
+    TableTooLarge.check(base, horizon, TABLE_GUARD)
     table = []
-    for code in range(size):
+    for code in range(base**horizon):
         idxs = decode_window(code, base, horizon)
         window = tuple(input_alphabet.symbols[i] for i in idxs)
         table.append(output_alphabet.index(rule_policy.output(window)))

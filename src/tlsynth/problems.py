@@ -120,9 +120,6 @@ class CostExpr:
             terms[name] = terms.get(name, Fraction(0)) + coeff
         return CostExpr(const=const, terms=tuple(sorted(terms.items())))
 
-    def parameter_names(self):
-        return [name for name, _ in self.terms]
-
     def resolve(self, parameters) -> Cost:
         if self.infinity > 0:
             return POS_INF
@@ -579,7 +576,7 @@ def load_problem(document) -> LocalProblem:
             raise ParseError(str(exc), field=f"{loc}.cost")
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(str(exc), field=f"{loc}.cost")
-        for name in cost.parameter_names():
+        for name, _coeff in cost.terms:
             if name not in parameters:
                 raise ValidationError(
                     f"{loc}.cost references undeclared parameter {name!r}"

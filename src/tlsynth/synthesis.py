@@ -88,6 +88,9 @@ stack, which holds the moved table's q at that point, so a win builds no
 stack. The result is the best table found, with no global-optimality
 claim.
 
+Each search first checks its table count against `DEFAULT_CANDIDATE_GUARD`
+(`_forced_entries`) as a base and an exponent, so the count is never built.
+
 Every search result passes one verification closure (`_verify`) before
 it is returned: each optimal deterministic table must rate exactly the
 reported ratio, the randomized table the ratio returned with it, and a
@@ -195,25 +198,18 @@ def self_loop_constraints(problem: LocalProblem, horizon: int) -> dict:
     return forced
 
 
-# -- candidate count ----------------------------------------------------
+# -- candidate guard ----------------------------------------------------
 
 
-def candidate_count(n_windows, n_outputs, forced):
-    return n_outputs ** (n_windows - len(forced))
-
-
-def _forced_entries(problem, config):
+def _forced_entries(problem, config, n_values=None):
     """The forced entries (none without pruning), once the tables left to
-    search pass the candidate guard."""
+    search, `n_values` (by default one per output) on each other window,
+    pass the candidate guard."""
     forced = self_loop_constraints(problem, config.horizon) if config.prune else {}
-    n_windows = len(problem.input_alphabet) ** config.horizon
-    _check_guard(candidate_count(n_windows, len(problem.output_alphabet), forced))
+    n_free = len(problem.input_alphabet) ** config.horizon - len(forced)
+    n_values = n_values or len(problem.output_alphabet)
+    SearchSpaceTooLarge.check(n_values, n_free, DEFAULT_CANDIDATE_GUARD)
     return forced
-
-
-def _check_guard(total):
-    if total > DEFAULT_CANDIDATE_GUARD:
-        raise SearchSpaceTooLarge(total, DEFAULT_CANDIDATE_GUARD)
 
 
 # -- branch and bound over partial tables ----------------------------------------
@@ -752,17 +748,14 @@ def synthesize_rand(
         raise ValidationError(
             f"the deterministic start has horizon {start.horizon}, not {config.horizon}"
         )
-    forced = self_loop_constraints(problem, config.horizon)
-    n_windows = len(problem.input_alphabet) ** config.horizon
-    free = [w for w in range(n_windows) if w not in forced]
-
     # grid: the multiples of the step below 1, then 1, as numerators over
-    # the last refinement round's denominator; counted before built
+    # the last refinement round's denominator, counted before built; the
+    # self-loop entries are forced, whatever `prune` says
     step = Fraction(config.grid_step)
     den = step.denominator << REFINEMENT_ROUNDS
     move = step.numerator << REFINEMENT_ROUNDS
     below_one = range(0, den, move)
-    _check_guard((len(below_one) + 1) ** len(free))
+    forced = _forced_entries(problem, replace(config, prune=True), len(below_one) + 1)
     grid = [*below_one, den]
 
     config = replace(config, collect_all_optimal=False)
@@ -781,6 +774,7 @@ def synthesize_rand(
     if search.tables:
         search.table = list(search.tables[0])
     search.q = search.skel.q_rand(search.table, den)
+    free = [w for w in range(len(search.table)) if w not in forced]
     for _ in range(REFINEMENT_ROUNDS):
         move >>= 1
         for w in free:

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -899,6 +900,52 @@ def test_exit_code_3_on_guard(capsys):
     )
     assert code == 3
     assert "guard:" in err
+
+
+# a deterministic table has 2 outputs per free window, a grid 21 values
+@pytest.mark.parametrize("randomized,base", [((), 2), (("--randomized",), 21)], ids=["det", "rand"])
+@pytest.mark.parametrize(
+    "horizon,exponent", [(14, 16382), (34, 17179869182), (20000, "(at least 2^19999)")]
+)
+def test_guard_names_a_huge_search_space_at_once(capsys, horizon, exponent, randomized, base):
+    """The candidate count is never built: at T=14 it has 4,932 digits,
+    more than Python prints, and at T=34 about 2^34 bits; each run exits 3
+    with one `guard:` line naming it as a power, at once."""
+    started = time.monotonic()
+    code, stdout, err = run_cli(capsys, *SYNTH, "--horizon", str(horizon), *randomized)
+    assert time.monotonic() - started < 1
+    assert (code, stdout) == (3, "")
+    assert err == f"guard: search space has {base}^{exponent} candidates (guard {2**26})\n"
+
+
+def test_table2_skips_a_guarded_horizon(capsys):
+    code, stdout, err = run_cli(capsys, "table2", "--alphas", "1", "--horizons", "14")
+    assert (code, err) == (0, "")
+    assert stdout == "alpha,T,kind,ratio_exact,ratio_decimal\n1,14,det,skipped,skipped\n"
+
+
+def test_measure_refuses_a_negative_optimum(capsys):
+    """At alpha=-1 a move pays -1, so the offline optimum goes negative,
+    which has no ratio: measure exits 2, as synth does on the same
+    parameter."""
+    code, stdout, err = run_cli(
+        capsys,
+        "measure",
+        *FM,
+        "--param",
+        "alpha=-1",
+        "--algorithm",
+        "mixed-resetting",
+        "--horizon",
+        "2",
+        "--generator",
+        "uniform:n=5",
+        "--trials",
+        "2",
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: the offline optimum is -")
+    assert err.endswith(", which has no ratio\n")
 
 
 def test_bad_sequence_symbols_rejected(capsys):

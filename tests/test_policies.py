@@ -1,23 +1,22 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlsynth import policies
 from tlsynth.errors import InvalidAlpha, InvalidHorizon, TableTooLarge, ValidationError
 from tlsynth.measure import coin_flip_algorithm
 from tlsynth.policies import (
-    MOVE,
-    SKIP,
     DeterministicPolicy,
     MixedResettingStrategy,
     RandomizedPolicy,
     ResetWrapper,
     SlidingWindowRule,
     ThresholdMigrator,
-    coin_flip_step,
     compile_to_table,
     load_policy,
     policy_to_document,
@@ -200,20 +199,29 @@ def test_sample_mixed_resetting_uniform():
 # -- coin flip ----------------------------------------------------------------
 
 
-def test_coin_flip_step_probability_boundary():
-    assert coin_flip_step("0", "1", Fraction(1, 2), 0.99) == MOVE  # p = 1
-    assert coin_flip_step("0", "1", 1, 0.49) == MOVE
-    assert coin_flip_step("0", "1", 1, 0.5) == SKIP
+def test_coin_flip_step_probability_boundary(monkeypatch):
+    def moves(alpha, variate):
+        # one request from elsewhere, then one more that shows where the
+        # file went; every coin of the run reads `variate`
+        coins = SimpleNamespace(random=lambda: variate)
+        monkeypatch.setattr(policies, "random", SimpleNamespace(Random=lambda seed: coins))
+        return run_coin_flip(("1", "1"), alpha, seed=0) == ("0", "1")
+
+    assert moves(Fraction(1, 2), 0.99)  # p = 1
+    assert moves(1, 0.49)
+    assert not moves(1, 0.5)
     with pytest.raises(InvalidAlpha):
-        coin_flip_step("0", "1", Fraction(1, 4), 0.1)
+        moves(Fraction(1, 4), 0.1)
 
 
 def test_coin_flip_move_rate():
+    # a request from elsewhere moves the file with probability 1/(2*alpha)
     rng = random.Random(3)
-    moves = sum(
-        coin_flip_step("0", "1", 2, rng.random()) == MOVE for _ in range(100_000)
-    )
-    assert abs(moves / 100_000 - 0.25) < 0.01
+    xs = tuple(rng.choice("01") for _ in range(100_000))
+    served = run_coin_flip(xs, 2, seed=5)
+    chances = sum(x != loc for x, loc in zip(xs, served[:-1]))
+    moves = sum(a != b for a, b in zip(served, served[1:]))
+    assert abs(moves / chances - 0.25) < 0.01
 
 
 def test_run_coin_flip_costs_match_replay():
@@ -263,8 +271,9 @@ def test_table_guard():
         def output(self, window):
             return "0"
 
-    with pytest.raises(TableTooLarge):
+    with pytest.raises(TableTooLarge) as err:
         compile_to_table(Zero(), 25, BIN, BIN)
+    assert str(err.value) == f"|X|^25 exceeds the table guard {2**24}"
 
 
 # -- invariants ---------------------------------------------------------------

@@ -103,3 +103,23 @@ def test_only_ratiocycle_calls_the_arc_stack_constructor():
             if name == "ArcStack":
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert found == []
+
+
+def test_size_guards_raise_only_through_the_one_check():
+    # `SizeGuardExceeded.check` compares a capped power with its guard, so
+    # no size guard builds the size it refuses; any other raise of its
+    # subclasses is an ad-hoc size check
+    guarded = {"SizeGuardExceeded", "SearchSpaceTooLarge", "TableTooLarge"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                made = node.func
+            elif isinstance(node, ast.Raise):
+                made = node.exc
+            else:
+                continue
+            if isinstance(made, ast.Name) and made.id in guarded:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {made.id}")
+    assert found == []
