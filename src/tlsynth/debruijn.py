@@ -27,8 +27,8 @@ row and the table entries of the windows the transition reads. There is
 one q function for deterministic tables (`Skeleton.q_det`) and one for
 behavioral tables (`Skeleton.q_rand`, the expectation over independent
 per-step draws, on probabilities written as numerators over one
-denominator). All costs are ints in the problem's own scale
-(`Skeleton.scale`), read as they are from the problem's scaled view
+denominator, `exact.over_common_denominator`). All costs are ints in the
+problem's own scale, read as they are from the problem's scaled view
 (`LocalProblem.lookup_scaled`). Analysis and synthesis solve the arcs as
 they are (`ratiocycle.ArcStack.over`); the exact `Cost` view of the same
 edges is built in one place (`Skeleton.dual_edges`), only for witness
@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .errors import (
     GraphTooLarge,
@@ -48,7 +47,7 @@ from .errors import (
     UnsupportedAggregation,
     ValidationError,
 )
-from .exact import NEG_INF, POS_INF, Cost
+from .exact import NEG_INF, POS_INF, Cost, over_common_denominator
 from .policies import DeterministicPolicy, RandomizedPolicy, decode_window, window_index
 from .problems import LocalProblem
 
@@ -72,7 +71,6 @@ class DualGraph:
     win_len: int  # input symbols per vertex (T, or T+r in the general form)
     n_vertices: int
     edges: tuple
-    out_edges: tuple  # vertex -> tuple of edge indices, deterministic order
 
     @property
     def n_inputs(self):
@@ -175,7 +173,7 @@ def expected_cost(costs, reads, den):
 class Skeleton:
     """Policy-independent dual graph of a problem at horizon T.
 
-    Costs are ints scaled by `scale`, the problem's own scale.
+    Costs are ints in the problem's own scale, `problem._scale`.
     edges[k] = (src, dst, x, b, w, t): w is the adversary's cost, an int
     or the POS_INF sentinel, and t the edge's transition. transitions[t] =
     (row, codes): the policy's q on every edge of t is rows[row][y], where
@@ -190,10 +188,8 @@ class Skeleton:
     win_len: int  # input symbols per vertex
     n_vertices: int
     edges: tuple
-    out_edges: tuple
     transitions: tuple
     rows: tuple
-    scale: int
     arcs: tuple
     arcs_from: tuple
 
@@ -214,8 +210,8 @@ class Skeleton:
         per window given as numerators `ones` over one denominator `den`,
         with an independent draw at every step (`expected_cost`).
 
-        Ints (None for +inf) in units of 1/(scale * rand_unit(den)). An
-        output drawn with probability 0 costs nothing, +inf included.
+        Ints (None for +inf) in units of 1/(problem._scale * rand_unit(den)).
+        An output drawn with probability 0 costs nothing, +inf included.
         """
         rows = self.rows
         return [
@@ -224,7 +220,7 @@ class Skeleton:
         ]
 
     def rand_unit(self, den):
-        """`q_rand`'s values over `den` count 1/(scale * rand_unit(den)):
+        """`q_rand`'s values over `den` count 1/(problem._scale * rand_unit(den)):
         den to the number of windows a transition reads, the same for every
         transition."""
         return den ** len(self.transitions[0][1])
@@ -235,7 +231,7 @@ class Skeleton:
         ints become `Cost`s."""
         edges = self.edges if ids is None else [self.edges[k] for k in ids]
         unscale = self.problem._unscale
-        denom = self.scale * unit
+        denom = self.problem._scale * unit
         return [
             DualEdge(
                 s, d, x, b, unscale(w), POS_INF if q[t] is None else Cost(Fraction(q[t], denom))
@@ -251,7 +247,6 @@ class Skeleton:
             win_len=self.win_len,
             n_vertices=self.n_vertices,
             edges=tuple(self.dual_edges(q, unit)),
-            out_edges=self.out_edges,
         )
 
 
@@ -353,11 +348,9 @@ def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
     """Index the edges and reject a negative or -inf adversary cost. A
     general row entry is also some edge's w, so this rejects every such
     cost a policy could pay; split rows are >= 0."""
-    out = [[] for _ in range(n_vertices)]
     arcs_from = [[] for _ in range(n_vertices)]
     arcs = []
     for k, (src, dst, _x, _b, w, t) in enumerate(edges):
-        out[src].append(k)
         if w is POS_INF:
             continue  # the adversary never pays +inf
         if w is NEG_INF or w < 0:
@@ -371,10 +364,8 @@ def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
         win_len=win_len,
         n_vertices=n_vertices,
         edges=tuple(edges),
-        out_edges=tuple(tuple(ids) for ids in out),
         transitions=tuple(transitions),
         rows=int_rows,
-        scale=problem._scale,
         arcs=tuple(arcs),
         arcs_from=tuple(map(tuple, arcs_from)),
     )
@@ -383,7 +374,8 @@ def _finish(problem, horizon, win_len, n_vertices, edges, transitions, rows):
 def policy_q(problem: LocalProblem, policy):
     """(skeleton, q, unit): the skeleton a policy's dual graph is a view of,
     after validation, and the policy's per-transition q in units of
-    1/(skeleton.scale * unit), from q_det or, for a RandomizedPolicy, q_rand."""
+    1/(problem._scale * unit), from q_det or, for a RandomizedPolicy, q_rand,
+    which reads the table's probabilities over their common denominator."""
     if (
         policy.input_alphabet.symbols != problem.input_alphabet.symbols
         or policy.output_alphabet.symbols != problem.output_alphabet.symbols
@@ -394,13 +386,6 @@ def policy_q(problem: LocalProblem, policy):
         ones, den = over_common_denominator(policy.table)
         return skel, skel.q_rand(ones, den), skel.rand_unit(den)
     return skel, skel.q_det(policy.table), 1
-
-
-def over_common_denominator(probs):
-    """(numerators, den): the Fractions `probs` over the lcm of their
-    denominators, as `Skeleton.q_rand` reads a table."""
-    den = lcm(*(p.denominator for p in probs))
-    return [p.numerator * (den // p.denominator) for p in probs], den
 
 
 def build_graph_det(problem: LocalProblem, policy: DeterministicPolicy):

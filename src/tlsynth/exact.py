@@ -3,13 +3,16 @@
 Everything cost-valued in this package is a `Cost`. Finite costs are
 `fractions.Fraction`; the two infinities saturate under addition, and
 adding infinities of opposite sign raises `InfinityClash` instead of
-silently producing a value.
+silently producing a value. `over_common_denominator` is the one rule
+that turns rationals into ints: problem costs, hand-built graph costs
+and behavioural probabilities alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
+from math import lcm
 
 from .errors import InfinityClash
 
@@ -109,6 +112,8 @@ def cost_sum(items) -> Cost:
 
 def parse_rational(text) -> Fraction:
     """Parse "p/q", a decimal string, or a number into an exact Fraction."""
+    if isinstance(text, bool):
+        raise ValueError(f"{text} is not a rational")
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -117,6 +122,13 @@ def parse_rational(text) -> Fraction:
         # floats in hand-written documents mean their decimal literal
         return Fraction(str(text))
     return Fraction(str(text).strip())
+
+
+def over_common_denominator(values):
+    """(numerators, den): the rationals of the sequence `values` over den,
+    the lcm of their denominators (1 when there are none)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def format_rational(x: Fraction) -> str:

@@ -164,7 +164,10 @@ def _table_from_entries(horizon, input_alphabet, entries, convert):
         if len(tokens) != horizon:
             raise ValidationError(f"window {key!r} does not have {horizon} tokens")
         code = window_index([input_alphabet.index(t) for t in tokens], base)
-        table[code] = convert(value)
+        try:
+            table[code] = convert(value)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad rational {value!r}", field=f"entries.{key}") from None
     missing = [i for i, v in enumerate(table) if v is None]
     if missing:
         raise ValidationError(f"{len(missing)} windows missing from entries")

@@ -9,10 +9,11 @@ problem's declared initial outputs on the output side.
 All costs are exact: rationals or +/-inf. Rule matching is first-match in
 declaration order, so lookups are pure functions of (problem, windows).
 
-Each problem scales every cost once. Its memo keeps, beside each matched
-`Cost`, the cost times the problem's scale (the lcm of the denominators of
-its finite resolved rule costs) as an exact int, with the infinities kept
-as the `POS_INF` / `NEG_INF` sentinels; `lookup_scaled` reads that view.
+Each problem scales every cost once: it resolves its rules when it is
+built and puts their finite costs over one denominator, its scale
+(`exact.over_common_denominator`). Its memo keeps, beside each matched
+`Cost`, the cost times that scale as an exact int, with the infinities
+kept as the `POS_INF` / `NEG_INF` sentinels; `lookup_scaled` reads that view.
 The exact consumers work on these ints alone: the sum in `evaluate`, the
 offline optimum under every aggregation, and the `debruijn` skeleton.
 Sums, maxima and minima of scaled ints, divided by the scale, are the
@@ -28,7 +29,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from itertools import product
-from math import lcm
 
 from .errors import (
     InfinityClash,
@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .exact import NEG_INF, POS_INF, Cost, cost_sum, parse_rational
+from .exact import NEG_INF, POS_INF, Cost, cost_sum, over_common_denominator, parse_rational
 
 BOTTOM = "_|_"  # document spelling of the boundary placeholder
 WILDCARD = "*"
@@ -56,8 +56,8 @@ class Alphabet:
             raise ValidationError("alphabet must be non-empty")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError(f"duplicate tokens in alphabet {self.symbols}")
-        if BOTTOM in self.symbols or WILDCARD in self.symbols:
-            raise ValidationError("alphabet may not contain '_|_' or '*'")
+        if {"", BOTTOM, WILDCARD} & set(self.symbols):
+            raise ValidationError("alphabet may not contain an empty token, '_|_' or '*'")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
 
     def index(self, symbol) -> int:
@@ -91,6 +91,8 @@ class CostExpr:
 
     @staticmethod
     def parse(raw) -> "CostExpr":
+        if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+            raise ParseError("must be a number or a string")
         if isinstance(raw, (int, float)):
             return CostExpr(const=parse_rational(raw))
         text = str(raw).strip()
@@ -200,13 +202,15 @@ class LocalProblem:
                 raise ValidationError(f"rules[{k}].x: length must be r+1")
             if len(rule.y_pattern) != self.horizon_r + 1:
                 raise ValidationError(f"rules[{k}].y: length must be r+1")
-        # (x-window, y-window) -> (Cost, the cost times _scale: an int, or
-        # the POS_INF / NEG_INF sentinel)
+        # each rule's (Cost, the cost times _scale: an int, or the POS_INF /
+        # NEG_INF sentinel); the memo maps (x-window, y-window) to its first match's
+        costs = [rule.cost.resolve(self.parameters) for rule in self.rules]
+        scaled, scale = over_common_denominator([c.value for c in costs if c.is_finite])
+        scaled = iter(scaled)
+        rule_costs = tuple((c, next(scaled) if c.is_finite else c) for c in costs)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_rule_costs", rule_costs)
         object.__setattr__(self, "_lookup_memo", {})
-        finite = (rule.cost.resolve(self.parameters) for rule in self.rules)
-        object.__setattr__(
-            self, "_scale", lcm(*(c.value.denominator for c in finite if c.is_finite))
-        )
         # horizon -> debruijn.Skeleton; lives and dies with this problem
         object.__setattr__(self, "_skeleton_memo", {})
 
@@ -224,7 +228,7 @@ class LocalProblem:
         return (self._lookup_memo.get(key) or self._resolve(key))[1]
 
     def _resolve(self, key):
-        """Validate a window pair, match it, and memoize its (Cost, scaled)."""
+        """Validate a window pair and memoize its first match's (Cost, scaled)."""
         xw, yw = key
         if len(xw) != self.horizon_r + 1 or len(yw) != self.horizon_r + 1:
             raise ValidationError("window length must be r+1")
@@ -234,14 +238,9 @@ class LocalProblem:
         for sym in yw:
             if sym is not None:
                 self.output_alphabet.index(sym)
-        for rule in self.rules:
+        for rule, entry in zip(self.rules, self._rule_costs):
             if rule.matches(xw, yw):
-                value = rule.cost.resolve(self.parameters)
-                scaled = value
-                if value.is_finite:
-                    frac = value.value
-                    scaled = frac.numerator * (self._scale // frac.denominator)
-                entry = self._lookup_memo[key] = (value, scaled)
+                self._lookup_memo[key] = entry
                 return entry
         raise NoMatchingRule(
             f"problem {self.name!r}: no rule matches x={xw} y={yw}"
@@ -573,9 +572,9 @@ def load_problem(document) -> LocalProblem:
         try:
             cost = CostExpr.parse(raw["cost"])
         except ParseError as exc:
-            raise ParseError(str(exc), field=f"{loc}.cost")
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(str(exc), field=f"{loc}.cost")
+            raise ParseError(str(exc), field=f"{loc}.cost") from None
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad rational in {raw['cost']!r}", field=f"{loc}.cost") from None
         for name, _coeff in cost.terms:
             if name not in parameters:
                 raise ValidationError(

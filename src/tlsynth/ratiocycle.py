@@ -18,7 +18,8 @@ stack's integer weights of lam (`_negative_cycle`). Its stage 1, end
 rules and the canonical witness's tight subgraph read that stack; a
 verdict says when its capped witness search gave up, and reads back only
 the witness edges as `Cost`s. `max_ratio_cycle` validates and scales a
-hand-built `DualGraph` into one `ArcStack.holding`. A brute-force
+hand-built `DualGraph` into one `ArcStack.holding`, through the one rule
+that turns rationals into ints (`exact.over_common_denominator`). A brute-force
 enumeration of all simple cycles is the oracle on small graphs.
 
 `ArcStack` holds one q per transition, which a branch and bound raises
@@ -42,11 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .debruijn import DualGraph, policy_q
 from .errors import EmptyGraph, GraphTooLarge, InvalidCost
-from .exact import POS_INF, Cost, cost_sum
+from .exact import POS_INF, Cost, cost_sum, over_common_denominator
 
 BRUTE_FORCE_VERTEX_GUARD = 14
 _TIGHT_SEARCH_CAP = 200_000
@@ -107,7 +107,8 @@ def walk_ratio(graph: DualGraph, edge_ids) -> Cost:
 
 
 def _prepare(graph: DualGraph):
-    """Validate costs, drop unusable edges, scale to integers.
+    """Validate costs, drop unusable edges, and put the rest over one
+    denominator (`exact.over_common_denominator`).
 
     Returns the integer arcs (edge_id, src, dst, w_int, q_int) of
     `core_max_ratio`; an infinite-q edge has q_int = None.
@@ -127,11 +128,8 @@ def _prepare(graph: DualGraph):
             raise InvalidCost(f"edge {k}: algorithm cost {e.q} unsupported")
         q = e.q.as_fraction() if e.q.is_finite else None
         usable.append((k, e.src, e.dst, e.w.as_fraction(), q))
-    scale = lcm(*(c.denominator for arc in usable for c in arc[3:] if c is not None))
-    return [
-        (k, s, d, int(w * scale), None if q is None else int(q * scale))
-        for k, s, d, w, q in usable
-    ]
+    ints = iter(over_common_denominator([c for arc in usable for c in arc[3:] if c is not None])[0])
+    return [(k, s, d, next(ints), None if q is None else next(ints)) for k, s, d, _w, q in usable]
 
 
 def _negative_cycle(n, arcs):

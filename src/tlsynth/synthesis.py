@@ -173,7 +173,13 @@ class SynthesisResult:
 
 def self_loop_constraints(problem: LocalProblem, horizon: int) -> dict:
     """Forced table entries, {window code: output index}, from zero-cost
-    adversary self-loops.
+    adversary self-loops: the constant windows c^T of `_self_loop_outputs`."""
+    nx = len(problem.input_alphabet)
+    return {window_index((c,) * horizon, nx): o for c, o in _self_loop_outputs(problem).items()}
+
+
+def _self_loop_outputs(problem):
+    """{input symbol index c: output index}, the same at every horizon T.
 
     On the constant window c^T the adversary can loop forever for free by
     repeating any output whose constant self-loop costs zero; a
@@ -182,20 +188,13 @@ def self_loop_constraints(problem: LocalProblem, horizon: int) -> dict:
     """
     if problem.aggregation != "sum":
         raise UnsupportedAggregation("self-loop analysis needs sum aggregation")
-    r = problem.horizon_r
-    xs = problem.input_alphabet.symbols
+    r1 = problem.horizon_r + 1
     ys = problem.output_alphabet.symbols
-    nx = len(xs)
-    forced = {}
-    for c in range(nx):
-        zero_cost_answers = [
-            o
-            for o in range(len(ys))
-            if problem.lookup_scaled((xs[c],) * (r + 1), (ys[o],) * (r + 1)) == 0
-        ]
-        if len(zero_cost_answers) == 1:
-            forced[window_index((c,) * horizon, nx)] = zero_cost_answers[0]
-    return forced
+    zero_cost_answers = [
+        [o for o, y in enumerate(ys) if problem.lookup_scaled((x,) * r1, (y,) * r1) == 0]
+        for x in problem.input_alphabet.symbols
+    ]
+    return {c: answers[0] for c, answers in enumerate(zero_cost_answers) if len(answers) == 1}
 
 
 # -- candidate guard ----------------------------------------------------
@@ -204,12 +203,13 @@ def self_loop_constraints(problem: LocalProblem, horizon: int) -> dict:
 def _forced_entries(problem, config, n_values=None):
     """The forced entries (none without pruning), once the tables left to
     search, `n_values` (by default one per output) on each other window,
-    pass the candidate guard."""
-    forced = self_loop_constraints(problem, config.horizon) if config.prune else {}
-    n_free = len(problem.input_alphabet) ** config.horizon - len(forced)
+    pass the candidate guard. The guard counts the forcing symbols, so no
+    window is coded before it passes."""
+    n_forced = len(_self_loop_outputs(problem)) if config.prune else 0
+    n_free = len(problem.input_alphabet) ** config.horizon - n_forced
     n_values = n_values or len(problem.output_alphabet)
     SearchSpaceTooLarge.check(n_values, n_free, DEFAULT_CANDIDATE_GUARD)
-    return forced
+    return self_loop_constraints(problem, config.horizon) if config.prune else {}
 
 
 # -- branch and bound over partial tables ----------------------------------------

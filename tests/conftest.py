@@ -19,17 +19,17 @@ def make_graph(problem, n_vertices, quads):
         w = w if isinstance(w, Cost) else Cost(Fraction(w))
         q = q if isinstance(q, Cost) else Cost(Fraction(q))
         edges.append(DualEdge(src, dst, x=0, b=0, w=w, q=q))
-    out = [[] for _ in range(n_vertices)]
-    for k, e in enumerate(edges):
-        out[e.src].append(k)
     return DualGraph(
-        problem=problem,
-        horizon=1,
-        win_len=1,
-        n_vertices=n_vertices,
-        edges=tuple(edges),
-        out_edges=tuple(tuple(ids) for ids in out),
+        problem=problem, horizon=1, win_len=1, n_vertices=n_vertices, edges=tuple(edges)
     )
+
+
+def out_edges(graph):
+    """Edge ids by source vertex, in edge order."""
+    out = [[] for _ in range(graph.n_vertices)]
+    for k, e in enumerate(graph.edges):
+        out[e.src].append(k)
+    return out
 
 
 def held(stack):

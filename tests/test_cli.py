@@ -953,3 +953,115 @@ def test_bad_sequence_symbols_rejected(capsys):
         capsys, "opt", "--problem", "file-migration", "--input", "012"
     )
     assert code == 2
+
+
+RAND = policy_text(kind="randomized", entries={"0": "0", "1": "1/2"})
+RULE = {"x": ["*", "*"], "y": ["*", "*"], "cost": "0"}
+EVAL_DOC = ("eval", *FM, "--policy", "{doc}")
+OPT_DOC = ("opt", "--problem", "{doc}", "--input", "01")
+MEASURE_DOC = ("measure", *FM, "--algorithm", "{doc}", "--generator")
+
+
+@pytest.mark.parametrize("entry", ["abc", "1/0", [1], True], ids=["abc", "1-0", "list", "true"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        EVAL_DOC,
+        ("simulate", *FM, "--algorithm", "{doc}", "--input", "01"),
+        (*MEASURE_DOC, "fixed:seq=01"),
+    ],
+    ids=["eval", "simulate", "measure"],
+)
+def test_randomized_policy_entry_must_be_a_rational(tmp_path, capsys, argv, entry):
+    doc = tmp_path / "policy.json"
+    doc.write_text(policy_text(kind="randomized", entries={"0": "1/2", "1": entry}))
+    code, stdout, err = run_cli(capsys, *(a.format(doc=doc) for a in argv))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: entries.1: bad rational {entry!r}\n"
+
+
+# (document text or None, argv, the whole error line); "{doc}" names the document
+INPUT_CHECKS = {
+    # flags
+    "param-without-equals": (None, ("opt", *FM, "--param", "alpha", "--input", "01"),
+                             "bad --param 'alpha', expected NAME=VALUE"),
+    "sliding-window-without-horizon": (
+        None, ("simulate", *FM, "--algorithm", "sliding-window", "--input", "01"),
+        "--horizon is required for sliding-window"),
+    "zero-trials": (None, ("measure", *FM, "--algorithm", "coin-flip", "--generator",
+                           "uniform:n=5", "--trials", "0"), "trials must be >= 1"),
+    "multi-character-input-without-commas": (
+        problem_text(inputs=["aa", "bb"], rules=[RULE]),
+        ("opt", "--problem", "{doc}", "--input", "aabb"),
+        "multi-character tokens need a comma-separated sequence"),
+    # generator specs
+    "uniform-key-without-value": (
+        None, ("measure", *FM, "--algorithm", "coin-flip", "--generator", "uniform:n"),
+        "bad generator parameter 'n'"),
+    "uniform-n-0": (None, ("measure", *FM, "--algorithm", "coin-flip", "--generator",
+                           "uniform:n=0"), "uniform generator needs n >= 1"),
+    "adaptive-L-0": (policy_text(), (*MEASURE_DOC, "adaptive:L=0"),
+                     "adaptive generator needs L >= 1 and cutoff >= 1"),
+    "adaptive-randomized-policy": (RAND, (*MEASURE_DOC, "adaptive:L=2"),
+                                   "adaptive generator needs a deterministic policy"),
+    # policy files
+    "policy-missing-kind": (
+        json.dumps({k: v for k, v in json.loads(policy_text()).items() if k != "kind"}),
+        EVAL_DOC, "kind: missing field"),
+    "policy-unknown-kind": (policy_text(kind="mixed"), EVAL_DOC, "kind: unknown kind 'mixed'"),
+    "policy-window-length": (policy_text(entries={"00": "0", "1": "1"}), EVAL_DOC,
+                             "window '00' does not have 1 tokens"),
+    "policy-probability-above-1": (
+        policy_text(kind="randomized", entries={"0": "0", "1": "3/2"}), EVAL_DOC,
+        "probability '3/2' outside [0, 1]"),
+    "randomized-policy-three-outputs": (
+        policy_text(kind="randomized", outputs=["0", "1", "2"]), EVAL_DOC,
+        "randomized policies need a binary output alphabet"),
+    # problem files
+    "problem-array": ("[]", OPT_DOC, "document must be a JSON object"),
+    "problem-no-inputs": (problem_text(inputs=[]), OPT_DOC, "alphabet must be non-empty"),
+    "problem-empty-token": (problem_text(inputs=["", "1"]), OPT_DOC,
+                            "alphabet may not contain an empty token, '_|_' or '*'"),
+    "problem-duplicate-token": (problem_text(inputs=["0", "0"]), OPT_DOC,
+                                "duplicate tokens in alphabet ('0', '0')"),
+    "problem-wildcard-token": (problem_text(outputs=["*", "1"]), OPT_DOC,
+                               "alphabet may not contain an empty token, '_|_' or '*'"),
+    "problem-negative-r": (problem_text(r=-1), OPT_DOC, "horizon r must be non-negative"),
+    "problem-unknown-aggregation": (problem_text(aggregation="mean"), OPT_DOC,
+                                    "unknown aggregation 'mean'"),
+    "problem-unknown-objective": (problem_text(objective="mid"), OPT_DOC,
+                                  "unknown objective 'mid'"),
+    "problem-initial-outputs-length": (problem_text(initial_outputs=[]), OPT_DOC,
+                                       "initial_outputs must list exactly r=1 tokens"),
+    "problem-pattern-length": (problem_text(rules=[dict(RULE, x=["*"])]), OPT_DOC,
+                               "rules[0].x: length must be r+1"),
+    "problem-rule-without-cost": (problem_text(rules=[{"x": ["*", "*"], "y": ["*", "*"]}]),
+                                  OPT_DOC, "rules[0]: rule needs x, y and cost"),
+    "problem-x-not-array": (problem_text(rules=[dict(RULE, x="**")]), OPT_DOC,
+                            "rules[0]: x and y must be JSON arrays"),
+    "problem-unknown-token": (problem_text(rules=[dict(RULE, x=["*", "2"])]), OPT_DOC,
+                              "rules[0].x: unknown input token '2'"),
+    "problem-parameter-not-rational": (problem_text(parameters={"alpha": "x"}), OPT_DOC,
+                                       "parameters.alpha: bad rational 'x'"),
+    "problem-parameter-true": (problem_text(parameters={"alpha": True}), OPT_DOC,
+                               "parameters.alpha: bad rational True"),
+    "problem-empty-cost-term": (problem_text(rules=[dict(RULE, cost="1+")]), OPT_DOC,
+                                "rules[0].cost: empty term in cost expression '1+'"),
+    "problem-cost-1-0": (problem_text(rules=[dict(RULE, cost="1/0")]), OPT_DOC,
+                         "rules[0].cost: bad rational in '1/0'"),
+    **{
+        f"problem-cost-{name}": (problem_text(rules=[dict(RULE, cost=cost)]), OPT_DOC,
+                                 "rules[0].cost: must be a number or a string")
+        for name, cost in (("true", True), ("null", None), ("list", [1]), ("object", {"a": 1}))
+    },
+}
+
+
+@pytest.mark.parametrize("text,argv,message", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_checks_exit_2_with_their_message(tmp_path, capsys, text, argv, message):
+    doc = tmp_path / "doc.json"
+    if text is not None:
+        doc.write_text(text)
+    code, stdout, err = run_cli(capsys, *(a.format(doc=doc) for a in argv))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {message}\n"

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import out_edges
 from tlsynth.debruijn import (
     _general_skeleton,
     _split_skeleton,
@@ -13,11 +14,10 @@ from tlsynth.debruijn import (
     build_graph_rand,
     cached_skeleton,
     expected_cost,
-    over_common_denominator,
     serve_switch_split,
 )
 from tlsynth.errors import UnsupportedAggregation
-from tlsynth.exact import POS_INF, Cost
+from tlsynth.exact import POS_INF, Cost, over_common_denominator
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem, offline_opt
 from tlsynth.ratiocycle import ArcStack, brute_force_max_ratio, core_max_ratio, evaluate_policy
@@ -46,8 +46,8 @@ def test_dual_graph_shape_t2(migration):
     graph = build_graph_det(migration, policy)
     assert graph.n_vertices == 8  # |X|^T * |Y| for T=2
     assert len(graph.edges) == 32
-    for v in range(graph.n_vertices):
-        assert len(graph.out_edges[v]) == 4  # |X| * |Y| choices per vertex
+    for ids in out_edges(graph):
+        assert len(ids) == 4  # |X| * |Y| choices per vertex
 
 
 def test_successor_soundness(migration):
@@ -94,11 +94,7 @@ def test_self_loop_costs_always_zero_policy(migration):
     graph = build_graph_det(migration, policy)
     # vertex: window (1), adversary at 1; edge consuming 1, adversary stays
     v = 1 * 2 + 1
-    loops = [
-        graph.edges[k]
-        for k in graph.out_edges[v]
-        if graph.edges[k].dst == v and graph.edges[k].x == 1 and graph.edges[k].b == 1
-    ]
+    loops = [e for e in graph.edges if e.src == e.dst == v and e.x == 1 and e.b == 1]
     assert len(loops) == 1
     assert loops[0].w == Cost(0)
     assert loops[0].q == Cost(1)
@@ -109,11 +105,7 @@ def test_all_zero_self_loop_free_for_any_policy(migration):
         policy = DeterministicPolicy(2, BIN, BIN, table)
         graph = build_graph_det(migration, policy)
         v = 0  # window 00, adversary at 0
-        loops = [
-            graph.edges[k]
-            for k in graph.out_edges[v]
-            if graph.edges[k].dst == v and graph.edges[k].x == 0
-        ]
+        loops = [e for e in graph.edges if e.src == e.dst == v and e.x == 0]
         assert len(loops) == 1
         assert loops[0].w == Cost(0) and loops[0].q == Cost(0)
 
@@ -203,8 +195,9 @@ def _random_cycle(graph, rng, max_len=60):
     start = rng.randrange(graph.n_vertices)
     v = start
     edges = []
+    out = out_edges(graph)
     for _ in range(max_len):
-        k = rng.choice(graph.out_edges[v])
+        k = rng.choice(out[v])
         edges.append(k)
         v = graph.edges[k].dst
         if v == start:

@@ -10,6 +10,7 @@ from tlsynth.exact import (
     cost_sum,
     decimal4,
     format_rational,
+    over_common_denominator,
     parse_rational,
 )
 
@@ -71,6 +72,16 @@ def test_parse_and_format_round_trip():
         assert format_rational(parse_rational(text)) == text
     assert parse_rational("0.25") == Fraction(1, 4)
     assert str(Cost(Fraction(7, 2))) == "7/2"
+    # a JSON true or false is no number
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            parse_rational(flag)
+
+
+def test_over_common_denominator():
+    assert over_common_denominator([Fraction(1, 2), Fraction(-2, 3), 3]) == ([3, -4, 18], 6)
+    assert over_common_denominator([Fraction(5, 4)]) == ([5], 4)
+    assert over_common_denominator([]) == ([], 1)
 
 
 def test_decimal4_round_half_even():

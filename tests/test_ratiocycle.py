@@ -5,16 +5,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import held, make_graph, random_dual_graph
+from conftest import held, make_graph, out_edges, random_dual_graph
 from tlsynth import ratiocycle
 from tlsynth.debruijn import (
     build_graph_det,
     build_graph_rand,
     cached_skeleton,
-    over_common_denominator,
 )
 from tlsynth.errors import EmptyGraph, GraphTooLarge
-from tlsynth.exact import POS_INF, Cost, cost_sum
+from tlsynth.exact import POS_INF, Cost, cost_sum, over_common_denominator
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy, run_policy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem, offline_opt
 from tlsynth.ratiocycle import (
@@ -773,8 +772,9 @@ def test_walk_decomposition_dominance(migration_problem):
         graph = random_dual_graph(migration_problem, rng, max_vertices=8)
         start = rng.randrange(graph.n_vertices)
         v, walk = start, []
+        out = out_edges(graph)
         for _ in range(60):
-            k = rng.choice(graph.out_edges[v])
+            k = rng.choice(out[v])
             walk.append(k)
             v = graph.edges[k].dst
             if v == start and len(walk) >= 2:

@@ -105,6 +105,26 @@ def test_only_ratiocycle_calls_the_arc_stack_constructor():
     assert found == []
 
 
+def test_only_exact_uses_lcm():
+    # `exact.over_common_denominator` is the one rule that turns rationals
+    # into ints; any other module reaching for `lcm` holds a second copy
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "exact.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "lcm" in names:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
+
+
 def test_size_guards_raise_only_through_the_one_check():
     # `SizeGuardExceeded.check` compares a capped power with its guard, so
     # no size guard builds the size it refuses; any other raise of its

@@ -9,14 +9,14 @@ import pytest
 
 from conftest import held
 from tlsynth import ratiocycle, synthesis
-from tlsynth.debruijn import cached_skeleton, over_common_denominator
+from tlsynth.debruijn import cached_skeleton
 from tlsynth.errors import (
     EmptyGraph,
     SearchSpaceTooLarge,
     ValidationError,
     VerificationFailed,
 )
-from tlsynth.exact import POS_INF, Cost
+from tlsynth.exact import POS_INF, Cost, over_common_denominator
 from tlsynth.policies import DeterministicPolicy, RandomizedPolicy
 from tlsynth.problems import Alphabet, bundled_problem, load_problem
 from tlsynth.ratiocycle import ArcStack, core_max_ratio, evaluate_policy
@@ -109,6 +109,29 @@ def test_guard_triggers_at_t5():
         synthesize_det(problem, SynthesisConfig(horizon=5))
     assert (err.value.base, err.value.exponent) == (2, 30)
     assert err.value.count == 2**30
+
+
+@pytest.mark.parametrize(
+    "search,base",
+    [
+        (synthesize_det, 2),
+        (lambda p, c: verify_lower_bound(p, c, Fraction(3)), 2),
+        (synthesize_rand, 21),
+    ],
+    ids=["det", "lower-bound", "rand"],
+)
+def test_guard_codes_no_forced_window_before_it_passes(monkeypatch, search, base):
+    """The guard counts the symbols whose constant window is forced, so a
+    search at T=100000 codes no window (quadratic in T) before it refuses."""
+    calls = []
+    code = synthesis.window_index
+    monkeypatch.setattr(synthesis, "window_index", lambda *a: calls.append(a) or code(*a))
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        search(migration(), SynthesisConfig(horizon=100_000))
+    assert calls == []
+    assert str(err.value) == (
+        f"search space has {base}^(at least 2^99999) candidates (guard {2**26})"
+    )
 
 
 # -- +inf 2-cycles -----------------------------------------------------------------
