@@ -30,9 +30,10 @@ per-step draws, on probabilities written as numerators over one
 denominator, `exact.over_common_denominator`). All costs are ints in the
 problem's own scale, read as they are from the problem's scaled view
 (`LocalProblem.lookup_scaled`). Analysis and synthesis solve the arcs as
-they are (`ratiocycle.ArcStack.over`); the exact `Cost` view of the same
-edges is built in one place (`Skeleton.dual_edges`), only for witness
-reports, dumps and the oracle (`build_graph_det` / `build_graph_rand`).
+they are (`ratiocycle.ArcStack.over`), and a witness report sums them. The
+exact `Cost` view of the same edges is built in one place
+(`Skeleton.dual_edges`), only for dumps and the oracle (`build_graph_det`
+/ `build_graph_rand`).
 """
 
 from __future__ import annotations
@@ -72,22 +73,12 @@ class DualGraph:
     n_vertices: int
     edges: tuple
 
-    @property
-    def n_inputs(self):
-        return len(self.problem.input_alphabet)
-
-    @property
-    def n_outputs(self):
-        return len(self.problem.output_alphabet)
-
     def vertex_parts(self, v):
         """Decode a vertex id into (input window codes, adversary output codes)."""
-        r = self.problem.horizon_r
-        adv_size = self.n_outputs**r
-        win_code, adv_code = divmod(v, adv_size)
-        win = decode_window(win_code, self.n_inputs, self.win_len)
-        adv = decode_window(adv_code, self.n_outputs, r)
-        return win, adv
+        r, ny = self.problem.horizon_r, len(self.problem.output_alphabet)
+        win_code, adv_code = divmod(v, ny**r)
+        win = decode_window(win_code, len(self.problem.input_alphabet), self.win_len)
+        return win, decode_window(adv_code, ny, r)
 
     def vertex_label(self, v):
         win, adv = self.vertex_parts(v)
@@ -110,13 +101,6 @@ class DualGraph:
                 f"edge {k} {e.src} -> {e.dst} input={x} adversary={b} w={e.w} q={e.q}"
             )
         return "\n".join(lines)
-
-
-def _check_sum(problem):
-    if problem.aggregation != "sum":
-        raise UnsupportedAggregation(
-            "cycle analysis is defined for sum aggregation only"
-        )
 
 
 def serve_switch_split(problem: LocalProblem):
@@ -225,18 +209,16 @@ class Skeleton:
         transition."""
         return den ** len(self.transitions[0][1])
 
-    def dual_edges(self, q, unit=1, ids=None):
-        """Exact DualEdges with per-transition q from q_det / q_rand: every
-        edge, or the edges with ids `ids`. The one place the skeleton's
-        ints become `Cost`s."""
-        edges = self.edges if ids is None else [self.edges[k] for k in ids]
+    def dual_edges(self, q, unit=1):
+        """Exact DualEdges with per-transition q from q_det / q_rand, for
+        every edge. The one place the skeleton's ints become `Cost`s."""
         unscale = self.problem._unscale
         denom = self.problem._scale * unit
         return [
             DualEdge(
                 s, d, x, b, unscale(w), POS_INF if q[t] is None else Cost(Fraction(q[t], denom))
             )
-            for s, d, x, b, w, t in edges
+            for s, d, x, b, w, t in self.edges
         ]
 
     def graph(self, q, unit=1) -> DualGraph:
@@ -252,7 +234,8 @@ class Skeleton:
 
 def build_skeleton(problem: LocalProblem, horizon: int) -> Skeleton:
     """The serve/switch construction when the cost splits, else the general one."""
-    _check_sum(problem)
+    if problem.aggregation != "sum":
+        raise UnsupportedAggregation("cycle analysis is defined for sum aggregation only")
     split = serve_switch_split(problem)
     if split is not None:
         return _split_skeleton(problem, horizon, *split)

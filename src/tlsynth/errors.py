@@ -65,13 +65,19 @@ class VerificationFailed(TlsynthError):
 
 class SizeGuardExceeded(GuardExceeded):
     """A size of `base ** exponent` items passed its guard; `count` is that
-    size, exact, computed only when read."""
+    size, exact, computed only when read. The exponent is an int, or the
+    triple (b, e, less) for b ** e - less, such as the windows |X|^T less
+    the forced ones, which `check` builds only below 2^(2^20): a longer
+    one is kept, and named, as the triple, and has no `count`."""
 
     def __init__(self, base, exponent, guard):
         self.base, self.exponent, self.guard = base, exponent, guard
+        if isinstance(exponent, tuple):
+            b, e, less = exponent
+            exponent = f"({b}^{e} - {less})" if less else f"({b}^{e})"
         # Python prints no int of over 4,300 digits: a longer exponent is
         # named by its bit length
-        if exponent.bit_length() > 64:
+        elif exponent.bit_length() > 64:
             exponent = f"(at least 2^{exponent.bit_length() - 1})"
         super().__init__(self.message.format(base=base, exponent=exponent, guard=guard))
 
@@ -83,8 +89,14 @@ class SizeGuardExceeded(GuardExceeded):
     def check(cls, base, exponent, guard):
         """Raise `cls` when `base ** exponent` passes `guard`. The exponent
         is capped at the guard's bit length, which keeps the power exact up
-        to the guard and builds none far above it."""
-        if base ** min(exponent, guard.bit_length()) > guard:
+        to the guard and builds none far above it; a triple kept unbuilt is
+        far above it."""
+        if isinstance(exponent, tuple):
+            b, e, less = exponent
+            if b < 2 or e * (b.bit_length() - 1) <= 2**20:
+                exponent = b**e - less
+        cap = guard.bit_length()
+        if base ** (cap if isinstance(exponent, tuple) else min(exponent, cap)) > guard:
             raise cls(base, exponent, guard)
 
 

@@ -7,36 +7,30 @@ non-negative; an edge with w = +inf is ignored (an adversary never
 plays it).
 
 Every verdict starts with stage 0 (`_infinite_q_cycle`): a cycle through
-one q = +inf arc, closed by finite-q arcs, makes it infinite. Stage 0
-reads an adjacency and one q per transition, so `evaluate_policy` runs
-it on a `debruijn.Skeleton`'s `arcs_from` and the policy's q before any
-stack exists. Only a table it leaves open is solved, by `core_max_ratio`
-on its one input, an `ArcStack` over the skeleton: an exact parametric
-search that raises a candidate ratio lam to the ratio of each cycle with
-q - lam*w > 0, found by Bellman-Ford negative-cycle detection on the
-stack's integer weights of lam (`_negative_cycle`). Its stage 1, end
-rules and the canonical witness's tight subgraph read that stack; a
-verdict says when its capped witness search gave up, and reads back only
-the witness edges as `Cost`s. `max_ratio_cycle` validates and scales a
-hand-built `DualGraph` into one `ArcStack.holding`, through the one rule
-that turns rationals into ints (`exact.over_common_denominator`). A brute-force
-enumeration of all simple cycles is the oracle on small graphs.
+one q = +inf arc, closed by finite-q arcs, makes it infinite. Each +inf
+arc is closed by a breadth-first search, unless one that failed shows it
+cannot be. Stage 0 reads an adjacency and one q per transition, so
+`evaluate_policy` runs it on a `debruijn.Skeleton`'s `arcs_from` and the
+policy's q before any stack exists. Only a table it leaves open is solved, by `core_max_ratio` on an
+`ArcStack` over the skeleton: an exact parametric search that raises a
+candidate ratio lam to the ratio of each cycle with q - lam*w > 0, found
+by Bellman-Ford on the stack's integer weights of lam (`_negative_cycle`).
+Its stage 1, end rules and the canonical witness's tight subgraph read
+that stack. `evaluate_policy` reports its witness from the skeleton's
+ints, summed and unscaled once. `max_ratio_cycle` validates and scales a
+hand-built `DualGraph` into one `ArcStack.holding`
+(`exact.over_common_denominator`); it and the brute-force oracle (every
+simple cycle, on small graphs) report in `Cost`s.
 
-`ArcStack` holds one q per transition, which a branch and bound raises
-and pops back, over a skeleton's own arcs and adjacency (`ArcStack.over`).
-`ArcStack.exceeds` decides, for any bound a/b, whether a cycle's ratio
-exceeds it (or reaches it, when a tie loses): one negative-cycle test on
-integer weights A*w - B*q, label correcting from the potentials of an
-earlier decision under the same weights. A losing verdict carries its
-certificate, the arc ids of a simple losing cycle on the stack (from
-stage 0, a 0/0 cycle or the relaxation's predecessor tree), which the
-branch and bound tests again under later bounds; a feasible one carries
-its potentials. A table that beats the incumbent is rated on the same
-stack by `ArcStack.max_ratio`, the parametric search on that
-relaxation, and a refinement move that wins by `core_max_ratio` on that
-stack too. Synthesis checks every table it returns with two decisions
-on a fresh stack: no cycle exceeds the reported ratio r, and one reaches
-r when ties lose, which holds exactly when the ratio is r.
+`ArcStack` holds one q per transition over a skeleton's own arcs and
+adjacency (`ArcStack.over`), which a branch and bound raises and pops
+back. `ArcStack.exceeds` decides whether a cycle's ratio exceeds a bound,
+or reaches it when a tie loses, by one negative-cycle test on integer
+weights, and a losing verdict names its cycle as a certificate. A table
+that beats the incumbent is rated on the same stack (`ArcStack.max_ratio`,
+or `core_max_ratio` for a refinement move). Synthesis checks every table
+it returns with two decisions on a fresh stack: no cycle exceeds the
+reported ratio r, and one reaches r when ties lose.
 """
 
 from __future__ import annotations
@@ -80,27 +74,31 @@ def _cycle_ratio(q: Cost, w: Cost) -> Cost:
     return POS_INF
 
 
-def _make_report(problem, edges, edge_ids) -> CycleReport:
-    """Report of the cycle `edge_ids`; edges[k] is the DualEdge with id k."""
-    edges = [edges[k] for k in edge_ids]
-    q = cost_sum(e.q for e in edges)
-    w = cost_sum(e.w for e in edges)
+def _make_report(problem, edge_ids, steps, q, w) -> CycleReport:
+    """Report of the cycle `edge_ids`, whose edges sum to q and w; steps[i]
+    starts with the (src, dst, x) of its i-th edge."""
     symbols = problem.input_alphabet.symbols
     return CycleReport(
-        vertices=tuple([e.src for e in edges] + [edges[-1].dst]),
+        vertices=tuple([s[0] for s in steps] + [steps[-1][1]]),
         edge_ids=tuple(edge_ids),
         q=q,
         w=w,
         ratio=_cycle_ratio(q, w),
-        induced=tuple(symbols[e.x] for e in edges),
+        induced=tuple(symbols[s[2]] for s in steps),
     )
+
+
+def _graph_report(graph, edge_ids) -> CycleReport:
+    """`_make_report` of a closed walk of a DualGraph, summed in `Cost`s."""
+    edges = [graph.edges[k] for k in edge_ids]
+    steps = [(e.src, e.dst, e.x) for e in edges]
+    q, w = cost_sum(e.q for e in edges), cost_sum(e.w for e in edges)
+    return _make_report(graph.problem, edge_ids, steps, q, w)
 
 
 def walk_ratio(graph: DualGraph, edge_ids) -> Cost:
     """Cost ratio of an arbitrary closed walk (used by property tests)."""
-    q = cost_sum(graph.edges[k].q for k in edge_ids)
-    w = cost_sum(graph.edges[k].w for k in edge_ids)
-    return _cycle_ratio(q, w)
+    return _graph_report(graph, edge_ids).ratio
 
 
 # -- shared preparation -------------------------------------------------------
@@ -225,12 +223,14 @@ def _infinite_q_cycle(arcs, out, q):
     q[t] (None for +inf, -1 for no arcs); out[v] lists the arcs from v in
     arcs order (a skeleton's `arcs_from`, an `ArcStack`'s `out`). Each
     +inf arc, in arcs order, is closed by the shortest path from its head
-    to its tail over the finite-q arcs of out, breadth first. A cycle
-    through two or more +inf-q arcs is missed, and the table is rated on
-    its other cycles; the synthesis search drops a table paying +inf on a
+    to its tail over the finite-q arcs of out, breadth first, unless a
+    search that failed reached its head and not its tail: its vertex set
+    holds every vertex the head reaches. A cycle through two or more +inf-q
+    arcs is missed; the synthesis search drops a table paying +inf on a
     2-cycle of two such arcs at the leaf (`synthesis.infinite_pairs`)."""
+    failed = []  # the vertex sets of the searches that failed
     for k, src, dst, _w, t in arcs:
-        if q[t] is not None:
+        if q[t] is not None or any(dst in seen and src not in seen for seen in failed):
             continue
         seen = {dst: None}  # vertex -> the arc that first reached it
         queue = [dst]
@@ -248,6 +248,7 @@ def _infinite_q_cycle(arcs, out, q):
                 cycle.append(seen[src][0])
                 src = seen[src][1]
             return cycle[::-1]
+        failed.append(seen)
     return None
 
 
@@ -585,8 +586,7 @@ def max_ratio_cycle(graph: DualGraph) -> RatioVerdict:
     """Exact maximum-ratio cycle via parametric search; see module docstring."""
     stack = ArcStack.holding(graph.n_vertices, _prepare(graph))
     kind, witness, iterations, certified = _solve(stack)
-    report = _make_report(graph.problem, graph.edges, witness)
-    return RatioVerdict(report, kind, iterations, certified)
+    return RatioVerdict(_graph_report(graph, witness), kind, iterations, certified)
 
 
 def _any_cycle(n, arcs3):
@@ -663,7 +663,7 @@ def brute_force_max_ratio(graph: DualGraph) -> RatioVerdict:
             best = (ratio, cycle)
     if best is None:
         raise EmptyGraph("graph has no directed cycle")
-    report = _make_report(graph.problem, graph.edges, best[1])
+    report = _graph_report(graph, best[1])
     classification = "infinite" if report.ratio == POS_INF else "finite"
     return RatioVerdict(report, classification, 0)
 
@@ -681,6 +681,9 @@ def evaluate_policy(problem, policy) -> RatioVerdict:
         kind, witness, iterations, certified = _solve(ArcStack.over(skel, q, unit))
     else:
         kind, iterations, certified = "infinite", 0, True
-    edges = dict(zip(witness, skel.dual_edges(q, unit, witness)))
-    report = _make_report(problem, edges, witness)
+    steps = [skel.edges[k] for k in witness]  # (src, dst, x, b, w, t)
+    qs = [q[e[5]] for e in steps]
+    q_sum = POS_INF if None in qs else Cost(Fraction(sum(qs), problem._scale * unit))
+    w_sum = problem._unscale(sum(e[4] for e in steps))
+    report = _make_report(problem, witness, steps, q_sum, w_sum)
     return RatioVerdict(report, kind, iterations, certified)

@@ -89,7 +89,8 @@ stack. The result is the best table found, with no global-optimality
 claim.
 
 Each search first checks its table count against `DEFAULT_CANDIDATE_GUARD`
-(`_forced_entries`) as a base and an exponent, so the count is never built.
+(`_forced_entries`) as a base and an exponent, |X|^T less the forced
+windows, so the count is never built, nor a huge exponent.
 
 Every search result passes one verification closure (`_verify`) before
 it is returned: each optimal deterministic table must rate exactly the
@@ -206,7 +207,7 @@ def _forced_entries(problem, config, n_values=None):
     pass the candidate guard. The guard counts the forcing symbols, so no
     window is coded before it passes."""
     n_forced = len(_self_loop_outputs(problem)) if config.prune else 0
-    n_free = len(problem.input_alphabet) ** config.horizon - n_forced
+    n_free = (len(problem.input_alphabet), config.horizon, n_forced)  # |X|^T - n_forced
     n_values = n_values or len(problem.output_alphabet)
     SearchSpaceTooLarge.check(n_values, n_free, DEFAULT_CANDIDATE_GUARD)
     return self_loop_constraints(problem, config.horizon) if config.prune else {}

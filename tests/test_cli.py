@@ -905,12 +905,19 @@ def test_exit_code_3_on_guard(capsys):
 # a deterministic table has 2 outputs per free window, a grid 21 values
 @pytest.mark.parametrize("randomized,base", [((), 2), (("--randomized",), 21)], ids=["det", "rand"])
 @pytest.mark.parametrize(
-    "horizon,exponent", [(14, 16382), (34, 17179869182), (20000, "(at least 2^19999)")]
+    "horizon,exponent",
+    [
+        (14, 16382),
+        (34, 17179869182),
+        (20000, "(at least 2^19999)"),
+        (10**9, "(2^1000000000 - 2)"),
+    ],
 )
 def test_guard_names_a_huge_search_space_at_once(capsys, horizon, exponent, randomized, base):
     """The candidate count is never built: at T=14 it has 4,932 digits,
     more than Python prints, and at T=34 about 2^34 bits; each run exits 3
-    with one `guard:` line naming it as a power, at once."""
+    with one `guard:` line naming it as a power, at once. At T=10**9 the
+    exponent, 2^T less the two forced windows, is not built either."""
     started = time.monotonic()
     code, stdout, err = run_cli(capsys, *SYNTH, "--horizon", str(horizon), *randomized)
     assert time.monotonic() - started < 1

@@ -11,6 +11,7 @@ from tlsynth.debruijn import (
     build_graph_det,
     build_graph_rand,
     cached_skeleton,
+    policy_q,
 )
 from tlsynth.errors import EmptyGraph, GraphTooLarge
 from tlsynth.exact import POS_INF, Cost, cost_sum, over_common_denominator
@@ -761,6 +762,82 @@ def test_skeleton_stack_matches_explicitly_scaled_arcs(name, alpha):
     assert seen >= {(False, True), (False, False), (True, False)}
     assert ("stage 0" if name == "min-dom-set" else ("rated", True)) in seen
     assert ("infinite" if name == "min-dom-set" else "finite", True) in seen
+
+
+# -- stage 0 against the per-arc search -----------------------------------------
+
+
+def per_arc_stage0(arcs, out, q):
+    """Stage 0 with a breadth-first search from the head of every +inf-q
+    arc, in arcs order, over the finite-q arcs of out; the first that
+    reaches its tail gives the shortest path, in arc order, closing it."""
+    for k, src, dst, _w, t in arcs:
+        if q[t] is not None:
+            continue
+        seen = {dst: None}
+        queue = [dst]
+        for v in queue:
+            for arc in out[v]:
+                c, d = q[arc[4]], arc[2]
+                if c is not None and c >= 0 and d not in seen:
+                    seen[d] = arc
+                    queue.append(d)
+        if src in seen:
+            cycle = [k]
+            while seen[src] is not None:
+                cycle.append(seen[src][0])
+                src = seen[src][1]
+            return cycle[::-1]
+    return None
+
+
+def random_stage0_arcs(rng):
+    """(n, arcs, q) on at most 8 vertices: arcs (id, src, dst, w, t) of up
+    to 6 transitions, with self-loops and parallel arcs, and a q per
+    transition that is +inf (None), -1 (no arcs) or finite."""
+    n = rng.randint(1, 8)
+    n_transitions = rng.randint(1, 6)
+    arcs = []
+    for v in range(n):
+        for _ in range(rng.randint(1, 3)):
+            dst = v if rng.random() < 0.15 else rng.randrange(n)
+            for _copy in range(2 if rng.random() < 0.15 else 1):
+                arcs.append((len(arcs), v, dst, rng.randint(0, 3), rng.randrange(n_transitions)))
+    q = [rng.choice((None, None, -1, 0, 1, 4)) for _ in range(n_transitions)]
+    return n, arcs, q
+
+
+def test_stage0_witness_is_the_per_arc_search_one():
+    """Stage 0 skips the +inf arcs that a failed search shows cannot be
+    closed, and gives the witness of a search from every +inf arc: the same
+    edge ids, or None. On every min-dom-set table at T <= 3, through the
+    skeleton's adjacency, and on random arc sets, directly and through
+    `ArcStack.exceeds(None)`, whose stage 0 it is."""
+    problem = bundled_problem("min-dom-set")
+    xs, ys = problem.input_alphabet, problem.output_alphabet
+    found = {True: 0, False: 0}
+    for horizon in (1, 2, 3):
+        for table in itertools.product(range(len(ys)), repeat=len(xs) ** horizon):
+            skel, q, _unit = policy_q(problem, DeterministicPolicy(horizon, xs, ys, table))
+            expected = per_arc_stage0(skel.arcs, skel.arcs_from, q)
+            assert ratiocycle._infinite_q_cycle(skel.arcs, skel.arcs_from, q) == expected, table
+            found[expected is not None] += 1
+    assert found == {True: 223 + 14 + 2, False: 33 + 2 + 2}
+    rng = random.Random(4040)
+    seen = set()
+    for _ in range(3000):
+        n, arcs, q = random_stage0_arcs(rng)
+        stack = stack_over(n, arcs, q)
+        expected = per_arc_stage0(arcs, stack.out, q)
+        assert ratiocycle._infinite_q_cycle(arcs, stack.out, q) == expected, (n, arcs, q)
+        verdict, evidence = stack.exceeds(None)
+        if expected is not None:
+            assert (verdict, evidence) == (True, expected), (n, arcs, q)
+        elif verdict:
+            assert all(q[arcs[k][4]] is not None for k in evidence), (n, arcs, q)
+        n_infinite = sum(q[arc[4]] is None for arc in arcs)
+        seen.add((expected is not None, n_infinite > 1))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # -- walk decomposition ----------------------------------------------------------

@@ -105,6 +105,21 @@ def test_only_ratiocycle_calls_the_arc_stack_constructor():
     assert found == []
 
 
+def test_only_debruijn_calls_dual_edges():
+    # a witness report sums the skeleton's ints, so the `Cost` view of a
+    # skeleton's edges is built only for dumps and the oracle, through
+    # `Skeleton.graph`
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "debruijn.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dual_edges":
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
+
+
 def test_only_exact_uses_lcm():
     # `exact.over_common_denominator` is the one rule that turns rationals
     # into ints; any other module reaching for `lcm` holds a second copy

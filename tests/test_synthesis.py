@@ -777,6 +777,28 @@ def test_randomized_beats_deterministic_t2():
     assert check.best.ratio == ratio
 
 
+@pytest.mark.parametrize(
+    "horizon,prune,exponent",
+    [
+        (2**20, True, "(at least 2^1048575)"),
+        (2**20 + 1, True, "(2^1048577 - 2)"),
+        (10**9, True, "(2^1000000000 - 2)"),
+        (10**9, False, "(2^1000000000)"),
+    ],
+)
+def test_guard_keeps_a_huge_window_count_unbuilt(horizon, prune, exponent):
+    """The guard's exponent, |X|^T less the forced windows, is built only
+    below 2^(2^20), and is kept and named as a power above it, so a search
+    at T=10**9 refuses at once, as it does at T=2**20."""
+    started = time.monotonic()
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        synthesize_det(migration(), SynthesisConfig(horizon=horizon, prune=prune))
+    assert time.monotonic() - started < 0.5
+    assert str(err.value) == f"search space has 2^{exponent} candidates (guard {2**26})"
+    if horizon == 10**9:
+        assert err.value.exponent == (2, horizon, 2 if prune else 0)
+
+
 def test_randomized_guard_counts_before_building_the_grid():
     config = SynthesisConfig(horizon=2, grid_step=Fraction(1, 10**6))
     started = time.monotonic()
