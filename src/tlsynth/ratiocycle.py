@@ -11,16 +11,16 @@ one q = +inf arc, closed by finite-q arcs, makes it infinite. Each +inf
 arc is closed by a breadth-first search, unless one that failed shows it
 cannot be. Stage 0 reads an adjacency and one q per transition, so
 `evaluate_policy` runs it on a `debruijn.Skeleton`'s `arcs_from` and the
-policy's q before any stack exists. Only a table it leaves open is solved, by `core_max_ratio` on an
-`ArcStack` over the skeleton: an exact parametric search that raises a
-candidate ratio lam to the ratio of each cycle with q - lam*w > 0, found
-by Bellman-Ford on the stack's integer weights of lam (`_negative_cycle`).
-Its stage 1, end rules and the canonical witness's tight subgraph read
-that stack. `evaluate_policy` reports its witness from the skeleton's
-ints, summed and unscaled once. `max_ratio_cycle` validates and scales a
-hand-built `DualGraph` into one `ArcStack.holding`
-(`exact.over_common_denominator`); it and the brute-force oracle (every
-simple cycle, on small graphs) report in `Cost`s.
+policy's q before any stack exists. Only a table it leaves open is
+solved, by `core_max_ratio` on an `ArcStack` over the skeleton: an exact
+parametric search that raises a candidate ratio lam to the ratio of each
+cycle with q - lam*w > 0, found by Bellman-Ford on the stack's integer
+weights of lam (`_negative_cycle`). Its stage 1, end rules and the
+canonical witness's tight subgraph read that stack. `evaluate_policy`
+reports its witness from the skeleton's ints, summed and unscaled once.
+`max_ratio_cycle` validates and scales a hand-built `DualGraph` into one
+`ArcStack.holding` (`exact.over_common_denominator`); it and the
+brute-force oracle (every simple cycle) report in `Cost`s.
 
 `ArcStack` holds one q per transition over a skeleton's own arcs and
 adjacency (`ArcStack.over`), which a branch and bound raises and pops
