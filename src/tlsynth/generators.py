@@ -51,8 +51,7 @@ def gen_adaptive(policy, phases: int, cutoff: int = 1000):
             while True:
                 seq.append(target)
                 emitted += 1
-                window = (None,) * (T - len(seq)) + tuple(seq[-T:])
-                if policy.output_at(window, len(seq) + 1) == target:
+                if policy.output_at(tuple(seq[-T:]), len(seq) + 1) == target:
                     break
                 if emitted >= cutoff:
                     cutoff_hit = True

@@ -11,7 +11,7 @@ statistics (mean, standard error) are floats. `offline_opt` and
 of the problem's rule denominators, with +inf / -inf as sentinels, and
 divide by the scale once, so their totals are the exact rational sums.
 `offline_opt` computes each distinct (input window, shifted slot totals)
-step once per call, and runs once per sequence (cached), which matches
+step once per problem, and runs once per sequence (cached), which matches
 the oblivious adversary: inputs are fixed before any coins are flipped.
 """
 

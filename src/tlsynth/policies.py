@@ -1,13 +1,14 @@
 """Time-local policies and the analytical algorithms for file migration.
 
 All executions follow the same output convention: the output at step i is
-a function of the window (x_{i-T}, ..., x_{i-1}), with placeholder entries
-(None) for positions before the first input. Every deterministic policy
-answers `output_at(window, i)`: tables read a placeholder as the input
-alphabet's first symbol, clock-driven policies receive the raw window plus
-the step index and handle boundaries themselves. `run_policy` runs any
-policy on a sequence; tables take a rolling-code fast path, and a
-behavioural table draws its coins from the seed.
+a function of the window (x_{i-T}, ..., x_{i-1}), whose positions before the
+first input are missing or hold placeholders (None). Every deterministic
+policy answers `output_at(window, i)`: tables read both as the input
+alphabet's first symbol, clock-driven policies receive the window plus the
+step index and handle boundaries themselves. `run_policy` runs any policy
+on a sequence, in time and memory independent of T: a rule or clocked
+policy gets the slice of the last min(T, i-1) inputs, tables take a
+rolling-code fast path, and a behavioural table draws its coins from the seed.
 """
 
 from __future__ import annotations
@@ -270,14 +271,14 @@ class MixedResettingStrategy:
         self.horizon = horizon
 
     def output_at(self, window, i):
-        k, T = self.k, self.horizon
+        k = self.k
         if i <= k:
             return "0"
-        move_time = k + T * ((i - 1 - k) // T)
-        idx = move_time - i + len(window)  # window holds x_{i-T} .. x_{i-1}
-        symbol = window[idx]
+        # the last move came at time i - lag; the window ends at x_{i-1}
+        lag = (i - 1 - k) % self.horizon + 1
+        symbol = window[-lag] if lag <= len(window) else None
         if symbol is None:
-            raise ValidationError(f"window {window!r} holds no input at move time {move_time}")
+            raise ValidationError(f"window {window!r} holds no input at move time {i - lag}")
         return symbol
 
 
@@ -323,14 +324,9 @@ def run_policy(policy, x_seq, seed=0):
         return policy.run(x_seq, seed)
     if isinstance(policy, DeterministicPolicy):
         return policy.run(x_seq)
-    T = policy.horizon
-    out = []
-    window = [None] * T
-    for i in range(1, len(x_seq) + 1):
-        out.append(policy.output_at(tuple(window), i))
-        window.pop(0)
-        window.append(x_seq[i - 1])
-    return tuple(out)
+    T, xs = policy.horizon, tuple(x_seq)
+    # a conditional, not max(), which costs a call per step
+    return tuple([policy.output_at(xs[i - T if i > T else 0 : i], i + 1) for i in range(len(xs))])
 
 
 def compile_to_table(rule_policy, horizon, input_alphabet, output_alphabet):

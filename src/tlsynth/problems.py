@@ -43,6 +43,7 @@ WILDCARD = "*"
 
 AGGREGATIONS = ("sum", "min", "max")
 OBJECTIVES = ("min", "max")
+OPT_NODE_CAP = 2**16  # offline_opt drops a problem's automaton past this many nodes
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,8 @@ class LocalProblem:
         object.__setattr__(self, "_lookup_memo", {})
         # horizon -> debruijn.Skeleton; lives and dies with this problem
         object.__setattr__(self, "_skeleton_memo", {})
+        # offline_opt's automaton: rows, vectors, nodes and moves
+        object.__setattr__(self, "_opt_memo", ({}, [], {}, []))
 
     # -- core cost access ------------------------------------------------
 
@@ -277,17 +280,11 @@ class LocalProblem:
             raise ValidationError("input and output sequences differ in length")
         y_windows = _windows(self.initial_outputs + tuple(y_seq), n)
         memo = self._lookup_memo
-        entries = [
-            memo.get(key) or self._resolve(key)
-            for key in zip(self._x_windows(x_seq), y_windows)
-        ]
-        per_step = tuple(cost for cost, _ in entries)
-        if self.aggregation == "sum":
-            total = sum(scaled for _, scaled in entries)
-        elif not entries:
+        keys = zip(self._x_windows(x_seq), y_windows)
+        per_step, scaled = tuple(zip(*[memo.get(k) or self._resolve(k) for k in keys])) or ((), ())
+        if not scaled and self.aggregation != "sum":
             raise ValidationError("min/max aggregation of an empty sequence")
-        else:
-            total = (min if self.aggregation == "min" else max)(s for _, s in entries)
+        total = {"sum": sum, "min": min, "max": max}[self.aggregation](scaled)
         return CostBreakdown(per_step, self._unscale(total))
 
     def _aggregate(self, per_step) -> Cost:
@@ -344,13 +341,16 @@ def offline_opt(problem: LocalProblem, x_seq):
     first, then the best other total. A step lands in the -inf slot exactly
     when it comes from one or costs -inf.
 
-    The steps run on an automaton built lazily within the call: nodes
-    number the distinct vectors of slot totals, and `moves[node][x window]`
-    is (shift, next node, back row), so a step repeated from a node at a
-    window costs one lookup. A sum's vector is kept less its least finite
-    total, the shift, which no comparison or clash sees; these normalized
-    work functions take few values. Max and min are not shift-invariant, so
-    their totals stay whole. A back row holds (previous slot, output).
+    The steps run on an automaton that the problem keeps: nodes number the
+    distinct vectors of slot totals, and `moves[node][x window]` is (shift,
+    next node, back row), so a step made before from a node at a window, in
+    any call, costs one lookup. A move depends on its node and window alone,
+    so no result depends on earlier calls; a call that starts past
+    `OPT_NODE_CAP` nodes drops the automaton. A sum's vector is kept less its
+    least finite total, the shift, which no comparison or clash sees; these
+    normalized work functions take few values. Max and min are not
+    shift-invariant, so their totals stay whole. A back row holds (previous
+    slot, output).
     """
     if not x_seq:
         raise ValidationError("offline_opt requires a non-empty input")
@@ -381,8 +381,18 @@ def offline_opt(problem: LocalProblem, x_seq):
 
     # rows[x window, slot]: (next slot, signed scaled cost, back entry) per
     # output, built the first time the slot is reached at that window, since
-    # a pair that is never reached need not match any rule
-    rows = {}
+    # a pair that is never reached need not match any rule. Rows and steps
+    # are stored only once whole, so a call that raises leaves them sound.
+    rows, vectors, nodes, moves = memo = problem._opt_memo
+    if len(vectors) > OPT_NODE_CAP:
+        for part in memo:
+            part.clear()
+    if not vectors:  # node 0: the start state at the combine's identity
+        first = [None] * n_slots
+        first[start * slots + slots - 1] = identity
+        vectors.append(tuple(first))  # node -> its (shifted) slot totals
+        nodes[vectors[0]] = 0
+        moves.append({})
 
     def row(xw, slot):
         # other: 1 in the second of two slots, which holds the totals above -inf
@@ -398,12 +408,6 @@ def offline_opt(problem: LocalProblem, x_seq):
             entries.append((nxt, scaled, (slot, y)))
         rows[xw, slot] = entries
         return entries
-
-    first = [None] * n_slots
-    first[start * slots + slots - 1] = identity
-    vectors = [tuple(first)]  # node -> its (shifted) slot totals
-    nodes = {vectors[0]: 0}
-    moves = [{}]
 
     def step(node, xw):
         cur = [None] * n_slots

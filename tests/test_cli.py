@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -6,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import tlsynth
 from tlsynth import debruijn
 from tlsynth.cli import main
 from tlsynth.debruijn import cached_skeleton
@@ -923,6 +927,42 @@ def test_guard_names_a_huge_search_space_at_once(capsys, horizon, exponent, rand
     assert time.monotonic() - started < 1
     assert (code, stdout) == (3, "")
     assert err == f"guard: search space has {base}^{exponent} candidates (guard {2**26})\n"
+
+
+# the child caps its own address space at 1 GB before it runs the CLI
+LIMITED_CLI = (
+    "import resource, sys; "
+    "resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+    "from tlsynth.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("command", ["measure", "simulate"])
+@pytest.mark.parametrize(
+    "algorithm,generator",
+    [
+        ("sliding-window", "adaptive:L=2"),
+        ("mixed-resetting", "uniform:n=5"),
+        ("reset-wrapper", "uniform:n=5"),
+    ],
+)
+def test_runs_at_a_huge_horizon_in_bounded_memory(command, algorithm, generator):
+    """A rule or clocked policy sees at most the inputs so far, so at
+    T=10**9 neither its runs nor the adaptive generator build a T-entry
+    window: each command answers within 1 GB of address space, at once."""
+    source = "--generator" if command == "measure" else "--input"
+    argv = [command, *FM, "--algorithm", algorithm, "--horizon", str(10**9)]
+    argv += [source, generator if command == "measure" else "01101"]
+    env = dict(os.environ, PYTHONPATH=str(Path(tlsynth.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=env,
+    )
+    assert child.returncode in (0, 2, 3), child.stderr
+    assert child.returncode == 0 or child.stderr.startswith(("error:", "guard:"))
 
 
 def test_table2_skips_a_guarded_horizon(capsys):

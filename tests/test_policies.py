@@ -69,6 +69,29 @@ def test_output_at_matches_the_rolling_run():
                     assert policy.output_at(window, i) == outs[i - 1], (T, table, xs, i)
 
 
+def padded_run(policy, x_seq):
+    """Outputs of a rule or clocked policy fed a window of T entries,
+    placeholders first: the reference for run_policy's slices."""
+    window = (None,) * policy.horizon
+    out = []
+    for i, x in enumerate(x_seq, 1):
+        out.append(policy.output_at(window, i))
+        window = window[1:] + (x,)
+    return tuple(out)
+
+
+def test_run_policy_matches_the_padded_window():
+    # a slice of the last min(T, i-1) inputs gives what the padded window did
+    rng = random.Random(20)
+    cases = [SlidingWindowRule(T, alpha) for T in range(6, 13) for alpha in (1, 2, 5)]
+    cases += [MixedResettingStrategy(k, T) for T in range(1, 13) for k in range(1, T + 1)]
+    cases += [ResetWrapper(ThresholdMigrator(alpha), T) for T in range(1, 13) for alpha in (1, 3)]
+    for policy in cases:
+        for n in (1, policy.horizon, policy.horizon + 1, 2 * policy.horizon + 3, 40):
+            xs = tuple(rng.choice("01") for _ in range(n))
+            assert run_policy(policy, xs) == padded_run(policy, xs), (policy, xs)
+
+
 def test_empty_input_gives_empty_output():
     assert run_policy(follow_the_request(), ()) == ()
     assert run_policy(MixedResettingStrategy(1, 3), ()) == ()
@@ -189,6 +212,9 @@ def test_mixed_resetting_output_window_form():
     # a window that holds no input at the move time is rejected
     with pytest.raises(ValidationError):
         MixedResettingStrategy(1, 3).output_at((None, None, None), 5)
+    # so is a window too short to reach back to it: x_1 is not in (x_3, x_4)
+    with pytest.raises(ValidationError):
+        MixedResettingStrategy(1, 5).output_at(("0", "1"), 5)
 
 
 def test_sample_mixed_resetting_uniform():

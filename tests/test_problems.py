@@ -438,6 +438,75 @@ def test_opt_outputs_evaluate_to_the_optimum_on_long_inputs(alpha):
     assert problem.evaluate(xs, ys).total == total
 
 
+def opt_or_clash(problem, xs):
+    try:
+        return offline_opt(problem, xs)
+    except InfinityClash:
+        return "clash"
+
+
+@pytest.mark.parametrize(
+    "doc,alpha",
+    [("file-migration", "1"), ("file-migration", "5"), ("load-balancing", None)]
+    + [("max-ind-set", None), ("min-dom-set", None), ("clash-min", None), ("clash-max", None)],
+)
+def test_warm_automaton_changes_no_result(doc, alpha):
+    # one problem answers a shuffled batch, its automaton warm from the
+    # sequences before; each answer equals a fresh problem's, and the
+    # oracle's total for the short ones
+    def load():
+        if doc.startswith("clash-"):
+            return load_problem(dict(CLASH_DOC, objective=doc[len("clash-") :]))
+        return bundled_problem(doc, alpha and {"alpha": alpha})
+
+    warm = load()
+    symbols = "ab" if doc.startswith("clash-") else warm.input_alphabet.symbols
+    rng = random.Random(f"{doc}:{alpha}")
+    batch = [tuple(rng.choice(symbols) for _ in range(n)) for n in list(range(1, 9)) * 3]
+    batch += [tuple(rng.choice(symbols) for _ in range(rng.randint(20, 60))) for _ in range(8)]
+    rng.shuffle(batch)
+    for xs in batch:
+        result = opt_or_clash(warm, xs)
+        assert result == opt_or_clash(load(), xs), xs
+        if len(xs) <= 8:
+            expected = brute_force_opt(warm, xs)[0]
+            assert result == "clash" if expected is None else result[0] == expected, xs
+    assert len(warm._opt_memo[1]) > 1
+
+
+def test_automaton_is_dropped_past_its_cap(monkeypatch):
+    # on the drift document every step of a call makes a new node: one
+    # 500-step call leaves 501, and a call that starts past the cap drops
+    # them first, so the automaton holds at most the cap plus one call's
+    problem = load_problem(DRIFT_DOC)
+    offline_opt(problem, ("0",) * 500)
+    assert len(problem._opt_memo[1]) == 501
+    monkeypatch.setattr("tlsynth.problems.OPT_NODE_CAP", 16)
+    problem = load_problem(DRIFT_DOC)
+    rng = random.Random(5)
+    sizes = []
+    for _ in range(12):
+        xs = tuple(rng.choice("01") for _ in range(rng.randint(5, 30)))
+        assert offline_opt(problem, xs) == offline_opt(load_problem(DRIFT_DOC), xs), xs
+        sizes.append(len(problem._opt_memo[1]))
+        assert sizes[-1] <= 16 + 1 + len(xs)
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
+def test_with_parameters_shares_no_memo():
+    parent = bundled_problem("file-migration")
+    xs = ("0", "1", "1", "0")
+    offline_opt(parent, xs)
+    child = parent.with_parameters({"alpha": "5"})
+    assert offline_opt(child, xs) == offline_opt(bundled_problem("file-migration", {"alpha": "5"}), xs)
+    memos = [name for name in vars(parent) if name.endswith("_memo")]
+    assert {"_lookup_memo", "_skeleton_memo", "_opt_memo"} <= set(memos)
+    for name in memos:
+        ours, theirs = getattr(parent, name), getattr(child, name)
+        parts = zip(ours, theirs) if name == "_opt_memo" else [(ours, theirs)]
+        assert all(a is not b for a, b in parts), name
+
+
 def product_scan_opt(problem, x_seq):
     """The exhaustive optimum as one product loop over whole sequences, each
     totalled from scratch: the reference for the depth-first oracle."""

@@ -158,3 +158,47 @@ def test_size_guards_raise_only_through_the_one_check():
             if isinstance(made, ast.Name) and made.id in guarded:
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {made.id}")
     assert found == []
+
+
+def _is_empty_container(value):
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, (ast.List, ast.Set)):
+        return not value.elts
+    empty = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+    return isinstance(value, ast.Call) and getattr(value.func, "id", None) in empty
+
+
+def test_no_module_level_mutable_cache():
+    # every memo is made in LocalProblem.__post_init__, so it lives and dies
+    # with its problem: no functools cache, no `global`, no module-level
+    # container that starts empty and no function writing into a module-level
+    # name, any of which would share state between every caller
+    caches = {"lru_cache", "cache", "cached_property"}
+    mutators = {"append", "add", "extend", "insert", "update", "setdefault"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        rel = path.relative_to(PACKAGE)
+        module_names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                module_names |= {t.id for t in targets if isinstance(t, ast.Name)}
+                if _is_empty_container(node.value):
+                    found.append(f"{rel}:{node.lineno} empty container")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name.split(".")[-1] in caches:
+                found.append(f"{rel}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.Attribute) and node.attr in caches:
+                found.append(f"{rel}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.Global):
+                found.append(f"{rel}:{node.lineno} global")
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                if getattr(node.value, "id", None) in module_names:
+                    found.append(f"{rel}:{node.lineno} {node.value.id}[...] =")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = getattr(node.func.value, "id", None)
+                if owner in module_names and node.func.attr in mutators:
+                    found.append(f"{rel}:{node.lineno} {owner}.{node.func.attr}")
+    assert found == []
