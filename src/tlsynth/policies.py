@@ -2,17 +2,18 @@
 
 All executions follow the same output convention: the output at step i is
 a function of the window (x_{i-T}, ..., x_{i-1}), whose positions before the
-first input are missing or hold placeholders (None). Every deterministic
-policy answers `output_at(window, i)`: tables read both as the input
-alphabet's first symbol, clock-driven policies receive the window plus the
-step index and handle boundaries themselves. `run_policy` runs any policy
-on a sequence, in time and memory independent of T: a rule or clocked
-policy gets the slice of the last min(T, i-1) inputs, tables take a
-rolling-code fast path, and a behavioural table draws its coins from the seed.
+first input are missing or hold placeholders (None). Both table kinds, of
+output indices or of exact probabilities, share one core that checks them,
+reads them from documents and walks a rolling window code that reads missing
+positions as the input alphabet's first symbol. Clock-driven policies answer
+`output_at(window, i)` and handle boundaries themselves. `run_policy` runs
+any policy: a table walks its codes (a behavioural one draws one coin per
+step from the seed), a rule or clocked policy gets the last min(T, i-1) inputs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -50,13 +51,14 @@ def decode_window(code, base, length):
 
 
 @dataclass(frozen=True)
-class DeterministicPolicy:
-    """Dense map from length-T input windows to one output symbol."""
+class _Table:
+    """Dense table over the length-T input windows, indexed by window code;
+    each kind checks, parses, writes and runs its own entries."""
 
     horizon: int
     input_alphabet: Alphabet
     output_alphabet: Alphabet
-    table: tuple  # output symbol indices, indexed by window code
+    table: tuple  # one entry per window code
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -66,9 +68,60 @@ class DeterministicPolicy:
             raise ValidationError(
                 f"table must have |X|^T = {size} entries, got {len(self.table)}"
             )
+        self._check_entries()
+
+    def _codes(self, x_seq):
+        """Code of the window each step reads; short windows are filled
+        with the first input symbol."""
+        base = len(self.input_alphabet)
+        modulus = base**self.horizon
+        index = self.input_alphabet.index
+        codes, code = [], 0  # all-first-symbol window
+        for x in x_seq:
+            codes.append(code)
+            code = (code * base + index(x)) % modulus
+        return codes
+
+    @classmethod
+    def from_entries(cls, horizon, input_alphabet, output_alphabet, entries):
+        """Build from a {window-string: entry} map (oldest-first keys)."""
+        if horizon < 1:
+            raise ValidationError(f"policy horizon must be positive, got {horizon}")
+        base = len(input_alphabet)
+        TableTooLarge.check(base, horizon, TABLE_GUARD)
+        table = [None] * base**horizon
+        single = all(len(t) == 1 for t in input_alphabet.symbols)
+        for key, value in entries.items():
+            tokens = tuple(key) if single else tuple(key.split(","))
+            if len(tokens) != horizon:
+                raise ValidationError(f"window {key!r} does not have {horizon} tokens")
+            code = window_index([input_alphabet.index(t) for t in tokens], base)
+            try:
+                table[code] = cls._parse_entry(value, output_alphabet)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad rational {value!r}", field=f"entries.{key}") from None
+        missing = table.count(None)
+        if missing:
+            raise ValidationError(f"{missing} windows missing from entries")
+        return cls(horizon, input_alphabet, output_alphabet, tuple(table))
+
+
+class DeterministicPolicy(_Table):
+    """Dense map from length-T input windows to one output symbol index."""
+
+    kind = "deterministic"
+
+    def _check_entries(self):
         for entry in self.table:
             if not 0 <= entry < len(self.output_alphabet):
                 raise ValidationError(f"table entry {entry} outside output alphabet")
+
+    @staticmethod
+    def _parse_entry(value, output_alphabet):
+        return output_alphabet.index(str(value))
+
+    def _format_entry(self, entry):
+        return self.output_alphabet.symbols[entry]
 
     def output_at(self, window, i):
         """Output for one window; placeholders read as the first symbol."""
@@ -78,30 +131,13 @@ class DeterministicPolicy:
         )
         return self.output_alphabet.symbols[self.table[code]]
 
-    def run(self, x_seq):
-        """Outputs y_1..y_n; short windows are filled with the first symbol."""
-        base = len(self.input_alphabet)
-        modulus = base**self.horizon
-        symbols = self.output_alphabet.symbols
-        index = self.input_alphabet.index
-        code = 0  # all-first-symbol window
-        out = []
-        for x in x_seq:
-            out.append(symbols[self.table[code]])
-            code = (code * base + index(x)) % modulus
-        return tuple(out)
-
-    @staticmethod
-    def from_entries(horizon, input_alphabet, output_alphabet, entries):
-        """Build from a {window-string: output-symbol} map (oldest-first keys)."""
-        table = _table_from_entries(
-            horizon, input_alphabet, entries, lambda v: output_alphabet.index(str(v))
-        )
-        return DeterministicPolicy(horizon, input_alphabet, output_alphabet, tuple(table))
+    def run(self, x_seq, seed=None):
+        """Outputs y_1..y_n; a deterministic table draws no coins from `seed`."""
+        symbols, table = self.output_alphabet.symbols, self.table
+        return tuple([symbols[table[code]] for code in self._codes(x_seq)])
 
 
-@dataclass(frozen=True)
-class RandomizedPolicy:
+class RandomizedPolicy(_Table):
     """Behavioral policy over a binary output alphabet.
 
     table[w] is the exact probability of outputting the second output
@@ -109,70 +145,27 @@ class RandomizedPolicy:
     is drawn at every step.
     """
 
-    horizon: int
-    input_alphabet: Alphabet
-    output_alphabet: Alphabet
-    table: tuple  # Fractions in [0, 1]
+    kind = "randomized"
 
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError("policy horizon must be positive")
+    def _check_entries(self):
         if len(self.output_alphabet) != 2:
             raise ValidationError("randomized policies need a binary output alphabet")
-        size = len(self.input_alphabet) ** self.horizon
-        if len(self.table) != size:
-            raise ValidationError(f"table must have |X|^T = {size} entries")
         for p in self.table:
             if not 0 <= p <= 1:
-                raise ValidationError(f"probability {p} outside [0, 1]")
-
-    def run(self, x_seq, seed):
-        base = len(self.input_alphabet)
-        modulus = base**self.horizon
-        symbols = self.output_alphabet.symbols
-        index = self.input_alphabet.index
-        rng = random.Random(seed)
-        code = 0
-        out = []
-        for x in x_seq:
-            p = self.table[code]
-            out.append(symbols[1] if rng.random() < p else symbols[0])
-            code = (code * base + index(x)) % modulus
-        return tuple(out)
+                raise ValidationError(f"probability '{p}' outside [0, 1]")
 
     @staticmethod
-    def from_entries(horizon, input_alphabet, output_alphabet, entries):
-        table = _table_from_entries(horizon, input_alphabet, entries, _parse_prob)
-        return RandomizedPolicy(horizon, input_alphabet, output_alphabet, tuple(table))
+    def _parse_entry(value, output_alphabet):
+        return parse_rational(value)
 
+    def _format_entry(self, entry):
+        return format_rational(entry)
 
-def _parse_prob(raw) -> Fraction:
-    p = parse_rational(raw)
-    if not 0 <= p <= 1:
-        raise ValidationError(f"probability {raw!r} outside [0, 1]")
-    return p
-
-
-def _table_from_entries(horizon, input_alphabet, entries, convert):
-    if horizon < 1:
-        raise ValidationError(f"policy horizon must be positive, got {horizon}")
-    base = len(input_alphabet)
-    TableTooLarge.check(base, horizon, TABLE_GUARD)
-    table = [None] * base**horizon
-    single = all(len(t) == 1 for t in input_alphabet.symbols)
-    for key, value in entries.items():
-        tokens = tuple(key) if single else tuple(key.split(","))
-        if len(tokens) != horizon:
-            raise ValidationError(f"window {key!r} does not have {horizon} tokens")
-        code = window_index([input_alphabet.index(t) for t in tokens], base)
-        try:
-            table[code] = convert(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational {value!r}", field=f"entries.{key}") from None
-    missing = [i for i, v in enumerate(table) if v is None]
-    if missing:
-        raise ValidationError(f"{len(missing)} windows missing from entries")
-    return table
+    def run(self, x_seq, seed):
+        """Outputs y_1..y_n, one variate per step from `random.Random(seed)`."""
+        coin = random.Random(seed).random
+        symbols, table = self.output_alphabet.symbols, self.table
+        return tuple([symbols[coin() < table[code]] for code in self._codes(x_seq)])
 
 
 # -- clocked policies -------------------------------------------------------
@@ -320,48 +313,36 @@ def run_coin_flip(x_seq, alpha, seed):
 
 def run_policy(policy, x_seq, seed=0):
     """Outputs of any policy on x_seq; seed draws a behavioural table's coins."""
-    if isinstance(policy, RandomizedPolicy):
+    if isinstance(policy, _Table):
         return policy.run(x_seq, seed)
-    if isinstance(policy, DeterministicPolicy):
-        return policy.run(x_seq)
     T, xs = policy.horizon, tuple(x_seq)
     # a conditional, not max(), which costs a call per step
     return tuple([policy.output_at(xs[i - T if i > T else 0 : i], i + 1) for i in range(len(xs))])
 
 
 def compile_to_table(rule_policy, horizon, input_alphabet, output_alphabet):
-    """Tabulate an unclocked rule on every full window."""
-    base = len(input_alphabet)
-    TableTooLarge.check(base, horizon, TABLE_GUARD)
-    table = []
-    for code in range(base**horizon):
-        idxs = decode_window(code, base, horizon)
-        window = tuple(input_alphabet.symbols[i] for i in idxs)
-        table.append(output_alphabet.index(rule_policy.output(window)))
-    return DeterministicPolicy(horizon, input_alphabet, output_alphabet, tuple(table))
+    """Tabulate an unclocked rule on every full window, in code order."""
+    TableTooLarge.check(len(input_alphabet), horizon, TABLE_GUARD)
+    index = output_alphabet.index
+    windows = itertools.product(input_alphabet.symbols, repeat=horizon)
+    table = tuple(index(rule_policy.output(window)) for window in windows)
+    return DeterministicPolicy(horizon, input_alphabet, output_alphabet, table)
 
 
 # -- policy files -------------------------------------------------------------
 
 
 def policy_to_document(policy) -> dict:
-    if isinstance(policy, DeterministicPolicy):
-        kind, values = "deterministic", [policy.output_alphabet.symbols[o] for o in policy.table]
-    elif isinstance(policy, RandomizedPolicy):
-        kind, values = "randomized", [format_rational(p) for p in policy.table]
-    else:
+    if not isinstance(policy, _Table):
         raise ValidationError(f"cannot serialize policy of type {type(policy).__name__}")
     inputs = policy.input_alphabet
-    entries = {}
-    for code, value in enumerate(values):
-        idxs = decode_window(code, len(inputs), policy.horizon)
-        entries[inputs.join(inputs.symbols[i] for i in idxs)] = value
+    windows = itertools.product(inputs.symbols, repeat=policy.horizon)  # code order
     return {
         "horizon": policy.horizon,
-        "inputs": list(policy.input_alphabet.symbols),
+        "inputs": list(inputs.symbols),
         "outputs": list(policy.output_alphabet.symbols),
-        "kind": kind,
-        "entries": entries,
+        "kind": policy.kind,
+        "entries": {inputs.join(w): policy._format_entry(e) for w, e in zip(windows, policy.table)},
     }
 
 
@@ -380,8 +361,7 @@ def load_policy(document):
     outputs = Alphabet(tuple(str(s) for s in document_field(doc, "outputs", list)))
     horizon = document_field(doc, "horizon", int)
     entries = document_field(doc, "entries", dict)
-    if doc["kind"] == "deterministic":
-        return DeterministicPolicy.from_entries(horizon, inputs, outputs, entries)
-    if doc["kind"] == "randomized":
-        return RandomizedPolicy.from_entries(horizon, inputs, outputs, entries)
+    for cls in (DeterministicPolicy, RandomizedPolicy):
+        if doc["kind"] == cls.kind:
+            return cls.from_entries(horizon, inputs, outputs, entries)
     raise ParseError(f"unknown kind {doc['kind']!r}", field="kind")

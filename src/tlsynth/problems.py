@@ -59,6 +59,9 @@ class Alphabet:
             raise ValidationError(f"duplicate tokens in alphabet {self.symbols}")
         if {"", BOTTOM, WILDCARD} & set(self.symbols):
             raise ValidationError("alphabet may not contain an empty token, '_|_' or '*'")
+        for token in self.symbols:
+            if "," in token:
+                raise ValidationError(f"token {token!r} contains ',', which separates tokens")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
 
     def index(self, symbol) -> int:
@@ -616,31 +619,27 @@ def validate_coverage(problem: LocalProblem):
     r = problem.horizon_r
     xs = problem.input_alphabet.symbols
     ys = problem.output_alphabet.symbols
-    fired = [False] * len(problem.rules)
 
-    def check(xw, yw):
-        for k, rule in enumerate(problem.rules):
-            if rule.matches(xw, yw):
-                fired[k] = True
-                return
-        raise ValidationError(
-            f"problem {problem.name!r}: no rule covers x={xw} y={yw}"
-        )
+    def reachable():
+        yield from product(product(xs, repeat=r + 1), product(ys, repeat=r + 1))
+        for i in range(1, r + 1):  # boundary steps
+            init = tuple(problem.initial_outputs[i - 1 :])
+            for xtail in product(xs, repeat=i):
+                for ytail in product(ys, repeat=i):
+                    yield (None,) * (r + 1 - i) + xtail, init + ytail
 
-    for xw in product(xs, repeat=r + 1):
-        for yw in product(ys, repeat=r + 1):
-            check(xw, yw)
-    for i in range(1, r + 1):  # boundary steps
-        pad = r + 1 - i
-        init = tuple(problem.initial_outputs[i - 1 :])
-        for xtail in product(xs, repeat=i):
-            xw = (None,) * pad + xtail
-            for ytail in product(ys, repeat=i):
-                check(xw, init + ytail)
+    fired = set()  # ids of the _rule_costs entries _resolve returns, one tuple per rule
+    for xw, yw in reachable():
+        try:
+            fired.add(id(problem._resolve((xw, yw))))
+        except NoMatchingRule:
+            raise ValidationError(
+                f"problem {problem.name!r}: no rule covers x={xw} y={yw}"
+            ) from None
     return [
         f"rule {k} ({','.join(rule.x_pattern)} / {','.join(rule.y_pattern)}) never fires"
-        for k, rule in enumerate(problem.rules)
-        if not fired[k]
+        for k, (rule, entry) in enumerate(zip(problem.rules, problem._rule_costs))
+        if id(entry) not in fired
     ]
 
 

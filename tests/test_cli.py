@@ -1061,6 +1061,8 @@ INPUT_CHECKS = {
     "policy-probability-above-1": (
         policy_text(kind="randomized", entries={"0": "0", "1": "3/2"}), EVAL_DOC,
         "probability '3/2' outside [0, 1]"),
+    "policy-comma-token": (policy_text(inputs=["a,b", "c"]), EVAL_DOC,
+                           "token 'a,b' contains ',', which separates tokens"),
     "randomized-policy-three-outputs": (
         policy_text(kind="randomized", outputs=["0", "1", "2"]), EVAL_DOC,
         "randomized policies need a binary output alphabet"),
@@ -1073,6 +1075,9 @@ INPUT_CHECKS = {
                                 "duplicate tokens in alphabet ('0', '0')"),
     "problem-wildcard-token": (problem_text(outputs=["*", "1"]), OPT_DOC,
                                "alphabet may not contain an empty token, '_|_' or '*'"),
+    "problem-comma-token": (problem_text(inputs=["a,b", "c"], rules=[RULE]),
+                            ("synth", "--problem", "{doc}", "--horizon", "1"),
+                            "token 'a,b' contains ',', which separates tokens"),
     "problem-negative-r": (problem_text(r=-1), OPT_DOC, "horizon r must be non-negative"),
     "problem-unknown-aggregation": (problem_text(aggregation="mean"), OPT_DOC,
                                     "unknown aggregation 'mean'"),

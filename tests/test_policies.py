@@ -135,6 +135,31 @@ def test_reference_randomized_policy_pins_zero_window():
         assert policy.run(("0",) * 8, seed) == ("0",) * 8
 
 
+@pytest.mark.parametrize(
+    "seed,outputs",
+    [
+        (0, "0001110001111011000011"),
+        (1, "0001110011110111100111"),
+        (7, "0001111011111011100001"),
+        (2021, "0001100011110011100101"),
+    ],
+)
+def test_randomized_run_pins_its_coin_order(seed, outputs):
+    """One variate per step, in step order: outputs of the reference
+    table on one input, fixed before the table kinds shared a walk."""
+    xs = tuple("0110100111010110010111")
+    policy = reference_randomized_policy()
+    assert "".join(policy.run(xs, seed)) == outputs
+    assert "".join(run_policy(policy, xs, seed)) == outputs
+
+
+def test_both_table_kinds_check_their_size_alike():
+    for kind, entry in ((DeterministicPolicy, 0), (RandomizedPolicy, Fraction(1, 2))):
+        with pytest.raises(ValidationError) as err:
+            kind(2, BIN, BIN, (entry,) * 3)
+        assert str(err.value) == "table must have |X|^T = 4 entries, got 3"
+
+
 def test_randomized_frequency_half():
     policy = RandomizedPolicy(1, BIN, BIN, (Fraction(1, 2), Fraction(1, 2)))
     outs = policy.run(("0",) * 10_000, seed=42)
@@ -350,8 +375,10 @@ def test_policy_round_trip_multi_character_tokens():
     doc = policy_to_document(policy)
     assert doc["entries"] == {"lo,lo": "0", "lo,hi": "1", "hi,lo": "1", "hi,hi": "0"}
     assert load_policy(doc) == policy
-    behavioural = RandomizedPolicy(1, words, BIN, (Fraction(1, 3), Fraction(1)))
-    assert policy_to_document(behavioural)["entries"] == {"lo": "1/3", "hi": "1"}
+    behavioural = RandomizedPolicy(2, words, BIN, (Fraction(1, 3), Fraction(1), 0, Fraction(1, 2)))
+    doc = policy_to_document(behavioural)
+    assert doc["entries"] == {"lo,lo": "1/3", "lo,hi": "1", "hi,lo": "0", "hi,hi": "1/2"}
+    assert load_policy(doc) == behavioural
 
 
 def test_policy_entries_reject_gaps():

@@ -12,6 +12,7 @@ from tlsynth.errors import InfinityClash, NoMatchingRule, ParseError, Validation
 from tlsynth.exact import NEG_INF, POS_INF, Cost, cost_sum
 from tlsynth.generators import GeneratorSpec
 from tlsynth.problems import (
+    Alphabet,
     CostExpr,
     bundled_problem,
     bundled_problem_names,
@@ -600,6 +601,51 @@ def test_load_reports_unreachable_rules():
     problem = load_problem(doc)
     assert len(problem.coverage_warnings) == 1
     assert "rule 1" in problem.coverage_warnings[0]
+
+
+def test_unreachable_rule_with_the_same_cost_is_still_reported():
+    """Fired rules are told apart by their own cost entry, not by its
+    value: rules 1 and 2 cost the same, rule 0 shadows rule 1, only rule 2
+    fires of the two, and rule 1 is the one reported."""
+    doc = {
+        "name": "equal-costs",
+        "inputs": ["0", "1"],
+        "outputs": ["0"],
+        "r": 0,
+        "aggregation": "sum",
+        "objective": "min",
+        "initial_outputs": [],
+        "rules": [
+            {"x": ["0"], "y": ["*"], "cost": "0"},
+            {"x": ["0"], "y": ["*"], "cost": "1"},
+            {"x": ["*"], "y": ["*"], "cost": "1"},
+        ],
+    }
+    problem = load_problem(doc)
+    assert problem.coverage_warnings == ("rule 1 (0 / *) never fires",)
+    assert problem.lookup_cost(("1",), ("0",)) == Cost(1)
+
+
+def test_alphabet_refuses_a_comma_in_a_token():
+    """Policy-document keys and --input split multi-character tokens on
+    commas, so a token holding one could never be named."""
+    with pytest.raises(ValidationError) as err:
+        Alphabet(("a,b", "c"))
+    assert str(err.value) == "token 'a,b' contains ',', which separates tokens"
+    with pytest.raises(ValidationError, match="token ','"):
+        Alphabet((",", "c"))
+    doc = {
+        "name": "comma",
+        "inputs": ["c", "a,b"],
+        "outputs": ["0"],
+        "r": 0,
+        "aggregation": "sum",
+        "objective": "min",
+        "initial_outputs": [],
+        "rules": [{"x": ["*"], "y": ["*"], "cost": "0"}],
+    }
+    with pytest.raises(ValidationError, match="token 'a,b' contains ','"):
+        load_problem(doc)
 
 
 def test_with_parameters_keeps_warnings_and_resolves_afresh():
